@@ -144,9 +144,10 @@ func BenchmarkManyHosts(b *testing.B) {
 // BenchmarkDirectVsEngine measures the oblivious-policy direct-recurrence
 // fast path against the event-heap engine on the same 100k-job C90 stream:
 // identical Run call, identical output bytes (the differential tests prove
-// it), only the dispatch toggled via SetDirectEnabled. The <policy>/h=N
-// direct-to-engine ns/op ratio is the fast path's speedup; BENCH_9.json
-// records the medians.
+// it), only the dispatch changed: the engine cells set Config.OrderCheck,
+// which pins the run to the event heap and adds a two-compare order
+// assertion per event. The <policy>/h=N direct-to-engine ns/op ratio is the
+// fast path's speedup; BENCH_9.json records the medians.
 func BenchmarkDirectVsEngine(b *testing.B) {
 	prof := trace.C90()
 	prof.Jobs = 100000
@@ -179,14 +180,12 @@ func BenchmarkDirectVsEngine(b *testing.B) {
 		for _, c := range cases {
 			for _, mode := range []struct {
 				name   string
-				direct bool
-			}{{"direct", true}, {"engine", false}} {
+				engine bool
+			}{{"direct", false}, {"engine", true}} {
 				b.Run(fmt.Sprintf("%s/h%d/%s", c.name, h, mode.name), func(b *testing.B) {
-					server.SetDirectEnabled(mode.direct)
-					defer server.SetDirectEnabled(true)
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						res := server.Run(jobs, server.Config{Hosts: h, Policy: c.build()})
+						res := server.Run(jobs, server.Config{Hosts: h, Policy: c.build(), OrderCheck: mode.engine})
 						if res.Slowdown.Count() == 0 {
 							b.Fatal("no jobs completed")
 						}

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"sita/internal/catalog"
-	"sita/internal/server"
 	"sita/internal/service"
 	"sita/internal/streamcache"
 )
@@ -53,11 +52,8 @@ func main() {
 		maxTO   = flag.Duration("max-timeout", 120*time.Second, "ceiling on requested deadlines")
 		drain   = flag.Duration("drain", 60*time.Second, "shutdown drain budget for in-flight simulations")
 		quiet   = flag.Bool("quiet", false, "suppress the JSON access log on stderr")
-		direct  = flag.Bool("direct", true,
-			"oblivious-policy direct-recurrence fast path (false forces the event engine; responses are byte-identical either way)")
 	)
 	flag.Parse()
-	server.SetDirectEnabled(*direct)
 	if err := catalog.CheckWorkers(*sims); err != nil {
 		fatal(fmt.Errorf("-sims: %w", err))
 	}

@@ -33,7 +33,6 @@ import (
 	"sita/internal/experiment"
 	"sita/internal/profiling"
 	"sita/internal/runner"
-	"sita/internal/server"
 	"sita/internal/streamcache"
 	"sita/internal/trace"
 )
@@ -56,11 +55,8 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on successful exit")
 		cacheMiB = flag.Int("stream-cache", streamcache.DefaultMaxBytes>>20,
 			"job-stream cache budget in MiB (0 disables caching; output is identical either way)")
-		direct = flag.Bool("direct", true,
-			"oblivious-policy direct-recurrence fast path (0 forces the event engine; output is byte-identical either way)")
 	)
 	flag.Parse()
-	server.SetDirectEnabled(*direct)
 
 	if err := catalog.CheckProfile(*profile); err != nil {
 		fatal(fmt.Errorf("-profile: %w", err))

@@ -27,7 +27,8 @@ type PolicyOutcome struct {
 
 // Compare runs every task assignment policy on the same re-timed job
 // stream and returns the outcomes sorted by mean slowdown (best first).
-// It is the programmatic counterpart of `cmd/simserver -policy all`.
+// examples/policy_comparison prints it as a table; `POST /v1/simulate` on
+// cmd/simd reports the same metrics for one policy at a time.
 func Compare(wl *Workload, load float64, hosts int, jobs int, seed uint64) ([]PolicyOutcome, error) {
 	if wl == nil {
 		return nil, fmt.Errorf("sita: nil workload")

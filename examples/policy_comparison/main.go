@@ -24,10 +24,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Trim for a snappy example; raise for tighter estimates.
-	if wl.Trace.Len() > 25000 {
-		wl.Trace.Jobs = wl.Trace.Jobs[:25000]
-	}
+	// Trim for a snappy example; raise for tighter estimates. Truncate
+	// keeps the trace's size mean and cache identity in step with its
+	// jobs, so the stream is re-timed to the load asked for.
+	wl.Trace = wl.Trace.Truncate(25000)
 
 	const hosts = 2
 	loads := []float64{0.5, 0.7, 0.9}

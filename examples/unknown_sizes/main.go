@@ -21,9 +21,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if wl.Trace.Len() > 30000 {
-		wl.Trace.Jobs = wl.Trace.Jobs[:30000]
-	}
+	// Trim for a snappy example; raise for tighter estimates. Truncate
+	// keeps the trace's size mean and cache identity in step with its
+	// jobs, so the stream is re-timed to the load asked for.
+	wl.Trace = wl.Trace.Truncate(30000)
 	const hosts = 2
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "load\tpolicy\tneeds sizes?\tmean slowdown\twasted work\n")

@@ -5,7 +5,7 @@
 // parameters before running anything.
 //
 // Centralizing this keeps the surfaces consistent: a policy name accepted
-// by `simserver -policy` is accepted by `POST /v1/simulate`, rejections
+// by `sita.Compare` is accepted by `POST /v1/simulate`, rejections
 // carry the same one-line message naming the valid values everywhere, and
 // invalid parameters are caught at the boundary instead of panicking deep
 // inside internal/server.

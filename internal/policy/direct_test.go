@@ -52,7 +52,6 @@ func profileStream(t *testing.T, p trace.Profile, n int) []workload.Job {
 }
 
 func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
-	defer server.SetDirectEnabled(true)
 	for _, prof := range []trace.Profile{trace.C90(), trace.J90(), trace.CTC()} {
 		jobs := profileStream(t, prof, 4000)
 		for _, pc := range obliviousCases() {
@@ -60,12 +59,14 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 				if !server.IsOblivious(pc.build()) {
 					t.Fatalf("%s does not claim the Oblivious capability", pc.name)
 				}
-				cfg := func(p server.Policy) server.Config {
+				// The order check pins a run to the engine.
+				cfg := func(p server.Policy, engine bool) server.Config {
 					return server.Config{
 						Hosts:          3,
 						Policy:         p,
 						WarmupFraction: 0.2,
 						KeepRecords:    true,
+						OrderCheck:     engine,
 						SizeClass: func(size float64) int {
 							if size > 100 {
 								return 1
@@ -74,10 +75,11 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 						},
 					}
 				}
-				server.SetDirectEnabled(true)
-				direct := server.Run(jobs, cfg(pc.build()))
-				server.SetDirectEnabled(false)
-				engine := server.Run(jobs, cfg(pc.build()))
+				if !server.DirectEligible(cfg(pc.build(), false)) || server.DirectEligible(cfg(pc.build(), true)) {
+					t.Fatal("the order check does not decide the path")
+				}
+				direct := server.Run(jobs, cfg(pc.build(), false))
+				engine := server.Run(jobs, cfg(pc.build(), true))
 				if ka, kb := recordKey(direct.Records), recordKey(engine.Records); ka != kb {
 					i := 0
 					for i < len(ka) && i < len(kb) && ka[i] == kb[i] {

@@ -400,15 +400,16 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 }
 
 // DirectEligible reports whether Run would take the direct path for this
-// configuration: the policy claims obliviousness, no interrupt probe or
-// order check is installed, and the path is globally enabled. Callers
-// that install per-request interrupt probes (internal/service) use this
-// to skip the probe when the run will be too fast to need one.
-// cfg.OrderCheck asserts event-heap dispatch order, so it pins the run
-// to the engine — which also makes it the per-run engine-forcing knob
-// the property harness uses for heap-vs-direct comparisons.
+// configuration. The decision reads the run's own Config and nothing
+// else: the policy claims obliviousness and neither an interrupt probe
+// nor the order check is installed. Callers that install per-request
+// interrupt probes (internal/service) use this to skip the probe when the
+// run will be too fast to need one. cfg.OrderCheck asserts event-heap
+// dispatch order, so it pins the run to the engine — which also makes it
+// how tests, benchmarks and the property harness force the engine for
+// heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
-	return cfg.Interrupt == nil && !cfg.OrderCheck && DirectEnabled() && IsOblivious(cfg.Policy)
+	return cfg.Interrupt == nil && !cfg.OrderCheck && IsOblivious(cfg.Policy)
 }
 
 // RunDirect simulates the job list under an oblivious policy without the

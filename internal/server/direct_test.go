@@ -139,9 +139,9 @@ func TestDirectViewTripwire(t *testing.T) {
 }
 
 // TestDirectDispatch pins Run's dispatch rule by observing which path a
-// lying policy dies on: with the direct path enabled Run hands it the
-// tripwire view (panic), disabled or interrupted it gets the engine's real
-// view (no panic).
+// lying policy dies on: by default Run hands it the tripwire view (panic);
+// with the order check or an interrupt probe installed it gets the
+// engine's real view (no panic).
 func TestDirectDispatch(t *testing.T) {
 	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 1, Size: 2}}
 	runPanics := func(cfg Config) (panicked bool) {
@@ -152,11 +152,13 @@ func TestDirectDispatch(t *testing.T) {
 	if !runPanics(Config{Hosts: 2, Policy: &liar{method: "NumJobs"}}) {
 		t.Fatal("Run did not take the direct path for a claimed-oblivious policy")
 	}
-	SetDirectEnabled(false)
-	if runPanics(Config{Hosts: 2, Policy: &liar{method: "NumJobs"}}) {
-		t.Fatal("Run took the direct path with SetDirectEnabled(false)")
+	ordered := Config{Hosts: 2, Policy: &liar{method: "NumJobs"}, OrderCheck: true}
+	if runPanics(ordered) {
+		t.Fatal("Run took the direct path despite the order check")
 	}
-	SetDirectEnabled(true)
+	if DirectEligible(ordered) {
+		t.Fatal("DirectEligible true with the order check installed")
+	}
 	interrupted := Config{Hosts: 2, Policy: &liar{method: "NumJobs"}, Interrupt: func() bool { return false }}
 	if runPanics(interrupted) {
 		t.Fatal("Run took the direct path despite an interrupt probe")
@@ -220,9 +222,9 @@ func TestDirectEngineParityInPackage(t *testing.T) {
 				}
 			}
 			direct := RunDirect(jobs, mk())
-			SetDirectEnabled(false)
-			engine := Run(jobs, mk())
-			SetDirectEnabled(true)
+			cfg := mk()
+			cfg.OrderCheck = true
+			engine := Run(jobs, cfg)
 			if got, want := formatRecords(direct.Records), formatRecords(engine.Records); got != want {
 				t.Fatalf("record streams differ:\ndirect: %.300s\nengine: %.300s", got, want)
 			}

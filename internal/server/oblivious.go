@@ -1,9 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Oblivious marks a Policy whose Assign decision is a pure function of the
 // arriving job and the policy's own sequential state — it never consults
@@ -35,24 +32,6 @@ func IsOblivious(p Policy) bool {
 	o, ok := p.(Oblivious)
 	return ok && o.Oblivious()
 }
-
-// directEnabled gates the automatic Run → RunDirect dispatch. On by
-// default; cmd/sweep's -direct=0 and cmd/simd's -direct=false clear it so
-// parity smokes can diff the two paths byte for byte. Atomic because
-// sweep workers and service handlers read it concurrently; it is written
-// only at process startup (or under test), and output is byte-identical
-// either way.
-var directEnabled atomic.Bool
-
-func init() { directEnabled.Store(true) }
-
-// SetDirectEnabled turns the oblivious-policy direct path on or off
-// process-wide. Intended for flag wiring and tests; simulation output is
-// byte-identical in both states.
-func SetDirectEnabled(on bool) { directEnabled.Store(on) }
-
-// DirectEnabled reports whether Run may take the direct path.
-func DirectEnabled() bool { return directEnabled.Load() }
 
 // directView is the View handed to claimed-oblivious policies on the
 // direct path. Hosts answers — the host count is configuration, not

@@ -49,10 +49,10 @@ type Config struct {
 	InterruptEvery int
 	// OrderCheck arms the event kernel's dispatch-order assertion
 	// (sim.Engine.SetOrderCheck) for the run: the engine panics if it
-	// ever fires an event out of (time, seq) order. Only meaningful on
-	// the engine path — the direct recurrence has no event heap — and
-	// intended for the property harness (internal/simtest), not
-	// production sweeps.
+	// ever fires an event out of (time, seq) order. The direct
+	// recurrence has no event heap, so setting it pins the run to the
+	// engine; tests and the property harness (internal/simtest) use it to
+	// force the engine. Not for production sweeps.
 	OrderCheck bool
 }
 
@@ -197,13 +197,13 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 // metrics. Jobs are renumbered by arrival order; records carry that
 // ordinal as their ID.
 //
-// Dispatch: when the policy claims the Oblivious capability, no interrupt
-// probe is installed, and the direct path is enabled (SetDirectEnabled),
-// Run takes the O(1)-per-job direct recurrence (RunDirect) instead of the
-// discrete-event engine. The two paths produce bit-identical Results —
-// same float sequence, same record emission order, same RNG draw order —
-// so the dispatch is invisible to callers; -direct=0 on cmd/sweep forces
-// the engine for parity checks.
+// Dispatch: when DirectEligible(cfg) holds — the policy claims the
+// Oblivious capability and neither an interrupt probe nor the order check
+// is installed — Run takes the O(1)-per-job direct recurrence (RunDirect)
+// instead of the discrete-event engine. The two paths produce
+// bit-identical Results — same float sequence, same record emission
+// order, same RNG draw order — so the dispatch is invisible to callers;
+// setting cfg.OrderCheck forces the engine for parity checks.
 //
 // Concurrency: Run itself is synchronous and single-goroutine — the
 // completion accounting (Result.observe) updates the Result's Horizon,

@@ -453,9 +453,8 @@ const memoCap = 16
 
 func newWorkloadMemo() *workloadMemo { return &workloadMemo{} }
 
-// get returns the memoized workload, generating (and truncating to the
-// jobs cap, matching the cmd/simserver semantics of truncating the trace
-// before re-timing) on first use.
+// get returns the memoized workload, generating (and truncating the trace
+// to the jobs cap before re-timing) on first use.
 func (m *workloadMemo) get(profile string, seed uint64, jobs int) (*sita.Workload, error) {
 	key := wlKey{profile, seed, jobs}
 	m.mu.Lock()

@@ -38,7 +38,8 @@ func TestCancelCheckStopsRun(t *testing.T) {
 func TestCancelCheckOffByDefault(t *testing.T) {
 	var e Engine
 	done := false
-	e.At(1, func(now float64) { done = true })
+	e.SetHandler(handlerFunc(func(float64, Ev) { done = true }))
+	e.Schedule(1, Ev{})
 	e.Run()
 	if !done || e.Interrupted() {
 		t.Fatalf("plain run: done=%v interrupted=%v, want true/false", done, e.Interrupted())

@@ -5,14 +5,13 @@
 //
 // The kernel is allocation-free in steady state. Events live as values in
 // an indexed binary heap — no per-event heap object, no per-event closure
-// on the hot path — and carry a small typed payload (Ev: kind + host index
-// + job) dispatched to a Handler. Closure events (At/After) remain
-// available for tests and one-off timers. Cancellation uses
-// generation-counted handles into a reusable slot arena, so a Handle stays
-// 16 bytes and a stale handle (its event fired, or the engine was Reset)
-// is a safe no-op. Engines are reusable via Reset and poolable via
-// Acquire/Release, so a sweep of thousands of simulation cells reuses a
-// few engines' backing arrays instead of reallocating per cell.
+// — and carry a small typed payload (Ev: kind + host index + job)
+// dispatched to the engine's Handler. Cancellation uses generation-counted
+// handles into a reusable slot arena, so a Handle stays 16 bytes and a
+// stale handle (its event fired, or the engine was Reset) is a safe no-op.
+// Engines are reusable via Reset and poolable via Acquire/Release, so a
+// sweep of thousands of simulation cells reuses a few engines' backing
+// arrays instead of reallocating per cell.
 //
 // Serving paths that must bound a simulation's wall-clock cost can install
 // a cooperative cancellation probe (SetCancelCheck): a zero-allocation
@@ -28,9 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Event is a callback scheduled to run at a virtual time.
-type Event func(now float64)
 
 // Job is the unit of simulated work typed events carry by value: an
 // identifier, an arrival instant, and a service requirement in seconds.
@@ -54,10 +50,9 @@ type Ev struct {
 	Job  Job
 }
 
-// Handler consumes typed events. An engine dispatches every event
-// scheduled via Schedule/ScheduleReserved to its handler; models
-// (internal/server, internal/tags) implement Handler and switch on
-// Ev.Kind.
+// Handler consumes typed events. An engine dispatches every event it
+// fires to its handler; models (internal/server, internal/tags)
+// implement Handler and switch on Ev.Kind.
 type Handler interface {
 	HandleEvent(now float64, ev Ev)
 }
@@ -79,7 +74,6 @@ type slot struct {
 	gen      uint32
 	canceled bool
 	ev       Ev
-	fn       Event
 }
 
 // Handle identifies a scheduled event so it can be canceled. The zero
@@ -221,13 +215,12 @@ func (e *Engine) allocSlot() int32 {
 }
 
 // freeSlot returns a slot to the freelist, invalidating outstanding
-// handles and dropping payload references so closures are not retained.
+// handles and clearing the payload.
 func (e *Engine) freeSlot(id int32) {
 	s := &e.slots[id]
 	s.gen++
 	s.canceled = false
 	s.ev = Ev{}
-	s.fn = nil
 	e.free = append(e.free, id) //lint:allow allocfree freelist capacity tracks the arena; append never outgrows it in steady state
 }
 
@@ -235,41 +228,23 @@ func (e *Engine) freeSlot(id int32) {
 // Panics if t is before the current virtual time: it is always a model bug.
 //
 //sim:noalloc
-func (e *Engine) push(t float64, seq uint64, ev Ev, fn Event) Handle {
+func (e *Engine) push(t float64, seq uint64, ev Ev) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	id := e.allocSlot()
 	s := &e.slots[id]
 	s.ev = ev
-	s.fn = fn
 	e.events = append(e.events, entry{at: t, seq: seq, id: id}) //lint:allow allocfree heap grows to the high-water event count, then reuses capacity
 	e.siftUp(len(e.events) - 1)
 	e.live++
 	return Handle{e: e, id: id, gen: s.gen}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics: it is always a model bug.
-func (e *Engine) At(t float64, fn Event) Handle {
-	h := e.push(t, e.seq, Ev{}, fn)
-	e.seq++
-	return h
-}
-
-// After schedules fn to run delay time units from now.
-// Panics if delay is negative: it is always a model bug.
-func (e *Engine) After(delay float64, fn Event) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	return e.At(e.now+delay, fn)
-}
-
 // Schedule schedules a typed event at absolute virtual time t, dispatched
 // to the engine's Handler. Panics if t is in the past.
 func (e *Engine) Schedule(t float64, ev Ev) Handle {
-	h := e.push(t, e.seq, ev, nil)
+	h := e.push(t, e.seq, ev)
 	e.seq++
 	return h
 }
@@ -304,7 +279,7 @@ func (e *Engine) ScheduleReserved(t float64, seq uint64, ev Ev) Handle {
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: sequence %d not reserved (counter at %d)", seq, e.seq))
 	}
-	return e.push(t, seq, ev, nil)
+	return e.push(t, seq, ev)
 }
 
 // Stop makes the current Run call return after the executing event
@@ -361,7 +336,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamp <= horizon (or all events when
 // horizon < 0). The clock advances to each event's time; if the queue
 // drains earlier the clock stays at the last event. Panics (from the
-// dispatch path) if a typed event fires with no Handler installed.
+// dispatch path) if an event fires with no Handler installed.
 //
 //sim:entry
 //sim:noalloc
@@ -404,7 +379,7 @@ func (e *Engine) Step() bool {
 }
 
 // fire dispatches one popped heap entry, reporting whether it was live.
-// The slot is freed before dispatch so the callback can schedule new
+// The slot is freed before dispatch so the handler can schedule new
 // events into the just-vacated slot (the generation bump keeps stale
 // handles inert). Panics if the order check (SetOrderCheck) is armed and
 // the entry is out of (time, seq) dispatch order — that is the check's
@@ -415,7 +390,7 @@ func (e *Engine) fire(top entry) bool {
 		e.freeSlot(top.id)
 		return false
 	}
-	ev, fn := s.ev, s.fn
+	ev := s.ev
 	e.freeSlot(top.id)
 	e.live--
 	if e.orderCheck {
@@ -428,11 +403,7 @@ func (e *Engine) fire(top entry) bool {
 	}
 	e.now = top.at
 	e.fired++
-	if fn != nil {
-		fn(e.now)
-	} else {
-		e.handler.HandleEvent(e.now, ev)
-	}
+	e.handler.HandleEvent(e.now, ev)
 	return true
 }
 

@@ -10,9 +10,10 @@ import (
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	var e Engine
 	var fired []float64
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 	times := []float64{5, 1, 3, 2, 4}
 	for _, at := range times {
-		e.At(at, func(now float64) { fired = append(fired, now) })
+		e.Schedule(at, Ev{})
 	}
 	e.Run()
 	if !sort.Float64sAreSorted(fired) {
@@ -29,11 +30,14 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 	var e Engine
 	var order []int
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, int(ev.Host)) }))
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(1.0, func(float64) { order = append(order, i) })
+		e.Schedule(1.0, Ev{Host: int32(i)})
 	}
 	e.Run()
+	if len(order) != 10 {
+		t.Fatalf("fired %d simultaneous events, want 10", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("simultaneous events not FIFO: %v", order)
@@ -44,12 +48,13 @@ func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 func TestEngineAfterAndNesting(t *testing.T) {
 	var e Engine
 	var log []float64
-	e.After(1, func(now float64) {
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) {
 		log = append(log, now)
-		e.After(2, func(now float64) {
-			log = append(log, now)
-		})
-	})
+		if ev.Kind == 1 {
+			e.ScheduleAfter(2, Ev{Kind: 2})
+		}
+	}))
+	e.ScheduleAfter(1, Ev{Kind: 1})
 	e.Run()
 	if len(log) != 2 || log[0] != 1 || log[1] != 3 {
 		t.Fatalf("nested scheduling log = %v, want [1 3]", log)
@@ -59,8 +64,9 @@ func TestEngineAfterAndNesting(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	var e Engine
 	count := 0
+	e.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
 	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(float64) { count++ })
+		e.Schedule(float64(i), Ev{})
 	}
 	e.RunUntil(5)
 	if count != 5 {
@@ -81,13 +87,14 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	var e Engine
 	count := 0
+	e.SetHandler(handlerFunc(func(float64, Ev) {
+		count++
+		if count == 3 {
+			e.Stop()
+		}
+	}))
 	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(float64) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
+		e.Schedule(float64(i), Ev{})
 	}
 	e.Run()
 	if count != 3 {
@@ -102,7 +109,8 @@ func TestEngineStop(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	var e Engine
 	fired := false
-	h := e.At(1, func(float64) { fired = true })
+	e.SetHandler(handlerFunc(func(float64, Ev) { fired = true }))
+	h := e.Schedule(1, Ev{})
 	h.Cancel()
 	h.Cancel() // double-cancel is fine
 	e.Run()
@@ -116,14 +124,15 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	var e Engine
-	e.At(5, func(float64) {})
+	e.SetHandler(&nopHandler{})
+	e.Schedule(5, Ev{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.At(1, func(float64) {})
+	e.Schedule(1, Ev{})
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -133,14 +142,15 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic for negative delay")
 		}
 	}()
-	e.After(-1, func(float64) {})
+	e.ScheduleAfter(-1, Ev{})
 }
 
 func TestEngineStep(t *testing.T) {
 	var e Engine
 	count := 0
-	e.At(1, func(float64) { count++ })
-	e.At(2, func(float64) { count++ })
+	e.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
+	e.Schedule(1, Ev{})
+	e.Schedule(2, Ev{})
 	if !e.Step() || count != 1 {
 		t.Fatal("first step failed")
 	}
@@ -156,6 +166,7 @@ func TestEngineOrderProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var e Engine
 		var fired []float64
+		e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 		for _, r := range raw {
 			at := r
 			if at < 0 {
@@ -164,7 +175,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			if at != at { // NaN
 				continue
 			}
-			e.At(at, func(now float64) { fired = append(fired, now) })
+			e.Schedule(at, Ev{})
 		}
 		e.Run()
 		return sort.Float64sAreSorted(fired)
@@ -225,10 +236,12 @@ func TestNewRNGStreamsUncorrelated(t *testing.T) {
 
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
+	var h nopHandler
 	for i := 0; i < b.N; i++ {
 		var e Engine
+		e.SetHandler(&h)
 		for j := 0; j < 1000; j++ {
-			e.At(rng.Float64()*1000, func(float64) {})
+			e.Schedule(rng.Float64()*1000, Ev{})
 		}
 		e.Run()
 	}
@@ -248,18 +261,20 @@ func TestEngineRandomCancelStress(t *testing.T) {
 		var items []*tracked
 		fired := map[*tracked]bool{}
 		lastTime := -1.0
+		e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+			it := items[ev.Job.ID]
+			if now < lastTime {
+				t.Fatalf("trial %d: time went backwards", trial)
+			}
+			lastTime = now
+			if it.canceled {
+				t.Fatalf("trial %d: canceled event fired", trial)
+			}
+			fired[it] = true
+		}))
 		for i := 0; i < 200; i++ {
 			it := &tracked{at: rng.Float64() * 100}
-			it.h = e.At(it.at, func(now float64) {
-				if now < lastTime {
-					t.Fatalf("trial %d: time went backwards", trial)
-				}
-				lastTime = now
-				if it.canceled {
-					t.Fatalf("trial %d: canceled event fired", trial)
-				}
-				fired[it] = true
-			})
+			it.h = e.Schedule(it.at, Ev{Job: Job{ID: i}})
 			items = append(items, it)
 			// Randomly cancel an earlier event.
 			if rng.Float64() < 0.3 {
@@ -285,9 +300,9 @@ func TestEngineRandomCancelStress(t *testing.T) {
 func TestEngineStepInterleavedWithRunUntil(t *testing.T) {
 	var e Engine
 	var order []int
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, int(ev.Host)) }))
 	for i := 1; i <= 6; i++ {
-		i := i
-		e.At(float64(i), func(float64) { order = append(order, i) })
+		e.Schedule(float64(i), Ev{Host: int32(i)})
 	}
 	if !e.Step() { // fires event 1
 		t.Fatal("step failed")
@@ -303,10 +318,11 @@ func TestEngineStepInterleavedWithRunUntil(t *testing.T) {
 
 func TestEngineFiredCounter(t *testing.T) {
 	var e Engine
+	e.SetHandler(&nopHandler{})
 	for i := 0; i < 10; i++ {
-		e.At(float64(i), func(float64) {})
+		e.Schedule(float64(i), Ev{})
 	}
-	h := e.At(100, func(float64) {})
+	h := e.Schedule(100, Ev{})
 	h.Cancel()
 	e.Run()
 	if e.Fired() != 10 {

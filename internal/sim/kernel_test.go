@@ -36,9 +36,10 @@ func TestEngineTypedDispatch(t *testing.T) {
 
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	var e Engine
+	e.SetHandler(&nopHandler{})
 	var hs []Handle
 	for i := 0; i < 5; i++ {
-		hs = append(hs, e.At(float64(i+1), func(float64) {}))
+		hs = append(hs, e.Schedule(float64(i+1), Ev{}))
 	}
 	if e.Pending() != 5 {
 		t.Fatalf("pending = %d, want 5", e.Pending())
@@ -63,8 +64,9 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 
 func TestEngineResetRestartsClockAndSeq(t *testing.T) {
 	var e Engine
+	e.SetHandler(&nopHandler{})
 	for i := 0; i < 8; i++ {
-		e.At(float64(i+10), func(float64) {})
+		e.Schedule(float64(i+10), Ev{})
 	}
 	e.Run()
 	if e.Now() != 17 || e.Fired() != 8 {
@@ -76,7 +78,8 @@ func TestEngineResetRestartsClockAndSeq(t *testing.T) {
 	}
 	// The clock restarted, so scheduling before the old horizon must work.
 	var fired []float64
-	e.At(1, func(now float64) { fired = append(fired, now) })
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
+	e.Schedule(1, Ev{})
 	e.Run()
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("post-reset run fired %v, want [1]", fired)
@@ -94,10 +97,16 @@ func TestEngineTieBreakAcrossReset(t *testing.T) {
 		// Reserved block first (lazy-feed arrivals), then runtime events at
 		// the same instant: reserved seqs must win the tie.
 		base := e.ReserveSeq(2)
-		e.At(1.0, func(float64) { order = append(order, 100) })
+		e.Schedule(1.0, Ev{Kind: 1})
 		e.ScheduleReserved(1.0, base+1, Ev{})
 		e.ScheduleReserved(1.0, base, Ev{})
-		e.SetHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, len(order)) }))
+		e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+			if ev.Kind == 1 {
+				order = append(order, 100)
+			} else {
+				order = append(order, len(order))
+			}
+		}))
 		e.Run()
 		return order
 	}
@@ -113,7 +122,7 @@ func TestEngineTieBreakAcrossReset(t *testing.T) {
 			t.Fatalf("tie-break differs across Reset: %v vs %v", first, second)
 		}
 	}
-	// Reserved seqs 0 and 1 precede the At event's seq 2.
+	// Reserved seqs 0 and 1 precede the Schedule event's seq 2.
 	if second[2] != 100 {
 		t.Fatalf("reserved seqs must fire before later runtime seqs at the same time: %v", second)
 	}
@@ -126,12 +135,13 @@ func (f handlerFunc) HandleEvent(now float64, ev Ev) { f(now, ev) }
 
 func TestEngineResetInvalidatesHandles(t *testing.T) {
 	var e Engine
-	h := e.At(5, func(float64) {})
+	h := e.Schedule(5, Ev{})
 	e.Reset()
 	// The old handle's slot was recycled; cancel must not touch whatever
 	// lives there now.
 	fired := false
-	e.At(1, func(float64) { fired = true })
+	e.SetHandler(handlerFunc(func(float64, Ev) { fired = true }))
+	e.Schedule(1, Ev{})
 	h.Cancel()
 	if e.Pending() != 1 {
 		t.Fatalf("stale cancel changed pending = %d, want 1", e.Pending())
@@ -160,12 +170,12 @@ func TestEngineReserveSeqMatchesEagerOrder(t *testing.T) {
 
 	var eager Engine
 	var eagerOrder []int
+	eager.SetHandler(handlerFunc(func(now float64, ev Ev) { eagerOrder = append(eagerOrder, int(ev.Host)) }))
 	for i, at := range arrivals {
-		i := i
-		eager.At(at, func(float64) { eagerOrder = append(eagerOrder, i) })
+		eager.Schedule(at, Ev{Kind: 1, Host: int32(i)})
 	}
 	// Runtime events racing the arrivals at t=2.
-	eager.At(2, func(float64) { eagerOrder = append(eagerOrder, 100) })
+	eager.Schedule(2, Ev{Kind: 2, Host: 100})
 	eager.Run()
 
 	var lazy Engine
@@ -182,11 +192,13 @@ func TestEngineReserveSeqMatchesEagerOrder(t *testing.T) {
 		next++
 	}
 	lazy.SetHandler(handlerFunc(func(now float64, ev Ev) {
-		feed()
+		if ev.Kind == 1 {
+			feed()
+		}
 		lazyOrder = append(lazyOrder, int(ev.Host))
 	}))
 	feed()
-	lazy.At(2, func(float64) { lazyOrder = append(lazyOrder, 100) })
+	lazy.Schedule(2, Ev{Kind: 2, Host: 100})
 	lazy.Run()
 
 	if len(eagerOrder) != len(lazyOrder) {
@@ -201,7 +213,8 @@ func TestEngineReserveSeqMatchesEagerOrder(t *testing.T) {
 
 func TestAcquireReleaseReuse(t *testing.T) {
 	e := Acquire()
-	e.At(3, func(float64) {})
+	e.SetHandler(&nopHandler{})
+	e.Schedule(3, Ev{})
 	e.Run()
 	Release(e)
 	e2 := Acquire()
@@ -210,7 +223,8 @@ func TestAcquireReleaseReuse(t *testing.T) {
 		t.Fatalf("acquired engine not reset: now=%v pending=%d fired=%d", e2.Now(), e2.Pending(), e2.Fired())
 	}
 	count := 0
-	e2.At(1, func(float64) { count++ })
+	e2.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
+	e2.Schedule(1, Ev{})
 	e2.Run()
 	if count != 1 {
 		t.Fatalf("reused engine fired %d events, want 1", count)

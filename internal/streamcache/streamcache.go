@@ -97,7 +97,7 @@ type Cache struct {
 }
 
 // Shared is the process-wide cache used by the experiment drivers, the
-// sweep/simserver commands, and the simd service.
+// sweep command, and the simd service.
 var Shared = New(DefaultMaxBytes)
 
 // New returns a cache bounded to maxBytes of job data (<= 0 disables

@@ -1,14 +1,22 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"sita/internal/workload"
 )
 
+// swfAllAtZero is a log with valid sizes whose jobs are all submitted at
+// t = 0: 30 jobs of runtime 1 and one of runtime 1000. Its arrival gaps
+// are all zero, so bursty re-timing has nothing to rescale.
+var swfAllAtZero = strings.Repeat("1 0 -1 1 8\n", 30) + "31 0 -1 1000 8\n"
+
 // FuzzReadSWF hammers the SWF parser with arbitrary input: it must never
-// panic, and any trace it accepts must validate.
+// panic, any trace it accepts must validate, and every accepted trace must
+// re-time to a load in both arrival modes — all jobs, finite and
+// non-decreasing arrivals — since that is what every consumer does next.
 func FuzzReadSWF(f *testing.F) {
 	f.Add("; comment\n1 100.0 -1 50.0 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n")
 	f.Add("")
@@ -16,6 +24,10 @@ func FuzzReadSWF(f *testing.F) {
 	f.Add("1 1e308 -1 1e308 8\n")
 	f.Add("1 -5 -1 10 8\n\n2 nan -1 inf 8\n")
 	f.Add(strings.Repeat("; only comments\n", 10))
+	f.Add(swfAllAtZero)
+	f.Add("1 0.5 -1 1e-6 8\n2 1 -1 1e-6 8\n3 1e12 -1 1e12 8\n") // range extremes
+	f.Add(strings.Repeat("1 2 -1 1e308 8\n", 4))                // Poisson arrivals overflow without swfMaxSeconds
+	f.Add("1 2 -1 7e-324 8\n")                                  // the gap scale underflows without swfMinRuntime
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadSWF("fuzz", strings.NewReader(input))
 		if err != nil {
@@ -26,6 +38,19 @@ func FuzzReadSWF(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("accepted invalid trace: %v", err)
+		}
+		for _, poisson := range []bool{true, false} {
+			jobs := tr.JobsAtLoad(0.7, 2, poisson, 1)
+			if len(jobs) != tr.Len() {
+				t.Fatalf("poisson=%v: JobsAtLoad returned %d jobs, want %d", poisson, len(jobs), tr.Len())
+			}
+			prev := 0.0
+			for i, j := range jobs {
+				if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) || j.Arrival < prev {
+					t.Fatalf("poisson=%v: job %d arrives at %v after %v", poisson, i, j.Arrival, prev)
+				}
+				prev = j.Arrival
+			}
 		}
 	})
 }

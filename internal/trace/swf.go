@@ -21,16 +21,34 @@ const (
 	swfFields       = 18
 	swfSubmitField  = 1 // 0-based index of submit time
 	swfRuntimeField = 3 // 0-based index of run time
+
+	// swfMaxSeconds bounds submit and run times, and swfMinRuntime
+	// bounds positive run times from below. Both are far beyond any real
+	// log (about 31,700 years; a microsecond) and far enough inside the
+	// float64 range that re-timing a trace to a load (JobsAtLoad) keeps
+	// its rate and gap scale positive and every arrival finite.
+	swfMaxSeconds = 1e12
+	swfMinRuntime = 1e-6
+	// swfMinSpan is the least last submit time ReadSWF accepts. Bursty
+	// re-timing rescales the log's gaps, measured from time 0, to the
+	// target load; with every job submitted in the log's first second
+	// there is no gap pattern to rescale.
+	swfMinSpan = 1
 )
 
 // ReadSWF parses an SWF stream into a trace. Comment lines (leading ';')
 // are skipped; jobs with non-positive runtimes (cancelled or corrupt
 // entries) are dropped, as is conventional when consuming archive logs.
+// Every error names the stream and, where one is at fault, the line. A
+// negative submit time, a time above swfMaxSeconds, a positive runtime
+// below swfMinRuntime, out-of-order submit times, or a log whose last
+// submit time is below swfMinSpan is an error: each would make
+// JobsAtLoad fail or produce non-finite arrivals.
 func ReadSWF(name string, r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var jobs []workload.Job
-	lineNo := 0
+	lineNo, lastLine := 0, 0
 	id := 0
 	for sc.Scan() {
 		lineNo++
@@ -44,17 +62,24 @@ func ReadSWF(name string, r io.Reader) (*Trace, error) {
 				name, lineNo, len(fields), swfRuntimeField+1)
 		}
 		submit, err := strconv.ParseFloat(fields[swfSubmitField], 64)
-		if err != nil || math.IsNaN(submit) || math.IsInf(submit, 0) {
-			return nil, fmt.Errorf("trace: swf %s line %d: bad submit time %q", name, lineNo, fields[swfSubmitField])
+		if err != nil || math.IsNaN(submit) || submit < 0 || submit > swfMaxSeconds {
+			return nil, fmt.Errorf("trace: swf %s line %d: bad submit time %q, want seconds in [0, %g]",
+				name, lineNo, fields[swfSubmitField], swfMaxSeconds)
 		}
 		runtime, err := strconv.ParseFloat(fields[swfRuntimeField], 64)
-		if err != nil || math.IsNaN(runtime) || math.IsInf(runtime, 0) {
-			return nil, fmt.Errorf("trace: swf %s line %d: bad runtime %q", name, lineNo, fields[swfRuntimeField])
+		if err != nil || math.IsNaN(runtime) || math.IsInf(runtime, 0) || runtime > swfMaxSeconds || (runtime > 0 && runtime < swfMinRuntime) {
+			return nil, fmt.Errorf("trace: swf %s line %d: bad runtime %q, want <= 0 (dropped) or seconds in [%g, %g]",
+				name, lineNo, fields[swfRuntimeField], swfMinRuntime, swfMaxSeconds)
 		}
 		if runtime <= 0 {
 			continue
 		}
+		if n := len(jobs); n > 0 && submit < jobs[n-1].Arrival {
+			return nil, fmt.Errorf("trace: swf %s line %d: submit time %v before the previous job's %v",
+				name, lineNo, submit, jobs[n-1].Arrival)
+		}
 		jobs = append(jobs, workload.Job{ID: id, Arrival: submit, Size: runtime})
+		lastLine = lineNo
 		id++
 	}
 	if err := sc.Err(); err != nil {
@@ -63,13 +88,13 @@ func ReadSWF(name string, r io.Reader) (*Trace, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("trace: swf %s: no usable jobs", name)
 	}
+	if last := jobs[len(jobs)-1].Arrival; last < swfMinSpan {
+		return nil, fmt.Errorf("trace: swf %s line %d: last submit time %v s, want >= %v s: the log has no arrival gaps to rescale",
+			name, lastLine, last, swfMinSpan)
+	}
 	// New assigns an anonymous cache identity: an archive log has no
 	// generation recipe, but one parsed instance is still shareable.
-	t := New(name, jobs)
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return New(name, jobs), nil
 }
 
 // WriteSWF emits the trace as SWF v2 with a descriptive comment header.

@@ -259,16 +259,23 @@ func TestReadSWFSkipsCommentsAndCancelled(t *testing.T) {
 }
 
 func TestReadSWFErrors(t *testing.T) {
-	cases := []string{
-		"1 2", // too few fields
-		"1 x -1 50 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1",  // bad submit
-		"1 10 -1 zz 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1", // bad runtime
-		"; only comments\n", // no jobs
-		"2 50 -1 10 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n1 40 -1 10 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1", // unordered
+	// Each error names the stream and, where one line is at fault, that line.
+	cases := []struct{ in, want string }{
+		{"1 2", "swf bad line 1"}, // too few fields
+		{"1 x -1 50 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1", "swf bad line 1"},                                                     // bad submit
+		{"1 10 -1 zz 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1", "swf bad line 1"},                                                    // bad runtime
+		{"; only comments\n", "swf bad"},                                                                                           // no jobs
+		{"2 50 -1 10 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n1 40 -1 10 8 -1 -1 8 -1 -1 1 -1 -1 -1 -1 -1 -1 -1", "swf bad line 2"}, // unordered
+		{"1 -5 -1 10 8", "swf bad line 1"},                                                                                         // negative submit
+		{"1 10 -1 2e12 8", "swf bad line 1"},                                                                                       // runtime beyond the bound
+		{"1 2e12 -1 10 8", "swf bad line 1"},                                                                                       // submit beyond the bound
+		{"1 5 -1 10 8\n2 6 -1 7e-324 8", "swf bad line 2"},                                                                         // runtime below the bound
+		{"; header\n" + swfAllAtZero, "swf bad line 32"},                                                                           // no arrival gaps to rescale
 	}
 	for i, c := range cases {
-		if _, err := ReadSWF("bad", strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
+		_, err := ReadSWF("bad", strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want one containing %q", i, err, c.want)
 		}
 	}
 }
