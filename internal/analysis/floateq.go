@@ -16,7 +16,7 @@ import (
 // exact by IEEE-754 semantics: comparison against the constant zero
 // (sentinel and sign tests), x == x (the NaN self-test), and
 // constant-folded comparisons. Everything else belongs in a tolerance
-// helper such as stats.AlmostEqual.
+// helper such as floatcmp.AlmostEqual.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc: "exact floating-point equality is brittle under rounding and " +

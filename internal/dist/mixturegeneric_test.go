@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"sita/internal/floatcmp"
 )
 
 func TestMixtureMoments(t *testing.T) {
@@ -28,10 +30,10 @@ func TestMixtureCDFAndQuantile(t *testing.T) {
 		[]Distribution{NewUniform(0, 1), NewUniform(10, 11)},
 		[]float64{0.25, 0.75},
 	)
-	if got := m.CDF(1); !almostEqual(got, 0.25, 1e-12) {
+	if got := m.CDF(1); !floatcmp.AlmostEqual(got, 0.25, 1e-12) {
 		t.Fatalf("CDF(1) = %v, want 0.25", got)
 	}
-	if got := m.CDF(10.5); !almostEqual(got, 0.25+0.75*0.5, 1e-12) {
+	if got := m.CDF(10.5); !floatcmp.AlmostEqual(got, 0.25+0.75*0.5, 1e-12) {
 		t.Fatalf("CDF(10.5) = %v", got)
 	}
 	if q := m.Quantile(0.25 + 0.75*0.5); math.Abs(q-10.5) > 1e-6 {
@@ -67,7 +69,7 @@ func TestMixturePartialMoments(t *testing.T) {
 	)
 	whole := m.Moment(1)
 	split := m.PartialMoment(1, 0, 100) + m.PartialMoment(1, 100, 10000)
-	if !almostEqual(whole, split, 1e-9) {
+	if !floatcmp.AlmostEqual(whole, split, 1e-9) {
 		t.Fatalf("partial moments %v don't reassemble %v", split, whole)
 	}
 }
@@ -87,7 +89,7 @@ func TestMixtureWeightNormalization(t *testing.T) {
 		[]Distribution{Deterministic{Value: 1}, Deterministic{Value: 2}},
 		[]float64{2, 6},
 	)
-	if !almostEqual(m.Weights[0], 0.25, 1e-12) {
+	if !floatcmp.AlmostEqual(m.Weights[0], 0.25, 1e-12) {
 		t.Fatalf("weights not normalized: %v", m.Weights)
 	}
 }

@@ -99,18 +99,6 @@ func FeasibleCutoffRange(lambda float64, size dist.Distribution) (cLo, cHi float
 	return cLo, cHi, nil
 }
 
-// meanSlowdownAt evaluates the 2-host SITA mean slowdown at cutoff c,
-// returning +Inf outside the feasible region.
-func meanSlowdownAt(lambda float64, size dist.Distribution, c float64) float64 {
-	r := NewSITA(lambda, size, []float64{c}).Analyze()
-	for _, h := range r.Hosts {
-		if h.Load >= 1 {
-			return math.Inf(1)
-		}
-	}
-	return r.MeanSlowdown
-}
-
 // OptimalCutoff returns the SITA-U-opt cutoff: the feasible cutoff
 // minimizing job-average mean slowdown. The objective is evaluated on a
 // geometric grid and refined by golden-section search around the best grid
@@ -121,12 +109,13 @@ func OptimalCutoff(lambda float64, size dist.Distribution) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	obj := newCutoffObjective(lambda, size, []float64{cLo})
 	const gridN = 192
 	best, bestVal := cLo, math.Inf(1)
 	logLo, logHi := math.Log(cLo), math.Log(cHi)
 	for i := 0; i <= gridN; i++ {
 		c := math.Exp(logLo + (logHi-logLo)*float64(i)/gridN)
-		if v := meanSlowdownAt(lambda, size, c); v < bestVal {
+		if v := obj.trial(0, c); v < bestVal {
 			best, bestVal = c, v
 		}
 	}
@@ -137,7 +126,7 @@ func OptimalCutoff(lambda float64, size dist.Distribution) (float64, error) {
 	step := (logHi - logLo) / gridN
 	a := math.Max(logLo, math.Log(best)-step)
 	b := math.Min(logHi, math.Log(best)+step)
-	f := func(lc float64) float64 { return meanSlowdownAt(lambda, size, math.Exp(lc)) }
+	f := func(lc float64) float64 { return obj.trial(0, math.Exp(lc)) }
 	const phi = 0.6180339887498949
 	x1 := b - phi*(b-a)
 	x2 := a + phi*(b-a)
@@ -154,24 +143,10 @@ func OptimalCutoff(lambda float64, size dist.Distribution) (float64, error) {
 		}
 	}
 	c := math.Exp((a + b) / 2)
-	if meanSlowdownAt(lambda, size, c) <= bestVal {
+	if obj.trial(0, c) <= bestVal {
 		return c, nil
 	}
 	return best, nil
-}
-
-// hostSlowdowns evaluates the short- and long-host mean slowdowns at cutoff
-// c. A host with no probability mass has slowdown 1 (its queue is empty).
-func hostSlowdowns(lambda float64, size dist.Distribution, c float64) (short, long float64) {
-	hosts := NewSITA(lambda, size, []float64{c}).HostAnalysis()
-	short, long = 1, 1
-	if hosts[0].JobFraction > 0 {
-		short = hosts[0].MeanSlowdown
-	}
-	if hosts[1].JobFraction > 0 {
-		long = hosts[1].MeanSlowdown
-	}
-	return short, long
 }
 
 // FairCutoff returns the SITA-U-fair cutoff: the feasible cutoff at which
@@ -184,8 +159,10 @@ func FairCutoff(lambda float64, size dist.Distribution) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	lo, hi := outerEdges(size)
 	diff := func(c float64) float64 {
-		s, l := hostSlowdowns(lambda, size, c)
+		_, s, _ := hostSlowdown(lambda, size, lo, c)
+		_, l, _ := hostSlowdown(lambda, size, c, hi)
 		if math.IsInf(s, 1) && math.IsInf(l, 1) {
 			return 0
 		}

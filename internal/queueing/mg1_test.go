@@ -5,36 +5,25 @@ import (
 	"testing"
 
 	"sita/internal/dist"
+	"sita/internal/floatcmp"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff < tol
-	}
-	return diff/scale < tol
-}
 
 func TestMG1MatchesMM1ClosedForm(t *testing.T) {
 	// M/M/1: E[W] = rho/(1-rho) * E[X].
 	size := dist.NewExponential(2) // mean 2
 	q := NewMG1(0.25, size)        // rho = 0.5
-	if !almostEqual(q.Load(), 0.5, 1e-12) {
+	if !floatcmp.AlmostEqual(q.Load(), 0.5, 1e-12) {
 		t.Fatalf("load = %v, want 0.5", q.Load())
 	}
 	wantW := 0.5 / 0.5 * 2.0 // = 2
-	if !almostEqual(q.MeanWait(), wantW, 1e-12) {
+	if !floatcmp.AlmostEqual(q.MeanWait(), wantW, 1e-12) {
 		t.Fatalf("E[W] = %v, want %v", q.MeanWait(), wantW)
 	}
-	if !almostEqual(q.MeanResponse(), 4, 1e-12) {
+	if !floatcmp.AlmostEqual(q.MeanResponse(), 4, 1e-12) {
 		t.Fatalf("E[T] = %v, want 4", q.MeanResponse())
 	}
 	// Little: E[Q] = lambda E[W] = 0.5
-	if !almostEqual(q.MeanQueueLength(), 0.5, 1e-12) {
+	if !floatcmp.AlmostEqual(q.MeanQueueLength(), 0.5, 1e-12) {
 		t.Fatalf("E[Q] = %v, want 0.5", q.MeanQueueLength())
 	}
 }
@@ -45,7 +34,7 @@ func TestMG1DeterministicVsExponential(t *testing.T) {
 	lambda := 0.4
 	md1 := NewMG1(lambda, dist.Deterministic{Value: 1})
 	mm1 := NewMG1(lambda, dist.NewExponential(1))
-	if !almostEqual(md1.MeanWait()*2, mm1.MeanWait(), 1e-12) {
+	if !floatcmp.AlmostEqual(md1.MeanWait()*2, mm1.MeanWait(), 1e-12) {
 		t.Fatalf("M/D/1 %v should be half of M/M/1 %v", md1.MeanWait(), mm1.MeanWait())
 	}
 }
@@ -118,12 +107,12 @@ func TestMG1Validation(t *testing.T) {
 
 func TestErlangCKnownValues(t *testing.T) {
 	// h=1: C(1, a) = a (probability of waiting in M/M/1 is rho).
-	if got := ErlangC(1, 0.7); !almostEqual(got, 0.7, 1e-12) {
+	if got := ErlangC(1, 0.7); !floatcmp.AlmostEqual(got, 0.7, 1e-12) {
 		t.Fatalf("ErlangC(1, 0.7) = %v, want 0.7", got)
 	}
 	// h=2, a=1 (rho=0.5): C = (1/2)/( (1+1) * (1/2) + 1/2 ) ... standard
 	// value 1/3.
-	if got := ErlangC(2, 1); !almostEqual(got, 1.0/3, 1e-12) {
+	if got := ErlangC(2, 1); !floatcmp.AlmostEqual(got, 1.0/3, 1e-12) {
 		t.Fatalf("ErlangC(2, 1) = %v, want 1/3", got)
 	}
 	if got := ErlangC(4, 0); got != 0 {
@@ -150,7 +139,7 @@ func TestErlangCDecreasesWithServers(t *testing.T) {
 func TestMMhReducesToMM1(t *testing.T) {
 	mm1 := NewMG1(0.5, dist.NewExponential(1))
 	mmh := NewMMh(0.5, 1, 1)
-	if !almostEqual(mm1.MeanWait(), mmh.MeanWait(), 1e-12) {
+	if !floatcmp.AlmostEqual(mm1.MeanWait(), mmh.MeanWait(), 1e-12) {
 		t.Fatalf("M/M/1 via MMh %v vs MG1 %v", mmh.MeanWait(), mm1.MeanWait())
 	}
 }
@@ -162,7 +151,7 @@ func TestMGhReducesToPKForOneServer(t *testing.T) {
 	lambda := 0.5 / size.Moment(1)
 	exact := NewMG1(lambda, size).MeanWait()
 	approx := NewMGh(lambda, size, 1).MeanWait()
-	if !almostEqual(exact, approx, 1e-9) {
+	if !floatcmp.AlmostEqual(exact, approx, 1e-9) {
 		t.Fatalf("MGh(h=1) = %v, PK = %v", approx, exact)
 	}
 }
@@ -182,7 +171,7 @@ func TestGG1ReducesToPKForPoisson(t *testing.T) {
 	lambda := 0.6 / size.Moment(1)
 	pk := NewMG1(lambda, size).MeanWait()
 	kg := NewGG1(lambda, 1, size).MeanWait()
-	if !almostEqual(pk, kg, 1e-9) {
+	if !floatcmp.AlmostEqual(pk, kg, 1e-9) {
 		t.Fatalf("Kingman(Ca2=1) = %v, PK = %v", kg, pk)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sita/internal/dist"
+	"sita/internal/floatcmp"
 )
 
 // TestMM1MatchesMG1Exponential pins the direct M/M/1 forms to the general
@@ -16,13 +17,13 @@ func TestMM1MatchesMG1Exponential(t *testing.T) {
 		lambda := rho / mean
 		mm1 := NewMM1(lambda, mean)
 		mg1 := NewMG1(lambda, dist.NewExponential(mean))
-		if got, want := mm1.MeanWait(), mg1.MeanWait(); !almostEqual(got, want, 1e-12) {
+		if got, want := mm1.MeanWait(), mg1.MeanWait(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 			t.Errorf("rho=%v: MM1 MeanWait %v != MG1 %v", rho, got, want)
 		}
-		if got, want := mm1.MeanResponse(), mg1.MeanResponse(); !almostEqual(got, want, 1e-12) {
+		if got, want := mm1.MeanResponse(), mg1.MeanResponse(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 			t.Errorf("rho=%v: MM1 MeanResponse %v != MG1 %v", rho, got, want)
 		}
-		if got, want := mm1.MeanQueueLength(), mg1.MeanQueueLength(); !almostEqual(got, want, 1e-12) {
+		if got, want := mm1.MeanQueueLength(), mg1.MeanQueueLength(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 			t.Errorf("rho=%v: MM1 MeanQueueLength %v != MG1 %v", rho, got, want)
 		}
 	}
@@ -32,13 +33,13 @@ func TestMM1MatchesMG1Exponential(t *testing.T) {
 // E[N] = lambda*E[T] (Little), E[N] = E[Q] + rho, instability at rho >= 1.
 func TestMM1Identities(t *testing.T) {
 	q := NewMM1(0.2, 4) // rho = 0.8
-	if got, want := q.MeanResponse(), q.MeanWait()+q.MeanService; !almostEqual(got, want, 1e-12) {
+	if got, want := q.MeanResponse(), q.MeanWait()+q.MeanService; !floatcmp.AlmostEqual(got, want, 1e-12) {
 		t.Errorf("E[T] %v != E[W]+E[X] %v", got, want)
 	}
-	if got, want := q.MeanJobsInSystem(), q.Lambda*q.MeanResponse(); !almostEqual(got, want, 1e-12) {
+	if got, want := q.MeanJobsInSystem(), q.Lambda*q.MeanResponse(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 		t.Errorf("E[N] %v != lambda*E[T] %v", got, want)
 	}
-	if got, want := q.MeanJobsInSystem(), q.MeanQueueLength()+q.Load(); !almostEqual(got, want, 1e-12) {
+	if got, want := q.MeanJobsInSystem(), q.MeanQueueLength()+q.Load(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 		t.Errorf("E[N] %v != E[Q]+rho %v", got, want)
 	}
 	unstable := NewMM1(1, 1)
@@ -62,7 +63,7 @@ func TestMMhOneServerMatchesMM1Direct(t *testing.T) {
 		lambda := rho / mean
 		mm1 := NewMM1(lambda, mean)
 		mmh := NewMMh(lambda, mean, 1)
-		if got, want := mmh.MeanWait(), mm1.MeanWait(); !almostEqual(got, want, 1e-12) {
+		if got, want := mmh.MeanWait(), mm1.MeanWait(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 			t.Errorf("rho=%v: MMh(1) MeanWait %v != MM1 %v", rho, got, want)
 		}
 	}

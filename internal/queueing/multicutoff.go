@@ -28,21 +28,99 @@ func EqualLoadCutoffs(size dist.Distribution, h int) ([]float64, error) {
 	return cuts, nil
 }
 
-// systemMeanSlowdown evaluates an h-host SITA system, +Inf when any host is
-// unstable or the cutoffs are not strictly ascending.
-func systemMeanSlowdown(lambda float64, size dist.Distribution, cuts []float64) float64 {
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] <= cuts[i-1] {
+// cutoffObjective is the job-average mean slowdown of an h-host SITA system
+// as a function of its cutoffs: +Inf when any host is unstable or the
+// cutoffs do not strictly ascend, else the same value as
+// NewSITA(lambda, size, cuts).Analyze().MeanSlowdown, bit for bit. It
+// caches each host's JobFraction*MeanSlowdown term and load. Moving cutoff
+// i changes only hosts i and i+1, so a trial move evaluates two hosts and
+// re-sums the h cached terms in host order, which is Analyze's order. An
+// empty host's term is +0, and adding +0 to the sum changes nothing, so
+// the sum matches Analyze skipping that host.
+type cutoffObjective struct {
+	lambda float64
+	size   dist.Distribution
+	lo, hi float64   // outer edges of the first and last host's intervals
+	cuts   []float64 // current cutoffs, owned
+	terms  []float64 // per host JobFraction*MeanSlowdown
+	loads  []float64 // per host utilization
+}
+
+// newCutoffObjective evaluates every host at cuts, which it takes over.
+func newCutoffObjective(lambda float64, size dist.Distribution, cuts []float64) *cutoffObjective {
+	o := &cutoffObjective{lambda: lambda, size: size, cuts: cuts,
+		terms: make([]float64, len(cuts)+1), loads: make([]float64, len(cuts)+1)}
+	o.lo, o.hi = outerEdges(size)
+	for k := range o.terms {
+		o.terms[k], o.loads[k] = o.host(k)
+	}
+	return o
+}
+
+// host evaluates host k at the current cutoffs.
+func (o *cutoffObjective) host(k int) (term, load float64) {
+	lo, hi := o.lo, o.hi
+	if k > 0 {
+		lo = o.cuts[k-1]
+	}
+	if k < len(o.cuts) {
+		hi = o.cuts[k]
+	}
+	frac, slowdown, load := hostSlowdown(o.lambda, o.size, lo, hi)
+	return frac * slowdown, load
+}
+
+// value reports the objective at the current cutoffs: a trial that moves
+// nothing.
+func (o *cutoffObjective) value() float64 { return o.trial(0, o.cuts[0]) }
+
+// trial reports the objective with cutoff i moved to c, leaving the
+// current cutoffs and the cache unchanged.
+func (o *cutoffObjective) trial(i int, c float64) float64 {
+	old := o.cuts[i]
+	o.cuts[i] = c
+	ascending := strictlyAscending(o.cuts)
+	var ti, li, tj, lj float64
+	if ascending {
+		ti, li = o.host(i)
+		tj, lj = o.host(i + 1)
+	}
+	o.cuts[i] = old
+	if !ascending {
+		return math.Inf(1)
+	}
+	var sum float64
+	for k, term := range o.terms {
+		load := o.loads[k]
+		switch k {
+		case i:
+			term, load = ti, li
+		case i + 1:
+			term, load = tj, lj
+		}
+		if load >= 1 {
 			return math.Inf(1)
 		}
+		sum += term
 	}
-	r := NewSITA(lambda, size, cuts).Analyze()
-	for _, hm := range r.Hosts {
-		if hm.Load >= 1 {
-			return math.Inf(1)
+	return sum
+}
+
+// move sets cutoff i to c and refreshes the two hosts it bounds.
+func (o *cutoffObjective) move(i int, c float64) {
+	o.cuts[i] = c
+	o.terms[i], o.loads[i] = o.host(i)
+	o.terms[i+1], o.loads[i+1] = o.host(i + 1)
+}
+
+// strictlyAscending reports whether every cutoff exceeds the one before.
+func strictlyAscending(cuts []float64) bool {
+	for k := 1; k < len(cuts); k++ {
+		if cuts[k] <= cuts[k-1] {
+			return false
 		}
 	}
-	return r.MeanSlowdown
+	return true
 }
 
 // OptimalCutoffs returns SITA-U-opt cutoffs for h hosts by cyclic coordinate
@@ -65,7 +143,8 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	best := systemMeanSlowdown(lambda, size, cuts)
+	obj := newCutoffObjective(lambda, size, cuts)
+	best := obj.value()
 	if math.IsInf(best, 1) {
 		return nil, fmt.Errorf("%w: equal-load start infeasible for h=%d", ErrInfeasible, h)
 	}
@@ -85,13 +164,7 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 			if lb <= la {
 				continue
 			}
-			f := func(lc float64) float64 {
-				old := cuts[i]
-				cuts[i] = math.Exp(lc)
-				v := systemMeanSlowdown(lambda, size, cuts)
-				cuts[i] = old
-				return v
-			}
+			f := func(lc float64) float64 { return obj.trial(i, math.Exp(lc)) }
 			// Coarse grid to escape local flats, then golden-section.
 			const gridN = 32
 			bestL, bestV := math.Log(cuts[i]), best
@@ -122,7 +195,7 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 				bestL, bestV = lc, v
 			}
 			if bestV < best-1e-12*math.Abs(best) {
-				cuts[i] = math.Exp(bestL)
+				obj.move(i, math.Exp(bestL))
 				best = bestV
 				improved = true
 			}
@@ -151,17 +224,10 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 	}
 	lo, hi := supportBounds(size)
 
-	// hostSlowdown evaluates host (prev, c] under total rate lambda.
-	hostSlowdown := func(prev, c float64) float64 {
-		mass := dist.Prob(size, prev, c)
-		if mass <= 1e-15 {
-			return 1
-		}
-		q := MG1{Lambda: lambda * mass, Size: dist.NewTruncated(size, prev, c)}
-		if !q.Stable() {
-			return math.Inf(1)
-		}
-		return q.MeanSlowdown()
+	// slowdown evaluates host (prev, c] under total rate lambda.
+	slowdown := func(prev, c float64) float64 {
+		_, s, _ := hostSlowdown(lambda, size, prev, c)
+		return s
 	}
 
 	// cutsForTau builds h-1 cutoffs so hosts 1..h-1 each hit slowdown tau;
@@ -171,7 +237,7 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 		prev := lo
 		for i := 0; i < h-1; i++ {
 			a, b := prev*(1+1e-12), hi
-			if hostSlowdown(prev, b) < tau {
+			if slowdown(prev, b) < tau {
 				// Even absorbing everything stays below tau: saturate.
 				cuts[i] = b
 				prev = b
@@ -179,7 +245,7 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 			}
 			for it := 0; it < 100; it++ {
 				mid := math.Sqrt(a * b)
-				if hostSlowdown(prev, mid) < tau {
+				if slowdown(prev, mid) < tau {
 					a = mid
 				} else {
 					b = mid
@@ -188,7 +254,7 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 			cuts[i] = math.Sqrt(a * b)
 			prev = cuts[i]
 		}
-		return cuts, hostSlowdown(prev, hi)
+		return cuts, slowdown(prev, hi)
 	}
 
 	// Bisect tau: as tau grows each host absorbs more jobs, leaving the last
@@ -214,10 +280,8 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 		}
 	}
 	cuts, _ := cutsForTau(math.Sqrt(tauLo * tauHi))
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] <= cuts[i-1] {
-			return nil, fmt.Errorf("%w: degenerate fair cutoffs %v", ErrInfeasible, cuts)
-		}
+	if !strictlyAscending(cuts) {
+		return nil, fmt.Errorf("%w: degenerate fair cutoffs %v", ErrInfeasible, cuts)
 	}
 	if !NewSITA(lambda, size, cuts).Feasible() {
 		return nil, fmt.Errorf("%w: fair cutoffs unstable %v", ErrInfeasible, cuts)

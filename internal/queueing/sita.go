@@ -37,15 +37,7 @@ func (s SITA) Hosts() int { return len(s.Cutoffs) + 1 }
 
 // interval reports the size interval (lo, hi] served by host i.
 func (s SITA) interval(i int) (lo, hi float64) {
-	suppLo, suppHi := s.Size.Support()
-	lo = suppLo - 1 // strictly below the support so the first interval catches the minimum
-	if lo < 0 {
-		lo = 0 // job sizes are positive
-		if suppLo <= 0 {
-			lo = suppLo - 1
-		}
-	}
-	hi = suppHi
+	lo, hi = outerEdges(s.Size)
 	if i > 0 {
 		lo = s.Cutoffs[i-1]
 	}
@@ -53,6 +45,20 @@ func (s SITA) interval(i int) (lo, hi float64) {
 		hi = s.Cutoffs[i]
 	}
 	return lo, hi
+}
+
+// outerEdges reports the lower edge of the first host's size interval and
+// the upper edge of the last host's.
+func outerEdges(size dist.Distribution) (lo, hi float64) {
+	suppLo, suppHi := size.Support()
+	lo = suppLo - 1 // strictly below the support so the first interval catches the minimum
+	if lo < 0 {
+		lo = 0 // job sizes are positive
+		if suppLo <= 0 {
+			lo = suppLo - 1
+		}
+	}
+	return lo, suppHi
 }
 
 // HostMetrics describes one host's analytic behaviour under SITA.
@@ -94,6 +100,31 @@ func (s SITA) HostAnalysis() []HostMetrics {
 		out[i] = m
 	}
 	return out
+}
+
+// hostSlowdown evaluates the host serving sizes in (lo, hi] of a SITA
+// system with total arrival rate lambda: the fraction of jobs it receives,
+// their mean slowdown (1 for an empty host, +Inf when it is unstable) and
+// its utilization. It is the objective every cutoff search evaluates, so it
+// does only the work a search needs: one Prob and the partial moments
+// j = 1, 2, -1, with no allocation. Each value is computed by exactly the
+// floating-point operations HostAnalysis and MG1 perform on a Truncated
+// size, so frac*slowdown and load are bit-identical to Analyze's per-host
+// JobFraction*MeanSlowdown and Load.
+func hostSlowdown(lambda float64, size dist.Distribution, lo, hi float64) (frac, slowdown, load float64) {
+	mass := dist.Prob(size, lo, hi)
+	if mass <= 1e-15 {
+		return 0, 1, 0
+	}
+	work := dist.PartialMoment(size, 1, lo, hi)
+	load = lambda * work
+	q := lambda * mass // MG1.Lambda
+	rho := q * (work / mass)
+	if !(rho < 1) { // !MG1.Stable()
+		return mass, math.Inf(1), load
+	}
+	wait := q * (dist.PartialMoment(size, 2, lo, hi) / mass) / (2 * (1 - rho))
+	return mass, 1 + wait*(dist.PartialMoment(size, -1, lo, hi)/mass), load
 }
 
 // Feasible reports whether every host's utilization is below 1.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"sita/internal/dist"
+	"sita/internal/floatcmp"
 	"sita/internal/sim"
 )
 
@@ -30,14 +31,14 @@ func TestSITAHostMassesAndLoadsSum(t *testing.T) {
 		t.Fatalf("hosts = %d, want 2", len(r.Hosts))
 	}
 	massSum := r.Hosts[0].JobFraction + r.Hosts[1].JobFraction
-	if !almostEqual(massSum, 1, 1e-9) {
+	if !floatcmp.AlmostEqual(massSum, 1, 1e-9) {
 		t.Fatalf("job fractions sum to %v", massSum)
 	}
 	loadSum := r.LoadFractions[0] + r.LoadFractions[1]
-	if !almostEqual(loadSum, 1, 1e-9) {
+	if !floatcmp.AlmostEqual(loadSum, 1, 1e-9) {
 		t.Fatalf("load fractions sum to %v", loadSum)
 	}
-	if !almostEqual(r.SystemLoad, 0.7, 1e-6) {
+	if !floatcmp.AlmostEqual(r.SystemLoad, 0.7, 1e-6) {
 		t.Fatalf("system load = %v, want 0.7", r.SystemLoad)
 	}
 }
@@ -47,7 +48,7 @@ func TestSITAEqualLoadBalances(t *testing.T) {
 	cut := EqualLoadCutoff(size)
 	lambda := 2 * 0.6 / size.Moment(1)
 	hosts := NewSITA(lambda, size, []float64{cut}).HostAnalysis()
-	if !almostEqual(hosts[0].Load, hosts[1].Load, 1e-4) {
+	if !floatcmp.AlmostEqual(hosts[0].Load, hosts[1].Load, 1e-4) {
 		t.Fatalf("SITA-E loads unequal: %v vs %v", hosts[0].Load, hosts[1].Load)
 	}
 	// Heavy tail: the short host must carry the overwhelming majority of
@@ -178,7 +179,8 @@ func TestFairCutoffEqualizesSlowdowns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %v: %v", load, err)
 		}
-		s, l := hostSlowdowns(lambda, size, c)
+		hosts := NewSITA(lambda, size, []float64{c}).HostAnalysis()
+		s, l := hosts[0].MeanSlowdown, hosts[1].MeanSlowdown
 		if math.Abs(s-l)/math.Max(s, l) > 0.02 {
 			t.Fatalf("load %v: slowdowns %v vs %v not equalized", load, s, l)
 		}
@@ -221,7 +223,7 @@ func TestCutoffForShortLoadMonotone(t *testing.T) {
 		prev = c
 		got := workBelow(lambda, size, c)
 		want := math.Min(target, total)
-		if !almostEqual(got, want, 1e-4) {
+		if !floatcmp.AlmostEqual(got, want, 1e-4) {
 			t.Errorf("target %v: realized short load %v", want, got)
 		}
 	}
@@ -240,7 +242,7 @@ func TestEqualLoadCutoffsMulti(t *testing.T) {
 		lambda := float64(h) * 0.6 / size.Moment(1)
 		hosts := NewSITA(lambda, size, cuts).HostAnalysis()
 		for i, hm := range hosts {
-			if !almostEqual(hm.Load, 0.6, 1e-3) {
+			if !floatcmp.AlmostEqual(hm.Load, 0.6, 1e-3) {
 				t.Errorf("h=%d host %d load = %v, want 0.6", h, i, hm.Load)
 			}
 		}
@@ -295,7 +297,7 @@ func TestSITAAnalysisAgreesWithDirectMG1(t *testing.T) {
 	lambda := 0.5 / size.Moment(1)
 	r := NewSITA(lambda, size, []float64{200}).Analyze()
 	direct := NewMG1(lambda, size)
-	if !almostEqual(r.MeanSlowdown, direct.MeanSlowdown(), 1e-6) {
+	if !floatcmp.AlmostEqual(r.MeanSlowdown, direct.MeanSlowdown(), 1e-6) {
 		t.Fatalf("degenerate SITA %v vs MG1 %v", r.MeanSlowdown, direct.MeanSlowdown())
 	}
 	if r.Hosts[1].JobFraction != 0 {
@@ -321,7 +323,7 @@ func TestSITALawOfTotalExpectationProperty(t *testing.T) {
 			tr := dist.NewTruncated(size, hm.Lo, hm.Hi)
 			ex += hm.JobFraction * tr.Moment(1)
 		}
-		return almostEqual(ex, size.Moment(1), 1e-6)
+		return floatcmp.AlmostEqual(ex, size.Moment(1), 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -383,7 +385,7 @@ func TestRuleOfThumbCutoffLoadFraction(t *testing.T) {
 	lambda := 2 * load / size.Moment(1)
 	c := RuleOfThumbCutoff(lambda, size)
 	fr := NewSITA(lambda, size, []float64{c}).Analyze().LoadFractions[0]
-	if !almostEqual(fr, load/2, 1e-3) {
+	if !floatcmp.AlmostEqual(fr, load/2, 1e-3) {
 		t.Fatalf("rule-of-thumb load fraction = %v, want %v", fr, load/2)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 
+	"sita/internal/floatcmp"
 	"sita/internal/server"
 	"sita/internal/workload"
 )
@@ -189,21 +190,10 @@ func CheckResult(res *server.Result, records []server.JobRecord) error {
 	// with genuinely zero queueing makes the check vacuous either way).
 	if res.MeanQueueLen != 0 && horizon > 0 {
 		fromRecords := waitSum / horizon
-		if !withinRel(res.MeanQueueLen, fromRecords, 1e-6) {
+		if !floatcmp.AlmostEqual(res.MeanQueueLen, fromRecords, 1e-6) {
 			return fmt.Errorf("simtest: Little's law: event-accrued E[Q] = %v, record-derived lambda*E[W] = %v",
 				res.MeanQueueLen, fromRecords)
 		}
 	}
 	return nil
-}
-
-// withinRel reports whether a and b agree within relative tolerance tol
-// (absolute below 1).
-func withinRel(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= tol
-	}
-	return diff <= tol*scale
 }

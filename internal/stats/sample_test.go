@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"sita/internal/floatcmp"
 )
 
 func TestSampleQuantileKnown(t *testing.T) {
@@ -14,7 +16,7 @@ func TestSampleQuantileKnown(t *testing.T) {
 		{0, 10}, {1, 50}, {0.5, 30}, {0.25, 20}, {0.125, 15},
 	}
 	for _, c := range cases {
-		if got := s.Quantile(c.q); !almostEqual(got, c.want, 1e-12) {
+		if got := s.Quantile(c.q); !floatcmp.AlmostEqual(got, c.want, 1e-12) {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
@@ -49,7 +51,7 @@ func TestSampleMeanVariance(t *testing.T) {
 	if got := s.Mean(); got != 2.5 {
 		t.Errorf("mean = %v, want 2.5", got)
 	}
-	if got := s.Variance(); !almostEqual(got, 5.0/3.0, 1e-12) {
+	if got := s.Variance(); !floatcmp.AlmostEqual(got, 5.0/3.0, 1e-12) {
 		t.Errorf("variance = %v, want %v", got, 5.0/3.0)
 	}
 }
@@ -60,7 +62,7 @@ func TestSampleMoment(t *testing.T) {
 	if got := s.Moment(2); got != 10 {
 		t.Errorf("E[X^2] = %v, want 10", got)
 	}
-	if got := s.Moment(-1); !almostEqual(got, 0.375, 1e-12) {
+	if got := s.Moment(-1); !floatcmp.AlmostEqual(got, 0.375, 1e-12) {
 		t.Errorf("E[1/X] = %v, want 0.375", got)
 	}
 }
@@ -72,10 +74,10 @@ func TestTailLoadFraction(t *testing.T) {
 		s.Add(1)
 	}
 	s.Add(91)
-	if got := s.TailLoadFraction(0.10); !almostEqual(got, 0.91, 1e-12) {
+	if got := s.TailLoadFraction(0.10); !floatcmp.AlmostEqual(got, 0.91, 1e-12) {
 		t.Errorf("tail load fraction = %v, want 0.91", got)
 	}
-	if got := s.TailLoadFraction(1.0); !almostEqual(got, 1.0, 1e-12) {
+	if got := s.TailLoadFraction(1.0); !floatcmp.AlmostEqual(got, 1.0, 1e-12) {
 		t.Errorf("full tail load fraction = %v, want 1", got)
 	}
 	if got := s.TailLoadFraction(0); got != 0 {
@@ -86,11 +88,11 @@ func TestTailLoadFraction(t *testing.T) {
 func TestCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(xs, ys); !almostEqual(got, 1, 1e-12) {
+	if got := Correlation(xs, ys); !floatcmp.AlmostEqual(got, 1, 1e-12) {
 		t.Errorf("perfect positive correlation = %v, want 1", got)
 	}
 	neg := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(xs, neg); !almostEqual(got, -1, 1e-12) {
+	if got := Correlation(xs, neg); !floatcmp.AlmostEqual(got, -1, 1e-12) {
 		t.Errorf("perfect negative correlation = %v, want -1", got)
 	}
 	flat := []float64{3, 3, 3, 3, 3}
@@ -258,7 +260,7 @@ func TestAutocorrelation(t *testing.T) {
 	}
 	// Lag 0 of any non-constant series is 1.
 	xs := []float64{1, 5, 2, 8, 3, 9, 1, 7}
-	if got := Autocorrelation(xs, 0); !almostEqual(got, 1, 1e-12) {
+	if got := Autocorrelation(xs, 0); !floatcmp.AlmostEqual(got, 1, 1e-12) {
 		t.Errorf("lag-0 acf = %v, want 1", got)
 	}
 	// Alternating series has strongly negative lag-1 autocorrelation.

@@ -5,19 +5,9 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
-)
 
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff < tol
-	}
-	return diff/scale < tol
-}
+	"sita/internal/floatcmp"
+)
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
@@ -51,10 +41,10 @@ func TestStreamKnownValues(t *testing.T) {
 	if got := s.Mean(); got != 5 {
 		t.Errorf("mean = %v, want 5", got)
 	}
-	if got := s.PopVariance(); !almostEqual(got, 4, 1e-12) {
+	if got := s.PopVariance(); !floatcmp.AlmostEqual(got, 4, 1e-12) {
 		t.Errorf("population variance = %v, want 4", got)
 	}
-	if got := s.Variance(); !almostEqual(got, 32.0/7.0, 1e-12) {
+	if got := s.Variance(); !floatcmp.AlmostEqual(got, 32.0/7.0, 1e-12) {
 		t.Errorf("sample variance = %v, want %v", got, 32.0/7.0)
 	}
 	if got := s.Sum(); got != 40 {
@@ -73,7 +63,7 @@ func TestStreamSecondMomentMatchesDirect(t *testing.T) {
 		direct += x * x
 	}
 	direct /= n
-	if !almostEqual(s.SecondMoment(), direct, 1e-9) {
+	if !floatcmp.AlmostEqual(s.SecondMoment(), direct, 1e-9) {
 		t.Errorf("second moment = %v, direct = %v", s.SecondMoment(), direct)
 	}
 }
@@ -95,9 +85,9 @@ func TestStreamMergeMatchesSequential(t *testing.T) {
 		}
 		a.Merge(&b)
 		return whole.Count() == a.Count() &&
-			almostEqual(whole.Mean(), a.Mean(), 1e-9) &&
-			almostEqual(whole.Variance(), a.Variance(), 1e-7) &&
-			almostEqual(whole.Sum(), a.Sum(), 1e-9) &&
+			floatcmp.AlmostEqual(whole.Mean(), a.Mean(), 1e-9) &&
+			floatcmp.AlmostEqual(whole.Variance(), a.Variance(), 1e-7) &&
+			floatcmp.AlmostEqual(whole.Sum(), a.Sum(), 1e-9) &&
 			whole.Min() == a.Min() && whole.Max() == a.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -128,8 +118,8 @@ func TestStreamAddN(t *testing.T) {
 	b.AddN(7, 5)
 	b.AddN(3, 1)
 	b.AddN(99, 0) // no-op
-	if a.Count() != b.Count() || !almostEqual(a.Mean(), b.Mean(), 1e-12) ||
-		!almostEqual(a.Variance(), b.Variance(), 1e-12) {
+	if a.Count() != b.Count() || !floatcmp.AlmostEqual(a.Mean(), b.Mean(), 1e-12) ||
+		!floatcmp.AlmostEqual(a.Variance(), b.Variance(), 1e-12) {
 		t.Fatalf("AddN mismatch: %s vs %s", a.String(), b.String())
 	}
 }
@@ -141,7 +131,7 @@ func TestStreamSquaredCVExponential(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		s.Add(rng.ExpFloat64() * 42)
 	}
-	if !almostEqual(s.SquaredCV(), 1, 0.03) {
+	if !floatcmp.AlmostEqual(s.SquaredCV(), 1, 0.03) {
 		t.Errorf("exponential C^2 = %v, want ~1", s.SquaredCV())
 	}
 }
@@ -154,7 +144,7 @@ func TestStreamCI(t *testing.T) {
 	}
 	hw := s.CI(0.95)
 	want := 1.96 * s.StdErr()
-	if !almostEqual(hw, want, 1e-3) {
+	if !floatcmp.AlmostEqual(hw, want, 1e-3) {
 		t.Errorf("CI half-width = %v, want %v", hw, want)
 	}
 }
@@ -168,7 +158,7 @@ func TestZQuantile(t *testing.T) {
 		{0.84134, 0.99998}, // ~Phi(1)
 	}
 	for _, c := range cases {
-		if got := ZQuantile(c.p); !almostEqual(got, c.z, 1e-3) && math.Abs(got-c.z) > 1e-3 {
+		if got := ZQuantile(c.p); !floatcmp.AlmostEqual(got, c.z, 1e-3) && math.Abs(got-c.z) > 1e-3 {
 			t.Errorf("ZQuantile(%v) = %v, want %v", c.p, got, c.z)
 		}
 	}
@@ -180,7 +170,7 @@ func TestZQuantile(t *testing.T) {
 func TestZQuantileSymmetry(t *testing.T) {
 	f := func(raw float64) bool {
 		p := 0.5 + math.Mod(math.Abs(raw), 0.499)
-		return almostEqual(ZQuantile(p), -ZQuantile(1-p), 1e-9)
+		return floatcmp.AlmostEqual(ZQuantile(p), -ZQuantile(1-p), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

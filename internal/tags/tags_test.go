@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sita/internal/dist"
+	"sita/internal/floatcmp"
 	"sita/internal/sim"
 	"sita/internal/workload"
 )
@@ -98,21 +99,21 @@ func TestAnalysisServiceMomentsSaneOnDeterministic(t *testing.T) {
 	size := dist.Deterministic{Value: 5}
 	a := NewAnalysis(0.1, size, []float64{10})
 	hosts := a.Hosts()
-	if !almostEqual(hosts[0].Load, 0.5, 1e-9) {
+	if !floatcmp.AlmostEqual(hosts[0].Load, 0.5, 1e-9) {
 		t.Fatalf("host 0 load = %v, want 0.5", hosts[0].Load)
 	}
 	if hosts[1].Load != 0 {
 		t.Fatalf("host 1 load = %v, want 0", hosts[1].Load)
 	}
 	// M/D/1: E[W] = lambda E[X^2]/(2(1-rho)) = 0.1*25/(2*0.5) = 2.5.
-	if !almostEqual(hosts[0].MeanWait, 2.5, 1e-9) {
+	if !floatcmp.AlmostEqual(hosts[0].MeanWait, 2.5, 1e-9) {
 		t.Fatalf("host 0 wait = %v, want 2.5", hosts[0].MeanWait)
 	}
 	// Slowdown: 1 + 2.5/5 = 1.5.
-	if got := a.MeanSlowdown(); !almostEqual(got, 1.5, 1e-9) {
+	if got := a.MeanSlowdown(); !floatcmp.AlmostEqual(got, 1.5, 1e-9) {
 		t.Fatalf("mean slowdown = %v, want 1.5", got)
 	}
-	if got := a.MeanResponse(); !almostEqual(got, 7.5, 1e-9) {
+	if got := a.MeanResponse(); !floatcmp.AlmostEqual(got, 7.5, 1e-9) {
 		t.Fatalf("mean response = %v, want 7.5", got)
 	}
 }
@@ -132,7 +133,7 @@ func TestAnalysisAccountsWastedLoad(t *testing.T) {
 		t.Fatalf("host 0 load %v should exceed small-class work %v (killed runs)", hosts[0].Load, smallWork)
 	}
 	surviving := lambda * dist.PartialMoment(size, 1, cut, math.Inf(1))
-	if !almostEqual(hosts[1].Load, surviving, 1e-9) {
+	if !floatcmp.AlmostEqual(hosts[1].Load, surviving, 1e-9) {
 		t.Fatalf("host 1 load %v should equal surviving work %v (restart from scratch)", hosts[1].Load, surviving)
 	}
 }
@@ -239,18 +240,6 @@ func TestWasteGrowsAsCutoffShrinks(t *testing.T) {
 		t.Fatalf("waste with low cutoff (%v) should exceed high cutoff (%v)",
 			lowCut.WasteFraction(), highCut.WasteFraction())
 	}
-}
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff < tol
-	}
-	return diff/scale < tol
 }
 
 // TestSimulateLeavesInputIntact pins the //sim:readonly contract: the
