@@ -123,9 +123,6 @@ func NewTruncated(d Distribution, lo, hi float64) *Truncated {
 // jobs routed to this size interval.
 func (t *Truncated) Mass() float64 { return t.mass }
 
-// Bounds reports the truncation interval.
-func (t *Truncated) Bounds() (lo, hi float64) { return t.lo, t.hi }
-
 // Sample draws by inverse-CDF within the interval when the inner
 // distribution exposes a quantile function, else by rejection.
 func (t *Truncated) Sample(rng *rand.Rand) float64 {

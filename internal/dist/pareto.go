@@ -193,78 +193,6 @@ func FitBoundedParetoMean(mean, k, p float64) (BoundedPareto, error) {
 	return NewBoundedPareto((lo+hi)/2, k, p), nil
 }
 
-// FitBoundedParetoTail finds the BoundedPareto with the given mean and
-// upper bound p whose largest tailFrac-fraction of jobs carries
-// tailLoad-fraction of the total work. This is the calibration that
-// preserves the paper's central workload fact ("the biggest 1.3% of all
-// jobs make up half the total load", section 4.3) — the statistic that
-// actually drives the SITA results. For each candidate alpha, k is solved
-// from the mean; the tail-heaviness is monotone decreasing in alpha, so
-// alpha is then found by bisection.
-func FitBoundedParetoTail(mean, p, tailFrac, tailLoad float64) (BoundedPareto, error) {
-	if mean <= 0 || p <= mean || tailFrac <= 0 || tailFrac >= 1 || tailLoad <= 0 || tailLoad >= 1 {
-		return BoundedPareto{}, fmt.Errorf("dist: infeasible tail-fit targets mean=%v p=%v tailFrac=%v tailLoad=%v",
-			mean, p, tailFrac, tailLoad)
-	}
-	kForAlpha := func(alpha float64) (float64, bool) {
-		lo := p * 1e-18
-		hi := mean
-		if NewBoundedPareto(alpha, lo, p).Moment(1) > mean {
-			return 0, false
-		}
-		for i := 0; i < 200; i++ {
-			mid := math.Sqrt(lo * hi)
-			if NewBoundedPareto(alpha, mid, p).Moment(1) < mean {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return math.Sqrt(lo * hi), true
-	}
-	// tailFracAt reports the fraction of jobs above the cutoff that leaves
-	// (1 - tailLoad) of the work below it.
-	tailFracAt := func(alpha float64) (float64, bool) {
-		k, ok := kForAlpha(alpha)
-		if !ok {
-			return 0, false
-		}
-		b := NewBoundedPareto(alpha, k, p)
-		c := b.LoadCutoff(1 - tailLoad)
-		return 1 - b.CDF(c), true
-	}
-	const aMin, aMax = 0.05, 20.0
-	var prevA, prevF float64
-	havePrev := false
-	for a := aMin; a <= aMax; a *= 1.2 {
-		f, ok := tailFracAt(a)
-		if !ok {
-			continue
-		}
-		if havePrev && (prevF-tailFrac)*(f-tailFrac) <= 0 {
-			loA, hiA := prevA, a
-			for i := 0; i < 200; i++ {
-				mid := (loA + hiA) / 2
-				fm, ok := tailFracAt(mid)
-				if !ok {
-					return BoundedPareto{}, fmt.Errorf("dist: tail fit lost feasibility at alpha=%v", mid)
-				}
-				if (prevF-tailFrac)*(fm-tailFrac) > 0 {
-					loA = mid
-				} else {
-					hiA = mid
-				}
-			}
-			alpha := (loA + hiA) / 2
-			k, _ := kForAlpha(alpha)
-			return NewBoundedPareto(alpha, k, p), nil
-		}
-		prevA, prevF, havePrev = a, f, true
-	}
-	return BoundedPareto{}, fmt.Errorf("dist: no bounded pareto matches mean=%v p=%v tail %v@%v",
-		mean, p, tailFrac, tailLoad)
-}
-
 // FitBoundedPareto finds the BoundedPareto with the given mean, squared
 // coefficient of variation, and upper bound p. The lower bound k and tail
 // index alpha are solved jointly: for each candidate alpha, k is chosen by

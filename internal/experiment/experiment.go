@@ -19,10 +19,10 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"sita/internal/core"
 	"sita/internal/dist"
+	"sita/internal/memo"
 	"sita/internal/policy"
 	"sita/internal/runner"
 	"sita/internal/server"
@@ -84,20 +84,17 @@ func (c Config) jobsPerPoint() int {
 	return c.Profile.Jobs
 }
 
-// traceCache memoizes Generate across experiment drivers. A full sweep
-// asks for the same (profile, seed) trace dozens of times — once per
-// driver — and generation is pure, so the second request onward reuses the
-// first trace. Cached traces are shared and must be treated as read-only,
-// which every consumer already does (JobsAtLoad, ComputeStats and
-// SplitHalf never write the job slice). A plain mutex-guarded map rather
-// than sync.Map: struct keys then hash without boxing, so cache hits do
-// not allocate.
-var (
-	traceCacheMu sync.Mutex
-	traceCache   = map[traceCacheKey]*trace.Trace{}
-)
+// traces memoizes Generate across experiment drivers. A full sweep asks
+// for the same (profile, seed) trace dozens of times — once per driver —
+// and generation is pure, so the second request onward reuses the first
+// trace. Cached traces are shared and must be treated as read-only, which
+// every consumer already does (JobsAtLoad, ComputeStats and SplitHalf
+// never write the job slice). Unbounded: a sweep touches a handful of
+// traces. It is separate from simd's workload memo because the keys
+// differ: the sweep generates a shortened trace, simd truncates a full one.
+var traces = memo.New[traceKey, *trace.Trace](math.MaxInt64, nil)
 
-type traceCacheKey struct {
+type traceKey struct {
 	profile trace.Profile
 	seed    uint64
 }
@@ -107,21 +104,10 @@ type traceCacheKey struct {
 func (c Config) buildTrace() (*trace.Trace, error) {
 	p := c.Profile
 	p.Jobs = c.jobsPerPoint()
-	key := traceCacheKey{profile: p, seed: c.Seed}
-	traceCacheMu.Lock()
-	tr, ok := traceCache[key]
-	traceCacheMu.Unlock()
-	if ok {
-		return tr, nil
-	}
-	tr, err := trace.Generate(p, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	traceCacheMu.Lock()
-	traceCache[key] = tr
-	traceCacheMu.Unlock()
-	return tr, nil
+	tr, _, err := traces.Do(traceKey{profile: p, seed: c.Seed}, func() (*trace.Trace, error) {
+		return trace.Generate(p, c.Seed)
+	})
+	return tr, err
 }
 
 // policySpec names a policy and builds a fresh instance for a given load

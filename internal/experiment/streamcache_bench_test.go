@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkSweepStreamCache prices a multi-policy figure sweep with the
-// stream cache in its two modes, in the same binary: "bypassed" is the
+// stream cache on and off, in the same binary: "bypassed" is the
 // pre-cache behavior (every (policy, load) cell regenerates its job
 // stream), "cached" generates each load point's stream once and shares it
 // across the policy fanout. Figure 10 is the representative driver: a
@@ -17,15 +17,15 @@ func BenchmarkSweepStreamCache(b *testing.B) {
 	cfg := Default()
 	cfg.Jobs = 20000
 	for _, mode := range []struct {
-		name   string
-		bypass bool
+		name     string
+		maxBytes int64
 	}{
-		{"bypassed", true},
-		{"cached", false},
+		{"bypassed", 0},
+		{"cached", streamcache.DefaultMaxBytes},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			streamcache.Shared.SetBypass(mode.bypass)
-			defer streamcache.Shared.SetBypass(false)
+			streamcache.Shared.SetMaxBytes(mode.maxBytes)
+			defer streamcache.Shared.SetMaxBytes(streamcache.DefaultMaxBytes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@ import (
 
 // TestCacheParityAndSharing is the stream cache's contract with the golden
 // results: a figure driver must produce byte-identical CSV with the cache
-// enabled and bypassed, and with the cache on, a multi-policy sweep must
+// on and turned off (SetMaxBytes(0)), and with the cache on, a multi-policy sweep must
 // generate each distinct (load, seed) stream once — not once per policy.
 func TestCacheParityAndSharing(t *testing.T) {
 	cfg := testConfig()
@@ -33,8 +33,8 @@ func TestCacheParityAndSharing(t *testing.T) {
 		t.Errorf("expected policy-fanout lookups, saw only %d", cells)
 	}
 
-	streamcache.Shared.SetBypass(true)
-	defer streamcache.Shared.SetBypass(false)
+	streamcache.Shared.SetMaxBytes(0)
+	defer streamcache.Shared.SetMaxBytes(streamcache.DefaultMaxBytes)
 	bypassed := renderAll(t, Figure4, cfg)
 	if cached != bypassed {
 		t.Errorf("cache changes experiment output:\n--- cached\n%s\n--- bypassed\n%s", cached, bypassed)

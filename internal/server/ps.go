@@ -337,7 +337,7 @@ func RunPS(jobs []workload.Job, cfg Config) *Result {
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(cfg.interruptEvery(), cfg.Interrupt)
+		eng.SetCancelCheck(defaultInterruptEvery, cfg.Interrupt)
 	}
 	sys := newPSOn(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
 		if cfg.OnRecord != nil {

@@ -26,8 +26,8 @@ type Config struct {
 	// CentralOrder selects the central-queue discipline for pull policies
 	// (default CentralFCFS).
 	CentralOrder CentralOrder
-	// Interrupt, when non-nil, is polled every InterruptEvery simulated
-	// events (default 4096); when it reports true the simulation stops
+	// Interrupt, when non-nil, is polled every defaultInterruptEvery
+	// (4096) simulated events; when it reports true the simulation stops
 	// early and the Result carries Interrupted=true with statistics over
 	// the jobs completed so far. Serving paths use this to honor request
 	// deadlines; batch paths leave it nil, which costs nothing and keeps
@@ -44,9 +44,6 @@ type Config struct {
 	// record past the call if it holds references (it does not — records
 	// are plain values).
 	OnRecord func(JobRecord)
-	// InterruptEvery overrides the polling interval in events (<= 0 means
-	// the default). Ignored when Interrupt is nil.
-	InterruptEvery int
 	// OrderCheck arms the event kernel's dispatch-order assertion
 	// (sim.Engine.SetOrderCheck) for the run: the engine panics if it
 	// ever fires an event out of (time, seq) order. The direct
@@ -60,14 +57,6 @@ type Config struct {
 // at millions of events per second, 4096 events bound the reaction time to
 // well under a millisecond while keeping the poll far off the hot path.
 const defaultInterruptEvery = 4096
-
-// interruptEvery resolves the configured polling interval.
-func (c Config) interruptEvery() int {
-	if c.InterruptEvery > 0 {
-		return c.InterruptEvery
-	}
-	return defaultInterruptEvery
-}
 
 // Result aggregates one run's metrics.
 //
@@ -240,7 +229,7 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(cfg.interruptEvery(), cfg.Interrupt)
+		eng.SetCancelCheck(defaultInterruptEvery, cfg.Interrupt)
 	}
 	if cfg.OrderCheck {
 		eng.SetOrderCheck(true)

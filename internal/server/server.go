@@ -134,10 +134,7 @@ type host struct {
 	head    int
 	running bool
 	readyAt float64 // when all currently assigned work completes
-	// jobs counts queued+running; workDone accumulates service time of
-	// completed work for utilization accounting.
-	jobs     int
-	workDone float64
+	jobs    int     // queued+running
 }
 
 // queued reports how many jobs are waiting (excluding the one in service).
@@ -515,7 +512,6 @@ func (s *System) depart(idx int, rec JobRecord, now float64) {
 	h := &s.hosts[idx]
 	h.running = false
 	h.jobs--
-	h.workDone += rec.Size
 	s.noteJobs(idx)
 	if s.onComplete != nil {
 		s.onComplete(rec)
@@ -585,9 +581,6 @@ func (s *System) MeanQueueLength() float64 {
 	s.accrueQueue(s.engine.Now())
 	return s.queueArea / s.engine.Now()
 }
-
-// WorkDone reports the total service time completed by host i so far.
-func (s *System) WorkDone(i int) float64 { return s.hosts[i].workDone }
 
 // Now reports the simulator clock.
 func (s *System) Now() float64 { return s.engine.Now() }

@@ -1,128 +1,46 @@
 package service
 
-import (
-	"container/list"
-	"sync"
-)
+import "sita/internal/memo"
 
 // CacheStatus classifies how a request's response body was obtained.
-type CacheStatus string
+type CacheStatus = memo.Status
 
 // Cache outcomes, also exposed as the X-Cache response header.
 const (
 	// CacheHit: the body came straight from the cache.
-	CacheHit CacheStatus = "hit"
+	CacheHit = memo.Hit
 	// CacheMiss: this request ran the computation (and, on success,
 	// populated the cache).
-	CacheMiss CacheStatus = "miss"
+	CacheMiss = memo.Miss
 	// CacheJoin: an identical request was already computing; this one
 	// waited for its result instead of re-running the simulation.
-	CacheJoin CacheStatus = "join"
+	CacheJoin = memo.Join
 )
 
-// flight is one in-progress computation other requests may join.
-type flight struct {
-	done chan struct{} // closed when body/err are final
-	body []byte
-	err  error
-}
-
-// centry is one cached response body.
-type centry struct {
-	key  string
-	body []byte
-}
-
-// Cache is a bounded LRU of response bodies keyed by canonical request,
-// with single-flight request coalescing: at most one computation per key
-// runs at a time, concurrent identical requests wait for it, and every
-// caller receives the exact same byte slice — the property that makes
-// "deterministic simulation" visible as byte-identical HTTP responses.
+// Cache is a byte-bounded LRU of response bodies keyed by canonical
+// request, with single-flight request coalescing (a memo.Cache): at most
+// one computation per key runs at a time, concurrent identical requests
+// wait for it, and every caller receives the exact same byte slice — the
+// property that makes "deterministic simulation" visible as
+// byte-identical HTTP responses.
 //
 // Errors are never cached: a timed-out or failed computation is forgotten
 // so the next identical request retries. Safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int64 // <= 0 disables storage (single-flight still applies)
-	bytes    int64
-	ll       *list.List // front = most recent; values are *centry
-	items    map[string]*list.Element
-	inflight map[string]*flight
-
-	hits, misses, joins, evictions uint64
+	bodies *memo.Cache[string, []byte]
 }
 
 // NewCache returns a cache bounded to maxBytes of body data. maxBytes <= 0
 // disables storage entirely while keeping request coalescing.
 func NewCache(maxBytes int64) *Cache {
-	return &Cache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
-	}
+	return &Cache{memo.New[string](maxBytes, func(body []byte) int64 { return int64(len(body)) })}
 }
 
 // Do returns the response body for key, computing it at most once across
 // concurrent callers. The caller must treat the returned body as read-only:
 // it is shared with the cache and with concurrent requests.
 func (c *Cache) Do(key string, compute func() ([]byte, error)) ([]byte, CacheStatus, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		body := el.Value.(*centry).body
-		c.mu.Unlock()
-		return body, CacheHit, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.joins++
-		c.mu.Unlock()
-		<-f.done
-		return f.body, CacheJoin, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	body, err := compute()
-	f.body, f.err = body, err
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.store(key, body)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return body, CacheMiss, err
-}
-
-// store inserts a body and evicts least-recently-used entries until the
-// byte bound holds again. Bodies larger than the whole bound are not
-// stored. Caller holds c.mu.
-func (c *Cache) store(key string, body []byte) {
-	if c.maxBytes <= 0 || int64(len(body)) > c.maxBytes {
-		return
-	}
-	if el, ok := c.items[key]; ok { // lost a race against a re-insert
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&centry{key: key, body: body})
-	c.bytes += int64(len(body))
-	for c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*centry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= int64(len(e.body))
-		c.evictions++
-	}
+	return c.bodies.Do(key, compute)
 }
 
 // CacheStats is a point-in-time snapshot of cache counters.
@@ -134,10 +52,9 @@ type CacheStats struct {
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.bodies.Stats()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Joins: c.joins, Evictions: c.evictions,
-		Entries: c.ll.Len(), Bytes: c.bytes,
+		Hits: s.Hits, Misses: s.Misses, Joins: s.Joins, Evictions: s.Evictions,
+		Entries: s.Entries, Bytes: s.Cost,
 	}
 }

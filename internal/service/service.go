@@ -10,6 +10,10 @@
 // Prometheus-text /metrics, expvar, pprof, and structured JSON access
 // logs.
 //
+// Both of the package's memos are memo.Cache instances: the response
+// cache (byte-bounded, Config.CacheBytes) and the workload memo (generated
+// traces by profile, seed and jobs cap, bounded to memoCap entries).
+//
 // Concurrency contract: a Server is safe for arbitrary concurrent
 // requests. Simulations themselves stay single-goroutine — concurrency
 // enters only through the admission semaphore, and every simulation cell
@@ -34,6 +38,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sita"
+	"sita/internal/memo"
 )
 
 // Config tunes a Server. The zero value gets sensible defaults from New.
@@ -93,7 +100,7 @@ type Server struct {
 	cfg       Config
 	cache     *Cache
 	metrics   *Metrics
-	workloads *workloadMemo
+	workloads *memo.Cache[wlKey, *sita.Workload]
 	mux       *http.ServeMux
 
 	sem      chan struct{} // simulation slots
@@ -120,7 +127,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		cache:     NewCache(cfg.CacheBytes),
 		metrics:   newMetrics(),
-		workloads: newWorkloadMemo(),
+		workloads: memo.New[wlKey, *sita.Workload](memoCap, nil),
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 	}
 	mux := http.NewServeMux()

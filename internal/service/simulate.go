@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"sita"
@@ -204,7 +203,7 @@ func (s *Server) runSimulation(req SimRequest) ([]byte, error) {
 		s.testHookAdmitted()
 	}
 
-	wl, err := s.workloads.get(req.Profile, req.Seed, req.Jobs)
+	wl, err := s.workload(req.Profile, req.Seed, req.Jobs)
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
@@ -376,7 +375,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 // runAdvise derives every SITA variant's design for the workload and
 // packages the recommendation.
 func (s *Server) runAdvise(profile string, load float64, hosts int, seed uint64) ([]byte, error) {
-	wl, err := s.workloads.get(profile, seed, 0)
+	wl, err := s.workload(profile, seed, 0)
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
@@ -427,21 +426,7 @@ func (s *Server) runAdvise(profile string, load float64, hosts int, seed uint64)
 	return append(body, '\n'), nil
 }
 
-// workloadMemo caches generated workloads by (profile, seed, jobs cap):
-// trace generation is the expensive part of a cold request, and a handful
-// of profiles serve most traffic. Bounded to a small fixed size with LRU
-// replacement; entries are immutable once built and shared read-only
-// across requests (JobsAtLoad never mutates the trace).
-type workloadMemo struct {
-	mu      sync.Mutex
-	entries []wlEntry // front = most recently used
-}
-
-type wlEntry struct {
-	key wlKey
-	wl  *sita.Workload
-}
-
+// wlKey identifies one memoized workload: (profile, seed, jobs cap).
 type wlKey struct {
 	profile string
 	seed    uint64
@@ -451,34 +436,25 @@ type wlKey struct {
 // memoCap bounds the workload memo; 3 profiles x a few seeds fit easily.
 const memoCap = 16
 
-func newWorkloadMemo() *workloadMemo { return &workloadMemo{} }
-
-// get returns the memoized workload, generating (and truncating the trace
-// to the jobs cap before re-timing) on first use.
-func (m *workloadMemo) get(profile string, seed uint64, jobs int) (*sita.Workload, error) {
-	key := wlKey{profile, seed, jobs}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range m.entries {
-		if e.key == key {
-			copy(m.entries[1:], m.entries[:i])
-			m.entries[0] = e
-			return e.wl, nil
+// workload returns the memoized workload, generating (and truncating the
+// trace to the jobs cap before re-timing) on first use. Trace generation
+// is the expensive part of a cold request, and a handful of profiles serve
+// most traffic; workloads are immutable once built and shared read-only
+// across requests (JobsAtLoad never mutates the trace).
+func (s *Server) workload(profile string, seed uint64, jobs int) (*sita.Workload, error) {
+	wl, _, err := s.workloads.Do(wlKey{profile, seed, jobs}, func() (*sita.Workload, error) {
+		wl, err := sita.LoadWorkload(profile, seed)
+		if err != nil {
+			return nil, err
 		}
-	}
-	wl, err := sita.LoadWorkload(profile, seed)
-	if err != nil {
-		return nil, err
-	}
-	if jobs > 0 && jobs < wl.Trace.Len() {
-		// Truncate derives a child trace (sharing the backing array, with
-		// its own cache identity and size mean); the full-trace entry for
-		// the same (profile, seed) may be cached too and stays intact.
-		wl = &sita.Workload{Profile: wl.Profile, Size: wl.Size, Trace: wl.Trace.Truncate(jobs)}
-	}
-	if len(m.entries) >= memoCap {
-		m.entries = m.entries[:memoCap-1]
-	}
-	m.entries = append([]wlEntry{{key, wl}}, m.entries...)
-	return wl, nil
+		if jobs > 0 && jobs < wl.Trace.Len() {
+			// Truncate derives a child trace (sharing the backing array,
+			// with its own cache identity and size mean); the full-trace
+			// entry for the same (profile, seed) may be cached too and
+			// stays intact.
+			wl = &sita.Workload{Profile: wl.Profile, Size: wl.Size, Trace: wl.Trace.Truncate(jobs)}
+		}
+		return wl, nil
+	})
+	return wl, err
 }

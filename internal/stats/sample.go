@@ -73,9 +73,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
 }
 
-// Median returns the 0.5 quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
 // Mean returns the sample mean (0 if empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {

@@ -17,14 +17,17 @@
 // simulations without copies. Traces without an identity (zero
 // trace.Identity, e.g. hand-built literals) bypass the cache and regenerate.
 //
-// Entries are kept in a byte-bounded LRU; concurrent requests for the same
-// key are collapsed single-flight so a 16-worker sweep still generates once.
+// A Cache holds two memo.Cache instances: the streams, in a byte-bounded
+// LRU whose concurrent requests for one key collapse single-flight so a
+// 16-worker sweep still generates once; and the traces' Table-1
+// statistics (TraceStats), keyed by identity and unbounded.
 package streamcache
 
 import (
-	"container/list"
-	"sync"
+	"math"
+	"sync/atomic"
 
+	"sita/internal/memo"
 	"sita/internal/trace"
 	"sita/internal/workload"
 )
@@ -48,19 +51,6 @@ type Key struct {
 	Seed    uint64
 }
 
-// entry is one cached stream.
-type entry struct {
-	key  Key
-	jobs []workload.Job
-}
-
-// flight tracks an in-progress generation so concurrent requests for the
-// same key wait for one result instead of regenerating.
-type flight struct {
-	done chan struct{}
-	jobs []workload.Job
-}
-
 // Stats is a point-in-time snapshot of cache counters.
 type Stats struct {
 	Hits        uint64 // served from the LRU
@@ -77,18 +67,9 @@ type Stats struct {
 // Cache is a byte-bounded, single-flight stream cache. The zero value is
 // not usable; construct with New.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	lru      *list.List // of *entry, front = most recent
-	items    map[Key]*list.Element
-	inflight map[Key]*flight
-	bypass   bool
-
-	hits, misses, joins, evictions, bypasses, generations uint64
-
-	statsMu    sync.Mutex
-	traceStats map[trace.Identity]trace.Stats
+	streams    *memo.Cache[Key, []workload.Job]
+	traceStats *memo.Cache[trace.Identity, trace.Stats]
+	bypasses   atomic.Uint64
 
 	// testHookGenerate, when non-nil, is invoked once per actual stream
 	// generation (inside the single-flight critical path, outside the
@@ -105,36 +86,16 @@ var Shared = New(DefaultMaxBytes)
 // making the cache a no-op).
 func New(maxBytes int64) *Cache {
 	return &Cache{
-		maxBytes:   maxBytes,
-		lru:        list.New(),
-		items:      make(map[Key]*list.Element),
-		inflight:   make(map[Key]*flight),
-		traceStats: make(map[trace.Identity]trace.Stats),
+		streams: memo.New[Key](maxBytes, func(jobs []workload.Job) int64 {
+			return int64(len(jobs)) * bytesPerJob
+		}),
+		traceStats: memo.New[trace.Identity, trace.Stats](math.MaxInt64, nil),
 	}
 }
 
-// SetMaxBytes rebounds the cache, evicting as needed. Safe for concurrent
-// use.
-func (c *Cache) SetMaxBytes(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = n
-	c.evictLocked()
-}
-
-// SetBypass toggles bypass mode: when on, every call regenerates and the
-// stored entries are dropped. Used by tests to compare cache-on vs
-// cache-off output and by operators to rule the cache out.
-func (c *Cache) SetBypass(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bypass = on
-	if on {
-		c.lru.Init()
-		c.items = make(map[Key]*list.Element)
-		c.bytes = 0
-	}
-}
+// SetMaxBytes rebounds the cache, evicting as needed; 0 turns storage off
+// and drops every stored stream. Safe for concurrent use.
+func (c *Cache) SetMaxBytes(n int64) { c.streams.SetMaxCost(n) }
 
 // JobsAtLoad returns tr's jobs retimed to the target load, generating at
 // most once per distinct key and sharing the result. The returned slice is
@@ -142,113 +103,62 @@ func (c *Cache) SetBypass(on bool) {
 // (see the immutability contract in internal/trace). Panics, like
 // trace.JobsAtLoad, if load is outside (0, 1).
 func (c *Cache) JobsAtLoad(tr *trace.Trace, load float64, hosts int, poisson bool, seed uint64) []workload.Job {
-	id, ok := tr.Identity()
-	c.mu.Lock()
-	if !ok || c.bypass {
-		c.bypasses++
-		c.generations++
-		hook := c.testHookGenerate
-		c.mu.Unlock()
-		if hook != nil {
-			hook(Key{Trace: id, Load: load, Hosts: hosts, Poisson: poisson, Seed: seed})
-		}
-		return tr.JobsAtLoad(load, hosts, poisson, seed)
+	// The key is built in place and generate takes it by pointer: at 144
+	// bytes, each copy shows on the hit path.
+	key := Key{Load: load, Hosts: hosts, Poisson: poisson, Seed: seed}
+	var ok bool
+	if key.Trace, ok = tr.Identity(); !ok {
+		c.bypasses.Add(1)
+		return c.generate(tr, &key)
 	}
-	key := Key{Trace: id, Load: load, Hosts: hosts, Poisson: poisson, Seed: seed}
-	for {
-		if el, hit := c.items[key]; hit {
-			c.hits++
-			c.lru.MoveToFront(el)
-			jobs := el.Value.(*entry).jobs
-			c.mu.Unlock()
-			return jobs
-		}
-		if fl, busy := c.inflight[key]; busy {
-			c.joins++
-			c.mu.Unlock()
-			<-fl.done
-			return fl.jobs
-		}
-		break
+	jobs, _, err := c.streams.Do(key, func() ([]workload.Job, error) {
+		return c.generate(tr, &key), nil
+	})
+	if err != nil { // the generation this call joined panicked
+		panic(err)
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.misses++
-	c.generations++
-	hook := c.testHookGenerate
-	c.mu.Unlock()
-
-	if hook != nil {
-		hook(key)
-	}
-	jobs := tr.JobsAtLoad(load, hosts, poisson, seed)
-	fl.jobs = jobs
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	sz := int64(len(jobs)) * bytesPerJob
-	if !c.bypass && sz <= c.maxBytes {
-		el := c.lru.PushFront(&entry{key: key, jobs: jobs})
-		c.items[key] = el
-		c.bytes += sz
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(fl.done)
 	return jobs
 }
 
-// evictLocked drops least-recently-used entries until the byte bound is
-// respected. Caller holds c.mu.
-func (c *Cache) evictLocked() {
-	for c.bytes > c.maxBytes {
-		el := c.lru.Back()
-		if el == nil {
-			return
-		}
-		e := c.lru.Remove(el).(*entry)
-		delete(c.items, e.key)
-		c.bytes -= int64(len(e.jobs)) * bytesPerJob
-		c.evictions++
+// generate retimes tr for key, bypassing the cache.
+func (c *Cache) generate(tr *trace.Trace, key *Key) []workload.Job {
+	if c.testHookGenerate != nil {
+		c.testHookGenerate(*key)
 	}
+	return tr.JobsAtLoad(key.Load, key.Hosts, key.Poisson, key.Seed)
 }
 
 // TraceStats returns tr.ComputeStats(), memoized by trace identity. This
 // replaces pointer-keyed stats caches: two regenerations of the same
 // profile+seed share one entry, and distinct traces can never collide even
 // if an old *Trace's address is reused. Identity-less traces compute
-// directly.
+// directly. Panics if it joined a concurrent ComputeStats of the same trace
+// that panicked.
 func (c *Cache) TraceStats(tr *trace.Trace) trace.Stats {
 	id, ok := tr.Identity()
 	if !ok {
 		return tr.ComputeStats()
 	}
-	c.statsMu.Lock()
-	s, hit := c.traceStats[id]
-	c.statsMu.Unlock()
-	if hit {
-		return s
+	s, _, err := c.traceStats.Do(id, func() (trace.Stats, error) { return tr.ComputeStats(), nil })
+	if err != nil {
+		panic(err)
 	}
-	s = tr.ComputeStats()
-	c.statsMu.Lock()
-	c.traceStats[id] = s
-	c.statsMu.Unlock()
 	return s
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the stream counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.streams.Stats()
+	bypasses := c.bypasses.Load()
 	return Stats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Joins:       c.joins,
-		Evictions:   c.evictions,
-		Bypasses:    c.bypasses,
-		Generations: c.generations,
-		Entries:     c.lru.Len(),
-		Bytes:       c.bytes,
-		MaxBytes:    c.maxBytes,
+		Hits:        s.Hits,
+		Misses:      s.Misses,
+		Joins:       s.Joins,
+		Evictions:   s.Evictions,
+		Bypasses:    bypasses,
+		Generations: s.Misses + bypasses,
+		Entries:     s.Entries,
+		Bytes:       s.Cost,
+		MaxBytes:    s.MaxCost,
 	}
 }

@@ -9,8 +9,8 @@ import (
 // BenchmarkJobsAtLoad prices one stream acquisition on the two paths a
 // sweep cell can take: a warm hit (the steady state of a multi-policy
 // sweep, where every policy after the first shares the load point's
-// stream) and a full generation (the bypass path, equal to the pre-cache
-// cost of every cell). The hit/generate ratio is the per-cell saving the
+// stream) and a full generation (the cache turned off, equal to the
+// pre-cache cost of every cell). The hit/generate ratio is the per-cell saving the
 // BENCH_8 sweep numbers are built from.
 func BenchmarkJobsAtLoad(b *testing.B) {
 	p := trace.C90()
@@ -32,7 +32,7 @@ func BenchmarkJobsAtLoad(b *testing.B) {
 
 	b.Run("generate", func(b *testing.B) {
 		c := New(DefaultMaxBytes)
-		c.SetBypass(true)
+		c.SetMaxBytes(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

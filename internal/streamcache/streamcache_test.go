@@ -164,8 +164,8 @@ func TestIdentityLessTraceBypasses(t *testing.T) {
 }
 
 // TestCacheTransparent: the cached stream is byte-identical to a direct
-// trace.JobsAtLoad call, and bypass mode matches too — the cache can never
-// change experiment output.
+// trace.JobsAtLoad call, and so is the stream with the cache turned off —
+// the cache can never change experiment output.
 func TestCacheTransparent(t *testing.T) {
 	tr := testTrace(t, 3000)
 	c := New(DefaultMaxBytes)
@@ -174,13 +174,13 @@ func TestCacheTransparent(t *testing.T) {
 	if !reflect.DeepEqual(direct, cached) {
 		t.Fatal("cached stream differs from direct generation")
 	}
-	c.SetBypass(true)
-	bypassed := c.JobsAtLoad(tr, 0.7, 4, false, 1234)
-	if !reflect.DeepEqual(direct, bypassed) {
-		t.Fatal("bypass-mode stream differs from direct generation")
+	c.SetMaxBytes(0)
+	uncached := c.JobsAtLoad(tr, 0.7, 4, false, 1234)
+	if !reflect.DeepEqual(direct, uncached) {
+		t.Fatal("stream with the cache off differs from direct generation")
 	}
 	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("SetBypass(true) must drop stored entries: %+v", st)
+		t.Fatalf("turning the cache off (SetMaxBytes(0)) must drop stored entries: %+v", st)
 	}
 }
 

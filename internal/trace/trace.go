@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"sita/internal/dist"
 	"sita/internal/sim"
 	"sita/internal/stats"
 	"sita/internal/workload"
@@ -289,12 +288,6 @@ func (t *Trace) Truncate(n int) *Trace {
 		return t
 	}
 	return t.derive(t.Name, fmt.Sprintf("[:%d]", n), t.Jobs[:n])
-}
-
-// SizeDistribution returns the empirical distribution of the trace's job
-// sizes, for plugging into the analytic machinery.
-func (t *Trace) SizeDistribution() *dist.Empirical {
-	return dist.NewEmpirical(t.Sizes())
 }
 
 // JobsAtLoad re-times the trace's jobs so that a system of hosts unit-speed
