@@ -104,22 +104,28 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // queries) against their retained linear-scan references (O(h)). The same
 // trace is re-dispatched at every h, so the jobs/s ratio between
 // <policy> and <policy>-scan at a given h is the fast path's speedup;
-// BENCH_4.json records the medians.
+// BENCH_4.json records the medians. Plain Run sends Least-Work-Left to
+// the direct recurrence while its scan reference stays on the engine, so
+// LeastWorkLeft-engine (pinned by OrderCheck) is the index-only
+// comparison against LeastWorkLeft-scan, and LeastWorkLeft against
+// LeastWorkLeft-engine is the direct path's gain.
 func BenchmarkManyHosts(b *testing.B) {
 	wl, err := LoadWorkload("psc-c90", 9)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		build func() Policy
+		name   string
+		build  func() Policy
+		engine bool
 	}{
-		{"LeastWorkLeft", func() Policy { return policy.NewLeastWorkLeft() }},
-		{"LeastWorkLeft-scan", func() Policy { return policy.NewScanLeastWorkLeft() }},
-		{"ShortestQueue", func() Policy { return policy.NewShortestQueue() }},
-		{"ShortestQueue-scan", func() Policy { return policy.NewScanShortestQueue() }},
-		{"CentralQueue", func() Policy { return policy.NewCentralQueue() }},
-		{"CentralQueue-scan", func() Policy { return policy.NewScanCentralQueue() }},
+		{"LeastWorkLeft", func() Policy { return policy.NewLeastWorkLeft() }, false},
+		{"LeastWorkLeft-engine", func() Policy { return policy.NewLeastWorkLeft() }, true},
+		{"LeastWorkLeft-scan", func() Policy { return policy.NewScanLeastWorkLeft() }, false},
+		{"ShortestQueue", func() Policy { return policy.NewShortestQueue() }, false},
+		{"ShortestQueue-scan", func() Policy { return policy.NewScanShortestQueue() }, false},
+		{"CentralQueue", func() Policy { return policy.NewCentralQueue() }, false},
+		{"CentralQueue-scan", func() Policy { return policy.NewScanCentralQueue() }, false},
 	}
 	for _, h := range []int{16, 128, 1024} {
 		jobs := wl.JobsAtLoad(0.7, h, true, 9)
@@ -130,7 +136,7 @@ func BenchmarkManyHosts(b *testing.B) {
 			b.Run(fmt.Sprintf("h%d/%s", h, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := server.Run(jobs, server.Config{Hosts: h, Policy: c.build()})
+					res := server.Run(jobs, server.Config{Hosts: h, Policy: c.build(), OrderCheck: c.engine})
 					if res.Slowdown.Count() == 0 {
 						b.Fatal("no jobs completed")
 					}
@@ -141,8 +147,8 @@ func BenchmarkManyHosts(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectVsEngine measures the oblivious-policy direct-recurrence
-// fast path against the event-heap engine on the same 100k-job C90 stream:
+// BenchmarkDirectVsEngine measures the direct-recurrence fast path
+// (oblivious and work-only policies) against the event-heap engine on the same 100k-job C90 stream:
 // identical Run call, identical output bytes (the differential tests prove
 // it), only the dispatch changed: the engine cells set Config.OrderCheck,
 // which pins the run to the event heap and adds a two-compare order
@@ -158,9 +164,10 @@ func BenchmarkDirectVsEngine(b *testing.B) {
 	for _, h := range []int{2, 32} {
 		jobs := wl.JobsAtLoad(0.7, h, true, 9)
 		// The full (h-1)-cutoff SITA design keeps the policy in the
-		// oblivious family at every h; the grouped SITA+LWL hybrid the
-		// 2-cutoff Design builds for h > 2 reads backlogs and stays on
-		// the engine by design.
+		// oblivious family at every h. Least-Work-Left stands for the
+		// work-only family (the grouped SITA+LWL hybrid the 2-cutoff
+		// Design builds for h > 2 belongs to it too), whose direct cells
+		// also maintain the clock-backed work index.
 		design, err := core.NewDesignFull(core.SITAE, 0.7, wl.Size, h)
 		if err != nil {
 			b.Fatal(err)
@@ -176,6 +183,7 @@ func BenchmarkDirectVsEngine(b *testing.B) {
 			{"Random", func() Policy { return policy.NewRandom(NewRNG(9, 60)) }},
 			{"RoundRobin", func() Policy { return policy.NewRoundRobin() }},
 			{"SITA-E", func() Policy { return design.Policy() }},
+			{"LeastWorkLeft", func() Policy { return policy.NewLeastWorkLeft() }},
 		}
 		for _, c := range cases {
 			for _, mode := range []struct {

@@ -5,23 +5,29 @@ import (
 	"go/types"
 )
 
-// Oblivious machine-checks the capability contract behind server.RunDirect:
-// a policy type that declares the oblivious capability — a method
-// `Oblivious() bool` alongside `Assign` — promises that its Assign never
-// reads the simulated system's state, only the job and the policy's own
-// sequential state. The direct-recurrence fast path depends on that
-// promise for correctness (a state-reading policy would silently simulate
-// a different system), so the claim is enforced statically here, at run
-// time by the tripwire View the direct path installs, and empirically by
-// the differential tests in internal/policy.
+// Oblivious machine-checks the capability contracts behind
+// server.RunDirect. A policy type that declares the oblivious capability —
+// a method `Oblivious() bool` alongside `Assign` — promises that its
+// Assign never reads the simulated system's state, only the job and the
+// policy's own sequential state. A type that declares the work-only
+// capability — `WorkOnly() bool` — promises that Assign reads host work
+// only (WorkLeft, Idle, MinWorkHost, MinWorkHostIn), never the job counts
+// or the idle freelist the direct path cannot answer. The
+// direct-recurrence fast path depends on both promises for correctness (a
+// policy that breaks one would silently simulate a different system), so
+// the claims are enforced statically here, at run time by the views the
+// direct path installs, and empirically by the differential tests in
+// internal/policy and internal/simtest.
 //
 // The check: from each capability-declaring type's Assign method, walk the
 // static call edges (EdgeCall, like allocfree and readonly) and flag any
-// call to a state-query method of an interface named View — NumJobs,
-// WorkLeft, Idle, MinWorkHost, MinWorkHostIn, MinJobsHost, NextIdleHost.
+// call to a method of an interface named View that the capability rules
+// out: every state query (NumJobs, WorkLeft, Idle, MinWorkHost,
+// MinWorkHostIn, MinJobsHost, NextIdleHost) for Oblivious, the job-count
+// and freelist queries (NumJobs, MinJobsHost, NextIdleHost) for WorkOnly.
 // Hosts() is exempt: the host count is configuration, not state.
 //
-// Delegating wrappers (Misclassify, EstimatedSITA) forward the capability
+// Delegating wrappers (Misclassify, EstimatedSITA) forward a capability
 // from an inner policy held behind an interface; the inner Assign is
 // interface dispatch, which this walk deliberately does not follow — the
 // wrapper's claim is resolved at run time from the inner policy's answer,
@@ -30,31 +36,61 @@ import (
 // concrete helper it statically calls.
 var Oblivious = &Analyzer{
 	Name: "oblivious",
-	Doc: "types declaring the Oblivious capability must not read View " +
-		"state from Assign or its static callees: the direct-recurrence " +
-		"fast path simulates them without maintaining that state",
+	Doc: "types declaring the Oblivious or WorkOnly capability must not make " +
+		"the View queries it rules out from Assign or its static callees: the " +
+		"direct-recurrence fast path simulates them without maintaining that state",
 	RunModule: runOblivious,
 }
 
-// viewStateMethods are the View queries that read simulated system state.
-var viewStateMethods = map[string]bool{
-	"NumJobs":       true,
-	"WorkLeft":      true,
-	"Idle":          true,
-	"MinWorkHost":   true,
-	"MinWorkHostIn": true,
-	"MinJobsHost":   true,
-	"NextIdleHost":  true,
+// capability is one direct-path capability: the declaring method's name,
+// the View queries a declaration rules out, and what the diagnostic says
+// such policies promise.
+type capability struct {
+	method    string
+	forbidden map[string]bool
+	promise   string
+}
+
+// capabilities lists the checked claims. Work-only policies may read host
+// work, which the direct path answers from its per-host clocks; job
+// counts and the idle freelist it cannot answer.
+var capabilities = []capability{
+	{
+		method: "Oblivious",
+		forbidden: map[string]bool{
+			"NumJobs":       true,
+			"WorkLeft":      true,
+			"Idle":          true,
+			"MinWorkHost":   true,
+			"MinWorkHostIn": true,
+			"MinJobsHost":   true,
+			"NextIdleHost":  true,
+		},
+		promise: "state-blind policies must not consult system state",
+	},
+	{
+		method: "WorkOnly",
+		forbidden: map[string]bool{
+			"NumJobs":      true,
+			"MinJobsHost":  true,
+			"NextIdleHost": true,
+		},
+		promise: "work-only policies may read host work, not job counts or idleness lists",
+	},
 }
 
 func runOblivious(pass *ModulePass) {
 	g := pass.Graph
 
-	// Pass 1: receiver types declaring the capability (Oblivious() bool)
-	// and, per receiver type, the node of its Assign method. Assign nodes
-	// are kept in declaration order so the root list — and with it the
-	// walk's discovery parents — is deterministic (Walk re-sorts by key).
-	declares := make(map[*types.TypeName]bool)
+	// Pass 1: receiver types declaring each capability (a `<method>() bool`
+	// method) and, per receiver type, the node of its Assign method.
+	// Assign nodes are kept in declaration order so the root list — and
+	// with it the walk's discovery parents — is deterministic (Walk
+	// re-sorts by key).
+	declares := make(map[string]map[*types.TypeName]bool)
+	for _, c := range capabilities {
+		declares[c.method] = make(map[*types.TypeName]bool)
+	}
 	type assignDecl struct {
 		recv *types.TypeName
 		node *CGNode
@@ -75,36 +111,40 @@ func runOblivious(pass *ModulePass) {
 				if recv == nil {
 					continue
 				}
-				switch fn.Name.Name {
-				case "Oblivious":
+				if fn.Name.Name == "Assign" {
+					assigns = append(assigns, assignDecl{recv: recv, node: g.Node(obj.FullName())})
+					continue
+				}
+				if set, ok := declares[fn.Name.Name]; ok {
 					sig := obj.Type().(*types.Signature)
 					if sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
 						types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool]) {
-						declares[recv] = true
+						set[recv] = true
 					}
-				case "Assign":
-					assigns = append(assigns, assignDecl{recv: recv, node: g.Node(obj.FullName())})
 				}
 			}
 		}
 	}
 
-	var roots []*CGNode
-	for _, a := range assigns {
-		if declares[a.recv] && a.node != nil {
-			roots = append(roots, a.node)
+	// Pass 2, per capability: walk from the declaring types' Assign
+	// methods and flag the queries the claim rules out.
+	for _, c := range capabilities {
+		var roots []*CGNode
+		for _, a := range assigns {
+			if declares[c.method][a.recv] && a.node != nil {
+				roots = append(roots, a.node)
+			}
 		}
-	}
-	if len(roots) == 0 {
-		return
-	}
-
-	order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
-	for _, n := range order {
-		if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
+		if len(roots) == 0 {
 			continue
 		}
-		checkViewReads(pass, g, n, parent)
+		order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
+		for _, n := range order {
+			if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
+				continue
+			}
+			checkViewReads(pass, g, n, parent, c)
+		}
 	}
 }
 
@@ -126,9 +166,9 @@ func receiverTypeName(fn *types.Func) *types.TypeName {
 	return named.Obj()
 }
 
-// checkViewReads reports state-query calls on a View interface inside one
-// function body reached from a capability-declaring Assign.
-func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*CGNode) {
+// checkViewReads reports calls to the View queries capability c rules out
+// inside one function body reached from a declaring type's Assign.
+func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*CGNode, c capability) {
 	info := n.Pkg.Info
 	where := g.Display(n.Key)
 	via := ""
@@ -149,7 +189,7 @@ func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 			return true
 		}
 		m, ok := selection.Obj().(*types.Func)
-		if !ok || !viewStateMethods[m.Name()] {
+		if !ok || !c.forbidden[m.Name()] {
 			return true
 		}
 		msig, ok := m.Type().(*types.Signature)
@@ -160,7 +200,7 @@ func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 		if !ok || named.Obj().Name() != "View" {
 			return true
 		}
-		pass.Reportf(call.Pos(), "%s reads View.%s but its receiver declares the Oblivious capability%s — state-blind policies must not consult system state", where, m.Name(), via)
+		pass.Reportf(call.Pos(), "%s reads View.%s but its receiver declares the %s capability%s — %s", where, m.Name(), c.method, via, c.promise)
 		return true
 	})
 }

@@ -1,8 +1,9 @@
 // Package oblivious fixes the oblivious analyzer's behavior: types that
 // declare the Oblivious capability must keep View state queries out of
-// Assign and its static callees; Hosts() stays legal, non-declaring types
-// stay unchecked, and interface dispatch to an inner policy is not
-// followed (the wrapper pattern).
+// Assign and its static callees, types that declare WorkOnly must keep
+// the job-count and freelist queries out; Hosts() stays legal,
+// non-declaring types stay unchecked, and interface dispatch to an inner
+// policy is not followed (the wrapper pattern).
 package oblivious
 
 // Job and View mirror the server package's shapes; fixtures cannot import
@@ -92,3 +93,46 @@ func (Allowed) Assign(_ Job, v View) int {
 	return v.NextIdleHost()
 }
 func (Allowed) Oblivious() bool { return true }
+
+// WorkLWL honestly declares WorkOnly: host-work queries are what the
+// capability allows, so no diagnostic.
+type WorkLWL struct{}
+
+func (WorkLWL) Name() string { return "work-lwl" }
+func (WorkLWL) Assign(_ Job, v View) int {
+	if v.Idle(0) || v.WorkLeft(0) == 0 {
+		return 0
+	}
+	if v.Hosts() > 2 {
+		return v.MinWorkHostIn(1, v.Hosts())
+	}
+	return v.MinWorkHost()
+}
+func (WorkLWL) WorkOnly() bool { return true }
+
+// WorkLiar claims WorkOnly but reads job counts and the idle freelist.
+type WorkLiar struct{}
+
+func (WorkLiar) Name() string { return "work-liar" }
+func (WorkLiar) Assign(_ Job, v View) int {
+	if v.NumJobs(0) == 0 { // want `\(oblivious\.WorkLiar\)\.Assign reads View\.NumJobs but its receiver declares the WorkOnly capability`
+		return 0
+	}
+	if i := v.NextIdleHost(); i >= 0 { // want `\(oblivious\.WorkLiar\)\.Assign reads View\.NextIdleHost but its receiver declares the WorkOnly capability`
+		return i
+	}
+	return v.MinWorkHost()
+}
+func (WorkLiar) WorkOnly() bool { return true }
+
+// WorkLaunderer hides a job-count read behind a static helper; the walk
+// names the path.
+type WorkLaunderer struct{}
+
+func (WorkLaunderer) Name() string             { return "work-launderer" }
+func (WorkLaunderer) Assign(_ Job, v View) int { return fewestJobs(v) }
+func (WorkLaunderer) WorkOnly() bool           { return true }
+
+func fewestJobs(v View) int {
+	return v.MinJobsHost() // want `oblivious\.fewestJobs reads View\.MinJobsHost but its receiver declares the WorkOnly capability \(reached via \(oblivious\.WorkLaunderer\)\.Assign -> oblivious\.fewestJobs\)`
+}

@@ -52,18 +52,26 @@ func tieTrapJobs(rng *rand.Rand, n int) []workload.Job {
 	return jobs
 }
 
+// diffPolicies runs a fresh indexed policy twice — pinned to the engine
+// (OrderCheck), where the System's own argmin indices answer, and through
+// plain Run, which takes the direct recurrence for oblivious and
+// work-only policies — and holds both record streams to the scan
+// reference's, which never claims a capability and so runs on the engine.
 func diffPolicies(t *testing.T, name string, hosts int, jobs []workload.Job,
-	indexed, scan server.Policy, order server.CentralOrder) {
+	indexed func() server.Policy, scan server.Policy, order server.CentralOrder) {
 	t.Helper()
-	a := server.Run(jobs, server.Config{Hosts: hosts, Policy: indexed, CentralOrder: order, KeepRecords: true})
 	b := server.Run(jobs, server.Config{Hosts: hosts, Policy: scan, CentralOrder: order, KeepRecords: true})
-	if ka, kb := recordKey(a.Records), recordKey(b.Records); ka != kb {
-		i := 0
-		for i < len(ka) && i < len(kb) && ka[i] == kb[i] {
-			i++
+	kb := recordKey(b.Records)
+	for _, engine := range []bool{true, false} {
+		a := server.Run(jobs, server.Config{Hosts: hosts, Policy: indexed(), CentralOrder: order, KeepRecords: true, OrderCheck: engine})
+		if ka := recordKey(a.Records); ka != kb {
+			i := 0
+			for i < len(ka) && i < len(kb) && ka[i] == kb[i] {
+				i++
+			}
+			t.Fatalf("%s h=%d engine=%v: indexed and scan record streams diverge near byte %d:\nindexed: %.120s\nscan:    %.120s",
+				name, hosts, engine, i, ka[max(0, i-40):], kb[max(0, i-40):])
 		}
-		t.Fatalf("%s h=%d: indexed and scan record streams diverge near byte %d:\nindexed: %.120s\nscan:    %.120s",
-			name, hosts, i, ka[max(0, i-40):], kb[max(0, i-40):])
 	}
 }
 
@@ -79,26 +87,25 @@ func TestIndexedPoliciesMatchScanReference(t *testing.T) {
 			}{{"random", random}, {"tietrap", traps}} {
 				cut := size.LoadCutoff(0.5)
 				shortHosts := (hosts + 1) / 2
-				cases := []struct {
-					name          string
-					indexed, scan server.Policy
-					order         server.CentralOrder
-				}{
-					{"lwl", NewLeastWorkLeft(), NewScanLeastWorkLeft(), server.CentralFCFS},
-					{"shortest-queue", NewShortestQueue(), NewScanShortestQueue(), server.CentralFCFS},
-					{"central-fcfs", NewCentralQueue(), NewScanCentralQueue(), server.CentralFCFS},
-					{"central-sjf", NewCentralQueue(), NewScanCentralQueue(), server.CentralSJF},
-					{"estimated-lwl", NewEstimatedLWL(0.5, sim.NewRNG(300+seed, 0)),
+				type diffCase struct {
+					name    string
+					indexed func() server.Policy
+					scan    server.Policy
+					order   server.CentralOrder
+				}
+				cases := []diffCase{
+					{"lwl", func() server.Policy { return NewLeastWorkLeft() }, NewScanLeastWorkLeft(), server.CentralFCFS},
+					{"shortest-queue", func() server.Policy { return NewShortestQueue() }, NewScanShortestQueue(), server.CentralFCFS},
+					{"central-fcfs", func() server.Policy { return NewCentralQueue() }, NewScanCentralQueue(), server.CentralFCFS},
+					{"central-sjf", func() server.Policy { return NewCentralQueue() }, NewScanCentralQueue(), server.CentralSJF},
+					{"estimated-lwl", func() server.Policy { return NewEstimatedLWL(0.5, sim.NewRNG(300+seed, 0)) },
 						NewScanEstimatedLWL(NewEstimatedLWL(0.5, sim.NewRNG(300+seed, 0))), server.CentralFCFS},
-					{"estimated-lwl-exact", NewEstimatedLWL(0, sim.NewRNG(301, 0)),
+					{"estimated-lwl-exact", func() server.Policy { return NewEstimatedLWL(0, sim.NewRNG(301, 0)) },
 						NewScanEstimatedLWL(NewEstimatedLWL(0, sim.NewRNG(301, 0))), server.CentralFCFS},
 				}
 				if hosts >= 2 { // grouped SITA needs a non-empty long group
-					cases = append(cases, struct {
-						name          string
-						indexed, scan server.Policy
-						order         server.CentralOrder
-					}{"grouped-sita", NewGroupedSITA("g", cut, shortHosts), NewScanGroupedSITA(cut, shortHosts), server.CentralFCFS})
+					cases = append(cases, diffCase{"grouped-sita", func() server.Policy { return NewGroupedSITA("g", cut, shortHosts) },
+						NewScanGroupedSITA(cut, shortHosts), server.CentralFCFS})
 				}
 				for _, c := range cases {
 					diffPolicies(t, c.name+"/"+trace.name, hosts, trace.jobs, c.indexed, c.scan, c.order)

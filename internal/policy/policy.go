@@ -116,6 +116,11 @@ func (LeastWorkLeft) Assign(_ workload.Job, v server.View) int {
 	return v.MinWorkHost()
 }
 
+// WorkOnly reports that Assign reads only host work (MinWorkHost), which
+// the direct recurrence answers from its per-host clocks, so server.Run
+// may take the direct-recurrence path.
+func (LeastWorkLeft) WorkOnly() bool { return true }
+
 // CentralQueue holds every job in a FCFS queue at the dispatcher; a host
 // pulls the next job the moment it goes idle. Provably equivalent to
 // Least-Work-Left for any job sequence (Harchol-Balter, Crovella, Murta
@@ -220,6 +225,10 @@ func (p *GroupedSITA) Assign(j workload.Job, v server.View) int {
 	return v.MinWorkHostIn(lo, hi)
 }
 
+// WorkOnly reports that Assign reads only host work (MinWorkHostIn, plus
+// the host count), so server.Run may take the direct-recurrence path.
+func (*GroupedSITA) WorkOnly() bool { return true }
+
 // Misclassify wraps a size-based policy to model imperfect user runtime
 // estimates (section 7): with probability P the job is presented to the
 // inner policy with a size drawn from the opposite side of the cutoff, so
@@ -296,3 +305,8 @@ func (m *Misclassify) Assign(j workload.Job, v server.View) int {
 // wrapped pair is oblivious exactly when the inner policy is. Wrapping
 // Shortest-Queue yields false; wrapping SITA yields true.
 func (m *Misclassify) Oblivious() bool { return server.IsOblivious(m.inner) }
+
+// WorkOnly forwards the inner policy's capability in the same way:
+// wrapping Least-Work-Left or grouped SITA yields true, wrapping
+// Shortest-Queue false.
+func (m *Misclassify) WorkOnly() bool { return server.IsWorkOnly(m.inner) }

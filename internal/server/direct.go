@@ -8,7 +8,7 @@ import (
 	"sita/internal/workload"
 )
 
-// This file is the oblivious-policy fast path. When the assignment
+// This file is the direct-recurrence fast path. When the assignment
 // decision never reads system state (see Oblivious), each FCFS host
 // evolves as an independent single-server queue and every job's service
 // window follows Lindley's recurrence:
@@ -61,10 +61,23 @@ import (
 // arrivals-first rule — and triggers within each class carry the engine's
 // processing order by construction.
 //
-// Policies that do read system state (Shortest-Queue, Least-Work-Left,
-// Central-Queue, Grouped-SITA), pull policies, processor sharing, and
-// interrupted runs still require the engine; Run dispatches automatically
-// and RunDirect refuses non-oblivious policies outright.
+// Policies that read only host work (see WorkOnly: Least-Work-Left,
+// Grouped-SITA, and Misclassify around either) take the same path. The
+// recurrence does not depend on how hosts are chosen, and the work such a
+// policy reads is each host's drain instant minus now — the drain instant
+// being free[host], the same float, built by the same additions, as the
+// engine's readyAt. Phase 1 hands these policies a workView that answers
+// WorkLeft, Idle and the work argmins from the clocks at the job's
+// arrival instant, with an index kept current as the clocks advance; a
+// host whose departure falls exactly at that instant is still busy, as
+// on the engine, where arrivals precede departures at equal times.
+// Phase 2 is unchanged: the (finish, start, trigger) keys already
+// reproduce the engine's record order whatever chose the hosts.
+//
+// Policies that read job counts or the idle freelist (Shortest-Queue,
+// Central-Queue), pull policies, processor sharing, and interrupted runs
+// still require the engine; Run dispatches automatically and RunDirect
+// refuses policies that claim neither capability outright.
 
 // queuedTrigger marks a job whose service start is triggered by its FCFS
 // predecessor's departure; the real trigger key is assigned in phase 2
@@ -131,9 +144,13 @@ type directRunner struct {
 	job  []directJob
 	link []directLink
 
+	// The policy the replay loop calls and the View it hands over: an
+	// oblivious policy itself with the tripwire view, or, for a work-only
+	// policy, the workView standing in for it (policy and view both).
 	policy   Policy
-	view     View // tripwire handed to Assign; see directView
+	view     View
 	tripwire directView
+	work     workView
 
 	// Accounting sinks: phase 2 folds each emission into res inline —
 	// the same update sequence as Result.observe. cold is non-nil only
@@ -148,7 +165,9 @@ type directRunner struct {
 // handful of runners.
 var directPool = sync.Pool{New: func() any { return new(directRunner) }}
 
-// setup sizes the scratch for one run and resets per-host state. Per-job
+// setup sizes the scratch for one run, resets per-host state and picks
+// the view: the tripwire for an oblivious policy, the clock-backed
+// workView otherwise (RunDirect admits only the two capabilities). Per-job
 // arrays are not cleared: phase 1 writes every slot phase 2 reads. Slot n
 // of the job/link arrays is the sentinel a drained chain points at: its
 // +Inf key never wins the tree, which spares the emission loop a
@@ -195,9 +214,13 @@ func (d *directRunner) setup(n, h int, p Policy) {
 		d.last[i] = int32(n+1) + int32(i)
 		d.link[n+1+i] = directLink{next: sentinel, trig: 0}
 	}
-	d.policy = p
-	d.tripwire = directView{hosts: h, policy: p}
-	d.view = &d.tripwire
+	if IsOblivious(p) {
+		d.tripwire = directView{hosts: h, policy: p, claim: "Oblivious"}
+		d.policy, d.view = p, &d.tripwire
+	} else {
+		d.work.reset(p, d.free)
+		d.policy, d.view = &d.work, &d.work
+	}
 }
 
 // release drops the per-run references (policy, result, cold closure) so a
@@ -206,6 +229,8 @@ func (d *directRunner) setup(n, h int, p Policy) {
 func (d *directRunner) release() {
 	d.policy = nil
 	d.tripwire = directView{}
+	d.work.directView = directView{}
+	d.work.free = nil
 	d.view = nil
 	d.res = nil
 	d.cold = nil
@@ -401,33 +426,39 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 
 // DirectEligible reports whether Run would take the direct path for this
 // configuration. The decision reads the run's own Config and nothing
-// else: the policy claims obliviousness and neither an interrupt probe
-// nor the order check is installed. Callers that install per-request
-// interrupt probes (internal/service) use this to skip the probe when the
-// run will be too fast to need one. cfg.OrderCheck asserts event-heap
-// dispatch order, so it pins the run to the engine — which also makes it
-// how tests, benchmarks and the property harness force the engine for
-// heap-vs-direct comparisons.
+// else: the policy claims the Oblivious or the WorkOnly capability and
+// neither an interrupt probe nor the order check is installed. Callers
+// that install per-request interrupt probes (internal/service) use this to
+// skip the probe when the run will be too fast to need one. cfg.OrderCheck
+// asserts event-heap dispatch order, so it pins the run to the engine —
+// which also makes it how tests, benchmarks and the property harness
+// force the engine for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
-	return cfg.Interrupt == nil && !cfg.OrderCheck && IsOblivious(cfg.Policy)
+	return cfg.Interrupt == nil && !cfg.OrderCheck && directCapable(cfg.Policy)
 }
 
-// RunDirect simulates the job list under an oblivious policy without the
-// discrete-event engine, producing a Result bit-identical to Run's engine
-// path: same float-op sequence, same JobRecord fields, same emission
-// order, same RNG draw order (Assign is called once per job in arrival
-// order, exactly as the engine's arrival events do). Panics if the policy
-// does not claim the Oblivious capability or the jobs are not sorted by
-// arrival, and shares Run's other contracts: cfg.Hosts > 0, warmup in
-// [0, 1). cfg.Interrupt is not supported here — Run falls back to the
-// engine when a probe is installed.
+// directCapable reports whether the policy claims a capability the direct
+// path can simulate.
+func directCapable(p Policy) bool { return IsOblivious(p) || IsWorkOnly(p) }
+
+// RunDirect simulates the job list under an oblivious or work-only policy
+// without the discrete-event engine, producing a Result bit-identical to
+// Run's engine path: same float-op sequence, same JobRecord fields, same
+// emission order, same RNG draw order (Assign is called once per job in
+// arrival order, exactly as the engine's arrival events do), and — for a
+// work-only policy — the same answers to its host-work queries (see
+// workView). Result.MeanQueueLen stays 0: the time-averaged queue length
+// is an engine-side event accrual. Panics if the policy claims neither
+// capability or the jobs are not sorted by arrival, and shares Run's
+// other contracts: cfg.Hosts > 0, warmup in [0, 1). cfg.Interrupt is not
+// supported here — Run falls back to the engine when a probe is installed.
 //
 //sim:entry
 //sim:readonly jobs
 func RunDirect(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
-	if !IsOblivious(cfg.Policy) {
-		panic(fmt.Sprintf("server: RunDirect needs an oblivious policy; %q does not claim the capability", cfg.Policy.Name()))
+	if !directCapable(cfg.Policy) {
+		panic(fmt.Sprintf("server: RunDirect needs an oblivious or work-only policy; %q claims neither capability", cfg.Policy.Name()))
 	}
 	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))

@@ -6,34 +6,52 @@ import (
 
 // BenchmarkDirectReplayCore isolates the direct path's steady-state inner
 // loop — pooled scratch, assignment pass, tournament-merge emission — from
-// the per-run Result construction, pinning the //sim:noalloc contract
-// empirically: after the first iteration grows the scratch arrays,
-// allocs/op must report 0.
+// the per-run Result construction, for an oblivious policy (a scripted
+// round-robin) and a work-only one (Least-Work-Left through the
+// clock-backed work view and its index). It pins the //sim:noalloc
+// contract empirically: after the first replay grows the scratch arrays,
+// a replay must not allocate — the benchmark fails if one does, so even a
+// one-iteration smoke run holds both cases to 0 allocs/op.
 func BenchmarkDirectReplayCore(b *testing.B) {
+	const hosts = 32
 	jobs := goldenJobs(48, 100000)
-	hosts := make([]int, len(jobs))
-	for i := range hosts {
-		hosts[i] = i % 32
+	script := make([]int, len(jobs))
+	for i := range script {
+		script[i] = i % hosts
 	}
-	pol := &scripted{hosts: hosts}
-	res := &Result{
-		PerHostJobs: make([]int64, 32),
-		PerHostWork: make([]float64, 32),
-	}
-	d := directPool.Get().(*directRunner)
-	defer d.release()
-	d.res = res
-	d.setup(len(jobs), 32, pol)
-	d.replay(jobs)
+	for _, c := range []struct {
+		name string
+		pol  Policy
+	}{
+		{"oblivious", &scripted{hosts: script}},
+		{"work-only", workLWL{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			res := &Result{
+				PerHostJobs: make([]int64, hosts),
+				PerHostWork: make([]float64, hosts),
+			}
+			d := directPool.Get().(*directRunner)
+			defer d.release()
+			d.res = res
+			replay := func() {
+				d.setup(len(jobs), hosts, c.pol)
+				d.replay(jobs)
+			}
+			replay()
+			if allocs := testing.AllocsPerRun(1, replay); allocs != 0 {
+				b.Fatalf("steady-state replay allocated %v times", allocs)
+			}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.setup(len(jobs), 32, pol)
-		d.replay(jobs)
-	}
-	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-	if res.Slowdown.Count() == 0 {
-		b.Fatal("no jobs observed")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replay()
+			}
+			b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+			if res.Slowdown.Count() == 0 {
+				b.Fatal("no jobs observed")
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sita/internal/sim"
 	"sita/internal/workload"
 )
 
@@ -45,6 +46,63 @@ func (l *liar) Assign(_ workload.Job, v View) int {
 }
 func (*liar) Oblivious() bool { return true }
 
+// workLiar claims the work-only capability but reads job counts or the
+// idle freelist (method), or returns Central (method "Central") — the
+// violations the work view and the replay loop must catch.
+type workLiar struct{ method string }
+
+func (*workLiar) Name() string { return "work-liar" }
+func (l *workLiar) Assign(_ workload.Job, v View) int {
+	switch l.method {
+	case "NumJobs":
+		return v.NumJobs(0) * 0
+	case "MinJobsHost":
+		return v.MinJobsHost()
+	case "NextIdleHost":
+		_ = v.NextIdleHost()
+	case "Central":
+		return Central
+	}
+	return v.MinWorkHost()
+}
+func (*workLiar) WorkOnly() bool { return true }
+
+// workLWL is an honest work-only policy: Least-Work-Left through the
+// view's work index.
+type workLWL struct{}
+
+func (workLWL) Name() string                      { return "work-lwl" }
+func (workLWL) Assign(_ workload.Job, v View) int { return v.MinWorkHost() }
+func (workLWL) WorkOnly() bool                    { return true }
+
+// workScanLWL is the golden streams' scan LWL claiming the work-only
+// capability, so it reads WorkLeft through the direct path's work view.
+type workScanLWL struct{ goldenLWL }
+
+func (workScanLWL) WorkOnly() bool { return true }
+
+// idleFirst is an honest work-only policy that reads Idle as well: the
+// lowest idle host if any, else the least WorkLeft. A host whose
+// departure falls exactly at the arrival has zero work left but is not
+// idle yet, so this pick differs from LWL's exactly at the ties the
+// direct path must reproduce.
+type idleFirst struct{}
+
+func (idleFirst) Name() string { return "idle-first" }
+func (idleFirst) Assign(_ workload.Job, v View) int {
+	best, bestW := -1, 0.0
+	for i := 0; i < v.Hosts(); i++ {
+		if v.Idle(i) {
+			return i
+		}
+		if w := v.WorkLeft(i); best < 0 || w < bestW {
+			best, bestW = i, w
+		}
+	}
+	return best
+}
+func (idleFirst) WorkOnly() bool { return true }
+
 // toHostZero is honestly oblivious and trivial.
 type toHostZero struct{}
 
@@ -81,29 +139,40 @@ func parseGoldenHosts(t *testing.T, name string, n int) []int {
 // central-fcfs serve jobs per host in arrival order (a central FCFS pull
 // starts each job at max(predecessor finish, arrival) — Lindley again), and
 // ties-push-lwl adds the exact-coincidence traps. The SJF and PS goldens
-// reorder service within a host and stay engine-only.
+// reorder service within a host and stay engine-only. The LWL goldens are
+// also replayed through the work view itself, with Least-Work-Left
+// choosing hosts from the direct path's clocks — by its index and by a
+// WorkLeft scan — rather than from a script.
 func TestDirectGoldenReplay(t *testing.T) {
 	cases := []struct {
-		name  string
-		jobs  []workload.Job
-		hosts int
+		name, golden string
+		jobs         []workload.Job
+		hosts        int
+		policy       Policy // nil: the golden stream's own assignment, scripted
 	}{
-		{"push-lwl", goldenJobs(42, 3000), 3},
-		{"central-fcfs", goldenJobs(43, 3000), 3},
-		{"ties-push-lwl", tieJobs(), 2},
+		{"push-lwl", "push-lwl", goldenJobs(42, 3000), 3, nil},
+		{"central-fcfs", "central-fcfs", goldenJobs(43, 3000), 3, nil},
+		{"ties-push-lwl", "ties-push-lwl", tieJobs(), 2, nil},
+		{"push-lwl/work-index", "push-lwl", goldenJobs(42, 3000), 3, workLWL{}},
+		{"push-lwl/work-scan", "push-lwl", goldenJobs(42, 3000), 3, workScanLWL{}},
+		{"ties-push-lwl/work-index", "ties-push-lwl", tieJobs(), 2, workLWL{}},
+		{"ties-push-lwl/work-scan", "ties-push-lwl", tieJobs(), 2, workScanLWL{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			script := &scripted{hosts: parseGoldenHosts(t, tc.name, len(tc.jobs))}
-			res := RunDirect(tc.jobs, Config{Hosts: tc.hosts, Policy: script, KeepRecords: true})
+			p := tc.policy
+			if p == nil {
+				p = &scripted{hosts: parseGoldenHosts(t, tc.golden, len(tc.jobs))}
+			}
+			res := RunDirect(tc.jobs, Config{Hosts: tc.hosts, Policy: p, KeepRecords: true})
 			got := formatRecords(res.Records)
-			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != string(want) {
 				t.Fatalf("direct replay diverged from %s.golden; first lines:\ngot:  %.200s\nwant: %.200s",
-					tc.name, got, want)
+					tc.golden, got, want)
 			}
 		})
 	}
@@ -138,6 +207,38 @@ func TestDirectViewTripwire(t *testing.T) {
 	}
 }
 
+// TestDirectWorkViewTripwire proves the work view fails loudly, naming
+// the policy, when a work-only policy reads what its claim rules out or
+// returns Central, and answers the host-work queries otherwise.
+func TestDirectWorkViewTripwire(t *testing.T) {
+	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 0.5, Size: 1}}
+	for _, c := range []struct{ method, want string }{
+		{"NumJobs", "claims WorkOnly but read View.NumJobs"},
+		{"MinJobsHost", "claims WorkOnly but read View.MinJobsHost"},
+		{"NextIdleHost", "claims WorkOnly but read View.NextIdleHost"},
+		{"Central", "returned host -1"},
+	} {
+		t.Run(c.method, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s did not panic on the direct path", c.method)
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, `"work-liar"`) || !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %v does not name the policy and the violation %q", r, c.want)
+				}
+			}()
+			RunDirect(jobs, Config{Hosts: 2, Policy: &workLiar{method: c.method}})
+		})
+	}
+	// The second job arrives while host 0 still works: LWL picks host 1.
+	res := RunDirect(jobs, Config{Hosts: 2, Policy: workLWL{}, KeepRecords: true})
+	if len(res.Records) != 2 || res.Records[0].Host != 0 || res.Records[1].Host != 1 {
+		t.Fatalf("honest work-only policy misrouted on the direct path: %+v", res.Records)
+	}
+}
+
 // TestDirectDispatch pins Run's dispatch rule by observing which path a
 // lying policy dies on: by default Run hands it the tripwire view (panic);
 // with the order check or an interrupt probe installed it gets the
@@ -169,6 +270,15 @@ func TestDirectDispatch(t *testing.T) {
 	if !DirectEligible(Config{Hosts: 2, Policy: toHostZero{}}) {
 		t.Fatal("DirectEligible false for an oblivious policy with no probe")
 	}
+	if !DirectEligible(Config{Hosts: 2, Policy: workLWL{}}) {
+		t.Fatal("DirectEligible false for a work-only policy with no probe")
+	}
+	if !runPanics(Config{Hosts: 2, Policy: &workLiar{method: "NumJobs"}}) {
+		t.Fatal("Run did not take the direct path for a claimed work-only policy")
+	}
+	if runPanics(Config{Hosts: 2, Policy: &workLiar{method: "NumJobs"}, OrderCheck: true}) {
+		t.Fatal("Run took the direct path for a work-only policy despite the order check")
+	}
 	if DirectEligible(Config{Hosts: 2, Policy: goldenLWL{}}) {
 		t.Fatal("DirectEligible true for a policy without the capability")
 	}
@@ -197,42 +307,56 @@ func TestRunDirectRefusesUnsortedArrivals(t *testing.T) {
 }
 
 // TestDirectEngineParityInPackage is the in-package differential: a
-// round-robin-by-ID script through both paths on the tie-trap stream and a
-// heavy-tailed stream, full Result equality including warmup filtering and
-// per-class streams. The cross-package differential over the real policies
-// and trace profiles lives in internal/policy.
+// round-robin-by-ID script and the work-only idleFirst policy through both
+// paths on the tie-trap stream and a heavy-tailed stream, full Result
+// equality including warmup filtering and per-class streams. The
+// cross-package differential over the real policies and trace profiles
+// lives in internal/policy.
 func TestDirectEngineParityInPackage(t *testing.T) {
+	// Integer arrivals and sizes at about 2/3 load make departures land
+	// exactly on later arrivals while other hosts sit idle, so a host
+	// draining at the arrival instant meets idle ones.
+	rng := sim.NewRNG(49, 0)
+	traps := make([]workload.Job, 2000)
+	at := 0.0
+	for i := range traps {
+		at += float64(rng.IntN(3))
+		traps[i] = workload.Job{ID: i, Arrival: at, Size: float64(1 + rng.IntN(3))}
+	}
 	streams := map[string][]workload.Job{
-		"ties":  tieJobs(),
-		"heavy": goldenJobs(47, 4000),
+		"ties":    tieJobs(),
+		"heavy":   goldenJobs(47, 4000),
+		"tietrap": traps,
 	}
 	for name, jobs := range streams {
 		t.Run(name, func(t *testing.T) {
-			mk := func() Config {
-				hosts := make([]int, len(jobs))
-				for i := range hosts {
-					hosts[i] = i % 3
+			script := make([]int, len(jobs))
+			for i := range script {
+				script[i] = i % 3
+			}
+			for _, p := range []Policy{&scripted{hosts: script}, idleFirst{}} {
+				mk := func() Config {
+					return Config{
+						Hosts:          3,
+						Policy:         p,
+						WarmupFraction: 0.25,
+						KeepRecords:    true,
+						SizeClass:      func(size float64) int { return int(size) & 1 },
+					}
 				}
-				return Config{
-					Hosts:          3,
-					Policy:         &scripted{hosts: hosts},
-					WarmupFraction: 0.25,
-					KeepRecords:    true,
-					SizeClass:      func(size float64) int { return int(size) & 1 },
+				direct := RunDirect(jobs, mk())
+				cfg := mk()
+				cfg.OrderCheck = true
+				engine := Run(jobs, cfg)
+				if got, want := formatRecords(direct.Records), formatRecords(engine.Records); got != want {
+					t.Fatalf("%s: record streams differ:\ndirect: %.300s\nengine: %.300s", p.Name(), got, want)
 				}
-			}
-			direct := RunDirect(jobs, mk())
-			cfg := mk()
-			cfg.OrderCheck = true
-			engine := Run(jobs, cfg)
-			if got, want := formatRecords(direct.Records), formatRecords(engine.Records); got != want {
-				t.Fatalf("record streams differ:\ndirect: %.300s\nengine: %.300s", got, want)
-			}
-			if direct.Slowdown != engine.Slowdown || direct.Response != engine.Response || direct.Wait != engine.Wait {
-				t.Fatalf("delay streams differ: %+v vs %+v", direct, engine)
-			}
-			if direct.Horizon != engine.Horizon {
-				t.Fatalf("horizons differ: %v vs %v", direct.Horizon, engine.Horizon)
+				if direct.Slowdown != engine.Slowdown || direct.Response != engine.Response || direct.Wait != engine.Wait {
+					t.Fatalf("%s: delay streams differ: %+v vs %+v", p.Name(), direct, engine)
+				}
+				if direct.Horizon != engine.Horizon {
+					t.Fatalf("%s: horizons differ: %v vs %v", p.Name(), direct.Horizon, engine.Horizon)
+				}
 			}
 		})
 	}

@@ -93,7 +93,9 @@ type Result struct {
 	// independent of the per-job records, which is what makes Little's
 	// law (E[Q] = lambda * E[W]) a genuine cross-check of the event
 	// bookkeeping rather than an identity. Populated only by the engine
-	// FCFS path; 0 on the direct-recurrence and PS paths.
+	// FCFS path; 0 on the direct-recurrence and PS paths — so 0 for
+	// every oblivious and work-only policy (Least-Work-Left, grouped SITA)
+	// under plain Run, and set when cfg.OrderCheck pins the engine.
 	MeanQueueLen float64
 
 	// Classes holds per-class slowdown streams when Config.SizeClass is
@@ -187,12 +189,14 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 // ordinal as their ID.
 //
 // Dispatch: when DirectEligible(cfg) holds — the policy claims the
-// Oblivious capability and neither an interrupt probe nor the order check
-// is installed — Run takes the O(1)-per-job direct recurrence (RunDirect)
-// instead of the discrete-event engine. The two paths produce
+// Oblivious or the WorkOnly capability and neither an interrupt probe nor
+// the order check is installed — Run takes the direct recurrence
+// (RunDirect) instead of the discrete-event engine. The two paths produce
 // bit-identical Results — same float sequence, same record emission
-// order, same RNG draw order — so the dispatch is invisible to callers;
-// setting cfg.OrderCheck forces the engine for parity checks.
+// order, same RNG draw order, same answers to work-only policies' queries
+// — except Result.MeanQueueLen, an engine-only accrual, so the dispatch is
+// otherwise invisible to callers; setting cfg.OrderCheck forces the engine
+// for parity checks.
 //
 // Concurrency: Run itself is synchronous and single-goroutine — the
 // completion accounting (Result.observe) updates the Result's Horizon,

@@ -84,8 +84,10 @@ func TestDeadlineReturns503(t *testing.T) {
 	defer ts.Close()
 
 	// Full-profile sim (55k jobs) with a 1ms budget: the cancel probe
-	// fires within its first few polls.
-	code, _, body := postSim(t, ts.URL, `{"policy":"lwl","load":0.9,"timeout_ms":1}`)
+	// fires within its first few polls. Shortest-Queue reads job counts,
+	// so it runs on the engine, which installs the probe; direct-eligible
+	// policies (LWL among them) finish without one.
+	code, _, body := postSim(t, ts.URL, `{"policy":"shortest-queue","load":0.9,"timeout_ms":1}`)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline request: status %d, body %s, want 503", code, body)
 	}
@@ -101,7 +103,7 @@ func TestDeadlineReturns503(t *testing.T) {
 
 	// The error was not cached and no slot leaked: the identical
 	// simulation (same cache key — timeout_ms is excluded) now succeeds.
-	code, cache, body := postSim(t, ts.URL, `{"policy":"lwl","load":0.9}`)
+	code, cache, body := postSim(t, ts.URL, `{"policy":"shortest-queue","load":0.9}`)
 	if code != http.StatusOK {
 		t.Fatalf("retry after deadline: status %d, body %s", code, body)
 	}

@@ -224,10 +224,11 @@ func (s *Server) runSimulation(req SimRequest) ([]byte, error) {
 	if design != nil {
 		cfg.SizeClass = design.Classify
 	}
-	// Oblivious policies take the direct-recurrence path, which finishes in
-	// milliseconds at service scale and does not support the cancel probe —
-	// installing one would force these runs back onto the engine. PS always
-	// needs the engine, and any engine run keeps the deadline probe.
+	// Direct-eligible policies take the direct-recurrence path, which
+	// finishes in milliseconds at service scale and does not support the
+	// cancel probe — installing one would force these runs back onto the
+	// engine. PS always needs the engine, and any engine run keeps the
+	// deadline probe.
 	if req.PS || !server.DirectEligible(cfg) {
 		cfg.Interrupt = func() bool {
 			return ctx.Err() != nil

@@ -25,14 +25,15 @@ func scaled(short, long int) int {
 }
 
 // policyCase describes one policy under test. build returns a fresh,
-// unshared instance (policies are stateful); perHostFCFS is false only
-// for the SJF central queue, which legally serves a host's jobs out of
-// arrival order.
+// unshared instance (policies are stateful); direct marks the policies
+// plain Run sends to the direct recurrence (oblivious and work-only);
+// perHostFCFS is false only for the SJF central queue, which legally
+// serves a host's jobs out of arrival order.
 type policyCase struct {
 	name         string
 	build        func() server.Policy
 	centralOrder server.CentralOrder
-	oblivious    bool
+	direct       bool
 	perHostFCFS  bool
 }
 
@@ -41,13 +42,19 @@ type policyCase struct {
 // hosts see traffic.
 var sitaCutoffs = []float64{1.25, 4}
 
+// groupedCutoff is the short/long cutoff for grouped SITA over the same
+// traces: both groups see traffic.
+const groupedCutoff = 2.0
+
 func policyCases() []policyCase {
 	return []policyCase{
-		{name: "random", build: func() server.Policy { return policy.NewRandom(sim.NewRNG(97, 5)) }, oblivious: true, perHostFCFS: true},
-		{name: "round-robin", build: func() server.Policy { return policy.NewRoundRobin() }, oblivious: true, perHostFCFS: true},
-		{name: "sita", build: func() server.Policy { return policy.NewSITA("sita", sitaCutoffs) }, oblivious: true, perHostFCFS: true},
+		{name: "random", build: func() server.Policy { return policy.NewRandom(sim.NewRNG(97, 5)) }, direct: true, perHostFCFS: true},
+		{name: "round-robin", build: func() server.Policy { return policy.NewRoundRobin() }, direct: true, perHostFCFS: true},
+		{name: "sita", build: func() server.Policy { return policy.NewSITA("sita", sitaCutoffs) }, direct: true, perHostFCFS: true},
 		{name: "shortest-queue", build: func() server.Policy { return policy.NewShortestQueue() }, perHostFCFS: true},
-		{name: "least-work-left", build: func() server.Policy { return policy.NewLeastWorkLeft() }, perHostFCFS: true},
+		{name: "least-work-left", build: func() server.Policy { return policy.NewLeastWorkLeft() }, direct: true, perHostFCFS: true},
+		{name: "grouped-sita-1of3", build: func() server.Policy { return policy.NewGroupedSITA("grouped", groupedCutoff, 1) }, direct: true, perHostFCFS: true},
+		{name: "grouped-sita-2of3", build: func() server.Policy { return policy.NewGroupedSITA("grouped", groupedCutoff, 2) }, direct: true, perHostFCFS: true},
 		{name: "central-fcfs", build: func() server.Policy { return policy.NewCentralQueue() }, perHostFCFS: true},
 		{name: "central-sjf", build: func() server.Policy { return policy.NewCentralQueue() }, centralOrder: server.CentralSJF},
 	}
@@ -96,14 +103,14 @@ func TestRecordInvariantsAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRecordInvariantsDirectPath re-runs the oblivious policies through
-// the direct-recurrence path (the default dispatch for them) and holds
-// the record stream to the same invariants.
+// TestRecordInvariantsDirectPath re-runs the oblivious and work-only
+// policies through the direct-recurrence path (the default dispatch for
+// them) and holds the record stream to the same invariants.
 func TestRecordInvariantsDirectPath(t *testing.T) {
 	const hosts = 3
 	traces := invariantTraces(hosts)
 	for _, pc := range policyCases() {
-		if !pc.oblivious {
+		if !pc.direct {
 			continue
 		}
 		for tname, jobs := range traces {

@@ -217,10 +217,10 @@ func TestSITAInfinityCutoffsReduceToSingleHost(t *testing.T) {
 }
 
 // heapVsDirectProp builds the heap-vs-direct equivalence property for
-// one oblivious policy: the engine path (forced via OrderCheck) and the
-// direct recurrence must produce bit-identical record streams and
-// results on the given trace. Deterministic, so it can be handed to
-// Shrink.
+// one direct-capable policy (oblivious or work-only): the engine path
+// (forced via OrderCheck) and the direct recurrence must produce
+// bit-identical record streams and results on the given trace.
+// Deterministic, so it can be handed to Shrink.
 func heapVsDirectProp(build func() server.Policy, hosts int) Property {
 	return func(jobs []workload.Job) error {
 		engRes, engRec := collectRecords(jobs, server.Config{Hosts: hosts, Policy: build(), OrderCheck: true})
@@ -258,15 +258,24 @@ func heapVsDirectProp(build func() server.Policy, hosts int) Property {
 
 // TestHeapVsDirectOnGeneratedTraces drives the heap-vs-direct
 // equivalence over a pool of generated traces — adversarial and
-// stochastic — for every oblivious policy. On a violation the failing
-// trace is shrunk to a minimal counterexample before reporting, so a
-// regression shows up as a handful of jobs, not a dump.
+// stochastic — for every oblivious policy and the work-only ones
+// (Least-Work-Left, grouped SITA with one and with two short hosts of
+// three). On a violation the failing trace is shrunk to a minimal
+// counterexample before reporting, so a regression shows up as a handful
+// of jobs, not a dump.
 func TestHeapVsDirectOnGeneratedTraces(t *testing.T) {
 	const hosts = 3
 	builds := map[string]func() server.Policy{
 		"random":      func() server.Policy { return policy.NewRandom(sim.NewRNG(55, 1)) },
 		"round-robin": func() server.Policy { return policy.NewRoundRobin() },
 		"sita":        func() server.Policy { return policy.NewSITA("sita", sitaCutoffs) },
+		"lwl":         func() server.Policy { return policy.NewLeastWorkLeft() },
+		"grouped-1of3": func() server.Policy {
+			return policy.NewGroupedSITA("grouped", groupedCutoff, 1)
+		},
+		"grouped-2of3": func() server.Policy {
+			return policy.NewGroupedSITA("grouped", groupedCutoff, 2)
+		},
 	}
 	traces := scaled(64, 600)
 	for name, build := range builds {
