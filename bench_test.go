@@ -164,10 +164,9 @@ func BenchmarkDirectVsEngine(b *testing.B) {
 	for _, h := range []int{2, 32} {
 		jobs := wl.JobsAtLoad(0.7, h, true, 9)
 		// The full (h-1)-cutoff SITA design keeps the policy in the
-		// oblivious family at every h. Least-Work-Left stands for the
-		// work-only family (the grouped SITA+LWL hybrid the 2-cutoff
-		// Design builds for h > 2 belongs to it too), whose direct cells
-		// also maintain the clock-backed work index.
+		// oblivious family at every h. Least-Work-Left and, at h > 2, the
+		// grouped SITA+LWL hybrid stand for the work-only family, whose
+		// direct cells also maintain the clock-backed work index.
 		design, err := core.NewDesignFull(core.SITAE, 0.7, wl.Size, h)
 		if err != nil {
 			b.Fatal(err)
@@ -176,14 +175,24 @@ func BenchmarkDirectVsEngine(b *testing.B) {
 		// believed-backlog scan that dominates both paths symmetrically,
 		// so its cells measure the policy, not the dispatch machinery.
 		// The differential tests still cover its direct-path parity.
-		cases := []struct {
+		type benchCase struct {
 			name  string
 			build func() Policy
-		}{
+		}
+		cases := []benchCase{
 			{"Random", func() Policy { return policy.NewRandom(NewRNG(9, 60)) }},
 			{"RoundRobin", func() Policy { return policy.NewRoundRobin() }},
 			{"SITA-E", func() Policy { return design.Policy() }},
 			{"LeastWorkLeft", func() Policy { return policy.NewLeastWorkLeft() }},
+		}
+		if h > 2 {
+			// Every arrival of the grouped hybrid asks the work index for a
+			// range argmin (MinWorkHostIn over the short or the long group).
+			grouped, err := core.NewDesign(core.SITAUFair, 0.7, wl.Size, h)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cases = append(cases, benchCase{"GroupedSITA", grouped.Policy})
 		}
 		for _, c := range cases {
 			for _, mode := range []struct {

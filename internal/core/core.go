@@ -190,17 +190,29 @@ func (d *Design) Audit(res *server.Result) (FairnessAudit, error) {
 	return audit, nil
 }
 
-// ExperimentalCutoff derives the cutoff by simulation instead of analysis,
-// mirroring the paper's protocol of deriving cutoffs on half the trace
-// ("the experimental cutoffs are derived in the same way only that for a
-// given cutoff we used simulation instead of analysis"). Candidate cutoffs
-// are laid on a geometric grid over the feasible range; for SITAUOpt the
-// candidate minimizing simulated mean slowdown wins, for SITAUFair the one
-// minimizing the short/long slowdown imbalance, and for SITAE the
-// candidate balancing measured host loads.
-func ExperimentalCutoff(v Variant, jobs []workload.Job, size dist.Distribution, gridN int) (float64, error) {
+// ExperimentalCutoffs derives each variant's cutoff by simulation instead
+// of analysis, mirroring the paper's protocol of deriving cutoffs on half
+// the trace ("the experimental cutoffs are derived in the same way only
+// that for a given cutoff we used simulation instead of analysis").
+// Candidate cutoffs are laid on a geometric grid over the feasible range;
+// for SITAUOpt the candidate minimizing simulated mean slowdown wins, for
+// SITAUFair the one minimizing the short/long slowdown imbalance, and for
+// SITAE the candidate balancing measured host loads. Every grid cutoff is
+// simulated once and scores every variant from the same Result, so each
+// returned cutoff is the one a search for that variant alone would find.
+func ExperimentalCutoffs(variants []Variant, jobs []workload.Job, size dist.Distribution, gridN int) ([]float64, error) {
+	if len(variants) == 0 {
+		return nil, fmt.Errorf("core: no variants to derive")
+	}
+	for _, v := range variants {
+		switch v {
+		case SITAUOpt, SITAUFair, SITAE:
+		default:
+			return nil, fmt.Errorf("core: experimental derivation unsupported for %v", v)
+		}
+	}
 	if len(jobs) == 0 {
-		return 0, fmt.Errorf("core: no derivation jobs")
+		return nil, fmt.Errorf("core: no derivation jobs")
 	}
 	if gridN < 2 {
 		gridN = 16
@@ -208,14 +220,18 @@ func ExperimentalCutoff(v Variant, jobs []workload.Job, size dist.Distribution, 
 	// Infer the arrival rate from the derivation half itself.
 	horizon := jobs[len(jobs)-1].Arrival
 	if horizon <= 0 {
-		return 0, fmt.Errorf("core: derivation jobs span zero time")
+		return nil, fmt.Errorf("core: derivation jobs span zero time")
 	}
 	lambda := float64(len(jobs)) / horizon
 	cLo, cHi, err := queueing.FeasibleCutoffRange(lambda, size)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	best, bestScore := 0.0, math.Inf(1)
+	best := make([]float64, len(variants))
+	bestScore := make([]float64, len(variants))
+	for i := range bestScore {
+		bestScore[i] = math.Inf(1)
+	}
 	logLo, logHi := math.Log(cLo), math.Log(cHi)
 	for i := 0; i <= gridN; i++ {
 		cut := math.Exp(logLo + (logHi-logLo)*float64(i)/float64(gridN))
@@ -230,30 +246,34 @@ func ExperimentalCutoff(v Variant, jobs []workload.Job, size dist.Distribution, 
 				return 1
 			},
 		})
-		var score float64
-		switch v {
-		case SITAUOpt:
-			score = res.Slowdown.Mean()
-		case SITAUFair:
-			short, long := 1.0, 1.0
-			if s := res.Classes.Class(0); s != nil && s.Count() > 0 {
-				short = s.Mean()
+		for vi, v := range variants {
+			if score := experimentalScore(v, res); score < bestScore[vi] {
+				best[vi], bestScore[vi] = cut, score
 			}
-			if l := res.Classes.Class(1); l != nil && l.Count() > 0 {
-				long = l.Mean()
-			}
-			score = math.Abs(short - long)
-		case SITAE:
-			fr := res.LoadFractions()
-			score = math.Abs(fr[0] - 0.5)
-		default:
-			return 0, fmt.Errorf("core: experimental derivation unsupported for %v", v)
-		}
-		if score < bestScore {
-			best, bestScore = cut, score
 		}
 	}
 	return best, nil
+}
+
+// experimentalScore is how far one simulated cutoff is from variant v's
+// goal; lower is better. v must be SITAUOpt, SITAUFair or SITAE.
+func experimentalScore(v Variant, res *server.Result) float64 {
+	switch v {
+	case SITAUOpt:
+		return res.Slowdown.Mean()
+	case SITAUFair:
+		short, long := 1.0, 1.0
+		if s := res.Classes.Class(0); s != nil && s.Count() > 0 {
+			short = s.Mean()
+		}
+		if l := res.Classes.Class(1); l != nil && l.Count() > 0 {
+			long = l.Mean()
+		}
+		return math.Abs(short - long)
+	default: // SITAE
+		fr := res.LoadFractions()
+		return math.Abs(fr[0] - 0.5)
+	}
 }
 
 // NewDesignFull derives a full (h-1)-cutoff SITA design for h hosts — the

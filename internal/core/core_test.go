@@ -237,10 +237,11 @@ func TestExperimentalCutoffAgreesWithAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	experimental, err := ExperimentalCutoff(SITAUOpt, jobs, size, 16)
+	cuts, err := ExperimentalCutoffs([]Variant{SITAUOpt}, jobs, size, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	experimental := cuts[0]
 	ratio := experimental / analytic
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("experimental cutoff %v vs analytic %v (ratio %v)", experimental, analytic, ratio)
@@ -249,11 +250,46 @@ func TestExperimentalCutoffAgreesWithAnalytic(t *testing.T) {
 
 func TestExperimentalCutoffErrors(t *testing.T) {
 	size := c90Size(t)
-	if _, err := ExperimentalCutoff(SITAUOpt, nil, size, 8); err == nil {
+	if _, err := ExperimentalCutoffs([]Variant{SITAUOpt}, nil, size, 8); err == nil {
 		t.Error("empty jobs accepted")
 	}
-	if _, err := ExperimentalCutoff(SITARule, []workload.Job{{Arrival: 1, Size: 1}}, size, 8); err == nil {
+	if _, err := ExperimentalCutoffs([]Variant{SITARule}, []workload.Job{{Arrival: 1, Size: 1}}, size, 8); err == nil {
 		t.Error("unsupported variant accepted")
+	}
+	if _, err := ExperimentalCutoffs([]Variant{SITAUOpt, SITARule}, []workload.Job{{Arrival: 1, Size: 1}}, size, 8); err == nil {
+		t.Error("unsupported variant accepted after a supported one")
+	}
+	if _, err := ExperimentalCutoffs(nil, []workload.Job{{Arrival: 1, Size: 1}}, size, 8); err == nil {
+		t.Error("empty variant list accepted")
+	}
+}
+
+// TestExperimentalCutoffsMatchSeparateSearches pins the shared grid: one
+// search scoring several variants returns, bit for bit, the cutoffs of
+// separate single-variant searches over the same jobs, in any order.
+func TestExperimentalCutoffsMatchSeparateSearches(t *testing.T) {
+	size := c90Size(t)
+	lambda := 2 * 0.5 / size.Moment(1)
+	src := workload.NewSource(workload.NewPoisson(lambda),
+		workload.DistSizes{D: size},
+		sim.NewRNG(89, 0), sim.NewRNG(89, 1))
+	jobs := src.Take(20000)
+	variants := []Variant{SITAUFair, SITAE, SITAUOpt}
+	joint, err := ExperimentalCutoffs(variants, jobs, size, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joint[0] == joint[1] || joint[1] == joint[2] || joint[0] == joint[2] {
+		t.Fatalf("variants share a cutoff %v; the check cannot tell their scores apart", joint)
+	}
+	for i, v := range variants {
+		alone, err := ExperimentalCutoffs([]Variant{v}, jobs, size, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(joint[i]) != math.Float64bits(alone[0]) {
+			t.Errorf("%v: joint search cutoff %x, separate search %x", v, joint[i], alone[0])
+		}
 	}
 }
 

@@ -29,56 +29,63 @@ func DerivationProtocol(cfg Config) ([]Table, error) {
 		"system load", "cutoff (s)")
 	perf := NewTable("derivation-perf", "Mean slowdown on the held-out second half",
 		"system load", "mean slowdown")
-	type cell struct {
-		load    float64
-		variant core.Variant
-	}
-	var cells []cell
-	for _, load := range cfg.Loads {
-		for _, v := range []core.Variant{core.SITAUOpt, core.SITAUFair} {
-			cells = append(cells, cell{load, v})
-		}
-	}
-	type outcome struct {
-		ok                     bool
+	// One task per load: the experimental search simulates its cutoff
+	// grid once and scores both variants from the same runs.
+	variants := []core.Variant{core.SITAUOpt, core.SITAUFair}
+	type derived struct {
+		variant                core.Variant
 		analytic, experimental float64
 		perfAnalytic, perfExp  float64
 	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		lambda := 2 * cl.load / size.Moment(1)
-		analytic, err := core.DeriveCutoff(cl.variant, lambda, size)
-		if err != nil {
-			return outcome{}, nil
+	outs, err := runner.MapOpts(cfg.pool(), cfg.Loads, func(_ int, load float64) ([]derived, error) {
+		lambda := 2 * load / size.Moment(1)
+		var ds []derived
+		var vs []core.Variant
+		for _, v := range variants {
+			analytic, err := core.DeriveCutoff(v, lambda, size)
+			if err != nil {
+				continue // a variant whose derivation fails is skipped
+			}
+			ds = append(ds, derived{variant: v, analytic: analytic})
+			vs = append(vs, v)
 		}
-		deriveJobs := streamcache.Shared.JobsAtLoad(derive, cl.load, 2, true, cfg.Seed)
-		experimental, err := core.ExperimentalCutoff(cl.variant, deriveJobs, size, 16)
-		if err != nil {
-			return outcome{}, nil
+		if len(vs) == 0 {
+			return nil, nil
 		}
-		evalJobs := streamcache.Shared.JobsAtLoad(evaluate, cl.load, 2, true, cfg.Seed+1)
-		perfs := [2]float64{}
-		for i, cut := range []float64{analytic, experimental} {
+		deriveJobs := streamcache.Shared.JobsAtLoad(derive, load, 2, true, cfg.Seed)
+		experimental, err := core.ExperimentalCutoffs(vs, deriveJobs, size, 16)
+		if err != nil {
+			return nil, nil
+		}
+		evalJobs := streamcache.Shared.JobsAtLoad(evaluate, load, 2, true, cfg.Seed+1)
+		heldOut := func(v core.Variant, cut float64) float64 {
 			res := server.Run(evalJobs, server.Config{
 				Hosts:          2,
-				Policy:         policy.NewSITA(cl.variant.String(), []float64{cut}),
+				Policy:         policy.NewSITA(v.String(), []float64{cut}),
 				WarmupFraction: cfg.Warmup,
 			})
-			perfs[i] = res.Slowdown.Mean()
+			return res.Slowdown.Mean()
 		}
-		return outcome{true, analytic, experimental, perfs[0], perfs[1]}, nil
+		for i := range ds {
+			d := &ds[i]
+			d.experimental = experimental[i]
+			d.perfAnalytic = heldOut(d.variant, d.analytic)
+			d.perfExp = heldOut(d.variant, d.experimental)
+		}
+		return ds, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, o := range outs {
-		if !o.ok {
-			continue
+	for i, ds := range outs {
+		load := cfg.Loads[i]
+		for _, d := range ds {
+			name := d.variant.String()
+			cuts.Add(name+" (analytic)", load, d.analytic)
+			cuts.Add(name+" (experimental)", load, d.experimental)
+			perf.Add(name+" (analytic)", load, d.perfAnalytic)
+			perf.Add(name+" (experimental)", load, d.perfExp)
 		}
-		v, load := cells[i].variant, cells[i].load
-		cuts.Add(v.String()+" (analytic)", load, o.analytic)
-		cuts.Add(v.String()+" (experimental)", load, o.experimental)
-		perf.Add(v.String()+" (analytic)", load, o.perfAnalytic)
-		perf.Add(v.String()+" (experimental)", load, o.perfExp)
 	}
 	perf.Notes = append(perf.Notes,
 		"section 4.1 protocol: cutoffs fitted on half the data generalize to the held-out half,",

@@ -73,7 +73,7 @@ func (p *EstimatedLWL) Assign(j workload.Job, v server.View) int {
 	now := j.Arrival
 	best := p.believed.ArgMin(now)
 	base := now
-	if !p.believed.IsZero(best) {
+	if !p.believed.IsZero(best, now) {
 		// Believed drain instant is still ahead of now; credit on top of it.
 		base = p.believed.Key(best)
 	}

@@ -124,9 +124,10 @@ func (v *directView) NextIdleHost() int { return v.violate("NextIdleHost") }
 //   - Idle(i) = free[i] < now. A departure exactly at now still counts as
 //     busy: arrival events precede every departure at the same instant,
 //     so the engine has not yet released that host;
-//   - MinWorkHost/MinWorkHostIn from a hostindex.TimedMin keyed by free[],
-//     whose sweep moves hosts with free <= now (drained, or draining
-//     exactly now) into the zero class, as the engine's index does.
+//   - MinWorkHost/MinWorkHostIn from a hostindex.TimedMin keyed by free[]:
+//     every host with free <= now (drained, or draining exactly now) has
+//     zero work left and the lowest such index wins, as in the engine's
+//     index.
 //
 // The embedded directView keeps the queries the clocks cannot answer
 // (NumJobs, MinJobsHost, NextIdleHost) panicking.
@@ -140,7 +141,7 @@ func (v *directView) NextIdleHost() int { return v.violate("NextIdleHost") }
 type workView struct {
 	directView
 	free []float64          // the runner's Lindley clocks
-	work hostindex.TimedMin // hosts keyed by free[]; the zero class is drained
+	work hostindex.TimedMin // hosts keyed by free[]; key <= now is drained
 	now  float64            // arrival instant of the job being assigned
 	last int                // host chosen for the previous job; -1 before the first
 }

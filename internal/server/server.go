@@ -287,7 +287,7 @@ type System struct {
 	// updated incrementally — O(log h) per host state change, no
 	// allocations — by the arrive/depart/startNextCentral transitions.
 	idle    hostindex.BitSet   // hosts with no jobs at all
-	work    hostindex.TimedMin // hosts keyed by readyAt; drained class = idle
+	work    hostindex.TimedMin // hosts keyed by readyAt; idle hosts at -Inf
 	jobsIdx hostindex.Tree     // hosts keyed by their job count
 	workOn  bool
 	jobsOn  bool
@@ -383,7 +383,7 @@ func (s *System) MinJobsHost() int {
 
 // buildWorkIndex activates the work argmin on a policy's first query:
 // hosts with work enter the tree keyed by their drain instant (readyAt),
-// empty hosts form the drained class. From here on every host state
+// empty hosts stay drained (key -Inf). From here on every host state
 // change keeps the index current.
 func (s *System) buildWorkIndex() {
 	s.work.Reset(len(s.hosts))

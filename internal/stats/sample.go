@@ -206,15 +206,6 @@ func (t *ClassTally) Classes() []int {
 	return cs
 }
 
-// Total merges all classes into a single stream.
-func (t *ClassTally) Total() *Stream {
-	var total Stream
-	for _, s := range t.streams {
-		total.Merge(s)
-	}
-	return &total
-}
-
 // MaxSpread reports the largest ratio between any two class means; 1 means
 // perfectly equal means (the fairness ideal). Classes with no observations
 // are ignored. Returns 1 when fewer than two classes have data or when a

@@ -127,9 +127,6 @@ func TestClassTally(t *testing.T) {
 	if cs := ct.Classes(); len(cs) != 2 || cs[0] != 0 || cs[1] != 1 {
 		t.Errorf("classes = %v, want [0 1]", cs)
 	}
-	if got := ct.Total().Count(); got != 3 {
-		t.Errorf("total count = %v, want 3", got)
-	}
 	if got := ct.MaxSpread(); got != 5 {
 		t.Errorf("max spread = %v, want 5", got)
 	}
