@@ -33,6 +33,9 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		// Every run simulates its cells and searches its cutoffs, as a
+		// fresh process would, instead of answering from the last run.
+		experiment.ClearMemos()
 		tables, err := driver(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"sita/internal/dist"
+	"sita/internal/memo"
 	"sita/internal/policy"
 	"sita/internal/queueing"
 	"sita/internal/server"
@@ -62,10 +63,66 @@ func (v Variant) String() string {
 // Variants lists all cutoff rules in presentation order.
 func Variants() []Variant { return []Variant{SITAE, SITAUOpt, SITAUFair, SITARule} }
 
+// cutoffKey identifies one cutoff search: variant v's hosts-1 cutoffs
+// for arrival rate lambda and the size distribution. DeriveCutoff is the
+// 2-host search, which the full searches of NewDesignFull delegate to at
+// hosts = 2, so the two share entries.
+type cutoffKey struct {
+	variant Variant
+	lambda  float64
+	hosts   int
+	size    dist.BoundedPareto
+}
+
+// cutoffMemo memoizes the cutoff searches process-wide. The section-5
+// protocol derives every design's cutoff on the 2-host system at the
+// design's load, so a sweep asks for the same few cutoffs once per host
+// count, policy and driver; every simd miss re-derives its profile's.
+// Each search is a pure function of its key. Values are shared and must
+// not be written. The bound keeps a server answering arbitrary loads
+// from growing without limit.
+var cutoffMemo = memo.New[cutoffKey, []float64](4096, nil)
+
+// ClearCutoffMemo forgets every memoized cutoff search, so the next
+// request for each searches again, as in a fresh process. Benchmarks
+// that time repeated runs call it between runs.
+func ClearCutoffMemo() { cutoffMemo.Clear() }
+
+// memoCutoffs answers search through the cutoff memo when size is a
+// value the key can hold, and computes directly otherwise. A NaN lambda
+// or size parameter would make a key that never equals itself, so it
+// computes directly too.
+func memoCutoffs(v Variant, lambda float64, size dist.Distribution, hosts int, search func() ([]float64, error)) ([]float64, error) {
+	bp, ok := size.(dist.BoundedPareto)
+	key := cutoffKey{variant: v, lambda: lambda, hosts: hosts, size: bp}
+	if !ok || key != key {
+		return search()
+	}
+	cuts, _, err := cutoffMemo.Do(key, search)
+	return cuts, err
+}
+
 // DeriveCutoff computes the 2-host cutoff for the variant analytically.
 // lambda is the total arrival rate into the 2-host system and size the job
-// size distribution; system load is lambda*E[X]/2.
+// size distribution; system load is lambda*E[X]/2. Cutoffs for a
+// dist.BoundedPareto size are derived once per process and then answered
+// from memory.
 func DeriveCutoff(v Variant, lambda float64, size dist.Distribution) (float64, error) {
+	cuts, err := memoCutoffs(v, lambda, size, 2, func() ([]float64, error) {
+		cut, err := deriveCutoff(v, lambda, size)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{cut}, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return cuts[0], nil
+}
+
+// deriveCutoff is DeriveCutoff's search, uncached.
+func deriveCutoff(v Variant, lambda float64, size dist.Distribution) (float64, error) {
 	switch v {
 	case SITAE:
 		return queueing.EqualLoadCutoff(size), nil
@@ -106,11 +163,8 @@ type Design struct {
 // NewDesign derives the cutoff and builds the design for a system of hosts
 // identical hosts at the given system load.
 func NewDesign(v Variant, load float64, size dist.Distribution, hosts int) (*Design, error) {
-	if load <= 0 || load >= 1 {
-		return nil, fmt.Errorf("core: system load %v outside (0, 1)", load)
-	}
-	if hosts < 2 {
-		return nil, fmt.Errorf("core: need at least 2 hosts, got %d", hosts)
+	if err := validateDesign(load, hosts); err != nil {
+		return nil, err
 	}
 	// The cutoff is always derived on the 2-host system at the same system
 	// load (the paper's section-5 protocol).
@@ -133,6 +187,19 @@ func NewDesign(v Variant, load float64, size dist.Distribution, hosts int) (*Des
 		d.HasPrediction = true
 	}
 	return d, nil
+}
+
+// validateDesign checks the arguments shared by NewDesign and
+// NewDesignFull. The affirmative form rejects a NaN load, which the
+// cutoff searches would turn into a design predicting +Inf slowdown.
+func validateDesign(load float64, hosts int) error {
+	if !(load > 0 && load < 1) {
+		return fmt.Errorf("core: system load %v outside (0, 1)", load)
+	}
+	if hosts < 2 {
+		return fmt.Errorf("core: need at least 2 hosts, got %d", hosts)
+	}
+	return nil
 }
 
 // Policy builds a fresh dispatcher policy implementing the design. For two
@@ -285,25 +352,22 @@ func experimentalScore(v Variant, res *server.Result) float64 {
 // h = 4 and 50 ms at h = 8 (BenchmarkOptimalCutoffs in internal/queueing,
 // one core of a 2-vCPU Xeon VM).
 func NewDesignFull(v Variant, load float64, size dist.Distribution, hosts int) (*FullDesign, error) {
-	if load <= 0 || load >= 1 {
-		return nil, fmt.Errorf("core: system load %v outside (0, 1)", load)
-	}
-	if hosts < 2 {
-		return nil, fmt.Errorf("core: need at least 2 hosts, got %d", hosts)
+	if err := validateDesign(load, hosts); err != nil {
+		return nil, err
 	}
 	lambda := float64(hosts) * load / size.Moment(1)
-	var cuts []float64
-	var err error
+	var search func() ([]float64, error)
 	switch v {
 	case SITAE:
-		cuts, err = queueing.EqualLoadCutoffs(size, hosts)
+		search = func() ([]float64, error) { return queueing.EqualLoadCutoffs(size, hosts) }
 	case SITAUOpt:
-		cuts, err = queueing.OptimalCutoffs(lambda, size, hosts)
+		search = func() ([]float64, error) { return queueing.OptimalCutoffs(lambda, size, hosts) }
 	case SITAUFair:
-		cuts, err = queueing.FairCutoffs(lambda, size, hosts)
+		search = func() ([]float64, error) { return queueing.FairCutoffs(lambda, size, hosts) }
 	default:
 		return nil, fmt.Errorf("core: full multi-cutoff design unsupported for %v", v)
 	}
+	cuts, err := memoCutoffs(v, lambda, size, hosts, search)
 	if err != nil {
 		return nil, fmt.Errorf("core: deriving full %v cutoffs: %w", v, err)
 	}
@@ -311,7 +375,7 @@ func NewDesignFull(v Variant, load float64, size dist.Distribution, hosts int) (
 		Variant:   v,
 		Hosts:     hosts,
 		Load:      load,
-		Cutoffs:   cuts,
+		Cutoffs:   append([]float64(nil), cuts...), // the memo's copy stays unwritten
 		Predicted: queueing.NewSITA(lambda, size, cuts).Analyze(),
 	}, nil
 }

@@ -29,6 +29,7 @@ func renderAll(t *testing.T, driver func(Config) ([]Table, error), cfg Config) s
 // every cell's seed is a pure function of its coordinates and results are
 // collected in cell order.
 func TestWorkerCountInvariance(t *testing.T) {
+	withCellMemo(t, 0) // every worker count simulates its cells
 	cfg := testConfig()
 	cfg.Jobs = 6000
 	drivers := map[string]func(Config) ([]Table, error){
@@ -59,6 +60,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // replication layer, which splits the worker budget between whole
 // replications and each driver's cells.
 func TestReplicateWorkerCountInvariance(t *testing.T) {
+	withCellMemo(t, 0) // every worker count simulates its cells
 	cfg := testConfig()
 	cfg.Jobs = 4000
 	cfg.Loads = []float64{0.7}

@@ -111,7 +111,9 @@ func (c Config) buildTrace() (*trace.Trace, error) {
 }
 
 // policySpec names a policy and builds a fresh instance for a given load
-// (SITA cutoffs depend on the arrival rate).
+// (SITA cutoffs depend on the arrival rate). The name is the spec's
+// identity in the cell memo: two specs with one name must build the same
+// policy from the same arguments.
 type policySpec struct {
 	name  string
 	build func(load float64, size dist.BoundedPareto, hosts int, seed uint64) (server.Policy, error)
@@ -157,6 +159,17 @@ func specSITA(v core.Variant) policySpec {
 	}}
 }
 
+// specFullSITA is the full (h-1)-cutoff SITA design of core.NewDesignFull.
+func specFullSITA(v core.Variant) policySpec {
+	return policySpec{name: v.String() + "-multi", build: func(load float64, size dist.BoundedPareto, hosts int, _ uint64) (server.Policy, error) {
+		d, err := core.NewDesignFull(v, load, size, hosts)
+		if err != nil {
+			return nil, err
+		}
+		return d.Policy(), nil
+	}}
+}
+
 // jobSeed derives the job-stream seed for one load point. It depends on
 // (base seed, load) only — never on the policy — so every policy at a load
 // point sees the same arrival sequence (common random numbers, which is
@@ -194,19 +207,13 @@ func (c Config) simSweep(id, title string, hosts int, specs []policySpec, poisso
 		mean, vari float64
 	}
 	outs, err := runner.MapOpts(c.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		p, err := cl.spec.build(cl.load, size, hosts, c.Seed)
+		res, err := c.simulate(stream{tr, cl.load, hosts, poisson, c.jobSeed(cl.load)}, size, cl.spec, false)
 		if err != nil {
 			// Infeasible points (e.g. SITA cutoffs at overload) are
 			// skipped, like the unreadable high-load ends of the
 			// paper's plots.
 			return outcome{}, nil
 		}
-		jobs := streamcache.Shared.JobsAtLoad(tr, cl.load, hosts, poisson, c.jobSeed(cl.load))
-		res := server.Run(jobs, server.Config{
-			Hosts:          hosts,
-			Policy:         p,
-			WarmupFraction: c.Warmup,
-		})
 		return outcome{true, res.Slowdown.Mean(), res.Slowdown.Variance()}, nil
 	})
 	if err != nil {
@@ -335,14 +342,12 @@ func Figure6(cfg Config) ([]Table, error) {
 		mean float64
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		p, err := cl.spec.build(load, size, cl.hosts, cfg.Seed)
+		// The job stream depends on the host count only, so every policy at
+		// a host count is measured on the same arrivals.
+		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
 		if err != nil {
 			return outcome{}, nil
 		}
-		// The job stream depends on the host count only, so every policy at
-		// a host count is measured on the same arrivals.
-		jobs := streamcache.Shared.JobsAtLoad(tr, load, cl.hosts, true, cfg.Seed+uint64(cl.hosts))
-		res := server.Run(jobs, server.Config{Hosts: cl.hosts, Policy: p, WarmupFraction: cfg.Warmup})
 		return outcome{true, res.Slowdown.Mean()}, nil
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 
 	"sita/internal/core"
@@ -11,7 +12,6 @@ import (
 	"sita/internal/server"
 	"sita/internal/sim"
 	"sita/internal/stats"
-	"sita/internal/streamcache"
 	"sita/internal/workload"
 )
 
@@ -66,13 +66,9 @@ func Misclassification(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	size := cfg.Profile.MustSizeDist()
-	d, err := core.NewDesign(core.SITAUFair, load, size, 2)
-	if err != nil {
-		return nil, err
-	}
 	t := NewTable("misclassification", "SITA-U-fair under user misclassification, load 0.7 (simulation)",
 		"misclassification probability", "mean slowdown")
-	jobs := streamcache.Shared.JobsAtLoad(tr, load, 2, true, cfg.Seed)
+	s := stream{tr, load, 2, true, cfg.Seed}
 	modes := []struct {
 		name string
 		mode policy.MisclassifyMode
@@ -83,23 +79,25 @@ func Misclassification(cfg Config) ([]Table, error) {
 	}
 	type cell struct {
 		p    float64
-		mi   int
 		name string
-		mode policy.MisclassifyMode
+		spec policySpec
 	}
 	var cells []cell
 	for _, p := range []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		for mi, m := range modes {
-			cells = append(cells, cell{p, mi, m.name, m.mode})
+			// p = 0 is plain SITA-U-fair, whichever direction.
+			spec := specSITA(core.SITAUFair)
+			if p > 0 {
+				spec = specMisclassified(core.SITAUFair, m.name, m.mode, p, 200+uint64(mi)*17+uint64(p*1000))
+			}
+			cells = append(cells, cell{p, m.name, spec})
 		}
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (float64, error) {
-		pol := server.Policy(policy.NewSITA(d.Variant.String(), []float64{d.Cutoff}))
-		if cl.p > 0 {
-			pol = policy.NewMisclassifyMode(pol, d.Cutoff, cl.p, cl.mode,
-				sim.NewRNG(cfg.Seed, 200+uint64(cl.mi)*17+uint64(cl.p*1000)))
+		res, err := cfg.simulate(s, size, cl.spec, false)
+		if err != nil {
+			return 0, err
 		}
-		res := server.Run(jobs, server.Config{Hosts: 2, Policy: pol, WarmupFraction: cfg.Warmup})
 		return res.Slowdown.Mean(), nil
 	})
 	if err != nil {
@@ -129,34 +127,28 @@ func BurstinessSweep(cfg Config) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type cell struct {
-		scv  float64
-		name string
-	}
-	var cells []cell
-	for _, scv := range []float64{1, 4, 16, 64, 256} {
-		for _, name := range []string{"Least-Work-Left", "SITA-U-fair"} {
-			cells = append(cells, cell{scv, name})
+	// One cell per SCV level: its stream is generated once and both
+	// policies run on it. The streams have no trace identity, so these
+	// runs stay outside the cell memo; no other driver shares them.
+	scvs := []float64{1, 4, 16, 64, 256}
+	outs, err := runner.MapOpts(cfg.pool(), scvs, func(_ int, scv float64) ([2]float64, error) {
+		jobs := burstyJobs(n, load, 2, size, scv, cfg.Seed)
+		var means [2]float64
+		for i, pol := range []server.Policy{
+			policy.NewLeastWorkLeft(),
+			policy.NewSITA("SITA-U-fair", []float64{dFair.Cutoff}),
+		} {
+			res := server.Run(jobs, server.Config{Hosts: 2, Policy: pol, WarmupFraction: cfg.Warmup})
+			means[i] = res.Slowdown.Mean()
 		}
-	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (float64, error) {
-		// Rebuilt per cell from (seed, scv): both policies at an SCV level
-		// see identical job streams.
-		jobs := burstyJobs(n, load, 2, size, cl.scv, cfg.Seed)
-		var pol server.Policy
-		if cl.name == "Least-Work-Left" {
-			pol = policy.NewLeastWorkLeft()
-		} else {
-			pol = policy.NewSITA("SITA-U-fair", []float64{dFair.Cutoff})
-		}
-		res := server.Run(jobs, server.Config{Hosts: 2, Policy: pol, WarmupFraction: cfg.Warmup})
-		return res.Slowdown.Mean(), nil
+		return means, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, y := range outs {
-		t.Add(cells[i].name, cells[i].scv, y)
+	for i, means := range outs {
+		t.Add("Least-Work-Left", scvs[i], means[0])
+		t.Add("SITA-U-fair", scvs[i], means[1])
 	}
 	t.Notes = append(t.Notes,
 		"SITA reduces size variability but not arrival variability; LWL gains ground as gaps get burstier")
@@ -178,12 +170,20 @@ func MultiCutoffAblation(cfg Config) ([]Table, error) {
 	type cell struct {
 		hosts int
 		name  string
+		spec  policySpec
 	}
-	variants := []string{"grouped 2-cutoff", "full multi-cutoff", "multi-cutoff equal-load"}
+	variants := []struct {
+		name string
+		spec policySpec
+	}{
+		{"grouped 2-cutoff", specSITA(core.SITAUOpt)},
+		{"full multi-cutoff", specFullSITA(core.SITAUOpt)},
+		{"multi-cutoff equal-load", specFullSITA(core.SITAE)},
+	}
 	var cells []cell
 	for _, h := range []int{4, 6, 8} {
-		for _, name := range variants {
-			cells = append(cells, cell{h, name})
+		for _, v := range variants {
+			cells = append(cells, cell{h, v.name, v.spec})
 		}
 	}
 	type outcome struct {
@@ -191,30 +191,11 @@ func MultiCutoffAblation(cfg Config) ([]Table, error) {
 		mean float64
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		lambda := float64(cl.hosts) * load / size.Moment(1)
-		var pol server.Policy
-		switch cl.name {
-		case "grouped 2-cutoff":
-			d, err := core.NewDesign(core.SITAUOpt, load, size, cl.hosts)
-			if err != nil {
-				return outcome{}, nil
-			}
-			pol = d.Policy()
-		case "full multi-cutoff":
-			cuts, err := queueing.OptimalCutoffs(lambda, size, cl.hosts)
-			if err != nil {
-				return outcome{}, nil
-			}
-			pol = policy.NewSITA("SITA-multi", cuts)
-		default:
-			cuts, err := queueing.EqualLoadCutoffs(size, cl.hosts)
-			if err != nil {
-				return outcome{}, nil
-			}
-			pol = policy.NewSITA("SITA-E-multi", cuts)
+		// Figure 6's streams: the grouped cells are Figure 6's own.
+		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
+		if err != nil {
+			return outcome{}, nil
 		}
-		jobs := streamcache.Shared.JobsAtLoad(tr, load, cl.hosts, true, cfg.Seed+uint64(cl.hosts))
-		res := server.Run(jobs, server.Config{Hosts: cl.hosts, Policy: pol, WarmupFraction: cfg.Warmup})
 		return outcome{true, res.Slowdown.Mean()}, nil
 	})
 	if err != nil {
@@ -244,7 +225,7 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 	for i := range bounds {
 		bounds[i] = size.Quantile(float64(i+1) / 10)
 	}
-	jobs := streamcache.Shared.JobsAtLoad(tr, load, 2, true, cfg.Seed)
+	s := stream{tr, load, 2, true, cfg.Seed}
 	t := NewTable("fairness-profile", "Mean slowdown by job-size decile, load 0.7 (simulation)",
 		"size decile (1=smallest)", "mean slowdown")
 	// One cell per policy plus the Processor-Sharing reference (footnote
@@ -264,17 +245,15 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 		name := "PS ideal (reference)"
 		var res *server.Result
 		if cl.ps {
-			res = server.RunPS(jobs, server.Config{Hosts: 2,
+			res = server.RunPS(s.jobs(), server.Config{Hosts: 2,
 				Policy: policy.NewRandom(sim.NewRNG(cfg.Seed, 400)), WarmupFraction: cfg.Warmup,
 				KeepRecords: true})
 		} else {
-			p, err := cl.spec.build(load, size, 2, cfg.Seed)
-			if err != nil {
+			var err error
+			if res, err = cfg.simulate(s, size, cl.spec, true); err != nil {
 				return nil, nil
 			}
 			name = cl.spec.name
-			res = server.Run(jobs, server.Config{Hosts: 2, Policy: p, WarmupFraction: cfg.Warmup,
-				KeepRecords: true})
 		}
 		tally := stats.NewDecileTally(bounds)
 		for _, r := range res.Records {
@@ -301,6 +280,20 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 		"SITA-U-fair flattens expected slowdown across deciles; balancing policies skew against small jobs;",
 		"the PS line is footnote 1's perfectly-fair (but non-run-to-completion) ideal")
 	return []Table{*t}, nil
+}
+
+// specMisclassified is variant v's 2-host SITA design behind users who
+// mislabel jobs with probability p in the given direction, drawing from
+// RNG stream rngStream of the seed. The name carries every parameter.
+func specMisclassified(v core.Variant, modeName string, mode policy.MisclassifyMode, p float64, rngStream uint64) policySpec {
+	name := fmt.Sprintf("%v, %s p=%v (rng %d)", v, modeName, p, rngStream)
+	return policySpec{name: name, build: func(load float64, size dist.BoundedPareto, hosts int, seed uint64) (server.Policy, error) {
+		d, err := core.NewDesign(v, load, size, hosts)
+		if err != nil {
+			return nil, err
+		}
+		return policy.NewMisclassifyMode(d.Policy(), d.Cutoff, p, mode, sim.NewRNG(seed, rngStream)), nil
+	}}
 }
 
 func seriesForLoad(prefix string, load float64) string {

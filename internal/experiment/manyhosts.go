@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"sita/internal/runner"
-	"sita/internal/server"
-	"sita/internal/streamcache"
 )
 
 // ManyHosts sweeps the host count far past the paper's Figure 6 range —
@@ -44,13 +42,12 @@ func ManyHosts(cfg Config) ([]Table, error) {
 		ok   bool
 		mean float64
 	}
+	size := cfg.Profile.MustSizeDist()
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		p, err := cl.spec.build(load, cfg.Profile.MustSizeDist(), cl.hosts, cfg.Seed)
+		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
 		if err != nil {
 			return outcome{}, nil
 		}
-		jobs := streamcache.Shared.JobsAtLoad(tr, load, cl.hosts, true, cfg.Seed+uint64(cl.hosts))
-		res := server.Run(jobs, server.Config{Hosts: cl.hosts, Policy: p, WarmupFraction: cfg.Warmup})
 		return outcome{true, res.Slowdown.Mean()}, nil
 	})
 	if err != nil {

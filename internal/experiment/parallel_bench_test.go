@@ -7,8 +7,11 @@ import (
 )
 
 // BenchmarkSweepWorkers regenerates a multi-figure batch (Figures 2, 4 and
-// 6 — 38 simulation cells) at each worker count. The workers=1 case is the
-// sequential baseline; on a 4-core machine workers=4 completes the same
+// 6) at each worker count. Each iteration starts from empty memos
+// (ClearMemos), so it simulates every cell and searches every cutoff once,
+// as a fresh process would; within the iteration fig4's SITA-E curve is
+// answered from fig2's cells. The workers=1 case is the sequential
+// baseline; on a 4-core machine workers=4 completes the same
 // byte-identical regeneration ≥2× faster (the cells are independent
 // simulations with no shared state, so speedup tracks core count until the
 // longest single cell dominates).
@@ -26,6 +29,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			cfg := cfg
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
+				ClearMemos()
 				for _, driver := range []func(Config) ([]Table, error){Figure2, Figure4, Figure6} {
 					tables, err := driver(cfg)
 					if err != nil {
@@ -42,7 +46,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 
 // BenchmarkReplicateWorkers measures the replication layer's fan-out: four
 // independent replications of Figure 4, the unit of work the -rep flag
-// multiplies.
+// multiplies. Each iteration starts from empty memos, so every
+// replication's cells are simulated.
 func BenchmarkReplicateWorkers(b *testing.B) {
 	cfg := Default()
 	cfg.Jobs = 10000
@@ -53,6 +58,7 @@ func BenchmarkReplicateWorkers(b *testing.B) {
 			cfg := cfg
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
+				ClearMemos()
 				if _, err := Replicate(Figure4, cfg, seeds); err != nil {
 					b.Fatal(err)
 				}

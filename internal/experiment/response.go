@@ -3,8 +3,6 @@ package experiment
 import (
 	"sita/internal/core"
 	"sita/internal/runner"
-	"sita/internal/server"
-	"sita/internal/streamcache"
 )
 
 // ResponseTime reports mean response time (seconds) per policy across the
@@ -39,12 +37,10 @@ func ResponseTime(cfg Config) ([]Table, error) {
 		mean, vari float64
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		p, err := cl.spec.build(cl.load, size, hosts, cfg.Seed)
+		res, err := cfg.simulate(stream{tr, cl.load, hosts, true, cfg.Seed}, size, cl.spec, false)
 		if err != nil {
 			return outcome{}, nil
 		}
-		jobs := streamcache.Shared.JobsAtLoad(tr, cl.load, hosts, true, cfg.Seed)
-		res := server.Run(jobs, server.Config{Hosts: hosts, Policy: p, WarmupFraction: cfg.Warmup})
 		return outcome{true, res.Response.Mean(), res.Response.Variance()}, nil
 	})
 	if err != nil {

@@ -59,6 +59,7 @@ func TestEveryDriverSmoke(t *testing.T) {
 // demands identical outputs — the reproducibility guarantee the whole
 // experiment suite rests on.
 func TestDriverDeterminism(t *testing.T) {
+	withCellMemo(t, 0) // the re-run simulates again
 	cfg := Default()
 	cfg.Jobs = 4000
 	cfg.Loads = []float64{0.6}

@@ -12,7 +12,9 @@ import (
 // stream), "cached" generates each load point's stream once and shares it
 // across the policy fanout. Figure 10 is the representative driver: a
 // plain simSweep over the full policy set, so the stream-generation share
-// of its runtime is typical of the result-regenerating sweeps.
+// of its runtime is typical of the result-regenerating sweeps. Each
+// iteration starts from empty memos, so every cell is simulated and asks
+// the stream cache for its stream.
 func BenchmarkSweepStreamCache(b *testing.B) {
 	cfg := Default()
 	cfg.Jobs = 20000
@@ -29,6 +31,7 @@ func BenchmarkSweepStreamCache(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ClearMemos()
 				tables, err := Figure10(cfg)
 				if err != nil {
 					b.Fatal(err)

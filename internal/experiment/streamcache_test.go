@@ -11,6 +11,7 @@ import (
 // on and turned off (SetMaxBytes(0)), and with the cache on, a multi-policy sweep must
 // generate each distinct (load, seed) stream once — not once per policy.
 func TestCacheParityAndSharing(t *testing.T) {
+	withCellMemo(t, 0) // every cell asks the stream cache
 	cfg := testConfig()
 	cfg.Jobs = 6000
 	cfg.Workers = 4

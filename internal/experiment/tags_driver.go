@@ -5,7 +5,6 @@ import (
 	"sita/internal/policy"
 	"sita/internal/runner"
 	"sita/internal/server"
-	"sita/internal/streamcache"
 	"sita/internal/tags"
 )
 
@@ -44,7 +43,7 @@ func TAGSComparison(cfg Config) ([]Table, error) {
 		wasteTracked bool
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		jobs := streamcache.Shared.JobsAtLoad(tr, cl.load, hosts, true, cfg.Seed)
+		s := stream{tr, cl.load, hosts, true, cfg.Seed}
 		if cl.spec == nil {
 			// TAGS with analytically optimized kill cutoffs.
 			lambda := float64(hosts) * cl.load / size.Moment(1)
@@ -52,14 +51,13 @@ func TAGSComparison(cfg Config) ([]Table, error) {
 			if err != nil {
 				return outcome{}, nil
 			}
-			res := tags.Simulate(jobs, cuts, cfg.Warmup)
+			res := tags.Simulate(s.jobs(), cuts, cfg.Warmup)
 			return outcome{true, res.Slowdown.Mean(), res.WasteFraction(), true}, nil
 		}
-		p, err := cl.spec.build(cl.load, size, hosts, cfg.Seed)
+		res, err := cfg.simulate(s, size, *cl.spec, false)
 		if err != nil {
 			return outcome{}, nil
 		}
-		res := server.Run(jobs, server.Config{Hosts: hosts, Policy: p, WarmupFraction: cfg.Warmup})
 		return outcome{ok: true, mean: res.Slowdown.Mean()}, nil
 	})
 	if err != nil {

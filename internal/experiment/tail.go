@@ -5,9 +5,7 @@ import (
 
 	"sita/internal/core"
 	"sita/internal/runner"
-	"sita/internal/server"
 	"sita/internal/stats"
-	"sita/internal/streamcache"
 )
 
 // TailLatency reports the slowdown distribution's upper percentiles per
@@ -20,20 +18,18 @@ func TailLatency(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	size := cfg.Profile.MustSizeDist()
-	jobs := streamcache.Shared.JobsAtLoad(tr, load, 2, true, cfg.Seed)
+	s := stream{tr, load, 2, true, cfg.Seed}
 	t := NewTable("tail-latency", "Slowdown percentiles at load 0.7, 2 hosts (simulation)",
 		"percentile", "slowdown")
 	percentiles := []float64{0.50, 0.90, 0.95, 0.99, 0.999}
 	specs := []policySpec{specRandom(), specLWL(), specSITA(core.SITAE),
 		specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}
 	outs, err := runner.MapOpts(cfg.pool(), specs, func(_ int, spec policySpec) ([]seriesPoint, error) {
-		p, err := spec.build(load, size, 2, cfg.Seed)
+		res, err := cfg.simulate(s, size, spec, true)
 		if err != nil {
 			return nil, nil
 		}
-		sample := stats.NewSample(len(jobs))
-		res := server.Run(jobs, server.Config{Hosts: 2, Policy: p, WarmupFraction: cfg.Warmup,
-			KeepRecords: true})
+		sample := stats.NewSample(len(res.Records))
 		for _, r := range res.Records {
 			sample.Add(r.Slowdown())
 		}

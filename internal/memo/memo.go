@@ -3,7 +3,8 @@
 //
 // Every memo layer is an instance of Cache: simd's response bodies and
 // generated workloads (internal/service), retimed job streams and trace
-// statistics (internal/streamcache), and the sweep's generated traces
+// statistics (internal/streamcache), SITA cutoff searches
+// (internal/core), and the sweep's generated traces and simulated cells
 // (internal/experiment). Values are computed at most once per key across
 // concurrent callers and then shared, so a cached value must be treated
 // as read-only by everyone who receives it.
@@ -173,6 +174,16 @@ func (c *Cache[K, V]) SetMaxCost(n int64) {
 	defer c.mu.Unlock()
 	c.maxCost = n
 	c.evict()
+}
+
+// Clear drops every stored value. Computes in flight are unaffected and
+// store their values when they finish; the counters are kept.
+func (c *Cache[K, V]) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.items)
+	c.root.next, c.root.prev = &c.root, &c.root
+	c.total = 0
 }
 
 // Stats is a point-in-time snapshot of a cache's counters.

@@ -232,6 +232,38 @@ func TestSetMaxCostEvicts(t *testing.T) {
 	}
 }
 
+// TestClearDropsStored: Clear empties the cache and keeps its counters;
+// a compute in flight across the Clear still stores its value, and the
+// cache fills up to its bound again.
+func TestClearDropsStored(t *testing.T) {
+	c := New[string, []byte](10, byteCost)
+	put(c, "a", make([]byte, 4))
+	put(c, "b", make([]byte, 4))
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("late", func() ([]byte, error) { <-release; return make([]byte, 2), nil })
+	}()
+	waitFor(t, "compute in flight", func() bool { return c.Stats().Misses == 3 })
+	c.Clear()
+	if st := c.Stats(); st.Entries != 0 || st.Cost != 0 || st.Misses != 3 || has(c, "a") || has(c, "b") {
+		t.Fatalf("after Clear: %+v, want empty with the counters kept", st)
+	}
+	close(release)
+	<-done
+	if !has(c, "late") {
+		t.Fatal("a compute in flight across Clear did not store its value")
+	}
+	put(c, "c", make([]byte, 8))
+	if st := c.Stats(); st.Entries != 2 || st.Cost != 10 || st.Evictions != 0 {
+		t.Fatalf("refilled after Clear: %+v, want late and c at cost 10", st)
+	}
+	if _, status, _ := c.Do("a", func() ([]byte, error) { return nil, nil }); status != Miss {
+		t.Fatalf("cleared key answered %q, want a miss", status)
+	}
+}
+
 // TestHitNotBlockedByCompute: a hit on one key returns while a compute
 // for another key is still running.
 func TestHitNotBlockedByCompute(t *testing.T) {

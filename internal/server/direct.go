@@ -462,7 +462,7 @@ func RunDirect(jobs []workload.Job, cfg Config) *Result {
 	}
 	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-	res := newResult(cfg)
+	res := newResult(cfg, len(jobs), warmup)
 	d := directPool.Get().(*directRunner)
 	d.setup(len(renumbered), cfg.Hosts, cfg.Policy)
 	d.res = res

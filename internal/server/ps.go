@@ -334,6 +334,9 @@ func RunPS(jobs []workload.Job, cfg Config) *Result {
 	if cfg.SizeClass != nil {
 		res.Classes = stats.NewClassTally()
 	}
+	if cfg.KeepRecords {
+		res.Records = make([]JobRecord, 0, len(jobs)-warmup)
+	}
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {

@@ -142,8 +142,10 @@ func validateConfig(cfg Config) {
 	}
 }
 
-// newResult builds the empty Result for one run.
-func newResult(cfg Config) *Result {
+// newResult builds the empty Result for a run of n jobs whose first
+// warmup jobs are excluded from statistics. Kept records are sized for
+// the n - warmup jobs past the warmup prefix, so the run never grows them.
+func newResult(cfg Config, n, warmup int) *Result {
 	res := &Result{
 		PolicyName:  cfg.Policy.Name(),
 		Hosts:       cfg.Hosts,
@@ -152,6 +154,9 @@ func newResult(cfg Config) *Result {
 	}
 	if cfg.SizeClass != nil {
 		res.Classes = stats.NewClassTally()
+	}
+	if cfg.KeepRecords {
+		res.Records = make([]JobRecord, 0, n-warmup)
 	}
 	return res
 }
@@ -229,7 +234,7 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 
-	res := newResult(cfg)
+	res := newResult(cfg, len(jobs), warmup)
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {

@@ -289,3 +289,24 @@ func TestBadPolicyIndexPanics(t *testing.T) {
 	}()
 	sys.Simulate(jobs([2]float64{0, 1}))
 }
+
+// TestKeptRecordsPresized checks that every simulation path sizes
+// Result.Records for the jobs past the warmup prefix up front, so keeping
+// records never grows the slice.
+func TestKeptRecordsPresized(t *testing.T) {
+	jobs := goldenJobs(42, 3000)
+	cfg := Config{Hosts: 3, Policy: workLWL{}, WarmupFraction: 0.1, KeepRecords: true}
+	want := len(jobs) - int(cfg.WarmupFraction*float64(len(jobs)))
+	engine := cfg
+	engine.OrderCheck = true
+	for name, res := range map[string]*Result{
+		"direct": RunDirect(jobs, cfg),
+		"engine": Run(jobs, engine),
+		"ps":     RunPS(jobs, cfg),
+	} {
+		if len(res.Records) != want || cap(res.Records) != want {
+			t.Errorf("%s: %d records in a slice of capacity %d, want %d of %d",
+				name, len(res.Records), cap(res.Records), want, want)
+		}
+	}
+}
