@@ -2,10 +2,11 @@
 // file-local analyzers (seedflow, nowallclock, maporder, floateq,
 // panicpolicy) plus five interprocedural ones (detflow, allocfree,
 // pairing, readonly, oblivious) that machine-check the determinism,
-// allocation, input-immutability, policy-capability, and
-// resource-lifecycle contracts the experiment pipeline depends on, and
-// the small framework they run on — including a whole-module call graph
-// (see callgraph.go) for the interprocedural family.
+// allocation, input-immutability, policy-capability (a WorkOnly policy
+// reads no job counts or idle lists), and resource-lifecycle contracts
+// the experiment pipeline depends on, and the small framework they run
+// on — including a whole-module call graph (see callgraph.go) for the
+// interprocedural family.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // an Analyzer holds a Run function over a type-checked Pass, diagnostics

@@ -5,29 +5,26 @@ import (
 	"go/types"
 )
 
-// Oblivious machine-checks the capability contracts behind
-// server.RunDirect. A policy type that declares the oblivious capability —
-// a method `Oblivious() bool` alongside `Assign` — promises that its
-// Assign never reads the simulated system's state, only the job and the
-// policy's own sequential state. A type that declares the work-only
-// capability — `WorkOnly() bool` — promises that Assign reads host work
-// only (WorkLeft, Idle, MinWorkHost, MinWorkHostIn), never the job counts
-// or the idle freelist the direct path cannot answer. The
-// direct-recurrence fast path depends on both promises for correctness (a
-// policy that breaks one would silently simulate a different system), so
-// the claims are enforced statically here, at run time by the views the
-// direct path installs, and empirically by the differential tests in
+// Oblivious machine-checks the capability contract behind the direct
+// path of server.Run. A policy type that declares the work-only
+// capability — a method `WorkOnly() bool` alongside `Assign` — promises
+// that its Assign reads system state at most through host work
+// (WorkLeft, Idle, MinWorkHost, MinWorkHostIn), never the job counts or
+// the idle freelist the direct path cannot answer. State-blind policies
+// (Random, Round-Robin, SITA) keep the promise by reading nothing. The
+// direct-recurrence fast path depends on it for correctness (a policy
+// that breaks it would silently simulate a different system), so the
+// claim is enforced statically here, at run time by the view the direct
+// path installs, and empirically by the differential tests in
 // internal/policy and internal/simtest.
 //
-// The check: from each capability-declaring type's Assign method, walk the
-// static call edges (EdgeCall, like allocfree and readonly) and flag any
-// call to a method of an interface named View that the capability rules
-// out: every state query (NumJobs, WorkLeft, Idle, MinWorkHost,
-// MinWorkHostIn, MinJobsHost, NextIdleHost) for Oblivious, the job-count
-// and freelist queries (NumJobs, MinJobsHost, NextIdleHost) for WorkOnly.
-// Hosts() is exempt: the host count is configuration, not state.
+// The check: from each declaring type's Assign method, walk the static
+// call edges (EdgeCall, like allocfree and readonly) and flag any call to
+// a method of an interface named View that the capability rules out:
+// NumJobs, MinJobsHost, NextIdleHost. Hosts() and the host-work queries
+// stay legal.
 //
-// Delegating wrappers (Misclassify, EstimatedSITA) forward a capability
+// Delegating wrappers (Misclassify, EstimatedSITA) forward the capability
 // from an inner policy held behind an interface; the inner Assign is
 // interface dispatch, which this walk deliberately does not follow — the
 // wrapper's claim is resolved at run time from the inner policy's answer,
@@ -36,61 +33,29 @@ import (
 // concrete helper it statically calls.
 var Oblivious = &Analyzer{
 	Name: "oblivious",
-	Doc: "types declaring the Oblivious or WorkOnly capability must not make " +
-		"the View queries it rules out from Assign or its static callees: the " +
-		"direct-recurrence fast path simulates them without maintaining that state",
+	Doc: "types declaring the WorkOnly capability must not read job counts or " +
+		"the idle freelist (View.NumJobs, MinJobsHost, NextIdleHost) from Assign " +
+		"or its static callees: the direct-recurrence fast path answers only host work",
 	RunModule: runOblivious,
 }
 
-// capability is one direct-path capability: the declaring method's name,
-// the View queries a declaration rules out, and what the diagnostic says
-// such policies promise.
-type capability struct {
-	method    string
-	forbidden map[string]bool
-	promise   string
-}
-
-// capabilities lists the checked claims. Work-only policies may read host
-// work, which the direct path answers from its per-host clocks; job
-// counts and the idle freelist it cannot answer.
-var capabilities = []capability{
-	{
-		method: "Oblivious",
-		forbidden: map[string]bool{
-			"NumJobs":       true,
-			"WorkLeft":      true,
-			"Idle":          true,
-			"MinWorkHost":   true,
-			"MinWorkHostIn": true,
-			"MinJobsHost":   true,
-			"NextIdleHost":  true,
-		},
-		promise: "state-blind policies must not consult system state",
-	},
-	{
-		method: "WorkOnly",
-		forbidden: map[string]bool{
-			"NumJobs":      true,
-			"MinJobsHost":  true,
-			"NextIdleHost": true,
-		},
-		promise: "work-only policies may read host work, not job counts or idleness lists",
-	},
+// workOnlyForbidden lists the View queries a WorkOnly declaration rules
+// out: the direct path answers host work from its per-host clocks, but
+// not job counts or the idle freelist.
+var workOnlyForbidden = map[string]bool{
+	"NumJobs":      true,
+	"MinJobsHost":  true,
+	"NextIdleHost": true,
 }
 
 func runOblivious(pass *ModulePass) {
 	g := pass.Graph
 
-	// Pass 1: receiver types declaring each capability (a `<method>() bool`
-	// method) and, per receiver type, the node of its Assign method.
-	// Assign nodes are kept in declaration order so the root list — and
-	// with it the walk's discovery parents — is deterministic (Walk
-	// re-sorts by key).
-	declares := make(map[string]map[*types.TypeName]bool)
-	for _, c := range capabilities {
-		declares[c.method] = make(map[*types.TypeName]bool)
-	}
+	// Pass 1: receiver types declaring the capability (a `WorkOnly() bool`
+	// method) and the Assign methods' nodes, in declaration order so the
+	// root list — and with it the walk's discovery parents — is
+	// deterministic (Walk re-sorts by key).
+	declares := make(map[*types.TypeName]bool)
 	type assignDecl struct {
 		recv *types.TypeName
 		node *CGNode
@@ -111,40 +76,37 @@ func runOblivious(pass *ModulePass) {
 				if recv == nil {
 					continue
 				}
-				if fn.Name.Name == "Assign" {
+				switch fn.Name.Name {
+				case "Assign":
 					assigns = append(assigns, assignDecl{recv: recv, node: g.Node(obj.FullName())})
-					continue
-				}
-				if set, ok := declares[fn.Name.Name]; ok {
+				case "WorkOnly":
 					sig := obj.Type().(*types.Signature)
 					if sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
 						types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool]) {
-						set[recv] = true
+						declares[recv] = true
 					}
 				}
 			}
 		}
 	}
 
-	// Pass 2, per capability: walk from the declaring types' Assign
-	// methods and flag the queries the claim rules out.
-	for _, c := range capabilities {
-		var roots []*CGNode
-		for _, a := range assigns {
-			if declares[c.method][a.recv] && a.node != nil {
-				roots = append(roots, a.node)
-			}
+	// Pass 2: walk from the declaring types' Assign methods and flag the
+	// queries the claim rules out.
+	var roots []*CGNode
+	for _, a := range assigns {
+		if declares[a.recv] && a.node != nil {
+			roots = append(roots, a.node)
 		}
-		if len(roots) == 0 {
+	}
+	if len(roots) == 0 {
+		return
+	}
+	order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
+	for _, n := range order {
+		if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
 			continue
 		}
-		order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
-		for _, n := range order {
-			if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
-				continue
-			}
-			checkViewReads(pass, g, n, parent, c)
-		}
+		checkViewReads(pass, g, n, parent)
 	}
 }
 
@@ -166,9 +128,9 @@ func receiverTypeName(fn *types.Func) *types.TypeName {
 	return named.Obj()
 }
 
-// checkViewReads reports calls to the View queries capability c rules out
-// inside one function body reached from a declaring type's Assign.
-func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*CGNode, c capability) {
+// checkViewReads reports calls to the View queries the capability rules
+// out inside one function body reached from a declaring type's Assign.
+func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*CGNode) {
 	info := n.Pkg.Info
 	where := g.Display(n.Key)
 	via := ""
@@ -189,7 +151,7 @@ func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 			return true
 		}
 		m, ok := selection.Obj().(*types.Func)
-		if !ok || !c.forbidden[m.Name()] {
+		if !ok || !workOnlyForbidden[m.Name()] {
 			return true
 		}
 		msig, ok := m.Type().(*types.Signature)
@@ -200,7 +162,7 @@ func checkViewReads(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 		if !ok || named.Obj().Name() != "View" {
 			return true
 		}
-		pass.Reportf(call.Pos(), "%s reads View.%s but its receiver declares the %s capability%s — %s", where, m.Name(), c.method, via, c.promise)
+		pass.Reportf(call.Pos(), "%s reads View.%s but its receiver declares the WorkOnly capability%s — work-only policies may read host work, not job counts or idleness lists", where, m.Name(), via)
 		return true
 	})
 }

@@ -1,9 +1,8 @@
 // Package oblivious fixes the oblivious analyzer's behavior: types that
-// declare the Oblivious capability must keep View state queries out of
-// Assign and its static callees, types that declare WorkOnly must keep
-// the job-count and freelist queries out; Hosts() stays legal,
-// non-declaring types stay unchecked, and interface dispatch to an inner
-// policy is not followed (the wrapper pattern).
+// declare the WorkOnly capability must keep the job-count and freelist
+// queries out of Assign and its static callees; Hosts() and the host-work
+// queries stay legal, non-declaring types stay unchecked, and interface
+// dispatch to an inner policy is not followed (the wrapper pattern).
 package oblivious
 
 // Job and View mirror the server package's shapes; fixtures cannot import
@@ -31,7 +30,7 @@ type Policy interface {
 	Assign(j Job, v View) int
 }
 
-// RoundRobinish is honestly oblivious: Hosts() is configuration, not
+// RoundRobinish is honestly state-blind: Hosts() is configuration, not
 // state, so no diagnostic.
 type RoundRobinish struct{ next int }
 
@@ -41,31 +40,7 @@ func (p *RoundRobinish) Assign(_ Job, v View) int {
 	p.next = (p.next + 1) % v.Hosts()
 	return idx
 }
-func (*RoundRobinish) Oblivious() bool { return true }
-
-// Liar claims the capability but reads queue state directly in Assign.
-type Liar struct{}
-
-func (Liar) Name() string { return "liar" }
-func (Liar) Assign(_ Job, v View) int {
-	if v.Idle(0) { // want `\(oblivious\.Liar\)\.Assign reads View\.Idle but its receiver declares the Oblivious capability`
-		return 0
-	}
-	return v.MinJobsHost() // want `\(oblivious\.Liar\)\.Assign reads View\.MinJobsHost but its receiver declares the Oblivious capability`
-}
-func (Liar) Oblivious() bool { return true }
-
-// Launderer hides the state read behind a static helper call: the walk
-// follows EdgeCall and names the path.
-type Launderer struct{}
-
-func (Launderer) Name() string             { return "launderer" }
-func (Launderer) Assign(_ Job, v View) int { return leastLoaded(v) }
-func (Launderer) Oblivious() bool          { return true }
-
-func leastLoaded(v View) int {
-	return v.MinWorkHost() // want `oblivious\.leastLoaded reads View\.MinWorkHost but its receiver declares the Oblivious capability \(reached via \(oblivious\.Launderer\)\.Assign -> oblivious\.leastLoaded\)`
-}
+func (*RoundRobinish) WorkOnly() bool { return true }
 
 // Honest does not declare the capability, so its state reads are the
 // engine path's business, not this analyzer's.
@@ -82,7 +57,7 @@ type Wrapper struct{ inner Policy }
 
 func (w *Wrapper) Name() string             { return "wrap(" + w.inner.Name() + ")" }
 func (w *Wrapper) Assign(j Job, v View) int { return w.inner.Assign(j, v) }
-func (w *Wrapper) Oblivious() bool          { return false }
+func (w *Wrapper) WorkOnly() bool           { return false }
 
 // Allowed demonstrates the shared suppression escape hatch.
 type Allowed struct{}
@@ -92,7 +67,7 @@ func (Allowed) Assign(_ Job, v View) int {
 	//lint:allow oblivious fixture demo: suppression keeps the claim reviewable in place
 	return v.NextIdleHost()
 }
-func (Allowed) Oblivious() bool { return true }
+func (Allowed) WorkOnly() bool { return true }
 
 // WorkLWL honestly declares WorkOnly: host-work queries are what the
 // capability allows, so no diagnostic.

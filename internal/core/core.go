@@ -182,8 +182,15 @@ func NewDesign(v Variant, load float64, size dist.Distribution, hosts int) (*Des
 		size:       size,
 	}
 	if hosts == 2 {
+		// Only the optimizing searches guarantee a stable split; the
+		// rule of thumb can leave a host overloaded near load 1.
+		sys := queueing.NewSITA(lambda2, size, []float64{cut})
+		if !sys.Feasible() {
+			return nil, fmt.Errorf("core: %v cutoff %v leaves a host unstable at load %v: %w",
+				v, cut, load, queueing.ErrInfeasible)
+		}
 		d.ShortHosts = 1
-		d.Predicted = queueing.NewSITA(lambda2, size, []float64{cut}).Analyze()
+		d.Predicted = sys.Analyze()
 		d.HasPrediction = true
 	}
 	return d, nil

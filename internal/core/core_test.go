@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"sita/internal/dist"
+	"sita/internal/queueing"
 	"sita/internal/server"
 	"sita/internal/sim"
 	"sita/internal/trace"
@@ -71,6 +73,13 @@ func TestNewDesignValidation(t *testing.T) {
 	}
 	if _, err := NewDesign(Variant(42), 0.5, size, 2); err == nil {
 		t.Error("unknown variant accepted")
+	}
+	// Near load 1 the rule-of-thumb cutoff leaves a host unstable; the
+	// design is refused as the optimizing searches refuse that load.
+	for _, v := range []Variant{SITARule, SITAUOpt} {
+		if d, err := NewDesign(v, 0.999999999, size, 2); !errors.Is(err, queueing.ErrInfeasible) {
+			t.Errorf("%v at load 0.999999999: design %+v, error %v; want ErrInfeasible", v, d, err)
+		}
 	}
 }
 

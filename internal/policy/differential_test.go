@@ -13,7 +13,7 @@ import (
 )
 
 // Differential suite: every indexed policy must produce the bit-identical
-// record stream of its retained linear-scan reference (scan.go) on the
+// record stream of its retained linear-scan reference (scan_test.go) on the
 // same trace — same hosts, same start and departure floats — including
 // the lowest-index tie-breaks that only show up when several hosts hold
 // exactly equal work or job counts. Two trace families cover that: random

@@ -10,18 +10,17 @@ import (
 )
 
 // Differential proof of the direct fast path over the real policy
-// implementations: every policy that claims the Oblivious or the WorkOnly
-// capability must produce a bit-identical Result through plain server.Run
+// implementations: every policy that claims the WorkOnly capability must produce a bit-identical Result through plain server.Run
 // (the direct recurrence) and the event-heap engine
 // — same record bytes, same Welford stream states, same per-host
 // accounting — on streams retimed from all three of the paper's workload
 // profiles. Fresh policy instances (and fresh generators from the same
 // seed) per run keep the RNG draw sequences comparable.
 
-// directCases builds one instance of every capability-claiming policy:
-// the oblivious ones, and the work-only ones on 3 hosts (Least-Work-Left,
-// grouped SITA with one and with two short hosts, and a misclassifying
-// wrapper around LWL). Constructors are called per run so sequential
+// directCases builds one instance of every capability-claiming policy on
+// 3 hosts: the state-blind ones, and those that read host work
+// (Least-Work-Left, grouped SITA with one and with two short hosts, and a
+// misclassifying wrapper around LWL). Constructors are called per run so sequential
 // state (Round-Robin's counter, generators, believed backlogs) starts
 // identically on each path.
 func directCases() []struct {
@@ -66,8 +65,8 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 		jobs := profileStream(t, prof, 4000)
 		for _, pc := range directCases() {
 			t.Run(prof.Name+"/"+pc.name, func(t *testing.T) {
-				if p := pc.build(); !server.IsOblivious(p) && !server.IsWorkOnly(p) {
-					t.Fatalf("%s claims neither the Oblivious nor the WorkOnly capability", pc.name)
+				if p := pc.build(); !server.IsWorkOnly(p) {
+					t.Fatalf("%s does not claim the WorkOnly capability", pc.name)
 				}
 				// The order check pins a run to the engine.
 				cfg := func(p server.Policy, engine bool) server.Config {
@@ -117,39 +116,36 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 	}
 }
 
-// TestObliviousCapabilityClaims pins which policies claim the Oblivious
-// and WorkOnly capabilities and that wrappers forward rather than assert
-// them: wrapping a policy that reads job counts must claim neither,
-// however the wrapper itself behaves.
+// TestObliviousCapabilityClaims pins which policies claim the WorkOnly
+// capability — the state-blind ones and those that read only host work —
+// and that wrappers forward rather than assert it: wrapping a policy that
+// reads job counts must not claim it, however the wrapper itself behaves.
 func TestObliviousCapabilityClaims(t *testing.T) {
 	claims := []struct {
-		name                string
-		p                   server.Policy
-		oblivious, workOnly bool
+		name     string
+		p        server.Policy
+		workOnly bool
 	}{
-		{"Random", NewRandom(sim.NewRNG(1, 0)), true, false},
-		{"RoundRobin", NewRoundRobin(), true, false},
-		{"SITA", NewSITA("SITA-E", []float64{10}), true, false},
-		{"EstimatedLWL", NewEstimatedLWL(0.3, sim.NewRNG(1, 1)), true, false},
-		{"ShortestQueue", NewShortestQueue(), false, false},
-		{"LeastWorkLeft", NewLeastWorkLeft(), false, true},
-		{"CentralQueue", NewCentralQueue(), false, false},
-		{"GroupedSITA", NewGroupedSITA("grouped", 10, 1), false, true},
-		{"Misclassify(SITA)", NewMisclassify(NewSITA("s", []float64{10}), 10, 0.1, sim.NewRNG(1, 2)), true, false},
-		{"Misclassify(ShortestQueue)", NewMisclassify(NewShortestQueue(), 10, 0.1, sim.NewRNG(1, 3)), false, false},
-		{"Misclassify(LWL)", NewMisclassify(NewLeastWorkLeft(), 10, 0.1, sim.NewRNG(1, 4)), false, true},
-		{"Misclassify(GroupedSITA)", NewMisclassify(NewGroupedSITA("grouped", 10, 1), 10, 0.1, sim.NewRNG(1, 6)), false, true},
-		{"EstimatedSITA(SITA)", NewEstimatedSITA(NewSITA("s", []float64{10}), 0.3, sim.NewRNG(1, 5)), true, false},
+		{"Random", NewRandom(sim.NewRNG(1, 0)), true},
+		{"RoundRobin", NewRoundRobin(), true},
+		{"SITA", NewSITA("SITA-E", []float64{10}), true},
+		{"EstimatedLWL", NewEstimatedLWL(0.3, sim.NewRNG(1, 1)), true},
+		{"ShortestQueue", NewShortestQueue(), false},
+		{"LeastWorkLeft", NewLeastWorkLeft(), true},
+		{"CentralQueue", NewCentralQueue(), false},
+		{"GroupedSITA", NewGroupedSITA("grouped", 10, 1), true},
+		{"Misclassify(SITA)", NewMisclassify(NewSITA("s", []float64{10}), 10, 0.1, sim.NewRNG(1, 2)), true},
+		{"Misclassify(ShortestQueue)", NewMisclassify(NewShortestQueue(), 10, 0.1, sim.NewRNG(1, 3)), false},
+		{"Misclassify(LWL)", NewMisclassify(NewLeastWorkLeft(), 10, 0.1, sim.NewRNG(1, 4)), true},
+		{"Misclassify(GroupedSITA)", NewMisclassify(NewGroupedSITA("grouped", 10, 1), 10, 0.1, sim.NewRNG(1, 6)), true},
+		{"EstimatedSITA(SITA)", NewEstimatedSITA(NewSITA("s", []float64{10}), 0.3, sim.NewRNG(1, 5)), true},
 	}
 	for _, c := range claims {
-		if got := server.IsOblivious(c.p); got != c.oblivious {
-			t.Errorf("IsOblivious(%s) = %v, want %v", c.name, got, c.oblivious)
-		}
 		if got := server.IsWorkOnly(c.p); got != c.workOnly {
 			t.Errorf("IsWorkOnly(%s) = %v, want %v", c.name, got, c.workOnly)
 		}
-		if got, want := server.DirectEligible(server.Config{Hosts: 2, Policy: c.p}), c.oblivious || c.workOnly; got != want {
-			t.Errorf("DirectEligible(%s) = %v, want %v", c.name, got, want)
+		if got := server.DirectEligible(server.Config{Hosts: 2, Policy: c.p}); got != c.workOnly {
+			t.Errorf("DirectEligible(%s) = %v, want %v", c.name, got, c.workOnly)
 		}
 	}
 }

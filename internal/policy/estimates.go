@@ -81,11 +81,11 @@ func (p *EstimatedLWL) Assign(j workload.Job, v server.View) int {
 	return best
 }
 
-// Oblivious reports that Assign never reads system state: the believed
-// backlogs live inside the policy, advanced only by job arrivals and its
-// own rng draws — the dispatcher of §1.2 genuinely never sees the true
-// queues — so server.Run may take the direct-recurrence path.
-func (*EstimatedLWL) Oblivious() bool { return true }
+// WorkOnly reports that Assign reads no system state at all: the
+// believed backlogs live inside the policy, advanced only by job arrivals
+// and its own rng draws — the dispatcher of §1.2 genuinely never sees the
+// true queues — so server.Run may take the direct-recurrence path.
+func (*EstimatedLWL) WorkOnly() bool { return true }
 
 // EstimatedSITA routes by a noisy runtime estimate instead of the true
 // size: the continuous version of the short/long misclassification model,
@@ -119,7 +119,7 @@ func (p *EstimatedSITA) Assign(j workload.Job, v server.View) int {
 	return p.inner.Assign(j, v)
 }
 
-// Oblivious forwards the inner policy's capability (always true today —
+// WorkOnly forwards the inner policy's capability (always true today —
 // the inner policy is a *SITA — but written as a delegation so the claim
 // tracks the wrapped instance, as Misclassify's does).
-func (p *EstimatedSITA) Oblivious() bool { return server.IsOblivious(p.inner) }
+func (p *EstimatedSITA) WorkOnly() bool { return server.IsWorkOnly(p.inner) }

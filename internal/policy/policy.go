@@ -49,10 +49,10 @@ func (p *Random) Assign(_ workload.Job, v server.View) int {
 	return p.rng.IntN(v.Hosts())
 }
 
-// Oblivious reports that Assign never reads system state (only the host
-// count and the policy's own generator), so server.Run may take the
+// WorkOnly reports that Assign reads no system state at all (only the
+// host count and the policy's own generator), so server.Run may take the
 // direct-recurrence path.
-func (*Random) Oblivious() bool { return true }
+func (*Random) WorkOnly() bool { return true }
 
 // RoundRobin assigns the i-th arriving job to host i mod h, equalizing the
 // expected number of jobs per host with less interarrival variability than
@@ -74,10 +74,10 @@ func (p *RoundRobin) Assign(_ workload.Job, v server.View) int {
 	return idx
 }
 
-// Oblivious reports that Assign never reads system state (only the host
-// count and the policy's own counter), so server.Run may take the
+// WorkOnly reports that Assign reads no system state at all (only the
+// host count and the policy's own counter), so server.Run may take the
 // direct-recurrence path.
-func (*RoundRobin) Oblivious() bool { return true }
+func (*RoundRobin) WorkOnly() bool { return true }
 
 // ShortestQueue sends each job to the host currently holding the fewest
 // jobs, equalizing the instantaneous number of jobs. Ties break to the
@@ -185,10 +185,10 @@ func (p *SITA) Assign(j workload.Job, v server.View) int {
 	return idx
 }
 
-// Oblivious reports that Assign never reads system state (only the job
-// size, the fixed cutoffs and the host count), so server.Run may take the
-// direct-recurrence path.
-func (*SITA) Oblivious() bool { return true }
+// WorkOnly reports that Assign reads no system state at all (only the
+// job size, the fixed cutoffs and the host count), so server.Run may take
+// the direct-recurrence path.
+func (*SITA) WorkOnly() bool { return true }
 
 // GroupedSITA is the paper's section-5 construction for systems with many
 // hosts: hosts are divided into a short group and a long group, the 2-host
@@ -300,13 +300,9 @@ func (m *Misclassify) Assign(j workload.Job, v server.View) int {
 	return m.inner.Assign(j, v)
 }
 
-// Oblivious forwards the inner policy's capability: the wrapper itself
+// WorkOnly forwards the inner policy's capability: the wrapper itself
 // adds only a size perturbation and an rng draw, both state-blind, so the
-// wrapped pair is oblivious exactly when the inner policy is. Wrapping
-// Shortest-Queue yields false; wrapping SITA yields true.
-func (m *Misclassify) Oblivious() bool { return server.IsOblivious(m.inner) }
-
-// WorkOnly forwards the inner policy's capability in the same way:
-// wrapping Least-Work-Left or grouped SITA yields true, wrapping
-// Shortest-Queue false.
+// wrapped pair is work-only exactly when the inner policy is. Wrapping
+// SITA, Least-Work-Left or grouped SITA yields true; wrapping
+// Shortest-Queue yields false.
 func (m *Misclassify) WorkOnly() bool { return server.IsWorkOnly(m.inner) }

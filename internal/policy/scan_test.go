@@ -9,11 +9,10 @@ import (
 )
 
 // Linear-scan reference implementations of the indexed policies. Each one
-// is the pre-index O(h) code, verbatim, kept for two jobs: the
-// differential tests prove the indexed policies reproduce these scans'
-// assignment streams bit-for-bit (including lowest-index tie-breaking),
-// and the many-hosts benchmarks measure the indexed fast path against
-// them. They are not registered with any experiment driver.
+// is the pre-index O(h) code, verbatim, kept as the oracle of the
+// differential tests, which prove the indexed policies reproduce these
+// scans' assignment streams bit-for-bit (including lowest-index
+// tie-breaking).
 
 // ScanShortestQueue is Shortest-Queue by an O(h) NumJobs scan.
 type ScanShortestQueue struct{}

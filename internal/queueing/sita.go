@@ -165,11 +165,20 @@ func (s SITA) Analyze() Report {
 		et2 += m.JobFraction * (m.VarResponse + m.MeanResponse*m.MeanResponse)
 	}
 	r.MeanSlowdown = es
-	r.VarSlowdown = es2 - es*es
+	r.VarSlowdown = variance(es, es2)
 	r.MeanResponse = et
-	r.VarResponse = et2 - et*et
+	r.VarResponse = variance(et, et2)
 	r.SystemLoad = loadSum / float64(len(hosts))
 	return r
+}
+
+// variance is E[X^2] - E[X]^2, reported as +Inf, as MG1's variances are,
+// when an unstable host makes the mean +Inf (Inf - Inf would be NaN).
+func variance(mean, second float64) float64 {
+	if math.IsInf(mean, 1) {
+		return math.Inf(1)
+	}
+	return second - mean*mean
 }
 
 // MeanSlowdown is a convenience accessor for Analyze().MeanSlowdown.

@@ -379,6 +379,27 @@ func TestOptimalCutoffInfeasible(t *testing.T) {
 	}
 }
 
+// TestSITAAnalyzeUnstableSplit checks that a split overloading one host
+// reports +Inf means and +Inf variances, never the NaN of Inf - Inf.
+func TestSITAAnalyzeUnstableSplit(t *testing.T) {
+	size := c90ish()
+	lambda := 2 * 0.9 / size.Moment(1)
+	// Nearly all work goes to the short host: its load is about 1.8.
+	s := NewSITA(lambda, size, []float64{size.P / 2})
+	if s.Feasible() {
+		t.Fatal("split with an overloaded short host reported feasible")
+	}
+	r := s.Analyze()
+	for name, v := range map[string]float64{
+		"MeanSlowdown": r.MeanSlowdown, "VarSlowdown": r.VarSlowdown,
+		"MeanResponse": r.MeanResponse, "VarResponse": r.VarResponse,
+	} {
+		if !math.IsInf(v, 1) {
+			t.Errorf("%s = %v, want +Inf", name, v)
+		}
+	}
+}
+
 func TestRuleOfThumbCutoffLoadFraction(t *testing.T) {
 	size := c90ish()
 	load := 0.6

@@ -9,23 +9,30 @@ import (
 )
 
 // This file is the direct-recurrence fast path. When the assignment
-// decision never reads system state (see Oblivious), each FCFS host
-// evolves as an independent single-server queue and every job's service
-// window follows Lindley's recurrence:
+// decision reads at most host work (see WorkOnly), each FCFS host evolves
+// as an independent single-server queue and every job's service window
+// follows Lindley's recurrence:
 //
 //	start  = max(free[host], arrival)
 //	finish = start + size
 //	free[host] = finish
 //
 // — exactly the float-op sequence the event-heap path performs, so the
-// record stream is reproduced bit for bit without a sim.Engine, without
-// per-event heap traffic, and without View index maintenance. The replay
-// runs in two phases:
+// record stream is reproduced bit for bit without a sim.Engine and
+// without per-event heap traffic. The replay runs in two phases:
 //
 // Phase 1 (arrival order): assign every job (same Assign call sequence,
 // hence same RNG draw order, as the engine's arrival events), run the
 // recurrence, and thread each host's jobs onto a FIFO chain. No heap, no
-// event interleaving — a branch-light array pass.
+// event interleaving — a branch-light array pass. The policy sees a
+// workView that answers WorkLeft, Idle and the work argmins from the
+// clocks at the job's arrival instant: the work a host has left is its
+// drain instant minus now, and the drain instant is free[host], the same
+// float, built by the same additions, as the engine's readyAt. A host
+// whose departure falls exactly at that instant is still busy, as on the
+// engine, where arrivals precede departures at equal times. The argmin
+// index exists only once a policy has asked for it, so the state-blind
+// policies (Random, Round-Robin, SITA) run the bare recurrence.
 //
 // Phase 2 (emission order): the engine delivers completions globally
 // sorted by (departure time, schedule order), where schedule order is the
@@ -59,25 +66,12 @@ import (
 // compare triggers, where every idle start (trigger < n) precedes every
 // queued start (trigger >= n) at the same instant — the engine's
 // arrivals-first rule — and triggers within each class carry the engine's
-// processing order by construction.
-//
-// Policies that read only host work (see WorkOnly: Least-Work-Left,
-// Grouped-SITA, and Misclassify around either) take the same path. The
-// recurrence does not depend on how hosts are chosen, and the work such a
-// policy reads is each host's drain instant minus now — the drain instant
-// being free[host], the same float, built by the same additions, as the
-// engine's readyAt. Phase 1 hands these policies a workView that answers
-// WorkLeft, Idle and the work argmins from the clocks at the job's
-// arrival instant, with an index kept current as the clocks advance; a
-// host whose departure falls exactly at that instant is still busy, as
-// on the engine, where arrivals precede departures at equal times.
-// Phase 2 is unchanged: the (finish, start, trigger) keys already
-// reproduce the engine's record order whatever chose the hosts.
+// processing order by construction. The keys do not depend on how the
+// hosts were chosen.
 //
 // Policies that read job counts or the idle freelist (Shortest-Queue,
 // Central-Queue), pull policies, processor sharing, and interrupted runs
-// still require the engine; Run dispatches automatically and RunDirect
-// refuses policies that claim neither capability outright.
+// still require the engine; Run dispatches automatically.
 
 // queuedTrigger marks a job whose service start is triggered by its FCFS
 // predecessor's departure; the real trigger key is assigned in phase 2
@@ -144,13 +138,9 @@ type directRunner struct {
 	job  []directJob
 	link []directLink
 
-	// The policy the replay loop calls and the View it hands over: an
-	// oblivious policy itself with the tripwire view, or, for a work-only
-	// policy, the workView standing in for it (policy and view both).
-	policy   Policy
-	view     View
-	tripwire directView
-	work     workView
+	// The View handed to the policy; it also holds the policy the replay
+	// loop calls.
+	view workView
 
 	// Accounting sinks: phase 2 folds each emission into res inline —
 	// the same update sequence as Result.observe. cold is non-nil only
@@ -165,11 +155,9 @@ type directRunner struct {
 // handful of runners.
 var directPool = sync.Pool{New: func() any { return new(directRunner) }}
 
-// setup sizes the scratch for one run, resets per-host state and picks
-// the view: the tripwire for an oblivious policy, the clock-backed
-// workView otherwise (RunDirect admits only the two capabilities). Per-job
-// arrays are not cleared: phase 1 writes every slot phase 2 reads. Slot n
-// of the job/link arrays is the sentinel a drained chain points at: its
+// setup sizes the scratch for one run, resets per-host state and arms
+// the view over the clocks for policy p. Per-job arrays are not cleared:
+// phase 1 writes every slot phase 2 reads. Slot n of the job/link arrays is the sentinel a drained chain points at: its
 // +Inf key never wins the tree, which spares the emission loop a
 // successor-exists branch. Slots n+1..n+h are per-host dummy chain tails:
 // last[w] starts at dummy w, so appending to a chain is one unconditional
@@ -214,24 +202,14 @@ func (d *directRunner) setup(n, h int, p Policy) {
 		d.last[i] = int32(n+1) + int32(i)
 		d.link[n+1+i] = directLink{next: sentinel, trig: 0}
 	}
-	if IsOblivious(p) {
-		d.tripwire = directView{hosts: h, policy: p, claim: "Oblivious"}
-		d.policy, d.view = p, &d.tripwire
-	} else {
-		d.work.reset(p, d.free)
-		d.policy, d.view = &d.work, &d.work
-	}
+	d.view.reset(p, d.free)
 }
 
 // release drops the per-run references (policy, result, cold closure) so a
 // pooled runner never retains a caller's objects, then returns it to the
 // pool.
 func (d *directRunner) release() {
-	d.policy = nil
-	d.tripwire = directView{}
-	d.work.directView = directView{}
-	d.work.free = nil
-	d.view = nil
+	d.view.reset(nil, nil)
 	d.res = nil
 	d.cold = nil
 	directPool.Put(d)
@@ -250,23 +228,28 @@ func (d *directRunner) replay(jobs []workload.Job) {
 
 // assign is phase 1: dispatch every job in arrival order, run Lindley's
 // recurrence on the chosen host's clock, and thread the per-host FCFS
-// chains that phase 2 merges. Doubles as the sorted-arrival check, saving
-// a separate pass over the trace. Panics if the jobs are not sorted by
-// arrival or the policy returns an out-of-range host.
+// chains that phase 2 merges. Once the policy's first argmin query has
+// built the view's work index, each new clock is propagated into it.
+// Doubles as the sorted-arrival check, saving a separate pass over the
+// trace. Panics if the jobs are not sorted by arrival or the policy
+// returns an out-of-range host.
 //
 //sim:noalloc
 func (d *directRunner) assign(jobs []workload.Job) {
 	sentinel := int32(len(jobs))
 	prev := 0.0
+	view := &d.view
+	p := view.policy
 	for i := range jobs {
 		j := jobs[i]
 		if j.Arrival < prev {
 			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
 		}
 		prev = j.Arrival
-		idx := d.policy.Assign(j, d.view)
+		view.now = j.Arrival
+		idx := p.Assign(j, view)
 		if idx < 0 || idx >= len(d.free) {
-			panic(fmt.Sprintf("server: policy %q returned host %d of %d on the direct path", d.policy.Name(), idx, len(d.free)))
+			panic(fmt.Sprintf("server: policy %q returned host %d of %d on the direct path", p.Name(), idx, len(d.free)))
 		}
 		free := d.free[idx]
 		st := j.Arrival
@@ -286,6 +269,9 @@ func (d *directRunner) assign(jobs []workload.Job) {
 		d.job[i] = directJob{arr: j.Arrival, size: j.Size, start: st, finish: fin}
 		d.link[i] = directLink{next: sentinel, trig: tk}
 		d.free[idx] = fin
+		if view.indexed {
+			view.work.SetKey(idx, fin)
+		}
 		d.link[d.last[idx]].next = int32(i)
 		d.last[idx] = int32(i)
 	}
@@ -426,69 +412,13 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 
 // DirectEligible reports whether Run would take the direct path for this
 // configuration. The decision reads the run's own Config and nothing
-// else: the policy claims the Oblivious or the WorkOnly capability and
-// neither an interrupt probe nor the order check is installed. Callers
-// that install per-request interrupt probes (internal/service) use this to
-// skip the probe when the run will be too fast to need one. cfg.OrderCheck
-// asserts event-heap dispatch order, so it pins the run to the engine —
-// which also makes it how tests, benchmarks and the property harness
-// force the engine for heap-vs-direct comparisons.
+// else: the policy claims the WorkOnly capability and neither an
+// interrupt probe nor the order check is installed. Callers that install
+// per-request interrupt probes (internal/service) use this to skip the
+// probe when the run will be too fast to need one. cfg.OrderCheck asserts
+// event-heap dispatch order, so it pins the run to the engine — which
+// also makes it how tests, benchmarks and the property harness force the
+// engine for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
-	return cfg.Interrupt == nil && !cfg.OrderCheck && directCapable(cfg.Policy)
-}
-
-// directCapable reports whether the policy claims a capability the direct
-// path can simulate.
-func directCapable(p Policy) bool { return IsOblivious(p) || IsWorkOnly(p) }
-
-// RunDirect simulates the job list under an oblivious or work-only policy
-// without the discrete-event engine, producing a Result bit-identical to
-// Run's engine path: same float-op sequence, same JobRecord fields, same
-// emission order, same RNG draw order (Assign is called once per job in
-// arrival order, exactly as the engine's arrival events do), and — for a
-// work-only policy — the same answers to its host-work queries (see
-// workView). Result.MeanQueueLen stays 0: the time-averaged queue length
-// is an engine-side event accrual. Panics if the policy claims neither
-// capability or the jobs are not sorted by arrival, and shares Run's
-// other contracts: cfg.Hosts > 0, warmup in [0, 1). cfg.Interrupt is not
-// supported here — Run falls back to the engine when a probe is installed.
-//
-//sim:entry
-//sim:readonly jobs
-func RunDirect(jobs []workload.Job, cfg Config) *Result {
-	validateConfig(cfg)
-	if !directCapable(cfg.Policy) {
-		panic(fmt.Sprintf("server: RunDirect needs an oblivious or work-only policy; %q claims neither capability", cfg.Policy.Name()))
-	}
-	renumbered := renumber(jobs)
-	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-	res := newResult(cfg, len(jobs), warmup)
-	d := directPool.Get().(*directRunner)
-	d.setup(len(renumbered), cfg.Hosts, cfg.Policy)
-	d.res = res
-	d.warmup = warmup
-	if cfg.SizeClass != nil || cfg.KeepRecords || cfg.OnRecord != nil {
-		// Per-record extras run off the hot path, in the same emission
-		// order and after the same stream adds as Result.observe. The
-		// hook fires for every record (warmup included, matching
-		// Result.observe); the per-class and record-keeping extras apply
-		// only past the warmup prefix, exactly as on the engine path.
-		d.cold = func(rec JobRecord) {
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
-			}
-			if rec.ID < warmup {
-				return
-			}
-			if res.Classes != nil {
-				res.Classes.Add(cfg.SizeClass(rec.Size), rec.Slowdown())
-			}
-			if cfg.KeepRecords {
-				res.Records = append(res.Records, rec)
-			}
-		}
-	}
-	d.replay(renumbered)
-	d.release()
-	return res
+	return cfg.Interrupt == nil && !cfg.OrderCheck && IsWorkOnly(cfg.Policy)
 }

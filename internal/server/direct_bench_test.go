@@ -6,9 +6,9 @@ import (
 
 // BenchmarkDirectReplayCore isolates the direct path's steady-state inner
 // loop — pooled scratch, assignment pass, tournament-merge emission — from
-// the per-run Result construction, for an oblivious policy (a scripted
-// round-robin) and a work-only one (Least-Work-Left through the
-// clock-backed work view and its index). It pins the //sim:noalloc
+// the per-run Result construction, for a state-blind policy (a scripted
+// round-robin, which never builds the work index) and one that reads host
+// work (Least-Work-Left through the view's index). It pins the //sim:noalloc
 // contract empirically: after the first replay grows the scratch arrays,
 // a replay must not allocate — the benchmark fails if one does, so even a
 // one-iteration smoke run holds both cases to 0 allocs/op.

@@ -94,8 +94,9 @@ type Result struct {
 	// law (E[Q] = lambda * E[W]) a genuine cross-check of the event
 	// bookkeeping rather than an identity. Populated only by the engine
 	// FCFS path; 0 on the direct-recurrence and PS paths — so 0 for
-	// every oblivious and work-only policy (Least-Work-Left, grouped SITA)
-	// under plain Run, and set when cfg.OrderCheck pins the engine.
+	// every work-only policy (Random, Round-Robin, SITA, Least-Work-Left,
+	// grouped SITA) under plain Run, and set when cfg.OrderCheck pins the
+	// engine.
 	MeanQueueLen float64
 
 	// Classes holds per-class slowdown streams when Config.SizeClass is
@@ -129,7 +130,7 @@ func (r *Result) Utilization(i int) float64 {
 	return r.PerHostWork[i] / r.Horizon
 }
 
-// validateConfig checks the contracts shared by Run and RunDirect.
+// validateConfig checks Run's configuration contracts.
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 func validateConfig(cfg Config) {
 	if cfg.Hosts <= 0 {
@@ -194,9 +195,9 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 // ordinal as their ID.
 //
 // Dispatch: when DirectEligible(cfg) holds — the policy claims the
-// Oblivious or the WorkOnly capability and neither an interrupt probe nor
-// the order check is installed — Run takes the direct recurrence
-// (RunDirect) instead of the discrete-event engine. The two paths produce
+// WorkOnly capability and neither an interrupt probe nor the order check
+// is installed — Run takes the direct recurrence (runDirect) instead of
+// the discrete-event engine. The two paths produce
 // bit-identical Results — same float sequence, same record emission
 // order, same RNG draw order, same answers to work-only policies' queries
 // — except Result.MeanQueueLen, an engine-only accrual, so the dispatch is
@@ -220,7 +221,7 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 func Run(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
 	if DirectEligible(cfg) {
-		return RunDirect(jobs, cfg)
+		return runDirect(jobs, cfg)
 	}
 	return runEngine(jobs, cfg)
 }
@@ -249,6 +250,45 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 	sys.Simulate(renumbered)
 	res.Interrupted = eng.Interrupted()
 	res.MeanQueueLen = sys.MeanQueueLength()
+	return res
+}
+
+// runDirect is the direct-recurrence path (see direct.go), equivalent to
+// runEngine as Run's comment states. Panics if the jobs are not sorted by
+// arrival or the policy breaks its WorkOnly claim.
+//
+//sim:readonly jobs
+func runDirect(jobs []workload.Job, cfg Config) *Result {
+	renumbered := renumber(jobs)
+	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
+	res := newResult(cfg, len(jobs), warmup)
+	d := directPool.Get().(*directRunner)
+	d.setup(len(renumbered), cfg.Hosts, cfg.Policy)
+	d.res = res
+	d.warmup = warmup
+	if cfg.SizeClass != nil || cfg.KeepRecords || cfg.OnRecord != nil {
+		// Per-record extras run off the hot path, in the same emission
+		// order and after the same stream adds as Result.observe. The
+		// hook fires for every record (warmup included, matching
+		// Result.observe); the per-class and record-keeping extras apply
+		// only past the warmup prefix, exactly as on the engine path.
+		d.cold = func(rec JobRecord) {
+			if cfg.OnRecord != nil {
+				cfg.OnRecord(rec)
+			}
+			if rec.ID < warmup {
+				return
+			}
+			if res.Classes != nil {
+				res.Classes.Add(cfg.SizeClass(rec.Size), rec.Slowdown())
+			}
+			if cfg.KeepRecords {
+				res.Records = append(res.Records, rec)
+			}
+		}
+	}
+	d.replay(renumbered)
+	d.release()
 	return res
 }
 

@@ -300,7 +300,7 @@ func TestKeptRecordsPresized(t *testing.T) {
 	engine := cfg
 	engine.OrderCheck = true
 	for name, res := range map[string]*Result{
-		"direct": RunDirect(jobs, cfg),
+		"direct": runDirect(jobs, cfg),
 		"engine": Run(jobs, engine),
 		"ps":     RunPS(jobs, cfg),
 	} {

@@ -315,6 +315,26 @@ func TestAdvise(t *testing.T) {
 		t.Fatalf("repeat advise: status %d cache %q identical=%v", code2, cache2, bytes.Equal(body, body2))
 	}
 
+	// Near load 1 the rule-of-thumb split is unstable: the variant
+	// carries the error and the response stays valid JSON.
+	code, _, body = get("?load=0.999999999")
+	if code != http.StatusOK {
+		t.Fatalf("advise near load 1: status %d body %s", code, body)
+	}
+	adv = AdviseResponse{}
+	if err := json.Unmarshal(body, &adv); err != nil {
+		t.Fatalf("advise near load 1 unmarshal: %v", err)
+	}
+	rule := -1
+	for i, v := range adv.Variants {
+		if v.Variant == "SITA-U-rule" {
+			rule = i
+		}
+	}
+	if rule < 0 || !strings.Contains(adv.Variants[rule].Error, "no feasible cutoff") {
+		t.Fatalf("SITA-U-rule near load 1 should carry the infeasibility: %s", body)
+	}
+
 	code, _, body = get("?load=1.5")
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "(0,1)") {
 		t.Fatalf("bad load: status %d body %s", code, body)

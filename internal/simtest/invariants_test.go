@@ -26,7 +26,7 @@ func scaled(short, long int) int {
 
 // policyCase describes one policy under test. build returns a fresh,
 // unshared instance (policies are stateful); direct marks the policies
-// plain Run sends to the direct recurrence (oblivious and work-only);
+// plain Run sends to the direct recurrence (the work-only ones);
 // perHostFCFS is false only for the SJF central queue, which legally
 // serves a host's jobs out of arrival order.
 type policyCase struct {
@@ -103,8 +103,8 @@ func TestRecordInvariantsAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRecordInvariantsDirectPath re-runs the oblivious and work-only
-// policies through the direct-recurrence path (the default dispatch for
+// TestRecordInvariantsDirectPath re-runs the work-only policies
+// through the direct-recurrence path (the default dispatch for
 // them) and holds the record stream to the same invariants.
 func TestRecordInvariantsDirectPath(t *testing.T) {
 	const hosts = 3

@@ -104,7 +104,7 @@ func TestTimeScalingBitExact(t *testing.T) {
 }
 
 // permuted relabels the hosts an oblivious inner policy picks. It does
-// not claim the Oblivious capability, so runs land on the engine path.
+// not claim the WorkOnly capability, so runs land on the engine path.
 type permuted struct {
 	inner server.Policy
 	perm  []int
@@ -217,17 +217,20 @@ func TestSITAInfinityCutoffsReduceToSingleHost(t *testing.T) {
 }
 
 // heapVsDirectProp builds the heap-vs-direct equivalence property for
-// one direct-capable policy (oblivious or work-only): the engine path
-// (forced via OrderCheck) and the direct recurrence must produce
-// bit-identical record streams and results on the given trace.
-// Deterministic, so it can be handed to Shrink.
+// one work-only policy: the engine path (forced via OrderCheck) and plain
+// Run, which takes the direct recurrence, must produce bit-identical
+// record streams and results on the given trace. Deterministic, so it can
+// be handed to Shrink.
 func heapVsDirectProp(build func() server.Policy, hosts int) Property {
 	return func(jobs []workload.Job) error {
 		engRes, engRec := collectRecords(jobs, server.Config{Hosts: hosts, Policy: build(), OrderCheck: true})
 		dirRec := make([]server.JobRecord, 0, len(jobs))
 		dirCfg := server.Config{Hosts: hosts, Policy: build(),
 			OnRecord: func(rec server.JobRecord) { dirRec = append(dirRec, rec) }}
-		dirRes := server.RunDirect(jobs, dirCfg)
+		if !server.DirectEligible(dirCfg) {
+			return fmt.Errorf("policy %q would not take the direct path", dirCfg.Policy.Name())
+		}
+		dirRes := server.Run(jobs, dirCfg)
 		if len(engRec) != len(dirRec) {
 			return fmt.Errorf("engine emitted %d records, direct %d", len(engRec), len(dirRec))
 		}
@@ -258,9 +261,9 @@ func heapVsDirectProp(build func() server.Policy, hosts int) Property {
 
 // TestHeapVsDirectOnGeneratedTraces drives the heap-vs-direct
 // equivalence over a pool of generated traces — adversarial and
-// stochastic — for every oblivious policy and the work-only ones
-// (Least-Work-Left, grouped SITA with one and with two short hosts of
-// three). On a violation the failing trace is shrunk to a minimal
+// stochastic — for every work-only policy: the state-blind ones and
+// those that read host work (Least-Work-Left, grouped SITA with one and
+// with two short hosts of three). On a violation the failing trace is shrunk to a minimal
 // counterexample before reporting, so a regression shows up as a handful
 // of jobs, not a dump.
 func TestHeapVsDirectOnGeneratedTraces(t *testing.T) {
