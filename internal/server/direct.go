@@ -45,15 +45,16 @@ import (
 // same order, as Result.observe) happens inline at the emission site.
 //
 // The only subtlety is the tie-break. The engine breaks equal departure
-// times by event sequence number: arrivals hold block-reserved seqs 0..n-1
-// (sim.ReserveSeq) and each departure is scheduled — and numbered — at the
-// instant its job starts service, so equal-time departures emit in
-// service-start order. Start order itself is lexicographic in
-// (start time, trigger seq): a start is triggered either by the job's own
-// arrival event (host idle; trigger seq = arrival ordinal < n) or by its
-// FCFS predecessor's departure event (trigger seq = that departure's seq
-// >= n). The replay reproduces that order exactly without interleaving by
-// keying each pending departure with the triple
+// times by event sequence number: arrivals hold the seqs 0..n-1, which
+// the engine's feed (sim.Engine.RunFeed) takes before anything fires, and
+// each departure is scheduled — and numbered — at the instant its job
+// starts service, so equal-time departures emit in service-start order.
+// Start order itself is lexicographic in (start time, trigger seq): a
+// start is triggered either by the job's own arrival event (host idle;
+// trigger seq = arrival ordinal < n) or by its FCFS predecessor's
+// departure event (trigger seq = that departure's seq >= n). The replay
+// reproduces that order exactly without interleaving by keying each
+// pending departure with the triple
 //
 //	(finish, start, trigger)
 //

@@ -135,10 +135,6 @@ type PSSystem struct {
 	hosts  []*psHost
 	policy Policy
 
-	feed     []workload.Job
-	feedNext int
-	feedBase uint64
-
 	// Host-selection indices (see System): the idle freelist is always
 	// maintained, the jobs argmin activates on the first MinJobsHost query.
 	// There is no incremental work index here — see MinWorkHost.
@@ -255,8 +251,9 @@ func (s *PSSystem) noteJobs(i int) {
 	}
 }
 
-// Simulate runs the jobs (sorted by arrival) to completion, feeding
-// arrivals lazily exactly like System.Simulate.
+// Simulate runs the jobs (sorted by arrival) to completion. Arrivals fire
+// straight from the slice (sim.Engine.RunFeed), exactly as in
+// System.Simulate, so the heap holds only PS completions.
 // Panics if the jobs are not sorted by arrival time or the policy routes
 // a job outside the host range.
 func (s *PSSystem) Simulate(jobs []workload.Job) {
@@ -267,22 +264,7 @@ func (s *PSSystem) Simulate(jobs []workload.Job) {
 		}
 		prev = j.Arrival
 	}
-	s.feed = jobs
-	s.feedNext = 0
-	s.feedBase = s.engine.ReserveSeq(len(jobs))
-	s.feedNextArrival()
-	s.engine.Run()
-	s.feed = nil
-}
-
-// feedNextArrival schedules the next unscheduled arrival, if any.
-func (s *PSSystem) feedNextArrival() {
-	if s.feedNext >= len(s.feed) {
-		return
-	}
-	j := s.feed[s.feedNext]
-	s.engine.ScheduleReserved(j.Arrival, s.feedBase+uint64(s.feedNext), sim.Ev{Kind: evPSArrival, Job: j})
-	s.feedNext++
+	s.engine.RunFeed(jobs, evPSArrival)
 }
 
 // HandleEvent dispatches the engine's typed events.
@@ -292,7 +274,6 @@ func (s *PSSystem) feedNextArrival() {
 func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evPSArrival:
-		s.feedNextArrival()
 		idx := s.policy.Assign(ev.Job, s)
 		if idx < 0 || idx >= len(s.hosts) {
 			panic(fmt.Sprintf("server: PS policy %q returned host %d of %d",
@@ -317,12 +298,7 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 //sim:entry
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
-	if cfg.Hosts <= 0 {
-		panic(fmt.Sprintf("server: config needs hosts > 0, got %d", cfg.Hosts))
-	}
-	if cfg.WarmupFraction < 0 || cfg.WarmupFraction >= 1 {
-		panic(fmt.Sprintf("server: warmup fraction %v outside [0, 1)", cfg.WarmupFraction))
-	}
+	validateConfig(cfg)
 	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := &Result{

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sita/internal/dist"
@@ -191,5 +193,26 @@ func TestPSValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestRunPSRejectsBadWarmup checks that RunPS holds Run's warmup
+// contract: a fraction outside [0, 1), NaN included, panics naming the
+// value — with or without kept records — instead of counting every job
+// (NaN) or failing to size the record slice.
+func TestRunPSRejectsBadWarmup(t *testing.T) {
+	for _, w := range []float64{math.NaN(), -0.1, 1} {
+		for _, keep := range []bool{false, true} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("warmup fraction %v", w); !strings.Contains(msg, want) {
+						t.Errorf("warmup %v, KeepRecords %v: panic %q, want one containing %q", w, keep, msg, want)
+					}
+				}()
+				RunPS(jobs([2]float64{0, 1}, [2]float64{1, 1}),
+					Config{Hosts: 1, Policy: toHost(0), WarmupFraction: w, KeepRecords: keep})
+			}()
+		}
 	}
 }

@@ -265,15 +265,6 @@ type System struct {
 
 	onComplete func(JobRecord)
 
-	// Lazy arrival feeding: Simulate keeps exactly one pending arrival
-	// event, so the event heap holds O(hosts) entries instead of the whole
-	// trace. feedBase is the block of FIFO sequence numbers reserved for
-	// the arrivals, which keeps simultaneous-event ordering identical to
-	// eager pre-scheduling (see sim.ReserveSeq).
-	feed     []workload.Job
-	feedNext int
-	feedBase uint64
-
 	// Little's-law accounting: time-integral of the number of waiting jobs
 	// (queued at hosts or held centrally, excluding jobs in service).
 	queueArea   float64
@@ -399,12 +390,10 @@ func (s *System) buildWorkIndex() {
 // job to finish. Jobs must be sorted by arrival time; Simulate panics if
 // they are not.
 //
-// Arrivals are fed lazily: exactly one arrival event is pending at any
-// instant, and firing it schedules the next, so the event heap stays
-// O(hosts) deep regardless of trace length. The arrivals' FIFO sequence
-// numbers are reserved as a block up front, which makes the event order —
-// and therefore every simulated record — identical to pre-scheduling the
-// whole trace.
+// Arrivals fire straight from the slice (sim.Engine.RunFeed), so only
+// departures enter the event heap, which stays O(hosts) deep regardless of
+// trace length; the event order — and therefore every simulated record —
+// is identical to pre-scheduling the whole trace.
 func (s *System) Simulate(jobs []workload.Job) {
 	prev := 0.0
 	for i, j := range jobs {
@@ -413,22 +402,7 @@ func (s *System) Simulate(jobs []workload.Job) {
 		}
 		prev = j.Arrival
 	}
-	s.feed = jobs
-	s.feedNext = 0
-	s.feedBase = s.engine.ReserveSeq(len(jobs))
-	s.feedNextArrival()
-	s.engine.Run()
-	s.feed = nil
-}
-
-// feedNextArrival schedules the next unscheduled arrival, if any.
-func (s *System) feedNextArrival() {
-	if s.feedNext >= len(s.feed) {
-		return
-	}
-	j := s.feed[s.feedNext]
-	s.engine.ScheduleReserved(j.Arrival, s.feedBase+uint64(s.feedNext), sim.Ev{Kind: evArrival, Job: j})
-	s.feedNext++
+	s.engine.RunFeed(jobs, evArrival)
 }
 
 // HandleEvent dispatches the engine's typed events.
@@ -437,7 +411,6 @@ func (s *System) feedNextArrival() {
 func (s *System) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evArrival:
-		s.feedNextArrival()
 		s.arrive(ev.Job, now)
 	case evDepart:
 		s.depart(int(ev.Host), JobRecord{

@@ -310,3 +310,35 @@ func TestKeptRecordsPresized(t *testing.T) {
 		}
 	}
 }
+
+// TestInterruptCadence pins how far an engine run gets when its Interrupt
+// trips on the third poll, one poll every defaultInterruptEvery fired
+// events. Every arrival, departure and popped PS completion (canceled or
+// not) advances the probe, so the completed-job counts below move if the
+// kernel ever changes which entries it counts — the probe's cadence on
+// the serving path (Config.Interrupt) would then change with it.
+func TestInterruptCadence(t *testing.T) {
+	jobs := goldenJobs(47, 20000)
+	for _, tc := range []struct {
+		name string
+		run  func([]workload.Job, Config) *Result
+		cfg  Config
+		want int64
+	}{
+		{"fcfs-lwl", Run, Config{Hosts: 3, Policy: goldenLWL{}}, 6105},
+		{"fcfs-central-sjf", Run, Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralSJF}, 6138},
+		{"ps-lwl", RunPS, Config{Hosts: 2, Policy: goldenLWL{}}, 3737},
+	} {
+		polls := 0
+		tc.cfg.Interrupt = func() bool { polls++; return polls == 3 }
+		res := tc.run(jobs, tc.cfg)
+		var done int64
+		for _, n := range res.PerHostJobs {
+			done += n
+		}
+		if !res.Interrupted || polls != 3 || done != tc.want {
+			t.Errorf("%s: interrupted %v after %d polls with %d jobs done, want true, 3, %d",
+				tc.name, res.Interrupted, polls, done, tc.want)
+		}
+	}
+}

@@ -94,3 +94,23 @@ func (h *countdownHandler) HandleEvent(now float64, ev Ev) {
 		h.e.ScheduleAfter(0.5, Ev{Kind: 1})
 	}
 }
+
+// TestCancelCheckCountsFeedArrivals checks that the cancel probe polls on
+// fed arrivals as on heap events: with no runtime events at all, a probe
+// every 3 events that trips on its second poll stops the feed after
+// exactly 6 arrivals.
+func TestCancelCheckCountsFeedArrivals(t *testing.T) {
+	var e Engine
+	var h nopHandler
+	e.SetHandler(&h)
+	polls := 0
+	e.SetCancelCheck(3, func() bool {
+		polls++
+		return polls == 2
+	})
+	e.RunFeed(make([]Job, 10), 1)
+	if !e.Interrupted() || polls != 2 || h.n != 6 || e.Fired() != 6 {
+		t.Fatalf("interrupted %v after %d polls, %d handled, %d fired; want true, 2, 6, 6",
+			e.Interrupted(), polls, h.n, e.Fired())
+	}
+}

@@ -191,18 +191,6 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// popTop removes the heap minimum (the caller reads events[0] first).
-//
-//sim:noalloc
-func (e *Engine) popTop() {
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events = e.events[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-}
-
 // allocSlot takes a slot from the freelist, growing the arena if empty.
 func (e *Engine) allocSlot() int32 {
 	if n := len(e.free); n > 0 {
@@ -258,37 +246,14 @@ func (e *Engine) ScheduleAfter(delay float64, ev Ev) Handle {
 	return e.Schedule(e.now+delay, ev)
 }
 
-// ReserveSeq reserves n consecutive FIFO sequence numbers and returns the
-// first. A lazy event source (internal/server feeding arrivals one at a
-// time) reserves one number per future event up front and schedules each
-// event with ScheduleReserved(..., base+i, ...): simultaneous events then
-// order exactly as if all n had been scheduled eagerly before anything
-// else, which is what keeps results byte-identical across feeding
-// strategies.
-func (e *Engine) ReserveSeq(n int) uint64 {
-	base := e.seq
-	e.seq += uint64(n)
-	return base
-}
-
-// ScheduleReserved schedules a typed event with a sequence number
-// previously obtained from ReserveSeq. Panics if t is in the past or seq
-// was not reserved (>= the engine's sequence counter): both are model
-// bugs.
-func (e *Engine) ScheduleReserved(t float64, seq uint64, ev Ev) Handle {
-	if seq >= e.seq {
-		panic(fmt.Sprintf("sim: sequence %d not reserved (counter at %d)", seq, e.seq))
-	}
-	return e.push(t, seq, ev)
-}
-
 // Stop makes the current Run call return after the executing event
 // completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetCancelCheck installs a cooperative cancellation probe: fn is polled
-// once every `every` fired events during Run/RunUntil, and when it reports
-// true the run stops after the current event and Interrupted reports true.
+// every `every` loop steps (an arrival or a popped, maybe canceled, entry)
+// of a run, and when it reports true the run stops after the current
+// event and Interrupted reports true.
 // every <= 0 (or fn == nil) disables the check — the default — so the
 // probe costs nothing on paths that never set it and simulation output
 // stays byte-identical. The probe itself allocates nothing on the engine
@@ -305,9 +270,8 @@ func (e *Engine) SetCancelCheck(every int, fn func() bool) {
 	e.checkCount = 0
 }
 
-// Interrupted reports whether the most recent Run/RunUntil stopped because
-// the cancel check fired (as opposed to draining the queue, reaching the
-// horizon, or Stop).
+// Interrupted reports whether the most recent run stopped because the
+// cancel check fired (not by draining, reaching the horizon, or Stop).
 func (e *Engine) Interrupted() bool { return e.interrupted }
 
 // SetOrderCheck toggles dispatch-order verification: with the check on,
@@ -329,9 +293,7 @@ func (e *Engine) SetOrderCheck(on bool) {
 // called.
 //
 //sim:entry
-func (e *Engine) Run() {
-	e.RunUntil(-1)
-}
+func (e *Engine) Run() { e.run(nil, 0, -1) }
 
 // RunUntil executes events with timestamp <= horizon (or all events when
 // horizon < 0). The clock advances to each event's time; if the queue
@@ -339,18 +301,45 @@ func (e *Engine) Run() {
 // dispatch path) if an event fires with no Handler installed.
 //
 //sim:entry
+func (e *Engine) RunUntil(horizon float64) { e.run(nil, 0, horizon) }
+
+// RunFeed runs a trace-driven simulation: each job, sorted by arrival,
+// fires as Ev{Kind: kind, Job: job} straight from the slice, merged with
+// the heap's events in (time, seq) order, so only runtime events enter
+// the heap. The feed takes the next len(jobs) sequence numbers before
+// anything fires: an arrival wins every tie with an event scheduled
+// during the run, exactly as if every arrival had been scheduled up
+// front. Arrivals are events in every other respect too — Fired counts
+// them, the order check (which panics on an unsorted feed) sees them,
+// and the cancel probe polls on them. A run ended by Stop or the probe
+// drops the rest of the feed.
+//
+//sim:entry
+func (e *Engine) RunFeed(jobs []Job, kind uint8) { e.run(jobs, kind, -1) }
+
+// run is the one event loop behind Run, RunUntil and RunFeed; the cancel
+// probe counts each of its steps, an arrival or a popped entry, canceled
+// or not. The horizon bounds heap events only; RunFeed passes none.
+//
 //sim:noalloc
-func (e *Engine) RunUntil(horizon float64) {
-	e.stopped = false
-	e.interrupted = false
-	for len(e.events) > 0 && !e.stopped {
-		top := e.events[0]
-		if horizon >= 0 && top.at > horizon {
+func (e *Engine) run(jobs []Job, kind uint8, horizon float64) {
+	e.stopped, e.interrupted = false, false
+	base := e.seq
+	e.seq += uint64(len(jobs))
+	for i := 0; !e.stopped; {
+		if i < len(jobs) && (len(e.events) == 0 || jobs[i].Arrival < e.events[0].at ||
+			//lint:allow floateq exact event-time tie-break; equal times fall through to seq, as in less
+			jobs[i].Arrival == e.events[0].at && base+uint64(i) < e.events[0].seq) {
+			e.fire(jobs[i].Arrival, base+uint64(i), Ev{Kind: kind, Job: jobs[i]})
+			i++
+		} else if len(e.events) == 0 {
+			return
+		} else if horizon >= 0 && e.events[0].at > horizon {
 			e.now = horizon
 			return
+		} else if at, seq, ev, live := e.pop(); live {
+			e.fire(at, seq, ev)
 		}
-		e.popTop()
-		e.fire(top)
 		if e.checkEvery != 0 {
 			if e.checkCount++; e.checkCount >= e.checkEvery {
 				e.checkCount = 0
@@ -369,42 +358,50 @@ func (e *Engine) RunUntil(horizon float64) {
 //sim:noalloc
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		top := e.events[0]
-		e.popTop()
-		if e.fire(top) {
+		if at, seq, ev, live := e.pop(); live {
+			e.fire(at, seq, ev)
 			return true
 		}
 	}
 	return false
 }
 
-// fire dispatches one popped heap entry, reporting whether it was live.
-// The slot is freed before dispatch so the handler can schedule new
-// events into the just-vacated slot (the generation bump keeps stale
-// handles inert). Panics if the order check (SetOrderCheck) is armed and
-// the entry is out of (time, seq) dispatch order — that is the check's
-// entire job.
-func (e *Engine) fire(top entry) bool {
-	s := &e.slots[top.id]
-	if s.canceled {
-		e.freeSlot(top.id)
-		return false
+// pop removes the heap minimum and frees its slot — before dispatch, so
+// the handler can reuse it — returning the entry and whether it was live.
+//
+//sim:noalloc
+func (e *Engine) pop() (at float64, seq uint64, ev Ev, live bool) {
+	top := e.events[0]
+	n := len(e.events) - 1
+	e.events[0] = e.events[n]
+	e.events = e.events[:n]
+	if n > 0 {
+		e.siftDown(0)
 	}
-	ev := s.ev
+	s := &e.slots[top.id]
+	ev, live = s.ev, !s.canceled
+	if live {
+		e.live--
+	}
 	e.freeSlot(top.id)
-	e.live--
+	return top.at, top.seq, ev, live
+}
+
+// fire dispatches one live event to the handler at its time. Panics if
+// the order check (SetOrderCheck) is armed and the event is out of
+// (time, seq) dispatch order — that is the check's entire job.
+func (e *Engine) fire(at float64, seq uint64, ev Ev) {
 	if e.orderCheck {
 		//lint:allow floateq exact dispatch-order assertion: equal times fall through to the seq tie-break
-		if top.at < e.lastAt || (top.at == e.lastAt && top.seq <= e.lastSeq) {
+		if at < e.lastAt || (at == e.lastAt && seq <= e.lastSeq) {
 			panic(fmt.Sprintf("sim: dispatch order violated: event (t=%v, seq=%d) after (t=%v, seq=%d)",
-				top.at, top.seq, e.lastAt, e.lastSeq))
+				at, seq, e.lastAt, e.lastSeq))
 		}
-		e.lastAt, e.lastSeq = top.at, top.seq
+		e.lastAt, e.lastSeq = at, seq
 	}
-	e.now = top.at
+	e.now = at
 	e.fired++
-	e.handler.HandleEvent(e.now, ev)
-	return true
+	e.handler.HandleEvent(at, ev)
 }
 
 // Reset returns the engine to its zero state — time 0, empty queue,

@@ -94,20 +94,19 @@ func TestEngineResetRestartsClockAndSeq(t *testing.T) {
 func TestEngineTieBreakAcrossReset(t *testing.T) {
 	run := func(e *Engine) []int {
 		var order []int
-		// Reserved block first (lazy-feed arrivals), then runtime events at
-		// the same instant: reserved seqs must win the tie.
-		base := e.ReserveSeq(2)
-		e.Schedule(1.0, Ev{Kind: 1})
-		e.ScheduleReserved(1.0, base+1, Ev{})
-		e.ScheduleReserved(1.0, base, Ev{})
+		// Two fed arrivals at t=1; the first schedules a runtime event at
+		// the same instant, and the feed's seqs must win the tie.
 		e.SetHandler(handlerFunc(func(now float64, ev Ev) {
 			if ev.Kind == 1 {
 				order = append(order, 100)
-			} else {
-				order = append(order, len(order))
+				return
 			}
+			if len(order) == 0 {
+				e.Schedule(1.0, Ev{Kind: 1})
+			}
+			order = append(order, len(order))
 		}))
-		e.Run()
+		e.RunFeed([]Job{{Arrival: 1}, {Arrival: 1}}, 0)
 		return order
 	}
 	var e Engine
@@ -122,9 +121,9 @@ func TestEngineTieBreakAcrossReset(t *testing.T) {
 			t.Fatalf("tie-break differs across Reset: %v vs %v", first, second)
 		}
 	}
-	// Reserved seqs 0 and 1 precede the Schedule event's seq 2.
+	// Feed seqs 0 and 1 precede the runtime event's seq 2.
 	if second[2] != 100 {
-		t.Fatalf("reserved seqs must fire before later runtime seqs at the same time: %v", second)
+		t.Fatalf("fed arrivals must fire before later runtime seqs at the same time: %v", second)
 	}
 }
 
@@ -149,65 +148,6 @@ func TestEngineResetInvalidatesHandles(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Fatal("stale handle canceled an event scheduled after Reset")
-	}
-}
-
-func TestEngineScheduleReservedUnreservedPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling an unreserved sequence")
-		}
-	}()
-	e.ScheduleReserved(1, 0, Ev{}) // nothing reserved: counter is 0
-}
-
-// TestEngineReserveSeqMatchesEagerOrder checks the determinism contract
-// behind lazy arrival feeding: scheduling a reserved block lazily fires in
-// exactly the order of scheduling everything eagerly up front.
-func TestEngineReserveSeqMatchesEagerOrder(t *testing.T) {
-	arrivals := []float64{1, 1, 2, 2, 2, 3}
-
-	var eager Engine
-	var eagerOrder []int
-	eager.SetHandler(handlerFunc(func(now float64, ev Ev) { eagerOrder = append(eagerOrder, int(ev.Host)) }))
-	for i, at := range arrivals {
-		eager.Schedule(at, Ev{Kind: 1, Host: int32(i)})
-	}
-	// Runtime events racing the arrivals at t=2.
-	eager.Schedule(2, Ev{Kind: 2, Host: 100})
-	eager.Run()
-
-	var lazy Engine
-	var lazyOrder []int
-	base := lazy.ReserveSeq(len(arrivals))
-	next := 0
-	var feed func()
-	feed = func() {
-		if next >= len(arrivals) {
-			return
-		}
-		i := next
-		lazy.ScheduleReserved(arrivals[i], base+uint64(i), Ev{Kind: 1, Host: int32(i)})
-		next++
-	}
-	lazy.SetHandler(handlerFunc(func(now float64, ev Ev) {
-		if ev.Kind == 1 {
-			feed()
-		}
-		lazyOrder = append(lazyOrder, int(ev.Host))
-	}))
-	feed()
-	lazy.Schedule(2, Ev{Kind: 2, Host: 100})
-	lazy.Run()
-
-	if len(eagerOrder) != len(lazyOrder) {
-		t.Fatalf("eager fired %d, lazy fired %d", len(eagerOrder), len(lazyOrder))
-	}
-	for i := range eagerOrder {
-		if eagerOrder[i] != lazyOrder[i] {
-			t.Fatalf("lazy feeding reordered simultaneous events:\neager %v\nlazy  %v", eagerOrder, lazyOrder)
-		}
 	}
 }
 

@@ -74,7 +74,7 @@ func (h *tagsHost) dequeue() workload.Job {
 	return j
 }
 
-// tagsSim is the event handler for one TAGS run: lazy arrival feeding plus
+// tagsSim is the event handler for one TAGS run: arrival numbering plus
 // the kill-and-restart host chain. The run budget of a job on host h is a
 // pure function of (job size, h, cutoffs), so the evDone event recomputes
 // it at fire time instead of carrying it in a closure.
@@ -84,10 +84,7 @@ type tagsSim struct {
 	res     *Result
 	hs      []tagsHost
 	warmup  int
-
-	feed     []workload.Job
-	feedNext int
-	feedBase uint64
+	arrived int // arrivals so far: the next arrival's ID
 }
 
 // runBudget reports how long a job may run on host h and whether it is
@@ -108,27 +105,18 @@ func (t *tagsSim) start(h int, job workload.Job, now float64) {
 	t.eng.ScheduleAfter(runFor, sim.Ev{Kind: evDone, Host: int32(h), Job: job})
 }
 
-// feedNextArrival schedules the next unscheduled arrival, renumbering by
-// arrival order for warmup accounting.
-func (t *tagsSim) feedNextArrival() {
-	if t.feedNext >= len(t.feed) {
-		return
-	}
-	j := t.feed[t.feedNext]
-	j.ID = t.feedNext
-	t.eng.ScheduleReserved(j.Arrival, t.feedBase+uint64(t.feedNext), sim.Ev{Kind: evArrival, Job: j})
-	t.feedNext++
-}
-
 // HandleEvent dispatches the engine's typed events.
 func (t *tagsSim) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evArrival:
-		t.feedNextArrival()
+		// Renumber by arrival order for warmup accounting.
+		job := ev.Job
+		job.ID = t.arrived
+		t.arrived++
 		if t.hs[0].running || t.hs[0].queued() > 0 {
-			t.hs[0].queue = append(t.hs[0].queue, ev.Job)
+			t.hs[0].queue = append(t.hs[0].queue, job)
 		} else {
-			t.start(0, ev.Job, now)
+			t.start(0, job, now)
 		}
 	case evDone:
 		t.done(int(ev.Host), ev.Job, now)
@@ -179,7 +167,8 @@ func (t *tagsSim) done(h int, job workload.Job, now float64) {
 // cutoffs (len = hosts-1, ascending; host i kills at cutoffs[i], the last
 // host never kills). Jobs must be sorted by arrival time. warmup is the
 // fraction of jobs (by arrival order) excluded from delay statistics.
-// Panics if the cutoffs do not ascend or the jobs are unsorted.
+// Panics if the cutoffs do not ascend, warmup is outside [0, 1), or the
+// jobs are unsorted.
 // The jobs slice is never written (the feed is read by value), so callers
 // may share one job list across concurrent runs — the same read-only
 // input contract as server.Run.
@@ -189,6 +178,10 @@ func (t *tagsSim) done(h int, job workload.Job, now float64) {
 func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
 	if !sort.Float64sAreSorted(cutoffs) {
 		panic(fmt.Sprintf("tags: cutoffs must ascend, got %v", cutoffs))
+	}
+	// Affirmative form so NaN is rejected too.
+	if !(warmup >= 0 && warmup < 1) {
+		panic(fmt.Sprintf("tags: warmup fraction %v outside [0, 1)", warmup))
 	}
 	prev := 0.0
 	for i, j := range jobs {
@@ -210,12 +203,9 @@ func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
 		res:     res,
 		hs:      make([]tagsHost, hosts),
 		warmup:  int(warmup * float64(len(jobs))),
-		feed:    jobs,
 	}
 	eng.SetHandler(t)
-	t.feedBase = eng.ReserveSeq(len(jobs))
-	t.feedNextArrival()
-	eng.Run()
+	eng.RunFeed(jobs, evArrival)
 	return res
 }
 

@@ -1,7 +1,9 @@
 package tags
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sita/internal/dist"
@@ -228,6 +230,24 @@ func TestSimulateValidation(t *testing.T) {
 	// back as errors, not panics.
 	if _, err := OptimalCutoffs(1, dist.NewExponential(1), 1); err == nil {
 		t.Error("OptimalCutoffs(h=1): expected error")
+	}
+}
+
+// TestSimulateRejectsBadWarmup checks that a warmup fraction outside
+// [0, 1), NaN included, panics naming the value instead of silently
+// counting no jobs (a fraction >= 1) or every job (NaN).
+func TestSimulateRejectsBadWarmup(t *testing.T) {
+	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 1, Size: 1}}
+	for _, w := range []float64{math.NaN(), -0.1, 1, 2} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("warmup fraction %v", w); !strings.Contains(msg, want) {
+					t.Errorf("warmup %v: panic %q, want one containing %q", w, msg, want)
+				}
+			}()
+			Simulate(jobs, []float64{10}, w)
+		}()
 	}
 }
 
