@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -47,6 +48,9 @@ func main() {
 	}
 	if err := catalog.CheckJobs(*jobs); err != nil {
 		fatal(fmt.Errorf("-jobs: %w", err))
+	}
+	if err := checkSLO(*slo); err != nil {
+		fatal(fmt.Errorf("-slo: %w", err))
 	}
 
 	var wl *sita.Workload
@@ -135,6 +139,15 @@ func main() {
 		fmt.Printf("\nSLO: mean slowdown <= %.0f -> recommendation %s the objective (measured %.1f)\n",
 			*slo, verdict, res.Slowdown.Mean())
 	}
+}
+
+// checkSLO accepts a mean-slowdown objective: finite and >= 0, with 0
+// meaning none.
+func checkSLO(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("mean-slowdown objective must be finite and >= 0 (0 = none), got %v", v)
+	}
+	return nil
 }
 
 func fatal(err error) {

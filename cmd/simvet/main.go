@@ -1,46 +1,35 @@
 // Command simvet runs the simulator's static-analysis suite over the
 // given package patterns (default ./...) and exits nonzero on findings.
 // It is the CI gate for the determinism and numeric-correctness
-// contracts; see internal/analysis for the analyzers and the
-// //lint:allow suppression syntax.
+// contracts; see internal/analysis for the analyzers.
 //
 // Usage:
 //
-//	go run ./cmd/simvet ./...
-//	go run ./cmd/simvet -list                               # describe the analyzers
-//	go run ./cmd/simvet ./internal/sim                      # one package
-//	go run ./cmd/simvet -json ./...                         # machine-readable report
-//	go run ./cmd/simvet -baseline simvet.baseline.json ./.. # fail only on new findings
+//	go run ./cmd/simvet ./...               # the whole module
+//	go run ./cmd/simvet -list               # describe the analyzers
+//	go run ./cmd/simvet ./internal/sim      # one package
 //
-// A baseline file is a JSON array of accepted findings, each matched by
-// (analyzer, file, message) — deliberately line-independent, so code
-// motion above a finding does not churn the baseline. Every entry
-// carries a mandatory reason, keeping the accepted set auditable.
-// Baselined findings are reported (and marked in -json output) but do
-// not fail the run; entries that no longer match anything are stale and
-// fail the run under -failstale, so the baseline can only shrink.
+// There is one suppression mechanism, in the source: a
+// //lint:allow <analyzer> <reason> comment on or above the flagged line.
+// A directive that no longer suppresses anything is itself a finding, so
+// the accepted exceptions can only shrink with the code they excuse.
 //
-// Exit status: 0 clean, 1 findings (or stale baseline under
-// -failstale), 2 load or usage error.
+// Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"sita/internal/analysis"
 )
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout")
-	baselinePath := flag.String("baseline", "", "JSON baseline of accepted findings; only new findings fail")
-	failStale := flag.Bool("failstale", false, "exit nonzero when baseline entries no longer reproduce")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: simvet [-list] [-json] [-baseline file] [-failstale] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: simvet [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,10 +40,6 @@ func main() {
 			fmt.Printf("%s: %s\n\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *failStale && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "simvet: -failstale requires -baseline")
-		os.Exit(2)
 	}
 
 	wd, err := os.Getwd()
@@ -68,55 +53,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	var baseline []baselineEntry
-	if *baselinePath != "" {
-		baseline, err = readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simvet:", err)
-			os.Exit(2)
-		}
+	diags := relativize(analysis.Run(pkgs, analyzers), wd)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
-	diags := analysis.Run(pkgs, analyzers)
-	findings := toFindings(diags, wd)
-	fresh, stale := applyBaseline(findings, baseline)
-
-	if *jsonOut {
-		// Keep empty collections as [] rather than null so downstream
-		// jq/length checks work without null guards.
-		if findings == nil {
-			findings = []finding{}
-		}
-		if stale == nil {
-			stale = []baselineEntry{}
-		}
-		rep := report{Findings: findings, StaleBaseline: stale}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "simvet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			suffix := ""
-			if f.Baselined {
-				suffix = " [baselined]"
-			}
-			fmt.Printf("%s:%d:%d: %s (%s)%s\n", f.File, f.Line, f.Column, f.Message, f.Analyzer, suffix)
-		}
-	}
-
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "simvet: stale baseline entry: %s in %s (%q) no longer reproduces; delete it\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "simvet: %d new finding(s) in %d package(s)\n", len(fresh), len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "simvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
-	if *failStale && len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "simvet: %d stale baseline entr(y/ies)\n", len(stale))
-		os.Exit(1)
+}
+
+// relativize rewrites each diagnostic's file name relative to root, with
+// forward slashes, so reports read the same in every checkout.
+func relativize(diags []analysis.Diagnostic, root string) []analysis.Diagnostic {
+	for i := range diags {
+		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
+			diags[i].Pos.Filename = filepath.ToSlash(rel)
+		}
 	}
+	return diags
 }

@@ -32,10 +32,10 @@ import (
 // steady state, and the hot paths here panic with formatted messages on
 // contract violations (invalid event IDs, wrong generation).
 //
-// The walk follows static call edges only — not interface dispatch or
-// function references — because the hot paths are deliberately written
-// devirtualized; an interface call inside a noalloc region would itself
-// be a design smell worth a finding, which boxing detection surfaces.
+// The walk follows static call edges only (see callgraph.go), because
+// the hot paths are deliberately written devirtualized; an interface
+// call inside a noalloc region would itself be a design smell worth a
+// finding, which boxing detection surfaces.
 var Allocfree = &Analyzer{
 	Name: "allocfree",
 	Doc: "//sim:noalloc functions and their static callees must not " +
@@ -57,12 +57,10 @@ func runAllocfree(pass *ModulePass) {
 		return
 	}
 
-	// Static calls only; //sim:io does not bound allocation checking
-	// (an io boundary may still sit on a hot path's panic branch).
-	order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
+	order, parent := g.Walk(roots)
 
 	for _, n := range order {
-		if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
+		if n.Decl.Body == nil {
 			continue
 		}
 		checkAllocs(pass, g, n, parent)

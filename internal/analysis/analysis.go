@@ -1,12 +1,12 @@
-// Package analysis is the simulator's static-analysis suite: five
+// Package analysis is the simulator's static-analysis suite: six
 // file-local analyzers (seedflow, nowallclock, maporder, floateq,
-// panicpolicy) plus five interprocedural ones (detflow, allocfree,
-// pairing, readonly, oblivious) that machine-check the determinism,
+// panicpolicy, pairing) plus three interprocedural ones (allocfree,
+// readonly, oblivious) that machine-check the determinism, numeric,
 // allocation, input-immutability, policy-capability (a WorkOnly policy
 // reads no job counts or idle lists), and resource-lifecycle contracts
 // the experiment pipeline depends on, and the small framework they run
-// on — including a whole-module call graph (see callgraph.go) for the
-// interprocedural family.
+// on — including a whole-module static call graph (see callgraph.go) for
+// the interprocedural family.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // an Analyzer holds a Run function over a type-checked Pass, diagnostics
@@ -254,12 +254,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return kept
 }
 
-// Analyzers returns the full simvet suite in a fixed order: the five
+// Analyzers returns the full simvet suite in a fixed order: the
 // file-local checkers first, then the interprocedural family built on the
 // module call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy,
-		Detflow, Allocfree, Pairing, Readonly, Oblivious,
+		Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy, Pairing,
+		Allocfree, Readonly, Oblivious,
 	}
 }

@@ -187,31 +187,62 @@ func TestDirectiveValidation(t *testing.T) {
 	})
 }
 
-// TestSeededViolationFailsGate builds a throwaway module containing one
-// deliberate violation and checks the suite catches it — the end-to-end
-// guarantee that the CI gate can actually fail.
+// TestSeededViolationFailsGate builds a throwaway module around each
+// seeded determinism source and checks the suite flags it — the
+// end-to-end guarantee that the CI gate can actually fail. The last case
+// pins the one command exemption: package main may set its own
+// parallelism.
 func TestSeededViolationFailsGate(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module seeded\n\ngo 1.22\n",
-		"clock.go": "// Package seeded holds a deliberate violation.\n" +
-			"package seeded\n\nimport \"time\"\n\n" +
-			"// Stamp reads the wall clock.\n" +
-			"func Stamp() time.Time { return time.Now() }\n",
+	cases := []struct {
+		name     string
+		pkg      string // package clause name
+		imports  string
+		body     string // body of func F
+		analyzer string // "" when the module must stay clean
+		want     string // substring of the one expected message
+	}{
+		{"wall-clock", "seeded", `"time"`, "_ = time.Now()", "nowallclock", "time.Now"},
+		{"environment", "seeded", `"os"`, `_ = os.Getenv("SIM_KNOB")`, "nowallclock", "os.Getenv"},
+		{"global-rand", "seeded", `"math/rand/v2"`, "_ = rand.Float64()", "seedflow", "rand.Float64"},
+		{"rand-New", "seeded", `"math/rand/v2"`, "_ = rand.New(nil)", "seedflow", "rand.New"},
+		{"map-range-print", "seeded", `"fmt"`, "for k := range map[string]int{} {\n\t\tfmt.Println(k)\n\t}", "maporder", "fmt.Println inside a map range"},
+		{"gomaxprocs-library", "seeded", `"runtime"`, "_ = runtime.GOMAXPROCS(0)", "nowallclock", "runtime.GOMAXPROCS"},
+		{"gomaxprocs-command", "main", `"runtime"`, "_ = runtime.GOMAXPROCS(1)", "", ""},
 	}
-	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pkgs, err := Load(dir)
-	if err != nil {
-		t.Fatalf("loading seeded module: %v", err)
-	}
-	diags := Run(pkgs, Analyzers())
-	if len(diags) != 1 || diags[0].Analyzer != "nowallclock" ||
-		!strings.Contains(diags[0].Message, "time.Now") {
-		t.Fatalf("got %v, want exactly one nowallclock diagnostic for time.Now", diags)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := "// Package " + tc.pkg + " holds one seeded source.\n" +
+				"package " + tc.pkg + "\n\nimport " + tc.imports + "\n\n" +
+				"// F carries the source.\nfunc F() {\n\t" + tc.body + "\n}\n"
+			if tc.pkg == "main" {
+				src += "\nfunc main() { F() }\n"
+			}
+			files := map[string]string{
+				"go.mod":    "module seeded\n\ngo 1.22\n",
+				"seeded.go": src,
+			}
+			for name, content := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pkgs, err := Load(dir)
+			if err != nil {
+				t.Fatalf("loading seeded module: %v", err)
+			}
+			diags := Run(pkgs, Analyzers())
+			if tc.analyzer == "" {
+				if len(diags) != 0 {
+					t.Fatalf("got %v, want a clean module", diags)
+				}
+				return
+			}
+			if len(diags) != 1 || diags[0].Analyzer != tc.analyzer ||
+				!strings.Contains(diags[0].Message, tc.want) {
+				t.Fatalf("got %v, want exactly one %s diagnostic mentioning %s", diags, tc.analyzer, tc.want)
+			}
+		})
 	}
 }
 

@@ -10,98 +10,50 @@ import (
 )
 
 // This file builds the whole-module static call graph the interprocedural
-// analyzers (detflow, allocfree) run on. Nodes are named functions and
-// methods; a function literal is attributed to the named declaration that
-// lexically contains it, so a closure's calls count as its enclosing
-// function's calls. Edges come in three conservatively widening kinds:
+// analyzers (allocfree, readonly, oblivious) run on. Nodes are the named
+// functions and methods of the loaded packages; a function literal is
+// attributed to the named declaration that lexically contains it, so a
+// closure's calls count as its enclosing function's calls. An edge is a
+// statically resolved call to another module function: a package
+// function, a method on a concrete receiver, or a qualified pkg.Func.
 //
-//   - EdgeCall: a statically resolved call (package function, method on a
-//     concrete receiver, or qualified pkg.Func).
-//   - EdgeIface: an interface-dispatch candidate. A call through an
-//     interface method links to every concrete method in the module with
-//     the same name and parameter/result types; signature matching is
-//     textual (fully qualified type strings), which stays correct across
-//     the loader's mix of source-checked and export-data packages, where
-//     go/types object identity does not hold.
-//   - EdgeRef: a function referenced as a value (method value, handler
-//     registration, function stored in a table). The reference may be
-//     called later from anywhere, so reachability treats it as a call.
-//
-// Calls through func-typed variables and fields resolve to no edge: the
-// set of functions ever stored in a variable is not tracked. This is the
-// one deliberate soundness hole (documented in ARCHITECTURE.md); the
-// file-local analyzers still run over every function, annotated or not,
-// so a forbidden call hiding behind a func value is caught by them.
+// Calls through interfaces and func-typed values, and functions referenced
+// as values, resolve to no edge. The contracts walked over the graph are
+// about code a function runs itself: the simulation hot paths are written
+// devirtualized, and a WorkOnly wrapper's inner policy is checked on its
+// own declaration. The determinism contract does not rest on the graph at
+// all: the file-local analyzers (nowallclock, seedflow, maporder) run over
+// every function, so a forbidden source is flagged where it is written,
+// whatever path reaches it.
 //
 // # Annotation grammar
 //
 // Contracts are declared as //sim: directives inside a function's doc
 // comment:
 //
-//	//sim:entry            detflow root: everything reachable from here
-//	                       must be deterministic and machine-independent
-//	//sim:io <reason>      boundary: the call tree legitimately exits
-//	                       simulation code here; detflow stops traversing
 //	//sim:noalloc          allocfree contract: this function and its
 //	                       static callees must not allocate
+//	//sim:readonly         readonly contract: this function and its
+//	                       static callees never mutate a job slice
 //
-// A malformed directive (unknown verb, missing //sim:io reason) is
-// reported under the pseudo-analyzer "lint", like a malformed
-// //lint:allow, so a typo cannot silently drop a contract.
+// A malformed directive (unknown verb, no verb) is reported under the
+// pseudo-analyzer "lint", like a malformed //lint:allow, so a typo cannot
+// silently drop a contract.
 
 // SimPrefix is the comment prefix of a //sim: contract directive.
 const SimPrefix = "//sim:"
 
-// EdgeKind classifies how a caller can transfer control to a callee.
-type EdgeKind uint8
-
-const (
-	// EdgeCall is a statically resolved direct call.
-	EdgeCall EdgeKind = iota
-	// EdgeIface is an interface-dispatch candidate (name+signature match).
-	EdgeIface
-	// EdgeRef is a reference to the function as a value.
-	EdgeRef
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeIface:
-		return "iface"
-	default:
-		return "ref"
-	}
-}
-
-// CGEdge is one outgoing edge of the call graph.
-type CGEdge struct {
-	To   *CGNode
-	Pos  token.Pos // the call or reference site in the caller
-	Kind EdgeKind
-}
-
-// CGNode is one function or method. External functions (stdlib, export
-// data only) get leaf nodes with Pkg == nil and no outgoing edges.
+// CGNode is one function or method of the loaded packages.
 type CGNode struct {
-	Key     string        // types.Func.FullName(), e.g. "(*sita/internal/sim.Engine).Run"
-	PkgPath string        // defining package import path
-	Name    string        // bare function or method name
-	Pkg     *Package      // defining target package; nil for externals
-	Decl    *ast.FuncDecl // declaration; nil for externals
-	Out     []CGEdge      // sorted by (To.Key, Pos, Kind)
+	Key  string        // types.Func.FullName(), e.g. "(*sita/internal/sim.Engine).Run"
+	Pkg  *Package      // defining package
+	Decl *ast.FuncDecl // declaration
+	Out  []*CGNode     // static callees, deduplicated, sorted by Key
 
 	// Contract annotations parsed from the doc comment.
-	Entry    bool   // //sim:entry
-	NoAlloc  bool   // //sim:noalloc
-	IO       bool   // //sim:io
-	IOReason string // the mandatory //sim:io reason
-	ReadOnly bool   // //sim:readonly — job-slice inputs are never mutated
+	NoAlloc  bool // //sim:noalloc
+	ReadOnly bool // //sim:readonly — job-slice inputs are never mutated
 }
-
-// Method reports whether the node is a method (has a receiver).
-func (n *CGNode) Method() bool { return strings.HasPrefix(n.Key, "(") }
 
 // CallGraph is the module-wide static call graph.
 type CallGraph struct {
@@ -150,26 +102,17 @@ func (g *CallGraph) displayOrder() []string {
 	return paths
 }
 
-// Walk runs a breadth-first traversal from roots following the edge kinds
-// in follow, and returns the visit order plus, for every reached node,
-// the node it was first discovered from (roots map to nil). When stopIO
-// is set, //sim:io-annotated nodes are boundaries: they are not entered,
-// not reported in order, and nothing is reached through them. External
-// leaf nodes are likewise never entered (they have no edges). Roots are
-// visited in sorted key order, so discovery parents — and therefore the
-// paths diagnostics print — are deterministic.
-func (g *CallGraph) Walk(roots []*CGNode, follow map[EdgeKind]bool, stopIO bool) (order []*CGNode, parent map[*CGNode]*CGNode) {
+// Walk runs a breadth-first traversal over static call edges from roots
+// and returns the visit order plus, for every reached node, the node it
+// was first discovered from (roots map to nil). Roots are visited in
+// sorted key order, so discovery parents — and therefore the paths
+// diagnostics print — are deterministic.
+func (g *CallGraph) Walk(roots []*CGNode) (order []*CGNode, parent map[*CGNode]*CGNode) {
 	parent = make(map[*CGNode]*CGNode)
 	queue := make([]*CGNode, 0, len(roots))
 	sorted := append([]*CGNode(nil), roots...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 	for _, r := range sorted {
-		if r == nil {
-			continue
-		}
-		if stopIO && r.IO {
-			continue
-		}
 		if _, seen := parent[r]; seen {
 			continue
 		}
@@ -180,17 +123,7 @@ func (g *CallGraph) Walk(roots []*CGNode, follow map[EdgeKind]bool, stopIO bool)
 		n := queue[0]
 		queue = queue[1:]
 		order = append(order, n)
-		for _, e := range n.Out {
-			if !follow[e.Kind] {
-				continue
-			}
-			to := e.To
-			if to.Pkg == nil { // external leaf: checked by callers, never entered
-				continue
-			}
-			if stopIO && to.IO {
-				continue
-			}
+		for _, to := range n.Out {
 			if _, seen := parent[to]; seen {
 				continue
 			}
@@ -201,39 +134,18 @@ func (g *CallGraph) Walk(roots []*CGNode, follow map[EdgeKind]bool, stopIO bool)
 	return order, parent
 }
 
-// Path renders the discovery chain root -> ... -> n as display keys.
-func (g *CallGraph) Path(parent map[*CGNode]*CGNode, n *CGNode) []string {
-	var rev []string
-	for at := n; at != nil; at = parent[at] {
-		rev = append(rev, g.Display(at.Key))
-		if parent[at] == nil {
-			break
-		}
-	}
-	out := make([]string, len(rev))
-	for i, s := range rev {
-		out[len(rev)-1-i] = s
-	}
-	return out
-}
-
-// pathVia renders a compact "via a -> b -> c" fragment for diagnostics,
-// eliding the middle of long chains.
+// pathVia renders the discovery chain root -> ... -> n as a compact
+// "a -> b -> c" fragment for diagnostics, eliding the middle of long
+// chains.
 func (g *CallGraph) pathVia(parent map[*CGNode]*CGNode, n *CGNode) string {
-	p := g.Path(parent, n)
+	var p []string
+	for at := n; at != nil; at = parent[at] {
+		p = append([]string{g.Display(at.Key)}, p...)
+	}
 	if len(p) > 5 {
 		p = append(append([]string{}, p[:2]...), append([]string{"..."}, p[len(p)-2:]...)...)
 	}
 	return strings.Join(p, " -> ")
-}
-
-// ifaceCall is one unresolved interface-dispatch site awaiting pass 3.
-type ifaceCall struct {
-	from *CGNode
-	name string // method name
-	sig  string // loose signature string
-	pos  token.Pos
-	kind EdgeKind // EdgeIface for calls, EdgeRef for method values
 }
 
 // BuildCallGraph builds the module call graph over the loaded packages and
@@ -246,8 +158,6 @@ func BuildCallGraph(pkgs []*Package) (*CallGraph, []Diagnostic) {
 	var diags []Diagnostic
 
 	// Pass 1: one node per named declaration, with parsed annotations.
-	// decls keeps file order, so later passes append edges and resolve
-	// interface candidates in a deterministic sequence.
 	var decls []*CGNode
 	for _, pkg := range pkgs {
 		g.pkgPaths[pkg.ImportPath] = pkg.Name
@@ -265,13 +175,7 @@ func BuildCallGraph(pkgs []*Package) (*CallGraph, []Diagnostic) {
 				for i := 2; g.nodes[key] != nil; i++ { // multiple init funcs
 					key = fmt.Sprintf("%s#%d", obj.FullName(), i)
 				}
-				n := &CGNode{
-					Key:     key,
-					PkgPath: pkg.ImportPath,
-					Name:    obj.Name(),
-					Pkg:     pkg,
-					Decl:    fn,
-				}
+				n := &CGNode{Key: key, Pkg: pkg, Decl: fn}
 				parseSimDirectives(pkg, fn, n, &diags)
 				g.nodes[key] = n
 				decls = append(decls, n)
@@ -279,44 +183,12 @@ func BuildCallGraph(pkgs []*Package) (*CallGraph, []Diagnostic) {
 		}
 	}
 
-	// Pass 2: outgoing edges per declaration.
-	var pending []ifaceCall
+	// Pass 2: static call edges per declaration, now that every callee
+	// has its node.
 	for _, n := range decls {
-		pending = append(pending, collectEdges(g, n)...)
+		collectEdges(g, n)
 	}
 
-	// Pass 3: resolve interface-dispatch candidates against every
-	// concrete method in the module by (name, loose signature).
-	methods := make(map[string][]*CGNode)
-	for _, n := range decls {
-		fn, ok := n.Pkg.Info.Defs[n.Decl.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		sig := fn.Type().(*types.Signature)
-		if sig.Recv() == nil || types.IsInterface(sig.Recv().Type()) {
-			continue
-		}
-		methods[n.Name+"|"+looseSig(sig)] = append(methods[n.Name+"|"+looseSig(sig)], n)
-	}
-	for _, c := range pending {
-		for _, m := range methods[c.name+"|"+c.sig] {
-			c.from.Out = append(c.from.Out, CGEdge{To: m, Pos: c.pos, Kind: c.kind})
-		}
-	}
-
-	for _, n := range g.nodes {
-		sort.Slice(n.Out, func(i, j int) bool {
-			a, b := n.Out[i], n.Out[j]
-			if a.To.Key != b.To.Key {
-				return a.To.Key < b.To.Key
-			}
-			if a.Pos != b.Pos {
-				return a.Pos < b.Pos
-			}
-			return a.Kind < b.Kind
-		})
-	}
 	g.keys = make([]string, 0, len(g.nodes))
 	for k := range g.nodes {
 		g.keys = append(g.keys, k)
@@ -342,187 +214,67 @@ func parseSimDirectives(pkg *Package, fn *ast.FuncDecl, n *CGNode, diags *[]Diag
 		if !strings.HasPrefix(c.Text, SimPrefix) {
 			continue
 		}
-		rest := strings.TrimPrefix(c.Text, SimPrefix)
-		fields := strings.Fields(rest)
+		fields := strings.Fields(strings.TrimPrefix(c.Text, SimPrefix))
 		if len(fields) == 0 {
-			bad(c.Pos(), "malformed %s directive: need a verb (entry, io, noalloc, readonly)", SimPrefix)
+			bad(c.Pos(), "malformed %s directive: need a verb (noalloc, readonly)", SimPrefix)
 			continue
 		}
 		switch fields[0] {
-		case "entry":
-			n.Entry = true
 		case "noalloc":
 			n.NoAlloc = true
-		case "io":
-			if len(fields) < 2 {
-				bad(c.Pos(), "%sio needs a reason: why may this call tree exit simulation code?", SimPrefix)
-				continue
-			}
-			n.IO = true
-			n.IOReason = strings.Join(fields[1:], " ")
 		case "readonly":
 			// Optional trailing fields name the read-only parameters for
 			// the reader; the analyzer checks every job slice regardless.
 			n.ReadOnly = true
 		default:
-			bad(c.Pos(), "%s%s is not a contract directive (want entry, io, noalloc, or readonly)", SimPrefix, fields[0])
+			bad(c.Pos(), "%s%s is not a contract directive (want noalloc or readonly)", SimPrefix, fields[0])
 		}
 	}
 }
 
-// collectEdges scans one declaration (closures included) for calls and
-// function references, appending resolved edges to n.Out and returning
-// interface-dispatch sites for pass 3.
-func collectEdges(g *CallGraph, n *CGNode) []ifaceCall {
+// collectEdges scans one declaration (closures included) for statically
+// resolved calls to module functions and sets n.Out.
+func collectEdges(g *CallGraph, n *CGNode) {
 	info := n.Pkg.Info
-	var pending []ifaceCall
-
-	// callFuns marks expressions in call position so the reference pass
-	// does not double-count a called function as a value reference.
-	callFuns := make(map[ast.Node]bool)
-	ast.Inspect(n.Decl, func(node ast.Node) bool {
-		if call, ok := node.(*ast.CallExpr); ok {
-			callFuns[ast.Unparen(call.Fun)] = true
-		}
-		return true
-	})
-
-	addEdge := func(fn *types.Func, pos token.Pos, kind EdgeKind) {
-		fn = fn.Origin() // generic instantiations share their origin's node
-		to := g.nodes[fn.FullName()]
-		if to == nil {
-			// External leaf (stdlib or export data): created on demand.
-			pkgPath := ""
-			if fn.Pkg() != nil {
-				pkgPath = fn.Pkg().Path()
-			}
-			to = &CGNode{Key: fn.FullName(), PkgPath: pkgPath, Name: fn.Name()}
-			g.nodes[fn.FullName()] = to
-		}
-		n.Out = append(n.Out, CGEdge{To: to, Pos: pos, Kind: kind})
-	}
-
-	// resolve handles one function-valued expression, in call position
-	// (kind EdgeCall/EdgeIface) or value position (EdgeRef).
-	resolve := func(expr ast.Expr, asCall bool) {
-		kind := EdgeRef
-		switch e := ast.Unparen(expr).(type) {
+	callee := func(fun ast.Expr) *types.Func {
+		switch e := fun.(type) {
 		case *ast.Ident:
-			if fn, ok := info.Uses[e].(*types.Func); ok {
-				if asCall {
-					kind = EdgeCall
-				}
-				addEdge(fn, e.Pos(), kind)
-			}
+			fn, _ := info.Uses[e].(*types.Func)
+			return fn
 		case *ast.SelectorExpr:
-			sel, isSel := info.Selections[e]
-			if !isSel {
-				// Qualified identifier pkg.Func.
-				if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-					if asCall {
-						kind = EdgeCall
-					}
-					addEdge(fn, e.Pos(), kind)
-				}
-				return
+			sel, ok := info.Selections[e]
+			if !ok { // qualified identifier pkg.Func
+				fn, _ := info.Uses[e.Sel].(*types.Func)
+				return fn
 			}
 			m, ok := sel.Obj().(*types.Func)
 			if !ok {
-				return
+				return nil // a func-typed field
 			}
-			msig, ok := m.Type().(*types.Signature)
-			if !ok || msig.Recv() == nil {
-				return
+			if sig, ok := m.Type().(*types.Signature); !ok || sig.Recv() == nil || types.IsInterface(sig.Recv().Type()) {
+				return nil // interface dispatch
 			}
-			if types.IsInterface(msig.Recv().Type()) {
-				// Interface dispatch: resolved in pass 3 by name+signature.
-				k := EdgeRef
-				if asCall {
-					k = EdgeIface
-				}
-				pending = append(pending, ifaceCall{
-					from: n, name: m.Name(), sig: looseSig(msig), pos: e.Pos(), kind: k,
-				})
-				return
-			}
-			if asCall {
-				kind = EdgeCall
-			}
-			addEdge(m, e.Pos(), kind)
+			return m
 		}
+		return nil
 	}
-
+	seen := make(map[*CGNode]bool)
 	ast.Inspect(n.Decl, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			fun := ast.Unparen(node.Fun)
-			if tv, ok := info.Types[fun]; ok && tv.IsType() {
-				return true // conversion, not a call
-			}
-			resolve(fun, true)
-		case *ast.Ident:
-			if !callFuns[node] {
-				resolve(node, false)
-			}
-			return false // an Ident has no children
-		case *ast.SelectorExpr:
-			if !callFuns[node] {
-				resolve(node, false)
-			}
-			// Still descend: the receiver expression may contain calls.
-			ast.Inspect(node.X, func(inner ast.Node) bool {
-				switch inner := inner.(type) {
-				case *ast.CallExpr:
-					fun := ast.Unparen(inner.Fun)
-					if tv, ok := info.Types[fun]; ok && tv.IsType() {
-						return true
-					}
-					callFuns[fun] = true
-					resolve(fun, true)
-				case *ast.Ident:
-					if !callFuns[inner] {
-						resolve(inner, false)
-					}
-					return false
-				case *ast.SelectorExpr:
-					if !callFuns[inner] {
-						resolve(inner, false)
-					}
-				}
-				return true
-			})
-			return false
+		call, ok := node.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := callee(ast.Unparen(call.Fun))
+		if fn == nil {
+			return true
+		}
+		// Generic instantiations share their origin's node; callees
+		// outside the loaded packages have none.
+		if to := g.nodes[fn.Origin().FullName()]; to != nil && !seen[to] {
+			seen[to] = true
+			n.Out = append(n.Out, to)
 		}
 		return true
 	})
-	return pending
-}
-
-// looseSig renders a signature's parameter and result types as a fully
-// package-qualified string, receiver and parameter names excluded. Two
-// methods match an interface method exactly when their loose signatures
-// are equal, even when their types.Object identities differ because one
-// side was loaded from export data.
-func looseSig(sig *types.Signature) string {
-	qual := func(p *types.Package) string { return p.Path() }
-	var b strings.Builder
-	b.WriteByte('(')
-	for i := 0; i < sig.Params().Len(); i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(types.TypeString(sig.Params().At(i).Type(), qual))
-	}
-	b.WriteByte(')')
-	if sig.Results().Len() > 0 {
-		b.WriteByte('(')
-		for i := 0; i < sig.Results().Len(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(types.TypeString(sig.Results().At(i).Type(), qual))
-		}
-		b.WriteByte(')')
-	}
-	return b.String()
+	sort.Slice(n.Out, func(i, j int) bool { return n.Out[i].Key < n.Out[j].Key })
 }

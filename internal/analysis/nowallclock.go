@@ -28,12 +28,12 @@ var wallClockFuncs = map[string]bool{
 // machineFuncs are non-time sources whose value depends on the machine or
 // process environment rather than the simulation inputs: equally fatal to
 // replay, and historically the first things a "quick tuning hack"
-// reaches for. runtime.GOMAXPROCS is deliberately absent — the runner
-// sizes its worker pool with it, and worker count never influences
-// output (cells merge in deterministic order); detflow still forbids it
-// inside //sim:entry call trees, where even scheduling must not vary.
+// reaches for. runtime.GOMAXPROCS is forbidden in library packages only:
+// a command may set or read its own parallelism, and the few library
+// sites that size a worker pool with it (whose merge order makes output
+// independent of the worker count) say so with an annotation.
 var machineFuncs = map[string]map[string]bool{
-	"runtime": {"NumCPU": true},
+	"runtime": {"NumCPU": true, "GOMAXPROCS": true},
 	"os": {
 		"Getenv":    true,
 		"LookupEnv": true,
@@ -52,8 +52,10 @@ var NoWallClock = &Analyzer{
 		"runtime.NumCPU / os.Getenv read the machine, so any value they " +
 		"influence differs between runs and hosts. Simulated time advances " +
 		"only through sim.Engine; intentional uses (command progress " +
-		"output) carry an explicit //lint:allow nowallclock annotation. " +
-		"References to these functions as values are flagged like calls.",
+		"output, worker-pool sizing) carry an explicit //lint:allow " +
+		"nowallclock annotation. runtime.GOMAXPROCS is flagged outside " +
+		"package main only. References to these functions as values are " +
+		"flagged like calls.",
 	Run: runNoWallClock,
 }
 
@@ -102,12 +104,12 @@ func runNoWallClock(pass *Pass) {
 				return // methods (t.Add, d.Seconds) are pure arithmetic
 			}
 			name, forbidden := forbiddenSource(fn)
-			if !forbidden {
+			if !forbidden || (name == "runtime.GOMAXPROCS" && pass.Pkg.IsCommand()) {
 				return
 			}
 			if calls[sel] {
 				pass.Reportf(sel.Pos(),
-					"%s reads the wall clock or the machine and breaks deterministic replay; simulated time comes from sim.Engine (annotate intentional progress output with %s nowallclock <reason>)",
+					"%s reads the wall clock or the machine and breaks deterministic replay; simulated time comes from sim.Engine (annotate intentional uses such as progress output or worker-pool sizing with %s nowallclock <reason>)",
 					name, AllowPrefix)
 				return
 			}

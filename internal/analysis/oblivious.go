@@ -19,7 +19,7 @@ import (
 // internal/policy and internal/simtest.
 //
 // The check: from each declaring type's Assign method, walk the static
-// call edges (EdgeCall, like allocfree and readonly) and flag any call to
+// call edges (like allocfree and readonly) and flag any call to
 // a method of an interface named View that the capability rules out:
 // NumJobs, MinJobsHost, NextIdleHost. Hosts() and the host-work queries
 // stay legal.
@@ -101,9 +101,9 @@ func runOblivious(pass *ModulePass) {
 	if len(roots) == 0 {
 		return
 	}
-	order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
+	order, parent := g.Walk(roots)
 	for _, n := range order {
-		if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
+		if n.Decl.Body == nil {
 			continue
 		}
 		checkViewReads(pass, g, n, parent)

@@ -54,9 +54,9 @@ func runReadonly(pass *ModulePass) {
 		return
 	}
 
-	order, parent := g.Walk(roots, map[EdgeKind]bool{EdgeCall: true}, false)
+	order, parent := g.Walk(roots)
 	for _, n := range order {
-		if n.Pkg == nil || n.Decl == nil || n.Decl.Body == nil {
+		if n.Decl.Body == nil {
 			continue
 		}
 		checkJobWrites(pass, g, n, parent)

@@ -1,11 +1,12 @@
 // Package callgraph is the fixture for the call-graph builder itself:
-// interface dispatch, method values, mutual recursion, closures, and
-// dynamic calls the graph deliberately cannot see. The builder test
-// asserts reachability sets over this package directly.
+// static calls, mutual recursion, closures, and the interface dispatch,
+// function references and dynamic calls the graph deliberately does not
+// follow. The builder test asserts reachability sets over this package
+// directly.
 package callgraph
 
-// policy dispatches through an interface; both implementors must appear
-// as EdgeIface candidates at the call site in drive.
+// policy dispatches through an interface; neither implementor gains an
+// edge from the call site in drive.
 type policy interface {
 	pick(n int) int
 }
@@ -23,12 +24,6 @@ func (l *leastLoaded) pick(n int) int {
 	return argmin(l.load[:n])
 }
 
-// sameNameDifferentSig must NOT be an interface candidate: the method
-// name matches but the signature does not.
-type decoy struct{}
-
-func (decoy) pick(n, m int) int { return n + m }
-
 // argmin is reached only through leastLoaded.pick.
 func argmin(xs []int) int {
 	best := 0
@@ -40,11 +35,12 @@ func argmin(xs []int) int {
 	return best
 }
 
-// drive calls through the interface and refers to a helper as a value.
+// drive calls through the interface, refers to a helper as a value, and
+// calls one function statically.
 func drive(p policy, hosts int) int {
-	f := observer // method-style value reference: EdgeRef
+	f := observer // a value reference: no edge
 	f(hosts)
-	return p.pick(hosts)
+	return ping(p.pick(hosts))
 }
 
 // observer is referenced as a value in drive, never called directly.
@@ -73,8 +69,7 @@ func viaClosure(n int) int {
 	return f()
 }
 
-// dynamic launders a call through a func value: the graph records the
-// references but no call edge, the documented soundness hole.
+// dynamic launders a call through a func value: no edge to ping or pong.
 func dynamic(n int) int {
 	fns := []func(int) int{ping, pong}
 	return fns[n%2](n)

@@ -66,9 +66,8 @@ func envValue() func(string) string {
 	return os.Getenv // want `os\.Getenv referenced as a value`
 }
 
-// gomaxprocs is deliberately legal here: worker-pool sizing never
-// reaches simulation output (detflow still forbids it inside //sim:entry
-// call trees).
+// gomaxprocs reads the machine's parallelism in a library package:
+// flagged (package main may read it; see TestSeededViolationFailsGate).
 func gomaxprocs() int {
-	return runtime.GOMAXPROCS(0)
+	return runtime.GOMAXPROCS(0) // want `runtime\.GOMAXPROCS reads the wall clock or the machine`
 }

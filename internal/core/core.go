@@ -248,20 +248,23 @@ type FairnessAudit struct {
 }
 
 // Audit computes the fairness audit from a per-class simulation tally
-// (server.Config.SizeClass must have been Design.Classify).
+// (server.Config.SizeClass must have been Design.Classify). It returns an
+// error when either class saw no jobs after warm-up: an empty class has
+// no mean slowdown, and a spread over one class would read as perfectly
+// fair.
 func (d *Design) Audit(res *server.Result) (FairnessAudit, error) {
 	if res.Classes == nil {
 		return FairnessAudit{}, fmt.Errorf("core: result has no class tally; set Config.SizeClass")
 	}
-	var audit FairnessAudit
-	if s := res.Classes.Class(0); s != nil {
-		audit.ShortMean = s.Mean()
+	short, long := res.Classes.Class(0), res.Classes.Class(1)
+	if short == nil || short.Count() == 0 || long == nil || long.Count() == 0 {
+		return FairnessAudit{}, fmt.Errorf("core: fairness audit needs both short and long jobs after warm-up")
 	}
-	if l := res.Classes.Class(1); l != nil {
-		audit.LongMean = l.Mean()
-	}
-	audit.Spread = res.Classes.MaxSpread()
-	return audit, nil
+	return FairnessAudit{
+		ShortMean: short.Mean(),
+		LongMean:  long.Mean(),
+		Spread:    res.Classes.MaxSpread(),
+	}, nil
 }
 
 // ExperimentalCutoffs derives each variant's cutoff by simulation instead

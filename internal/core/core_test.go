@@ -9,6 +9,7 @@ import (
 	"sita/internal/queueing"
 	"sita/internal/server"
 	"sita/internal/sim"
+	"sita/internal/stats"
 	"sita/internal/trace"
 	"sita/internal/workload"
 )
@@ -188,6 +189,30 @@ func TestAuditRequiresClasses(t *testing.T) {
 	res := &server.Result{}
 	if _, err := d.Audit(res); err == nil {
 		t.Error("audit without class tally should error")
+	}
+}
+
+// TestAuditRequiresBothClasses pins that a class with no jobs is an
+// error, not a mean slowdown of 0 and a "perfectly fair" spread of 1.
+func TestAuditRequiresBothClasses(t *testing.T) {
+	size := c90Size(t)
+	d, err := NewDesign(SITAUFair, 0.6, size, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []int{0, 1} {
+		res := &server.Result{Classes: stats.NewClassTally()}
+		res.Classes.Add(class, 3)
+		if a, err := d.Audit(res); err == nil {
+			t.Errorf("audit with only class %d should error, got %+v", class, a)
+		}
+	}
+	res := &server.Result{Classes: stats.NewClassTally()}
+	res.Classes.Add(0, 2)
+	res.Classes.Add(1, 4)
+	a, err := d.Audit(res)
+	if err != nil || a.ShortMean != 2 || a.LongMean != 4 || a.Spread != 2 {
+		t.Errorf("two-class audit = %+v, %v; want means 2 and 4, spread 2", a, err)
 	}
 }
 

@@ -40,8 +40,6 @@ func queueing2MeanSlowdown(m analyticModel, lambda float64, size dist.Distributi
 // panels: Var[S] from the Takacs second-moment formulas for Random and the
 // SITA variants (no closed form exists for LWL's variance; the paper also
 // omits it analytically).
-//
-//sim:entry
 func VarianceAnalysis(cfg Config) ([]Table, error) {
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("variance-analysis", "Variance of slowdown (analysis), 2 hosts",

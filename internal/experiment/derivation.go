@@ -15,8 +15,6 @@ import (
 // cutoff is then evaluated by simulating the *second* half. The paper
 // reports that "both methods yielded about the same result" — this driver
 // checks that claim on the reconstruction.
-//
-//sim:entry
 func DerivationProtocol(cfg Config) ([]Table, error) {
 	tr, err := cfg.buildTrace()
 	if err != nil {

@@ -15,8 +15,6 @@ import (
 // size-interval routing by estimate. sigma = 0.69 means estimates are
 // typically off by a factor of 2; sigma = 1.6 by a factor of 5 — the range
 // reported for real user estimates.
-//
-//sim:entry
 func EstimateNoise(cfg Config) ([]Table, error) {
 	const load = 0.7
 	tr, err := cfg.buildTrace()

@@ -239,8 +239,6 @@ func traceStats(tr *trace.Trace) trace.Stats {
 
 // Table1 regenerates the trace characterization table for all three
 // workloads.
-//
-//sim:entry
 func Table1(cfg Config) ([]Table, error) {
 	t := NewTable("table1", "Characteristics of the trace data", "profile", "")
 	t.Columns = []string{"jobs", "mean(s)", "min(s)", "max(s)", "C^2", "tail@halfload"}
@@ -266,16 +264,12 @@ func Table1(cfg Config) ([]Table, error) {
 
 // Figure2 compares the load-balancing policies (Random, Least-Work-Left,
 // SITA-E) on a 2-host system by trace-driven simulation.
-//
-//sim:entry
 func Figure2(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig2", "Load-balancing policies, 2 hosts (simulation)", 2,
 		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE)}, true)
 }
 
 // Figure3 repeats Figure 2 with 4 hosts.
-//
-//sim:entry
 func Figure3(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig3", "Load-balancing policies, 4 hosts (simulation)", 4,
 		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE)}, true)
@@ -283,8 +277,6 @@ func Figure3(cfg Config) ([]Table, error) {
 
 // Figure4 compares SITA-E against the load-unbalancing SITA-U-opt and
 // SITA-U-fair on 2 hosts by simulation.
-//
-//sim:entry
 func Figure4(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig4", "SITA-E vs SITA-U-opt vs SITA-U-fair, 2 hosts (simulation)", 2,
 		[]policySpec{specSITA(core.SITAE), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}, true)
@@ -292,8 +284,6 @@ func Figure4(cfg Config) ([]Table, error) {
 
 // Figure5 reports the fraction of total load sent to Host 1 (the short
 // host) under SITA-U-opt and SITA-U-fair, against the rule of thumb rho/2.
-//
-//sim:entry
 func Figure5(cfg Config) ([]Table, error) {
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("fig5", "Fraction of load to Host 1 (analysis)", "system load", "load fraction to Host 1")
@@ -312,8 +302,6 @@ func Figure5(cfg Config) ([]Table, error) {
 
 // Figure6 sweeps the number of hosts at fixed system load 0.7: LWL against
 // the grouped SITA policies of section 5.
-//
-//sim:entry
 func Figure6(cfg Config) ([]Table, error) {
 	const load = 0.7
 	// 2..100 are the paper's plotted range; 128..256 extend the crossover
@@ -364,8 +352,6 @@ func Figure6(cfg Config) ([]Table, error) {
 // Figure7 removes the Poisson assumption: the trace's own bursty
 // interarrival gaps are rescaled to each load (section 6), with the
 // analytic Poisson cutoffs retained, exactly as in the paper.
-//
-//sim:entry
 func Figure7(cfg Config) ([]Table, error) {
 	c := cfg
 	// The interesting region extends toward saturation; use the paper's
@@ -387,8 +373,6 @@ func Figure7(cfg Config) ([]Table, error) {
 
 // Figure8 is the analytic counterpart of Figure 2: mean slowdown of the
 // load-balancing policies from queueing formulas.
-//
-//sim:entry
 func Figure8(cfg Config) ([]Table, error) {
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("fig8", "Load-balancing policies, 2 hosts (analysis)", "system load", "mean slowdown")
@@ -407,8 +391,6 @@ func Figure8(cfg Config) ([]Table, error) {
 
 // Figure9 is the analytic counterpart of Figure 4: SITA-E vs SITA-U-opt vs
 // SITA-U-fair mean slowdown from queueing formulas.
-//
-//sim:entry
 func Figure9(cfg Config) ([]Table, error) {
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("fig9", "SITA variants, 2 hosts (analysis)", "system load", "mean slowdown")
@@ -426,8 +408,6 @@ func Figure9(cfg Config) ([]Table, error) {
 
 // Figure10 repeats the policy comparison (Figures 2 and 4 combined) on the
 // J90 workload.
-//
-//sim:entry
 func Figure10(cfg Config) ([]Table, error) {
 	c := cfg.withProfile(trace.J90())
 	tables, err := c.simSweep("fig10", "All policies, 2 hosts, J90 (simulation)", 2,
@@ -436,8 +416,6 @@ func Figure10(cfg Config) ([]Table, error) {
 }
 
 // Figure11 repeats Figure 5 on the J90 workload.
-//
-//sim:entry
 func Figure11(cfg Config) ([]Table, error) {
 	tables, err := Figure5(cfg.withProfile(trace.J90()))
 	if err != nil {
@@ -449,8 +427,6 @@ func Figure11(cfg Config) ([]Table, error) {
 }
 
 // Figure12 repeats the policy comparison on the CTC workload.
-//
-//sim:entry
 func Figure12(cfg Config) ([]Table, error) {
 	c := cfg.withProfile(trace.CTC())
 	tables, err := c.simSweep("fig12", "All policies, 2 hosts, CTC (simulation)", 2,
@@ -459,8 +435,6 @@ func Figure12(cfg Config) ([]Table, error) {
 }
 
 // Figure13 repeats Figure 5 on the CTC workload.
-//
-//sim:entry
 func Figure13(cfg Config) ([]Table, error) {
 	tables, err := Figure5(cfg.withProfile(trace.CTC()))
 	if err != nil {

@@ -19,8 +19,6 @@ import (
 // pool; the pool budget is split between the seed level and each driver's
 // own cell-level fan-out. Aggregation walks the replications in seed
 // order, so the output is identical for any worker count.
-//
-//sim:entry
 func Replicate(driver func(Config) ([]Table, error), cfg Config, seeds []uint64) ([]Table, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: replicate needs at least one seed")
@@ -30,7 +28,7 @@ func Replicate(driver func(Config) ([]Table, error), cfg Config, seeds []uint64)
 	// replication's driver gets the remaining share for its cells.
 	budget := cfg.Workers
 	if budget <= 0 {
-		//lint:allow detflow worker-budget default; replication merge order is deterministic at any worker count
+		//lint:allow nowallclock worker-budget default; replication merge order is deterministic at any worker count
 		budget = runtime.GOMAXPROCS(0)
 	}
 	outer := budget

@@ -30,15 +30,14 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// workers resolves the effective worker count for n cells. Marked as a
-// determinism boundary: the machine's GOMAXPROCS only sizes the worker
-// pool, and cell results merge by index, so output is byte-identical at
-// any worker count (the determinism tests pin exactly this).
-//
-//sim:io worker-pool sizing; results merge in index order at any worker count
+// workers resolves the effective worker count for n cells. The machine's
+// GOMAXPROCS only sizes the worker pool, and cell results merge by index,
+// so output is byte-identical at any worker count (the determinism tests
+// pin exactly this).
 func (o Options) workers(n int) int {
 	w := o.Workers
 	if w <= 0 {
+		//lint:allow nowallclock worker-pool sizing; results merge in index order at any worker count
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {

@@ -295,7 +295,6 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 // (the package's read-only input contract).
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 //
-//sim:entry
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)

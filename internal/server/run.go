@@ -216,7 +216,6 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 // input contract, which internal/streamcache relies on.
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 //
-//sim:entry
 //sim:readonly jobs
 func Run(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)

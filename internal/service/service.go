@@ -71,6 +71,7 @@ type Config struct {
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
+		//lint:allow nowallclock admission-slot sizing; responses do not depend on how many simulations run at once
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxQueue == 0 {

@@ -371,6 +371,38 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestFairnessFieldsNeedBothClasses checks that the fairness audit is
+// omitted, not reported as a zero slowdown and a "perfectly fair" spread,
+// when a run saw no long jobs; a run with both classes carries all three
+// fields.
+func TestFairnessFieldsNeedBothClasses(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		body string
+		want bool
+	}{
+		{`{"policy":"sita-u-fair","hosts":8,"load":0.7,"jobs":10}`, false},
+		{`{"policy":"sita-u-fair","hosts":2,"load":0.7,"jobs":5000}`, true},
+	} {
+		code, _, body := postSim(t, ts.URL, tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", tc.body, code, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		for _, key := range []string{"short_slowdown", "long_slowdown", "fairness_spread"} {
+			if _, ok := fields[key]; ok != tc.want {
+				t.Errorf("%s: field %s present = %v, want %v; body %s", tc.body, key, ok, tc.want, body)
+			}
+		}
+	}
+}
+
 // TestCacheEviction checks the LRU byte bound directly.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(100)

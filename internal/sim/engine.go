@@ -291,16 +291,12 @@ func (e *Engine) SetOrderCheck(on bool) {
 
 // Run executes events in time order until the queue drains or Stop is
 // called.
-//
-//sim:entry
 func (e *Engine) Run() { e.run(nil, 0, -1) }
 
 // RunUntil executes events with timestamp <= horizon (or all events when
 // horizon < 0). The clock advances to each event's time; if the queue
 // drains earlier the clock stays at the last event. Panics (from the
 // dispatch path) if an event fires with no Handler installed.
-//
-//sim:entry
 func (e *Engine) RunUntil(horizon float64) { e.run(nil, 0, horizon) }
 
 // RunFeed runs a trace-driven simulation: each job, sorted by arrival,
@@ -313,8 +309,6 @@ func (e *Engine) RunUntil(horizon float64) { e.run(nil, 0, horizon) }
 // them, the order check (which panics on an unsorted feed) sees them,
 // and the cancel probe polls on them. A run ended by Stop or the probe
 // drops the rest of the feed.
-//
-//sim:entry
 func (e *Engine) RunFeed(jobs []Job, kind uint8) { e.run(jobs, kind, -1) }
 
 // run is the one event loop behind Run, RunUntil and RunFeed; the cancel

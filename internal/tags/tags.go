@@ -173,7 +173,6 @@ func (t *tagsSim) done(h int, job workload.Job, now float64) {
 // may share one job list across concurrent runs — the same read-only
 // input contract as server.Run.
 //
-//sim:entry
 //sim:readonly jobs
 func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
 	if !sort.Float64sAreSorted(cutoffs) {
