@@ -74,10 +74,19 @@ func CheckWorkers(w int) error {
 	return nil
 }
 
-// CheckHosts validates a host count: at least 1.
+// MaxHosts is the largest host count any entry point accepts. A server
+// allocates per-host state (≈ 150 B a host) before its first job runs, so
+// without a cap one request could ask for gigabytes; no experiment or
+// benchmark uses more than 1024 hosts.
+const MaxHosts = 65536
+
+// CheckHosts validates a host count: in [1, MaxHosts].
 func CheckHosts(h int) error {
 	if h < 1 {
 		return fmt.Errorf("hosts must be >= 1, got %d", h)
+	}
+	if h > MaxHosts {
+		return fmt.Errorf("hosts must be <= %d, got %d", MaxHosts, h)
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func FuzzParameterChecks(f *testing.F) {
 		if err := CheckWarmup(warmup); (err == nil) != wantWarmupOK {
 			t.Fatalf("CheckWarmup(%v) = %v, want ok=%v", warmup, err, wantWarmupOK)
 		}
-		if err := CheckHosts(hosts); (err == nil) != (hosts >= 1) {
+		if err := CheckHosts(hosts); (err == nil) != (hosts >= 1 && hosts <= MaxHosts) {
 			t.Fatalf("CheckHosts(%d) = %v", hosts, err)
 		}
 		if err := CheckWorkers(workers); (err == nil) != (workers >= 1) {

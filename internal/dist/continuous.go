@@ -171,89 +171,3 @@ func (l Lognormal) Moment(j float64) float64 {
 
 // Support reports (0, +Inf).
 func (l Lognormal) Support() (float64, float64) { return 0, math.Inf(1) }
-
-// Quantile inverts the CDF via the normal quantile.
-func (l Lognormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*normQuantile(p))
-}
-
-// Weibull is the Weibull distribution with the given Shape and Scale.
-// Shape < 1 gives a heavy-ish tail, shape = 1 the exponential.
-type Weibull struct {
-	Shape, Scale float64
-}
-
-// Sample draws by inverse CDF.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	return w.Quantile(rng.Float64())
-}
-
-// CDF reports P(X <= x).
-func (w Weibull) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(x/w.Scale, w.Shape))
-}
-
-// Moment reports E[X^j] = Scale^j * Gamma(1 + j/Shape), divergent for
-// j <= -Shape.
-func (w Weibull) Moment(j float64) float64 {
-	if j <= -w.Shape {
-		return math.Inf(1)
-	}
-	return math.Pow(w.Scale, j) * math.Gamma(1+j/w.Shape)
-}
-
-// Support reports (0, +Inf).
-func (w Weibull) Support() (float64, float64) { return 0, math.Inf(1) }
-
-// Quantile inverts the CDF.
-func (w Weibull) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return w.Scale * math.Pow(-math.Log1p(-p), 1/w.Shape)
-}
-
-// normQuantile is the Beasley-Springer-Moro inverse standard normal CDF.
-// Duplicated from internal/stats to keep dist dependency-free; both are
-// tested against each other.
-func normQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow, pHigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}

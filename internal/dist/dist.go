@@ -1,13 +1,18 @@
 // Package dist implements the probability distributions the paper's
-// workloads and analysis depend on: exponential, uniform, deterministic,
-// Pareto, Bounded Pareto, hyperexponential, lognormal, Weibull, and
-// empirical distributions.
+// workloads and analysis depend on: the Bounded Pareto job-size model,
+// fitted to a log's mean, minimum and maximum (FitBoundedParetoMean);
+// its truncation to a SITA size interval; and the lognormal gap
+// distribution of bursty arrivals. Exponential, uniform, deterministic,
+// hyperexponential and empirical distributions serve as inputs and
+// closed-form oracles for the queueing and simulation tests.
 //
 // Beyond sampling, the queueing analysis in internal/queueing needs raw
 // moments E[X^j] for j in {-2, -1, 1, 2, 3} and *partial* moments
 // E[X^j ; a < X <= b] (the moments of a size distribution restricted to a
-// SITA size interval). Every distribution here provides closed-form moments
-// where they exist, with a numeric fallback for the rest.
+// SITA size interval). Distributions provide closed-form moments where
+// they exist, with a numeric quantile-integration fallback for partial
+// moments. Lognormal is only ever sampled, so it has neither a quantile
+// function nor partial moments.
 package dist
 
 import (
@@ -45,9 +50,6 @@ type PartialMomenter interface {
 	// contribution of the interval (a, b] to the j-th raw moment.
 	PartialMoment(j, a, b float64) float64
 }
-
-// Mean is shorthand for d.Moment(1).
-func Mean(d Distribution) float64 { return d.Moment(1) }
 
 // SquaredCV reports the squared coefficient of variation
 // Var(X)/E[X]^2 = E[X^2]/E[X]^2 - 1.

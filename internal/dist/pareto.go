@@ -6,70 +6,6 @@ import (
 	"math/rand/v2"
 )
 
-// Pareto is the (unbounded) Pareto distribution with tail index Alpha and
-// minimum K: P(X > x) = (K/x)^Alpha for x >= K. Process lifetimes and
-// supercomputing job sizes are empirically close to Pareto with Alpha near 1.
-type Pareto struct {
-	Alpha, K float64
-}
-
-// NewPareto validates the parameters and returns the distribution.
-// Panics unless alpha and k are positive.
-func NewPareto(alpha, k float64) Pareto {
-	if alpha <= 0 || k <= 0 {
-		panic(fmt.Sprintf("dist: pareto needs positive alpha and k, got %v, %v", alpha, k))
-	}
-	return Pareto{Alpha: alpha, K: k}
-}
-
-// Sample draws by inverse CDF.
-func (p Pareto) Sample(rng *rand.Rand) float64 {
-	return p.Quantile(rng.Float64())
-}
-
-// CDF reports P(X <= x).
-func (p Pareto) CDF(x float64) float64 {
-	if x <= p.K {
-		return 0
-	}
-	return 1 - math.Pow(p.K/x, p.Alpha)
-}
-
-// Moment reports E[X^j] = Alpha*K^j/(Alpha-j), divergent for j >= Alpha.
-func (p Pareto) Moment(j float64) float64 {
-	if j >= p.Alpha {
-		return math.Inf(1)
-	}
-	return p.Alpha * math.Pow(p.K, j) / (p.Alpha - j)
-}
-
-// Support reports [K, +Inf).
-func (p Pareto) Support() (float64, float64) { return p.K, math.Inf(1) }
-
-// Quantile inverts the CDF.
-func (p Pareto) Quantile(u float64) float64 {
-	if u >= 1 {
-		return math.Inf(1)
-	}
-	return p.K * math.Pow(1-u, -1/p.Alpha)
-}
-
-// PartialMoment reports E[X^j ; a < X <= b] in closed form.
-func (p Pareto) PartialMoment(j, a, b float64) float64 {
-	a = math.Max(a, p.K)
-	if b <= a {
-		return 0
-	}
-	// Density alpha*K^alpha*x^{-alpha-1} integrated against x^j.
-	c := p.Alpha * math.Pow(p.K, p.Alpha)
-	//lint:allow floateq exact dispatch at the removable singularity j = alpha
-	if j == p.Alpha {
-		return c * math.Log(b/a)
-	}
-	e := j - p.Alpha
-	return c * (math.Pow(b, e) - math.Pow(a, e)) / e
-}
-
 // BoundedPareto is the Bounded Pareto distribution B(K, P, Alpha): the
 // Pareto density restricted to [K, P] and renormalized. It is the paper's
 // canonical heavy-tailed job-size model: all moments exist (so analysis is
@@ -191,73 +127,4 @@ func FitBoundedParetoMean(mean, k, p float64) (BoundedPareto, error) {
 		}
 	}
 	return NewBoundedPareto((lo+hi)/2, k, p), nil
-}
-
-// FitBoundedPareto finds the BoundedPareto with the given mean, squared
-// coefficient of variation, and upper bound p. The lower bound k and tail
-// index alpha are solved jointly: for each candidate alpha, k is chosen by
-// bisection to match the mean (the mean is increasing in k), then alpha is
-// chosen by bisection to match the SCV (the SCV is decreasing in alpha).
-// This is the calibration entry point used to rebuild the paper's C90, J90
-// and CTC workloads from their published statistics.
-func FitBoundedPareto(mean, scv, p float64) (BoundedPareto, error) {
-	if mean <= 0 || scv <= 0 || p <= mean {
-		return BoundedPareto{}, fmt.Errorf("dist: infeasible fit targets mean=%v scv=%v p=%v", mean, scv, p)
-	}
-	kForAlpha := func(alpha float64) (float64, bool) {
-		lo := p * 1e-15
-		hi := mean // k can never exceed the mean
-		bLo := NewBoundedPareto(alpha, lo, p)
-		if bLo.Moment(1) > mean {
-			return 0, false // even the tiniest k overshoots the mean
-		}
-		for i := 0; i < 200; i++ {
-			mid := math.Sqrt(lo * hi)
-			if NewBoundedPareto(alpha, mid, p).Moment(1) < mean {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return math.Sqrt(lo * hi), true
-	}
-	scvAt := func(alpha float64) (float64, bool) {
-		k, ok := kForAlpha(alpha)
-		if !ok {
-			return 0, false
-		}
-		return SquaredCV(NewBoundedPareto(alpha, k, p)), true
-	}
-	// Bracket the target SCV. SCV decreases as alpha grows, so scan a grid
-	// for a sign change of scvAt(alpha) - scv.
-	const aMin, aMax = 0.05, 20.0
-	var prevA float64
-	var prevSCV float64
-	havePrev := false
-	for a := aMin; a <= aMax; a *= 1.25 {
-		s, ok := scvAt(a)
-		if !ok {
-			continue
-		}
-		if havePrev && (prevSCV-scv)*(s-scv) <= 0 {
-			loA, hiA := prevA, a
-			for i := 0; i < 200; i++ {
-				mid := (loA + hiA) / 2
-				sm, ok := scvAt(mid)
-				if !ok {
-					return BoundedPareto{}, fmt.Errorf("dist: fit lost feasibility at alpha=%v", mid)
-				}
-				if (prevSCV-scv)*(sm-scv) > 0 {
-					loA = mid
-				} else {
-					hiA = mid
-				}
-			}
-			alpha := (loA + hiA) / 2
-			k, _ := kForAlpha(alpha)
-			return NewBoundedPareto(alpha, k, p), nil
-		}
-		prevA, prevSCV, havePrev = a, s, true
-	}
-	return BoundedPareto{}, fmt.Errorf("dist: no bounded pareto matches mean=%v scv=%v p=%v", mean, scv, p)
 }

@@ -125,12 +125,6 @@ func specRandom() policySpec {
 	}}
 }
 
-func specRoundRobin() policySpec {
-	return policySpec{name: "Round-Robin", build: func(float64, dist.BoundedPareto, int, uint64) (server.Policy, error) {
-		return policy.NewRoundRobin(), nil
-	}}
-}
-
 func specLWL() policySpec {
 	return policySpec{name: "Least-Work-Left", build: func(float64, dist.BoundedPareto, int, uint64) (server.Policy, error) {
 		return policy.NewLeastWorkLeft(), nil

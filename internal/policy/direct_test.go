@@ -36,7 +36,7 @@ func directCases() []struct {
 		{"round-robin", func() server.Policy { return NewRoundRobin() }},
 		{"sita", func() server.Policy { return NewSITA("SITA-E", cutoffs) }},
 		{"misclassify-sita", func() server.Policy {
-			return NewMisclassify(NewSITA("SITA-E", cutoffs), 100, 0.3, sim.NewRNG(7, 1))
+			return NewMisclassifyMode(NewSITA("SITA-E", cutoffs), 100, 0.3, FlipBoth, sim.NewRNG(7, 1))
 		}},
 		{"estimated-sita", func() server.Policy {
 			return NewEstimatedSITA(NewSITA("SITA-E", cutoffs), 0.5, sim.NewRNG(7, 2))
@@ -46,7 +46,7 @@ func directCases() []struct {
 		{"grouped-sita-1of3", func() server.Policy { return NewGroupedSITA("grouped", 100, 1) }},
 		{"grouped-sita-2of3", func() server.Policy { return NewGroupedSITA("grouped", 100, 2) }},
 		{"misclassify-lwl", func() server.Policy {
-			return NewMisclassify(NewLeastWorkLeft(), 100, 0.3, sim.NewRNG(7, 4))
+			return NewMisclassifyMode(NewLeastWorkLeft(), 100, 0.3, FlipBoth, sim.NewRNG(7, 4))
 		}},
 	}
 }
@@ -134,10 +134,10 @@ func TestObliviousCapabilityClaims(t *testing.T) {
 		{"LeastWorkLeft", NewLeastWorkLeft(), true},
 		{"CentralQueue", NewCentralQueue(), false},
 		{"GroupedSITA", NewGroupedSITA("grouped", 10, 1), true},
-		{"Misclassify(SITA)", NewMisclassify(NewSITA("s", []float64{10}), 10, 0.1, sim.NewRNG(1, 2)), true},
-		{"Misclassify(ShortestQueue)", NewMisclassify(NewShortestQueue(), 10, 0.1, sim.NewRNG(1, 3)), false},
-		{"Misclassify(LWL)", NewMisclassify(NewLeastWorkLeft(), 10, 0.1, sim.NewRNG(1, 4)), true},
-		{"Misclassify(GroupedSITA)", NewMisclassify(NewGroupedSITA("grouped", 10, 1), 10, 0.1, sim.NewRNG(1, 6)), true},
+		{"Misclassify(SITA)", NewMisclassifyMode(NewSITA("s", []float64{10}), 10, 0.1, FlipBoth, sim.NewRNG(1, 2)), true},
+		{"Misclassify(ShortestQueue)", NewMisclassifyMode(NewShortestQueue(), 10, 0.1, FlipBoth, sim.NewRNG(1, 3)), false},
+		{"Misclassify(LWL)", NewMisclassifyMode(NewLeastWorkLeft(), 10, 0.1, FlipBoth, sim.NewRNG(1, 4)), true},
+		{"Misclassify(GroupedSITA)", NewMisclassifyMode(NewGroupedSITA("grouped", 10, 1), 10, 0.1, FlipBoth, sim.NewRNG(1, 6)), true},
 		{"EstimatedSITA(SITA)", NewEstimatedSITA(NewSITA("s", []float64{10}), 0.3, sim.NewRNG(1, 5)), true},
 	}
 	for _, c := range claims {

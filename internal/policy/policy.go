@@ -258,13 +258,9 @@ const (
 	FlipLongOnly
 )
 
-// NewMisclassify wraps inner; cutoff separates short from long, p is the
-// per-job misclassification probability, applied in both directions.
-func NewMisclassify(inner server.Policy, cutoff, p float64, rng *rand.Rand) *Misclassify {
-	return NewMisclassifyMode(inner, cutoff, p, FlipBoth, rng)
-}
-
-// NewMisclassifyMode wraps inner with a directional error model.
+// NewMisclassifyMode wraps inner with a directional error model: cutoff
+// separates short from long, p is the per-job misclassification
+// probability, and mode picks the directions it applies in.
 // Panics if inner or rng is nil, or p is outside [0, 1].
 func NewMisclassifyMode(inner server.Policy, cutoff, p float64, mode MisclassifyMode, rng *rand.Rand) *Misclassify {
 	if inner == nil || rng == nil {

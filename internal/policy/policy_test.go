@@ -204,7 +204,7 @@ func TestMisclassifyZeroProbabilityIdentical(t *testing.T) {
 	pure := server.Run(jobs, server.Config{Hosts: 2, Policy: NewSITA("s", []float64{cut}), KeepRecords: true})
 	wrapped := server.Run(jobs, server.Config{
 		Hosts:       2,
-		Policy:      NewMisclassify(NewSITA("s", []float64{cut}), cut, 0, sim.NewRNG(9, 0)),
+		Policy:      NewMisclassifyMode(NewSITA("s", []float64{cut}), cut, 0, FlipBoth, sim.NewRNG(9, 0)),
 		KeepRecords: true,
 	})
 	for i := range pure.Records {
@@ -221,7 +221,7 @@ func TestMisclassifyFlipsExpectedFraction(t *testing.T) {
 	p := 0.2
 	res := server.Run(jobs, server.Config{
 		Hosts:       2,
-		Policy:      NewMisclassify(NewSITA("s", []float64{cut}), cut, p, sim.NewRNG(10, 0)),
+		Policy:      NewMisclassifyMode(NewSITA("s", []float64{cut}), cut, p, FlipBoth, sim.NewRNG(10, 0)),
 		KeepRecords: true,
 	})
 	flipped := 0
@@ -242,8 +242,8 @@ func TestMisclassifyFlipsExpectedFraction(t *testing.T) {
 
 func TestMisclassifyValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewMisclassify(nil, 1, 0.5, sim.NewRNG(1, 0)) },
-		func() { NewMisclassify(NewRoundRobin(), 1, 1.5, sim.NewRNG(1, 0)) },
+		func() { NewMisclassifyMode(nil, 1, 0.5, FlipBoth, sim.NewRNG(1, 0)) },
+		func() { NewMisclassifyMode(NewRoundRobin(), 1, 1.5, FlipBoth, sim.NewRNG(1, 0)) },
 		func() { NewRandom(nil) },
 	} {
 		func() {
@@ -271,7 +271,7 @@ func TestPolicyNames(t *testing.T) {
 			t.Errorf("name %q, want %q", p.Name(), want)
 		}
 	}
-	m := NewMisclassify(NewSITA("SITA-E", nil), 1, 0.25, sim.NewRNG(0, 0))
+	m := NewMisclassifyMode(NewSITA("SITA-E", nil), 1, 0.25, FlipBoth, sim.NewRNG(0, 0))
 	if m.Name() != "SITA-E+err25%" {
 		t.Errorf("misclassify name %q", m.Name())
 	}
@@ -291,7 +291,7 @@ func TestPoliciesKeepAllJobsSortedOutput(t *testing.T) {
 		NewCentralQueue(),
 		NewSITA("SITA-E", []float64{cut}),
 		NewGroupedSITA("grouped", cut, 1),
-		NewMisclassify(NewSITA("SITA-E", []float64{cut}), cut, 0.1, sim.NewRNG(11, 6)),
+		NewMisclassifyMode(NewSITA("SITA-E", []float64{cut}), cut, 0.1, FlipBoth, sim.NewRNG(11, 6)),
 	}
 	for _, p := range policies {
 		res := server.Run(jobs, server.Config{Hosts: 2, Policy: p})

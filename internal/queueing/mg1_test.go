@@ -200,13 +200,3 @@ func TestRoundRobinBetweenRandomAndLWL(t *testing.T) {
 		t.Fatalf("round robin %v should be close to random %v (same variability)", rr, random)
 	}
 }
-
-func TestSlowdownOfWait(t *testing.T) {
-	size := dist.Deterministic{Value: 2}
-	if got := SlowdownOfWait(4, size); got != 3 {
-		t.Fatalf("slowdown = %v, want 3", got)
-	}
-	if !math.IsInf(SlowdownOfWait(math.Inf(1), size), 1) {
-		t.Fatal("Inf wait should give Inf slowdown")
-	}
-}

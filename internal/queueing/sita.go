@@ -210,13 +210,3 @@ func RoundRobinSplit(lambda float64, size dist.Distribution, h int) GG1 {
 func LWL(lambda float64, size dist.Distribution, h int) MGh {
 	return NewMGh(lambda, size, h)
 }
-
-// SlowdownOfWait converts a mean waiting time into a mean slowdown for jobs
-// drawn from size: E[S] = 1 + E[W]E[1/X]. Exposed for callers composing
-// their own approximations.
-func SlowdownOfWait(meanWait float64, size dist.Distribution) float64 {
-	if math.IsInf(meanWait, 1) {
-		return math.Inf(1)
-	}
-	return 1 + meanWait*size.Moment(-1)
-}

@@ -5,16 +5,15 @@ import "sita/internal/memo"
 // CacheStatus classifies how a request's response body was obtained.
 type CacheStatus = memo.Status
 
-// Cache outcomes, also exposed as the X-Cache response header.
+// Cache outcomes, also exposed as the X-Cache response header. The
+// third, memo.Join, marks a request that waited for an identical one
+// already computing instead of re-running the simulation.
 const (
 	// CacheHit: the body came straight from the cache.
 	CacheHit = memo.Hit
 	// CacheMiss: this request ran the computation (and, on success,
 	// populated the cache).
 	CacheMiss = memo.Miss
-	// CacheJoin: an identical request was already computing; this one
-	// waited for its result instead of re-running the simulation.
-	CacheJoin = memo.Join
 )
 
 // Cache is a byte-bounded LRU of response bodies keyed by canonical

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sita/internal/catalog"
 )
 
 // postSim fires one POST /v1/simulate and returns status, X-Cache and body.
@@ -368,6 +370,31 @@ func TestValidation(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: status %d body %s, want 400 mentioning %q", tc.body, code, body, tc.want)
 		}
+	}
+}
+
+// TestHostsCapped checks that both endpoints reject a host count above
+// catalog.MaxHosts before building a server: each host costs memory
+// before the first job runs, so an unbounded count is a cheap way to
+// exhaust the process.
+func TestHostsCapped(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	want := fmt.Sprintf("hosts must be <= %d", catalog.MaxHosts)
+	body := fmt.Sprintf(`{"policy":"lwl","hosts":%d,"load":0.7,"jobs":10}`, catalog.MaxHosts+1)
+	if code, _, b := postSim(t, ts.URL, body); code != http.StatusBadRequest || !strings.Contains(string(b), want) {
+		t.Errorf("simulate: status %d body %s, want 400 mentioning %q", code, b, want)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/advise?load=0.7&hosts=%d", ts.URL, catalog.MaxHosts+1))
+	if err != nil {
+		t.Fatalf("GET /v1/advise: %v", err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), want) {
+		t.Errorf("advise: status %d body %s, want 400 mentioning %q", resp.StatusCode, b, want)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestCancelCheckStopsRun(t *testing.T) {
 		polls++
 		return polls >= 3
 	})
-	e.Run()
+	e.RunFeed(nil, 0)
 
 	if !e.Interrupted() {
 		t.Fatal("engine did not report Interrupted after cancel check fired")
@@ -40,7 +40,7 @@ func TestCancelCheckOffByDefault(t *testing.T) {
 	done := false
 	e.SetHandler(handlerFunc(func(float64, Ev) { done = true }))
 	e.Schedule(1, Ev{})
-	e.Run()
+	e.RunFeed(nil, 0)
 	if !done || e.Interrupted() {
 		t.Fatalf("plain run: done=%v interrupted=%v, want true/false", done, e.Interrupted())
 	}
@@ -74,7 +74,7 @@ func TestCancelCheckDeterministicPrefix(t *testing.T) {
 		if probe {
 			e.SetCancelCheck(7, func() bool { return false })
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
 		return e.Fired(), e.Now()
 	}
 	f1, t1 := run(false)

@@ -96,7 +96,6 @@ func (h Handle) Cancel() {
 		return
 	}
 	s.canceled = true
-	h.e.live--
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -107,8 +106,6 @@ type Engine struct {
 	events  []entry // binary min-heap on (at, seq)
 	slots   []slot  // payload arena; entries point into it by index
 	free    []int32 // freelist of reusable slot indices
-	live    int     // scheduled and not canceled
-	stopped bool
 	fired   uint64
 	handler Handler
 
@@ -140,11 +137,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired reports how many events have executed, useful for progress and
 // complexity assertions in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many live (scheduled and not canceled) events
-// remain. Canceled events still occupying heap slots until drained are
-// not counted.
-func (e *Engine) Pending() int { return e.live }
 
 // SetHandler installs the typed-event consumer. Schedule panics at fire
 // time if no handler is installed.
@@ -225,7 +217,6 @@ func (e *Engine) push(t float64, seq uint64, ev Ev) Handle {
 	s.ev = ev
 	e.events = append(e.events, entry{at: t, seq: seq, id: id}) //lint:allow allocfree heap grows to the high-water event count, then reuses capacity
 	e.siftUp(len(e.events) - 1)
-	e.live++
 	return Handle{e: e, id: id, gen: s.gen}
 }
 
@@ -245,10 +236,6 @@ func (e *Engine) ScheduleAfter(delay float64, ev Ev) Handle {
 	}
 	return e.Schedule(e.now+delay, ev)
 }
-
-// Stop makes the current Run call return after the executing event
-// completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // SetCancelCheck installs a cooperative cancellation probe: fn is polled
 // every `every` loop steps (an arrival or a popped, maybe canceled, entry)
@@ -271,7 +258,7 @@ func (e *Engine) SetCancelCheck(every int, fn func() bool) {
 }
 
 // Interrupted reports whether the most recent run stopped because the
-// cancel check fired (not by draining, reaching the horizon, or Stop).
+// cancel check fired rather than by draining.
 func (e *Engine) Interrupted() bool { return e.interrupted }
 
 // SetOrderCheck toggles dispatch-order verification: with the check on,
@@ -289,16 +276,6 @@ func (e *Engine) SetOrderCheck(on bool) {
 	e.lastSeq = 0
 }
 
-// Run executes events in time order until the queue drains or Stop is
-// called.
-func (e *Engine) Run() { e.run(nil, 0, -1) }
-
-// RunUntil executes events with timestamp <= horizon (or all events when
-// horizon < 0). The clock advances to each event's time; if the queue
-// drains earlier the clock stays at the last event. Panics (from the
-// dispatch path) if an event fires with no Handler installed.
-func (e *Engine) RunUntil(horizon float64) { e.run(nil, 0, horizon) }
-
 // RunFeed runs a trace-driven simulation: each job, sorted by arrival,
 // fires as Ev{Kind: kind, Job: job} straight from the slice, merged with
 // the heap's events in (time, seq) order, so only runtime events enter
@@ -307,20 +284,17 @@ func (e *Engine) RunUntil(horizon float64) { e.run(nil, 0, horizon) }
 // during the run, exactly as if every arrival had been scheduled up
 // front. Arrivals are events in every other respect too — Fired counts
 // them, the order check (which panics on an unsorted feed) sees them,
-// and the cancel probe polls on them. A run ended by Stop or the probe
-// drops the rest of the feed.
-func (e *Engine) RunFeed(jobs []Job, kind uint8) { e.run(jobs, kind, -1) }
-
-// run is the one event loop behind Run, RunUntil and RunFeed; the cancel
-// probe counts each of its steps, an arrival or a popped entry, canceled
-// or not. The horizon bounds heap events only; RunFeed passes none.
+// and the cancel probe polls on them. The run ends when the feed and the
+// heap are both drained, or when the probe fires, which drops the rest
+// of the feed. The probe counts each step of the loop, an arrival or a
+// popped entry, canceled or not. RunFeed(nil, 0) drains the heap alone.
 //
 //sim:noalloc
-func (e *Engine) run(jobs []Job, kind uint8, horizon float64) {
-	e.stopped, e.interrupted = false, false
+func (e *Engine) RunFeed(jobs []Job, kind uint8) {
+	e.interrupted = false
 	base := e.seq
 	e.seq += uint64(len(jobs))
-	for i := 0; !e.stopped; {
+	for i := 0; !e.interrupted; {
 		if i < len(jobs) && (len(e.events) == 0 || jobs[i].Arrival < e.events[0].at ||
 			//lint:allow floateq exact event-time tie-break; equal times fall through to seq, as in less
 			jobs[i].Arrival == e.events[0].at && base+uint64(i) < e.events[0].seq) {
@@ -328,36 +302,16 @@ func (e *Engine) run(jobs []Job, kind uint8, horizon float64) {
 			i++
 		} else if len(e.events) == 0 {
 			return
-		} else if horizon >= 0 && e.events[0].at > horizon {
-			e.now = horizon
-			return
 		} else if at, seq, ev, live := e.pop(); live {
 			e.fire(at, seq, ev)
 		}
 		if e.checkEvery != 0 {
 			if e.checkCount++; e.checkCount >= e.checkEvery {
 				e.checkCount = 0
-				if e.checkFn() {
-					e.interrupted = true
-					e.stopped = true
-				}
+				e.interrupted = e.checkFn()
 			}
 		}
 	}
-}
-
-// Step executes exactly one non-canceled event, reporting whether one was
-// available.
-//
-//sim:noalloc
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		if at, seq, ev, live := e.pop(); live {
-			e.fire(at, seq, ev)
-			return true
-		}
-	}
-	return false
 }
 
 // pop removes the heap minimum and frees its slot — before dispatch, so
@@ -374,9 +328,6 @@ func (e *Engine) pop() (at float64, seq uint64, ev Ev, live bool) {
 	}
 	s := &e.slots[top.id]
 	ev, live = s.ev, !s.canceled
-	if live {
-		e.live--
-	}
 	e.freeSlot(top.id)
 	return top.at, top.seq, ev, live
 }
@@ -411,9 +362,7 @@ func (e *Engine) Reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.live = 0
 	e.fired = 0
-	e.stopped = false
 	e.checkEvery = 0
 	e.checkCount = 0
 	e.checkFn = nil

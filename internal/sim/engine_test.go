@@ -15,7 +15,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 	for _, at := range times {
 		e.Schedule(at, Ev{})
 	}
-	e.Run()
+	e.RunFeed(nil, 0)
 	if !sort.Float64sAreSorted(fired) {
 		t.Fatalf("events fired out of order: %v", fired)
 	}
@@ -34,7 +34,7 @@ func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Schedule(1.0, Ev{Host: int32(i)})
 	}
-	e.Run()
+	e.RunFeed(nil, 0)
 	if len(order) != 10 {
 		t.Fatalf("fired %d simultaneous events, want 10", len(order))
 	}
@@ -55,54 +55,9 @@ func TestEngineAfterAndNesting(t *testing.T) {
 		}
 	}))
 	e.ScheduleAfter(1, Ev{Kind: 1})
-	e.Run()
+	e.RunFeed(nil, 0)
 	if len(log) != 2 || log[0] != 1 || log[1] != 3 {
 		t.Fatalf("nested scheduling log = %v, want [1 3]", log)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	count := 0
-	e.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
-	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), Ev{})
-	}
-	e.RunUntil(5)
-	if count != 5 {
-		t.Fatalf("ran %d events, want 5", count)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock = %v, want horizon 5", e.Now())
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", e.Pending())
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("after full run count = %d, want 10", count)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	var e Engine
-	count := 0
-	e.SetHandler(handlerFunc(func(float64, Ev) {
-		count++
-		if count == 3 {
-			e.Stop()
-		}
-	}))
-	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), Ev{})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("stop did not halt: count = %d", count)
-	}
-	e.Run() // resumable
-	if count != 10 {
-		t.Fatalf("resume failed: count = %d", count)
 	}
 }
 
@@ -113,7 +68,7 @@ func TestEngineCancel(t *testing.T) {
 	h := e.Schedule(1, Ev{})
 	h.Cancel()
 	h.Cancel() // double-cancel is fine
-	e.Run()
+	e.RunFeed(nil, 0)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -126,7 +81,7 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	var e Engine
 	e.SetHandler(&nopHandler{})
 	e.Schedule(5, Ev{})
-	e.Run()
+	e.RunFeed(nil, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -145,23 +100,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.ScheduleAfter(-1, Ev{})
 }
 
-func TestEngineStep(t *testing.T) {
-	var e Engine
-	count := 0
-	e.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
-	e.Schedule(1, Ev{})
-	e.Schedule(2, Ev{})
-	if !e.Step() || count != 1 {
-		t.Fatal("first step failed")
-	}
-	if !e.Step() || count != 2 {
-		t.Fatal("second step failed")
-	}
-	if e.Step() {
-		t.Fatal("step on empty queue should report false")
-	}
-}
-
 func TestEngineOrderProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var e Engine
@@ -177,7 +115,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			}
 			e.Schedule(at, Ev{})
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
 		return sort.Float64sAreSorted(fired)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -243,7 +181,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(rng.Float64()*1000, Ev{})
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
 	}
 }
 
@@ -285,33 +223,18 @@ func TestEngineRandomCancelStress(t *testing.T) {
 				}
 			}
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
+		live := 0
 		for _, it := range items {
-			if !it.canceled && !fired[it] {
-				t.Fatalf("trial %d: live event never fired", trial)
+			if !it.canceled {
+				live++
+				if !fired[it] {
+					t.Fatalf("trial %d: live event never fired", trial)
+				}
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events left pending", trial, e.Pending())
-		}
-	}
-}
-
-func TestEngineStepInterleavedWithRunUntil(t *testing.T) {
-	var e Engine
-	var order []int
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, int(ev.Host)) }))
-	for i := 1; i <= 6; i++ {
-		e.Schedule(float64(i), Ev{Host: int32(i)})
-	}
-	if !e.Step() { // fires event 1
-		t.Fatal("step failed")
-	}
-	e.RunUntil(4) // fires 2, 3, 4
-	e.Run()       // fires the rest
-	for i, v := range order {
-		if v != i+1 {
-			t.Fatalf("mixed stepping broke order: %v", order)
+		if e.Fired() != uint64(live) {
+			t.Fatalf("trial %d: fired %d events, want the %d live ones", trial, e.Fired(), live)
 		}
 	}
 }
@@ -324,7 +247,7 @@ func TestEngineFiredCounter(t *testing.T) {
 	}
 	h := e.Schedule(100, Ev{})
 	h.Cancel()
-	e.Run()
+	e.RunFeed(nil, 0)
 	if e.Fired() != 10 {
 		t.Fatalf("fired = %d, want 10 (canceled events don't count)", e.Fired())
 	}

@@ -22,7 +22,7 @@ func TestEngineTypedDispatch(t *testing.T) {
 	e.SetHandler(&r)
 	e.Schedule(2, Ev{Kind: 7, Host: 3, Job: Job{ID: 42, Arrival: 2, Size: 5}})
 	e.ScheduleAfter(1, Ev{Kind: 9, T0: 0.5})
-	e.Run()
+	e.RunFeed(nil, 0)
 	if len(r.evs) != 2 {
 		t.Fatalf("dispatched %d events, want 2", len(r.evs))
 	}
@@ -36,29 +36,21 @@ func TestEngineTypedDispatch(t *testing.T) {
 
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	var e Engine
-	e.SetHandler(&nopHandler{})
+	var ran []int32
+	e.SetHandler(handlerFunc(func(now float64, ev Ev) { ran = append(ran, ev.Host) }))
 	var hs []Handle
 	for i := 0; i < 5; i++ {
-		hs = append(hs, e.Schedule(float64(i+1), Ev{}))
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", e.Pending())
+		hs = append(hs, e.Schedule(float64(i+1), Ev{Host: int32(i)}))
 	}
 	hs[1].Cancel()
 	hs[3].Cancel()
-	if e.Pending() != 3 {
-		t.Fatalf("pending after 2 cancels = %d, want 3 (canceled events must not count)", e.Pending())
-	}
-	hs[3].Cancel() // double-cancel must not double-decrement
-	if e.Pending() != 3 {
-		t.Fatalf("pending after double-cancel = %d, want 3", e.Pending())
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("pending after run = %d, want 0", e.Pending())
-	}
+	hs[3].Cancel() // double-cancel is a no-op
+	e.RunFeed(nil, 0)
 	if e.Fired() != 3 {
-		t.Fatalf("fired = %d, want 3", e.Fired())
+		t.Fatalf("fired = %d, want 3 (canceled events must not count)", e.Fired())
+	}
+	if len(ran) != 3 || ran[0] != 0 || ran[1] != 2 || ran[2] != 4 {
+		t.Fatalf("handlers ran for %v, want [0 2 4]", ran)
 	}
 }
 
@@ -68,19 +60,19 @@ func TestEngineResetRestartsClockAndSeq(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Schedule(float64(i+10), Ev{})
 	}
-	e.Run()
+	e.RunFeed(nil, 0)
 	if e.Now() != 17 || e.Fired() != 8 {
 		t.Fatalf("pre-reset now=%v fired=%d, want 17/8", e.Now(), e.Fired())
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 {
-		t.Fatalf("post-reset now=%v fired=%d pending=%d, want zeros", e.Now(), e.Fired(), e.Pending())
+	if e.Now() != 0 || e.Fired() != 0 {
+		t.Fatalf("post-reset now=%v fired=%d, want zeros", e.Now(), e.Fired())
 	}
 	// The clock restarted, so scheduling before the old horizon must work.
 	var fired []float64
 	e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 	e.Schedule(1, Ev{})
-	e.Run()
+	e.RunFeed(nil, 0)
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("post-reset run fired %v, want [1]", fired)
 	}
@@ -142,12 +134,9 @@ func TestEngineResetInvalidatesHandles(t *testing.T) {
 	e.SetHandler(handlerFunc(func(float64, Ev) { fired = true }))
 	e.Schedule(1, Ev{})
 	h.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("stale cancel changed pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("stale handle canceled an event scheduled after Reset")
+	e.RunFeed(nil, 0)
+	if !fired || e.Fired() != 1 {
+		t.Fatalf("stale handle canceled an event scheduled after Reset: fired=%v, count %d", fired, e.Fired())
 	}
 }
 
@@ -155,19 +144,19 @@ func TestAcquireReleaseReuse(t *testing.T) {
 	e := Acquire()
 	e.SetHandler(&nopHandler{})
 	e.Schedule(3, Ev{})
-	e.Run()
+	e.RunFeed(nil, 0)
 	Release(e)
 	e2 := Acquire()
 	// Whether or not the pool returned the same engine, it must be reset.
-	if e2.Now() != 0 || e2.Pending() != 0 || e2.Fired() != 0 {
-		t.Fatalf("acquired engine not reset: now=%v pending=%d fired=%d", e2.Now(), e2.Pending(), e2.Fired())
+	if e2.Now() != 0 || e2.Fired() != 0 {
+		t.Fatalf("acquired engine not reset: now=%v fired=%d", e2.Now(), e2.Fired())
 	}
 	count := 0
 	e2.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
 	e2.Schedule(1, Ev{})
-	e2.Run()
-	if count != 1 {
-		t.Fatalf("reused engine fired %d events, want 1", count)
+	e2.RunFeed(nil, 0)
+	if count != 1 || e2.Fired() != 1 {
+		t.Fatalf("reused engine ran %d handlers, fired %d events; want 1, 1", count, e2.Fired())
 	}
 	Release(e2)
 }
@@ -197,7 +186,7 @@ func BenchmarkEngineTypedSteadyState(b *testing.B) {
 	}))
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Run()
+	e.RunFeed(nil, 0)
 }
 
 // BenchmarkEngineScheduleCancel measures schedule-then-cancel churn, the
@@ -211,7 +200,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hd := e.Schedule(float64(i)+1, Ev{Kind: 1})
 		hd.Cancel()
-		e.Step() // drain the canceled entry so the heap stays small
+		e.RunFeed(nil, 0) // drain the canceled entry so the heap stays small
 	}
 }
 
@@ -233,7 +222,7 @@ func BenchmarkEngineResetReuse(b *testing.B) {
 		for _, at := range times {
 			e.Schedule(at, Ev{Kind: 1})
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
 	}
 }
 
@@ -254,6 +243,6 @@ func BenchmarkEngineFreshPerRun(b *testing.B) {
 		for _, at := range times {
 			e.Schedule(at, Ev{Kind: 1})
 		}
-		e.Run()
+		e.RunFeed(nil, 0)
 	}
 }

@@ -84,30 +84,6 @@ func (h *LogHistogram) Bins() []Bin {
 	return bins
 }
 
-// Quantile estimates the q-quantile assuming mass is log-uniform within each
-// bin. Returns NaN on an empty histogram. Underflow observations are treated
-// as the smallest values.
-func (h *LogHistogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	target := q * float64(h.n)
-	cum := float64(h.underflow)
-	if target <= cum {
-		return 0
-	}
-	for _, bin := range h.Bins() {
-		next := cum + float64(bin.Count)
-		if target <= next {
-			frac := (target - cum) / float64(bin.Count)
-			return bin.Lo * math.Pow(bin.Hi/bin.Lo, frac)
-		}
-		cum = next
-	}
-	bins := h.Bins()
-	return bins[len(bins)-1].Hi
-}
-
 // String renders a compact ASCII sketch of the histogram, useful in CLI
 // output and test failure messages.
 func (h *LogHistogram) String() string {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -24,12 +23,6 @@ func NewSample(n int) *Sample {
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// AddAll records a batch of observations.
-func (s *Sample) AddAll(xs []float64) {
-	s.xs = append(s.xs, xs...)
 	s.sorted = false
 }
 
@@ -98,77 +91,6 @@ func (s *Sample) Variance() float64 {
 		sum += d * d
 	}
 	return sum / float64(n-1)
-}
-
-// Moment returns the raw sample moment E[X^j]; j may be negative (e.g. -1
-// for E[1/X]) as long as no observation is zero.
-func (s *Sample) Moment(j float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += math.Pow(x, j)
-	}
-	return sum / float64(len(s.xs))
-}
-
-// TailLoadFraction reports the fraction of the total sum contributed by the
-// largest frac-fraction of observations. For heavy-tailed job-size samples
-// this is the "biggest 1.3% of jobs make up half the load" statistic from
-// the paper.
-func (s *Sample) TailLoadFraction(frac float64) float64 {
-	if len(s.xs) == 0 || frac <= 0 {
-		return 0
-	}
-	s.ensureSorted()
-	total := 0.0
-	for _, x := range s.xs {
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	k := int(math.Ceil(frac * float64(len(s.xs))))
-	if k > len(s.xs) {
-		k = len(s.xs)
-	}
-	top := 0.0
-	for _, x := range s.xs[len(s.xs)-k:] {
-		top += x
-	}
-	return top / total
-}
-
-// Correlation computes the Pearson correlation coefficient of two
-// equal-length series. It returns 0 when either series is constant and
-// panics if the lengths differ (a programming error).
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("stats: correlation length mismatch %d != %d", len(xs), len(ys)))
-	}
-	n := float64(len(xs))
-	if n == 0 {
-		return 0
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	mx /= n
-	my /= n
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // ClassTally keeps one Stream per integer class. It is used for per-host and

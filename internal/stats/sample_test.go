@@ -11,7 +11,9 @@ import (
 
 func TestSampleQuantileKnown(t *testing.T) {
 	s := NewSample(5)
-	s.AddAll([]float64{10, 20, 30, 40, 50})
+	for _, x := range []float64{10, 20, 30, 40, 50} {
+		s.Add(x)
+	}
 	cases := []struct{ q, want float64 }{
 		{0, 10}, {1, 50}, {0.5, 30}, {0.25, 20}, {0.125, 15},
 	}
@@ -47,67 +49,15 @@ func TestSampleQuantileMonotone(t *testing.T) {
 
 func TestSampleMeanVariance(t *testing.T) {
 	s := NewSample(4)
-	s.AddAll([]float64{1, 2, 3, 4})
+	for _, x := range []float64{1, 2, 3, 4} {
+		s.Add(x)
+	}
 	if got := s.Mean(); got != 2.5 {
 		t.Errorf("mean = %v, want 2.5", got)
 	}
 	if got := s.Variance(); !floatcmp.AlmostEqual(got, 5.0/3.0, 1e-12) {
 		t.Errorf("variance = %v, want %v", got, 5.0/3.0)
 	}
-}
-
-func TestSampleMoment(t *testing.T) {
-	s := NewSample(2)
-	s.AddAll([]float64{2, 4})
-	if got := s.Moment(2); got != 10 {
-		t.Errorf("E[X^2] = %v, want 10", got)
-	}
-	if got := s.Moment(-1); !floatcmp.AlmostEqual(got, 0.375, 1e-12) {
-		t.Errorf("E[1/X] = %v, want 0.375", got)
-	}
-}
-
-func TestTailLoadFraction(t *testing.T) {
-	s := NewSample(10)
-	// Nine jobs of size 1, one job of size 91: top 10% = 91/100 of the load.
-	for i := 0; i < 9; i++ {
-		s.Add(1)
-	}
-	s.Add(91)
-	if got := s.TailLoadFraction(0.10); !floatcmp.AlmostEqual(got, 0.91, 1e-12) {
-		t.Errorf("tail load fraction = %v, want 0.91", got)
-	}
-	if got := s.TailLoadFraction(1.0); !floatcmp.AlmostEqual(got, 1.0, 1e-12) {
-		t.Errorf("full tail load fraction = %v, want 1", got)
-	}
-	if got := s.TailLoadFraction(0); got != 0 {
-		t.Errorf("zero-fraction tail load = %v, want 0", got)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(xs, ys); !floatcmp.AlmostEqual(got, 1, 1e-12) {
-		t.Errorf("perfect positive correlation = %v, want 1", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(xs, neg); !floatcmp.AlmostEqual(got, -1, 1e-12) {
-		t.Errorf("perfect negative correlation = %v, want -1", got)
-	}
-	flat := []float64{3, 3, 3, 3, 3}
-	if got := Correlation(xs, flat); got != 0 {
-		t.Errorf("correlation with constant = %v, want 0", got)
-	}
-}
-
-func TestCorrelationPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Correlation([]float64{1}, []float64{1, 2})
 }
 
 func TestClassTally(t *testing.T) {
@@ -164,23 +114,6 @@ func TestLogHistogramBasic(t *testing.T) {
 	}
 	if total != 4 {
 		t.Errorf("binned count = %d, want 4", total)
-	}
-}
-
-func TestLogHistogramQuantileApproximatesSample(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	h := NewLogHistogram(math.Pow(10, 0.05)) // 20 bins per decade
-	s := NewSample(50000)
-	for i := 0; i < 50000; i++ {
-		x := math.Exp(rng.NormFloat64()) // lognormal
-		h.Add(x)
-		s.Add(x)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		hq, sq := h.Quantile(q), s.Quantile(q)
-		if math.Abs(hq-sq)/sq > 0.10 {
-			t.Errorf("q=%v histogram %v vs sample %v (>10%% off)", q, hq, sq)
-		}
 	}
 }
 

@@ -58,21 +58,6 @@ func (s *Stream) Add(x float64) {
 	s.sum += x
 }
 
-// AddN records the same observation value k times. It is equivalent to
-// calling Add(x) k times but runs in O(1): the k copies contribute no
-// spread of their own, so they fold in via the pairwise-merge formulas.
-func (s *Stream) AddN(x float64, k int64) {
-	if k <= 0 {
-		return
-	}
-	var other Stream
-	other.n = k
-	other.mean = x
-	other.min, other.max = x, x
-	other.sum = x * float64(k)
-	s.Merge(&other)
-}
-
 // Merge folds another stream into s using the parallel (pairwise) update
 // formulas, so that partitioned accumulation matches sequential accumulation.
 func (s *Stream) Merge(o *Stream) {
@@ -130,14 +115,6 @@ func (s *Stream) PopVariance() float64 {
 
 // StdDev reports the unbiased sample standard deviation.
 func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// SecondMoment reports the sample E[X^2].
-func (s *Stream) SecondMoment() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.m2/float64(s.n) + s.mean*s.mean
-}
 
 // SquaredCV reports the squared coefficient of variation Var/Mean^2.
 // It returns 0 when the mean is 0.
@@ -220,8 +197,3 @@ func zQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// ZQuantile exposes the standard normal inverse CDF; it is used by the
-// lognormal distribution and by confidence-interval helpers in other
-// packages.
-func ZQuantile(p float64) float64 { return zQuantile(p) }

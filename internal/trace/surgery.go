@@ -2,15 +2,12 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"sita/internal/workload"
 )
 
-// Trace-surgery helpers: the operations needed to massage real job logs
-// into experiment inputs — select job classes, take prefixes, and merge
-// streams from multiple sources (e.g. two submission queues feeding one
-// distributed server).
+// Trace surgery: taking a prefix of a job log as a smaller experiment
+// input. Truncate and SplitHalf, the other derivations, live in trace.go.
 
 // Head returns a new trace holding the first n jobs (all jobs if n exceeds
 // the length).
@@ -21,61 +18,4 @@ func (t *Trace) Head(n int) *Trace {
 	jobs := make([]workload.Job, n)
 	copy(jobs, t.Jobs[:n])
 	return t.derive(t.Name, fmt.Sprintf("/head%d", n), jobs)
-}
-
-// FilterSize returns a new trace with only the jobs whose size lies in
-// (lo, hi], preserving arrival order.
-func (t *Trace) FilterSize(lo, hi float64) *Trace {
-	var jobs []workload.Job
-	for _, j := range t.Jobs {
-		if j.Size > lo && j.Size <= hi {
-			jobs = append(jobs, j)
-		}
-	}
-	return t.derive(fmt.Sprintf("%s[size in (%g, %g]]", t.Name, lo, hi),
-		fmt.Sprintf("/size(%g,%g]", lo, hi), jobs)
-}
-
-// TimeSpan reports the first and last arrival instants (0, 0 for an empty
-// trace).
-func (t *Trace) TimeSpan() (first, last float64) {
-	if len(t.Jobs) == 0 {
-		return 0, 0
-	}
-	return t.Jobs[0].Arrival, t.Jobs[len(t.Jobs)-1].Arrival
-}
-
-// Merge interleaves several traces by arrival time into one stream, as when
-// multiple submission front-ends feed one distributed server. Job IDs are
-// renumbered in merged order.
-func Merge(name string, traces ...*Trace) *Trace {
-	total := 0
-	for _, t := range traces {
-		total += len(t.Jobs)
-	}
-	jobs := make([]workload.Job, 0, total)
-	for _, t := range traces {
-		jobs = append(jobs, t.Jobs...)
-	}
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Arrival < jobs[j].Arrival })
-	for i := range jobs {
-		jobs[i].ID = i
-	}
-	// A merge of several parents has no single derivation chain; New
-	// assigns a fresh anonymous identity.
-	return New(name, jobs)
-}
-
-// Thin returns a new trace keeping every k-th job (k >= 1), a quick way to
-// reduce load while preserving the marginal size distribution and the
-// large-scale arrival pattern. Panics if k < 1.
-func (t *Trace) Thin(k int) *Trace {
-	if k < 1 {
-		panic(fmt.Sprintf("trace: thin factor must be >= 1, got %d", k))
-	}
-	var jobs []workload.Job
-	for i := 0; i < len(t.Jobs); i += k {
-		jobs = append(jobs, t.Jobs[i])
-	}
-	return t.derive(fmt.Sprintf("%s/thin%d", t.Name, k), fmt.Sprintf("/thin%d", k), jobs)
 }

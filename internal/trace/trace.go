@@ -17,8 +17,8 @@ import (
 // treated as read-only once built. Traces are shared freely (the experiment
 // trace cache, the job-stream cache in internal/streamcache, and the simd
 // workload memo all hand one *Trace to many concurrent consumers), and the
-// derivation helpers (Head, Truncate, SplitHalf, FilterSize, Thin, Merge)
-// return new traces instead of editing in place. Mutating Jobs directly
+// derivation helpers (Head, Truncate, SplitHalf) return new traces
+// instead of editing in place. Mutating Jobs directly
 // would desynchronize the precomputed size mean and the cache identity
 // below; derive a new trace instead.
 type Trace struct {

@@ -357,74 +357,6 @@ func TestHead(t *testing.T) {
 	}
 }
 
-func TestFilterSize(t *testing.T) {
-	tr := &Trace{Name: "f", Jobs: []workload.Job{
-		{Arrival: 1, Size: 5},
-		{Arrival: 2, Size: 10},
-		{Arrival: 3, Size: 50},
-	}}
-	f := tr.FilterSize(5, 10) // (5, 10]: only the size-10 job
-	if f.Len() != 1 || f.Jobs[0].Size != 10 {
-		t.Fatalf("filter wrong: %+v", f.Jobs)
-	}
-}
-
-func TestMergeTraces(t *testing.T) {
-	a := &Trace{Name: "a", Jobs: []workload.Job{
-		{Arrival: 1, Size: 1}, {Arrival: 5, Size: 1},
-	}}
-	b := &Trace{Name: "b", Jobs: []workload.Job{
-		{Arrival: 2, Size: 2}, {Arrival: 4, Size: 2},
-	}}
-	m := Merge("ab", a, b)
-	if m.Len() != 4 {
-		t.Fatalf("merged len = %d", m.Len())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wantArr := []float64{1, 2, 4, 5}
-	for i, j := range m.Jobs {
-		if j.Arrival != wantArr[i] {
-			t.Fatalf("merge order wrong at %d: %+v", i, m.Jobs)
-		}
-		if j.ID != i {
-			t.Fatalf("merge did not renumber: %+v", j)
-		}
-	}
-	first, last := m.TimeSpan()
-	if first != 1 || last != 5 {
-		t.Fatalf("timespan [%v, %v]", first, last)
-	}
-}
-
-func TestThin(t *testing.T) {
-	tr := &Trace{Name: "t"}
-	for i := 0; i < 10; i++ {
-		tr.Jobs = append(tr.Jobs, workload.Job{ID: i, Arrival: float64(i), Size: 1})
-	}
-	th := tr.Thin(3)
-	if th.Len() != 4 { // indices 0,3,6,9
-		t.Fatalf("thin len = %d, want 4", th.Len())
-	}
-	if th.Jobs[1].Arrival != 3 {
-		t.Fatalf("thin picked wrong jobs: %+v", th.Jobs)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("thin(0) should panic")
-		}
-	}()
-	tr.Thin(0)
-}
-
-func TestEmptyTimeSpan(t *testing.T) {
-	tr := &Trace{Name: "e"}
-	if a, b := tr.TimeSpan(); a != 0 || b != 0 {
-		t.Fatal("empty timespan should be zeros")
-	}
-}
-
 func TestReadSWFRejectsNonFiniteValues(t *testing.T) {
 	for _, line := range []string{
 		"1 nan -1 10 8",

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"sita/internal/dist"
@@ -152,38 +151,3 @@ func (r *Replay) NextGap(*rand.Rand) float64 {
 
 // Scale reports the gap multiplier in use.
 func (r *Replay) Scale() float64 { return r.scale }
-
-// Diurnal is a non-homogeneous Poisson process with sinusoidal intensity
-// lambda(t) = MeanRate * (1 + Amplitude*sin(2*pi*t/Period)), generated by
-// thinning. Supercomputing submission rates follow strong day/night and
-// weekday cycles; this process reproduces that regular burstiness (as
-// opposed to MMPP2's random bursts).
-type Diurnal struct {
-	MeanRate  float64
-	Amplitude float64 // in [0, 1)
-	Period    float64
-	clock     float64
-}
-
-// NewDiurnal validates parameters. Panics unless meanRate and period are
-// positive and 0 <= amplitude <= 1.
-func NewDiurnal(meanRate, amplitude, period float64) *Diurnal {
-	if meanRate <= 0 || amplitude < 0 || amplitude >= 1 || period <= 0 {
-		panic(fmt.Sprintf("workload: invalid diurnal rate=%v amp=%v period=%v",
-			meanRate, amplitude, period))
-	}
-	return &Diurnal{MeanRate: meanRate, Amplitude: amplitude, Period: period}
-}
-
-// NextGap thins a homogeneous Poisson process at the peak rate.
-func (d *Diurnal) NextGap(rng *rand.Rand) float64 {
-	peak := d.MeanRate * (1 + d.Amplitude)
-	start := d.clock
-	for {
-		d.clock += rng.ExpFloat64() / peak
-		rate := d.MeanRate * (1 + d.Amplitude*math.Sin(2*math.Pi*d.clock/d.Period))
-		if rng.Float64() <= rate/peak {
-			return d.clock - start
-		}
-	}
-}

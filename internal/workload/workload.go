@@ -125,25 +125,3 @@ func (r *ReplaySizes) NextSize(*rand.Rand) float64 {
 	}
 	return s
 }
-
-// ShuffledSizes samples sizes uniformly at random (with replacement) from a
-// fixed list: the i.i.d. bootstrap of a trace, isolating the marginal
-// distribution from its autocorrelation.
-type ShuffledSizes struct {
-	sizes []float64
-}
-
-// NewShuffledSizes copies the size list. Panics if it is empty.
-func NewShuffledSizes(sizes []float64) *ShuffledSizes {
-	if len(sizes) == 0 {
-		panic("workload: shuffle needs at least one size")
-	}
-	cp := make([]float64, len(sizes))
-	copy(cp, sizes)
-	return &ShuffledSizes{sizes: cp}
-}
-
-// NextSize draws one size uniformly with replacement.
-func (s *ShuffledSizes) NextSize(rng *rand.Rand) float64 {
-	return s.sizes[rng.IntN(len(s.sizes))]
-}

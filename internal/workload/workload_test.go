@@ -106,18 +106,6 @@ func TestReplaySizesCycle(t *testing.T) {
 	}
 }
 
-func TestShuffledSizesMarginal(t *testing.T) {
-	s := NewShuffledSizes([]float64{2, 4})
-	rng := sim.NewRNG(5, 0)
-	counts := map[float64]int{}
-	for i := 0; i < 10000; i++ {
-		counts[s.NextSize(rng)]++
-	}
-	if counts[2] < 4500 || counts[4] < 4500 {
-		t.Fatalf("shuffled sampling biased: %v", counts)
-	}
-}
-
 func TestRenewalLognormalBurstiness(t *testing.T) {
 	g := dist.NewLognormalFromMeanSCV(1, 25)
 	r := Renewal{Gap: g}
@@ -196,7 +184,6 @@ func TestReplayValidation(t *testing.T) {
 		func() { NewReplay(nil, 1) },
 		func() { NewReplay([]float64{1}, 0) },
 		func() { NewReplaySizes(nil) },
-		func() { NewShuffledSizes(nil) },
 		func() { NewPoisson(-1) },
 		func() { NewMMPP2(-1, 1, 1, 1) },
 	} {
@@ -218,51 +205,4 @@ func TestSourceNilComponentsPanic(t *testing.T) {
 		}
 	}()
 	NewSource(nil, nil, nil, nil)
-}
-
-func TestDiurnalMeanRateAndCycle(t *testing.T) {
-	d := NewDiurnal(2, 0.8, 100)
-	rng := sim.NewRNG(31, 0)
-	n := 200000
-	total := 0.0
-	for i := 0; i < n; i++ {
-		g := d.NextGap(rng)
-		if g <= 0 {
-			t.Fatalf("non-positive gap %v", g)
-		}
-		total += g
-	}
-	realized := float64(n) / total
-	if math.Abs(realized-2)/2 > 0.05 {
-		t.Fatalf("realized rate %v, want ~2", realized)
-	}
-}
-
-func TestDiurnalBurstierThanPoisson(t *testing.T) {
-	d := NewDiurnal(1, 0.9, 1000)
-	rng := sim.NewRNG(33, 0)
-	var s stats.Stream
-	for i := 0; i < 100000; i++ {
-		s.Add(d.NextGap(rng))
-	}
-	if s.SquaredCV() <= 1.05 {
-		t.Fatalf("diurnal gap C^2 = %v, want > 1 (cyclic burstiness)", s.SquaredCV())
-	}
-}
-
-func TestDiurnalValidation(t *testing.T) {
-	for i, fn := range []func(){
-		func() { NewDiurnal(0, 0.5, 10) },
-		func() { NewDiurnal(1, 1.0, 10) },
-		func() { NewDiurnal(1, 0.5, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
 }
