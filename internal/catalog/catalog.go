@@ -1,8 +1,8 @@
 // Package catalog is the shared registry of user-facing names and
-// parameter contracts: the task assignment policies a caller can name, the
-// built-in workload profiles, and the validation rules every entry point
-// (the cmd/ binaries and the simd HTTP service) applies to common
-// parameters before running anything.
+// parameter contracts: the names of the policy table's rows (see
+// core.PolicyRow), the built-in workload profiles, and the validation
+// rules every entry point (the cmd/ binaries and the simd HTTP service)
+// applies to common parameters before running anything.
 //
 // Centralizing this keeps the surfaces consistent: a policy name accepted
 // by `sita.Compare` is accepted by `POST /v1/simulate`, rejections
@@ -22,17 +22,19 @@ import (
 
 	"sita"
 	"sita/internal/core"
-	"sita/internal/policy"
-	"sita/internal/sim"
 	"sita/internal/trace"
 )
 
-// PolicyNames lists every accepted policy name in presentation order.
-// Aliases (rr, sq, cq, least-work-left) are accepted by Build but not
-// listed.
+// PolicyNames lists every accepted policy name in presentation order:
+// the policy table's keys. Aliases (rr, sq, cq, least-work-left) are
+// accepted by Build but not listed.
 func PolicyNames() []string {
-	return []string{"random", "round-robin", "shortest-queue", "lwl",
-		"central-queue", "sita-e", "sita-u-opt", "sita-u-fair", "sita-u-rule"}
+	rows := core.Policies()
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Key
+	}
+	return names
 }
 
 // ProfileNames lists the built-in workload profiles in sorted order.
@@ -101,10 +103,8 @@ func CheckJobs(jobs int) error {
 
 // CheckPolicy validates a policy name, naming the valid values on failure.
 func CheckPolicy(name string) error {
-	if _, ok := canonicalPolicy(name); !ok {
-		return fmt.Errorf("unknown policy %q (have: %s)", name, strings.Join(PolicyNames(), ", "))
-	}
-	return nil
+	_, err := CanonicalPolicy(name)
+	return err
 }
 
 // CheckProfile validates a built-in profile name, naming the valid values
@@ -116,79 +116,25 @@ func CheckProfile(name string) error {
 	return nil
 }
 
-// canonicalPolicy resolves aliases to the canonical policy name.
-func canonicalPolicy(name string) (string, bool) {
-	switch strings.ToLower(name) {
-	case "random":
-		return "random", true
-	case "round-robin", "rr":
-		return "round-robin", true
-	case "shortest-queue", "sq":
-		return "shortest-queue", true
-	case "lwl", "least-work-left":
-		return "lwl", true
-	case "central-queue", "cq":
-		return "central-queue", true
-	case "sita-e":
-		return "sita-e", true
-	case "sita-u-opt":
-		return "sita-u-opt", true
-	case "sita-u-fair":
-		return "sita-u-fair", true
-	case "sita-u-rule":
-		return "sita-u-rule", true
-	}
-	return "", false
-}
-
 // CanonicalPolicy returns the canonical spelling of a policy name (aliases
 // resolved, case folded), or an error naming the valid values.
 func CanonicalPolicy(name string) (string, error) {
-	c, ok := canonicalPolicy(name)
+	r, ok := core.LookupPolicy(name)
 	if !ok {
-		return "", CheckPolicy(name)
+		return "", fmt.Errorf("unknown policy %q (have: %s)", name, strings.Join(PolicyNames(), ", "))
 	}
-	return c, nil
+	return r.Key, nil
 }
 
 // Build constructs the named policy for a workload at the given system
 // load on the given host count. SITA variants return the derived Design
 // alongside the policy (nil for size-oblivious policies) so callers can
 // classify jobs and audit fairness. The seed feeds only the Random
-// policy's generator (stream 100, the convention every entry point
-// shares).
+// policy's generator.
 func Build(name string, load float64, wl *sita.Workload, hosts int, seed uint64) (sita.Policy, *sita.Design, error) {
-	c, ok := canonicalPolicy(name)
+	r, ok := core.LookupPolicy(name)
 	if !ok {
 		return nil, nil, CheckPolicy(name)
 	}
-	switch c {
-	case "random":
-		return policy.NewRandom(sim.NewRNG(seed, 100)), nil, nil
-	case "round-robin":
-		return policy.NewRoundRobin(), nil, nil
-	case "shortest-queue":
-		return policy.NewShortestQueue(), nil, nil
-	case "lwl":
-		return policy.NewLeastWorkLeft(), nil, nil
-	case "central-queue":
-		return policy.NewCentralQueue(), nil, nil
-	default: // the SITA family
-		var v sita.Variant
-		switch c {
-		case "sita-e":
-			v = core.SITAE
-		case "sita-u-opt":
-			v = core.SITAUOpt
-		case "sita-u-fair":
-			v = core.SITAUFair
-		default:
-			v = core.SITARule
-		}
-		d, err := sita.NewDesign(v, load, wl.Size, hosts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Policy(), d, nil
-	}
+	return r.Build(load, wl.Size, hosts, seed)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sita/internal/core"
 )
 
 // FuzzCanonicalPolicy hammers policy-name resolution with arbitrary
@@ -12,12 +14,14 @@ import (
 // name must resolve into the published PolicyNames list, and acceptance
 // must agree with CheckPolicy and be case-insensitive.
 func FuzzCanonicalPolicy(f *testing.F) {
-	for _, name := range PolicyNames() {
-		f.Add(name)
+	for _, r := range core.Policies() {
+		f.Add(r.Key)
+		f.Add(r.Name)
+		for _, alias := range r.Aliases {
+			f.Add(alias)
+			f.Add(strings.ToUpper(alias))
+		}
 	}
-	f.Add("rr")
-	f.Add("SQ")
-	f.Add("Least-Work-Left")
 	f.Add("")
 	f.Add("sita-")
 	f.Add("random ")

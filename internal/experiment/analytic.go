@@ -4,36 +4,24 @@ import (
 	"math"
 
 	"sita/internal/core"
-	"sita/internal/dist"
 	"sita/internal/queueing"
 )
 
-// analyticModel selects a load-balancing policy's queueing model for the
-// analytic figures.
-type analyticModel int
-
-const (
-	queueingRandom analyticModel = iota
-	queueingRoundRobin
-	queueingLWL
-)
-
-// queueing2MeanSlowdown evaluates a load-balancing policy's analytic mean
-// slowdown: Random is Bernoulli splitting into independent M/G/1 queues,
-// Round-Robin an E_h/G/1 approximation, Least-Work-Left an M/G/h
-// approximation.
-func queueing2MeanSlowdown(m analyticModel, lambda float64, size dist.Distribution, hosts int) float64 {
-	switch m {
-	case queueingRandom:
-		return queueing.RandomSplit(lambda, size, hosts).MeanSlowdown()
-	case queueingRoundRobin:
-		return queueing.RoundRobinSplit(lambda, size, hosts).MeanSlowdown()
-	case queueingLWL:
-		return queueing.LWL(lambda, size, hosts).MeanSlowdown()
-	default:
-		//lint:allow panicpolicy invariant: analyticModel is a closed internal enum
-		panic("experiment: unknown analytic model")
+// predictSweep tabulates the closed-form mean slowdown on 2 hosts of the
+// policy-table rows with the given keys across the load sweep. A load
+// where a row has no prediction (an infeasible SITA design) has no point.
+func (c Config) predictSweep(id, title string, keys ...string) []Table {
+	size := c.Profile.MustSizeDist()
+	t := NewTable(id, title, "system load", "mean slowdown")
+	for _, load := range c.Loads {
+		for _, key := range keys {
+			r := policyRow(key)
+			if m, err := r.Predict(load, size, 2); err == nil {
+				t.Add(r.Name, load, m)
+			}
+		}
 	}
+	return []Table{*t}
 }
 
 // VarianceAnalysis is the analytic counterpart of the variance-of-slowdown

@@ -80,7 +80,7 @@ func resultBytes(r *server.Result) int64 {
 // infeasible design), which is never cached.
 func (c Config) simulate(s stream, size dist.BoundedPareto, spec policySpec, keepRecords bool) (*server.Result, error) {
 	run := func() (*server.Result, error) {
-		p, err := spec.build(s.load, size, s.hosts, c.Seed)
+		p, _, err := spec.build(s.load, size, s.hosts, c.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"sita/internal/core"
 	"sita/internal/memo"
 	"sita/internal/server"
 )
@@ -24,7 +23,7 @@ func withCellMemo(t *testing.T, maxCost int64) {
 // a plain server.Run over the stream.
 func directRun(t *testing.T, cfg Config, s stream, spec policySpec, keepRecords bool) *server.Result {
 	t.Helper()
-	p, err := spec.build(s.load, cfg.Profile.MustSizeDist(), s.hosts, cfg.Seed)
+	p, _, err := spec.build(s.load, cfg.Profile.MustSizeDist(), s.hosts, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestCellMemoHitEqualsRun(t *testing.T) {
 	}
 	size := cfg.Profile.MustSizeDist()
 	s := stream{tr, 0.7, 2, true, cfg.Seed}
-	for _, spec := range []policySpec{specRandom(), specLWL(), specSITA(core.SITAUFair)} {
+	for _, spec := range []policySpec{spec("random"), spec("lwl"), spec("sita-u-fair")} {
 		for _, keep := range []bool{false, true} {
 			miss, err := cfg.simulate(s, size, spec, keep)
 			if err != nil {
@@ -86,12 +85,12 @@ func TestCellMemoSeparatesSeeds(t *testing.T) {
 	}
 	size := a.Profile.MustSizeDist()
 	s := stream{tr, 0.7, 2, true, a.Seed} // one stream for both seeds
-	resA, _ := a.simulate(s, size, specRandom(), false)
-	resB, _ := b.simulate(s, size, specRandom(), false)
+	resA, _ := a.simulate(s, size, spec("random"), false)
+	resB, _ := b.simulate(s, size, spec("random"), false)
 	if resA == resB || resA.Slowdown.Mean() == resB.Slowdown.Mean() {
 		t.Fatalf("Random under seeds %d and %d shared a cell", a.Seed, b.Seed)
 	}
-	if !reflect.DeepEqual(resB, directRun(t, b, s, specRandom(), false)) {
+	if !reflect.DeepEqual(resB, directRun(t, b, s, spec("random"), false)) {
 		t.Errorf("Random under seed %d differs from its direct run", b.Seed)
 	}
 	if st := cellMemo.Stats(); st.Misses != 2 || st.Hits != 0 {

@@ -23,10 +23,8 @@ import (
 	"sita/internal/core"
 	"sita/internal/dist"
 	"sita/internal/memo"
-	"sita/internal/policy"
 	"sita/internal/runner"
 	"sita/internal/server"
-	"sita/internal/sim"
 	"sita/internal/streamcache"
 	"sita/internal/trace"
 )
@@ -116,51 +114,34 @@ func (c Config) buildTrace() (*trace.Trace, error) {
 // policy from the same arguments.
 type policySpec struct {
 	name  string
-	build func(load float64, size dist.BoundedPareto, hosts int, seed uint64) (server.Policy, error)
+	build func(load float64, size dist.Distribution, hosts int, seed uint64) (server.Policy, *core.Design, error)
 }
 
-func specRandom() policySpec {
-	return policySpec{name: "Random", build: func(_ float64, _ dist.BoundedPareto, _ int, seed uint64) (server.Policy, error) {
-		return policy.NewRandom(sim.NewRNG(seed, 100)), nil
-	}}
+// policyRow is the policy-table row with the given key.
+// Panics if no row has that key; every caller passes a literal.
+func policyRow(key string) core.PolicyRow {
+	r, ok := core.LookupPolicy(key)
+	if !ok {
+		panic(fmt.Sprintf("experiment: no policy %q in the policy table", key))
+	}
+	return r
 }
 
-func specLWL() policySpec {
-	return policySpec{name: "Least-Work-Left", build: func(float64, dist.BoundedPareto, int, uint64) (server.Policy, error) {
-		return policy.NewLeastWorkLeft(), nil
-	}}
-}
-
-func specShortestQueue() policySpec {
-	return policySpec{name: "Shortest-Queue", build: func(float64, dist.BoundedPareto, int, uint64) (server.Policy, error) {
-		return policy.NewShortestQueue(), nil
-	}}
-}
-
-func specCentralQueue() policySpec {
-	return policySpec{name: "Central-Queue", build: func(float64, dist.BoundedPareto, int, uint64) (server.Policy, error) {
-		return policy.NewCentralQueue(), nil
-	}}
-}
-
-func specSITA(v core.Variant) policySpec {
-	return policySpec{name: v.String(), build: func(load float64, size dist.BoundedPareto, hosts int, _ uint64) (server.Policy, error) {
-		d, err := core.NewDesign(v, load, size, hosts)
-		if err != nil {
-			return nil, err
-		}
-		return d.Policy(), nil
-	}}
+// spec is the spec of the policy-table row with the given key, named by
+// the row's display name.
+func spec(key string) policySpec {
+	r := policyRow(key)
+	return policySpec{name: r.Name, build: r.Build}
 }
 
 // specFullSITA is the full (h-1)-cutoff SITA design of core.NewDesignFull.
 func specFullSITA(v core.Variant) policySpec {
-	return policySpec{name: v.String() + "-multi", build: func(load float64, size dist.BoundedPareto, hosts int, _ uint64) (server.Policy, error) {
+	return policySpec{name: v.String() + "-multi", build: func(load float64, size dist.Distribution, hosts int, _ uint64) (server.Policy, *core.Design, error) {
 		d, err := core.NewDesignFull(v, load, size, hosts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return d.Policy(), nil
+		return d.Policy(), nil, nil
 	}}
 }
 
@@ -260,20 +241,20 @@ func Table1(cfg Config) ([]Table, error) {
 // SITA-E) on a 2-host system by trace-driven simulation.
 func Figure2(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig2", "Load-balancing policies, 2 hosts (simulation)", 2,
-		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE)}, true)
+		[]policySpec{spec("random"), spec("lwl"), spec("sita-e")}, true)
 }
 
 // Figure3 repeats Figure 2 with 4 hosts.
 func Figure3(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig3", "Load-balancing policies, 4 hosts (simulation)", 4,
-		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE)}, true)
+		[]policySpec{spec("random"), spec("lwl"), spec("sita-e")}, true)
 }
 
 // Figure4 compares SITA-E against the load-unbalancing SITA-U-opt and
 // SITA-U-fair on 2 hosts by simulation.
 func Figure4(cfg Config) ([]Table, error) {
 	return cfg.simSweep("fig4", "SITA-E vs SITA-U-opt vs SITA-U-fair, 2 hosts (simulation)", 2,
-		[]policySpec{specSITA(core.SITAE), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}, true)
+		[]policySpec{spec("sita-e"), spec("sita-u-opt"), spec("sita-u-fair")}, true)
 }
 
 // Figure5 reports the fraction of total load sent to Host 1 (the short
@@ -308,7 +289,7 @@ func Figure6(cfg Config) ([]Table, error) {
 	}
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("fig6", "Slowdown vs number of hosts at load 0.7 (simulation)", "hosts", "mean slowdown")
-	specs := []policySpec{specLWL(), specSITA(core.SITAE), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}
+	specs := []policySpec{spec("lwl"), spec("sita-e"), spec("sita-u-opt"), spec("sita-u-fair")}
 	type cell struct {
 		hosts int
 		spec  policySpec
@@ -358,7 +339,7 @@ func Figure7(cfg Config) ([]Table, error) {
 	// correlation switched on.
 	c.Profile.BurstSizeBand = 0.15
 	tables, err := c.simSweep("fig7", "Bursty (scaled-trace) arrivals, 2 hosts (simulation)", 2,
-		[]policySpec{specLWL(), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}, false)
+		[]policySpec{spec("lwl"), spec("sita-u-opt"), spec("sita-u-fair")}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -368,36 +349,15 @@ func Figure7(cfg Config) ([]Table, error) {
 // Figure8 is the analytic counterpart of Figure 2: mean slowdown of the
 // load-balancing policies from queueing formulas.
 func Figure8(cfg Config) ([]Table, error) {
-	size := cfg.Profile.MustSizeDist()
-	t := NewTable("fig8", "Load-balancing policies, 2 hosts (analysis)", "system load", "mean slowdown")
-	const hosts = 2
-	for _, load := range cfg.Loads {
-		lambda := float64(hosts) * load / size.Moment(1)
-		t.Add("Random", load, queueing2MeanSlowdown(queueingRandom, lambda, size, hosts))
-		t.Add("Round-Robin", load, queueing2MeanSlowdown(queueingRoundRobin, lambda, size, hosts))
-		t.Add("Least-Work-Left", load, queueing2MeanSlowdown(queueingLWL, lambda, size, hosts))
-		if d, err := core.NewDesign(core.SITAE, load, size, hosts); err == nil {
-			t.Add("SITA-E", load, d.Predicted.MeanSlowdown)
-		}
-	}
-	return []Table{*t}, nil
+	return cfg.predictSweep("fig8", "Load-balancing policies, 2 hosts (analysis)",
+		"random", "round-robin", "lwl", "sita-e"), nil
 }
 
 // Figure9 is the analytic counterpart of Figure 4: SITA-E vs SITA-U-opt vs
 // SITA-U-fair mean slowdown from queueing formulas.
 func Figure9(cfg Config) ([]Table, error) {
-	size := cfg.Profile.MustSizeDist()
-	t := NewTable("fig9", "SITA variants, 2 hosts (analysis)", "system load", "mean slowdown")
-	for _, load := range cfg.Loads {
-		for _, v := range []core.Variant{core.SITAE, core.SITAUOpt, core.SITAUFair} {
-			d, err := core.NewDesign(v, load, size, 2)
-			if err != nil {
-				continue
-			}
-			t.Add(v.String(), load, d.Predicted.MeanSlowdown)
-		}
-	}
-	return []Table{*t}, nil
+	return cfg.predictSweep("fig9", "SITA variants, 2 hosts (analysis)",
+		"sita-e", "sita-u-opt", "sita-u-fair"), nil
 }
 
 // Figure10 repeats the policy comparison (Figures 2 and 4 combined) on the
@@ -405,7 +365,7 @@ func Figure9(cfg Config) ([]Table, error) {
 func Figure10(cfg Config) ([]Table, error) {
 	c := cfg.withProfile(trace.J90())
 	tables, err := c.simSweep("fig10", "All policies, 2 hosts, J90 (simulation)", 2,
-		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}, true)
+		[]policySpec{spec("random"), spec("lwl"), spec("sita-e"), spec("sita-u-opt"), spec("sita-u-fair")}, true)
 	return tables, err
 }
 
@@ -424,7 +384,7 @@ func Figure11(cfg Config) ([]Table, error) {
 func Figure12(cfg Config) ([]Table, error) {
 	c := cfg.withProfile(trace.CTC())
 	tables, err := c.simSweep("fig12", "All policies, 2 hosts, CTC (simulation)", 2,
-		[]policySpec{specRandom(), specLWL(), specSITA(core.SITAE), specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}, true)
+		[]policySpec{spec("random"), spec("lwl"), spec("sita-e"), spec("sita-u-opt"), spec("sita-u-fair")}, true)
 	return tables, err
 }
 

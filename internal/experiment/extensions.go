@@ -86,11 +86,11 @@ func Misclassification(cfg Config) ([]Table, error) {
 	for _, p := range []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		for mi, m := range modes {
 			// p = 0 is plain SITA-U-fair, whichever direction.
-			spec := specSITA(core.SITAUFair)
+			sp := spec("sita-u-fair")
 			if p > 0 {
-				spec = specMisclassified(core.SITAUFair, m.name, m.mode, p, 200+uint64(mi)*17+uint64(p*1000))
+				sp = specMisclassified(core.SITAUFair, m.name, m.mode, p, 200+uint64(mi)*17+uint64(p*1000))
 			}
-			cells = append(cells, cell{p, m.name, spec})
+			cells = append(cells, cell{p, m.name, sp})
 		}
 	}
 	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (float64, error) {
@@ -176,7 +176,7 @@ func MultiCutoffAblation(cfg Config) ([]Table, error) {
 		name string
 		spec policySpec
 	}{
-		{"grouped 2-cutoff", specSITA(core.SITAUOpt)},
+		{"grouped 2-cutoff", spec("sita-u-opt")},
 		{"full multi-cutoff", specFullSITA(core.SITAUOpt)},
 		{"multi-cutoff equal-load", specFullSITA(core.SITAE)},
 	}
@@ -231,7 +231,7 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 	// One cell per policy plus the Processor-Sharing reference (footnote
 	// 1's "ultimately fair" ideal, unattainable under run-to-completion)
 	// with random splitting. Each cell returns its decile profile.
-	specs := []policySpec{specLWL(), specSITA(core.SITAE), specSITA(core.SITAUFair)}
+	specs := []policySpec{spec("lwl"), spec("sita-e"), spec("sita-u-fair")}
 	type cell struct {
 		spec policySpec
 		ps   bool
@@ -287,12 +287,12 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 // RNG stream rngStream of the seed. The name carries every parameter.
 func specMisclassified(v core.Variant, modeName string, mode policy.MisclassifyMode, p float64, rngStream uint64) policySpec {
 	name := fmt.Sprintf("%v, %s p=%v (rng %d)", v, modeName, p, rngStream)
-	return policySpec{name: name, build: func(load float64, size dist.BoundedPareto, hosts int, seed uint64) (server.Policy, error) {
+	return policySpec{name: name, build: func(load float64, size dist.Distribution, hosts int, seed uint64) (server.Policy, *core.Design, error) {
 		d, err := core.NewDesign(v, load, size, hosts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return policy.NewMisclassifyMode(d.Policy(), d.Cutoff, p, mode, sim.NewRNG(seed, rngStream)), nil
+		return policy.NewMisclassifyMode(d.Policy(), d.Cutoff, p, mode, sim.NewRNG(seed, rngStream)), nil, nil
 	}}
 }
 

@@ -27,7 +27,7 @@ func ManyHosts(cfg Config) ([]Table, error) {
 	}
 	t := NewTable("many-hosts", "Slowdown vs number of hosts at load 0.7, indexed policies (simulation)",
 		"hosts", "mean slowdown")
-	specs := []policySpec{specLWL(), specShortestQueue(), specCentralQueue(), specRandom()}
+	specs := []policySpec{spec("lwl"), spec("shortest-queue"), spec("central-queue"), spec("random")}
 	type cell struct {
 		hosts int
 		spec  policySpec

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"sita/internal/core"
 	"sita/internal/runner"
 )
 
@@ -20,8 +19,8 @@ func ResponseTime(cfg Config) ([]Table, error) {
 	vari := NewTable("response-var", "Variance of response time, 2 hosts (simulation)",
 		"system load", "variance of response")
 	const hosts = 2
-	specs := []policySpec{specRandom(), specLWL(), specSITA(core.SITAE),
-		specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}
+	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-e"),
+		spec("sita-u-opt"), spec("sita-u-fair")}
 	type cell struct {
 		spec policySpec
 		load float64

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"sita/internal/core"
 	"sita/internal/policy"
 	"sita/internal/runner"
 	"sita/internal/server"
@@ -23,7 +22,7 @@ func TAGSComparison(cfg Config) ([]Table, error) {
 		"system load", "mean slowdown")
 	waste := NewTable("tags-waste", "TAGS wasted work", "system load", "wasted-work fraction")
 	const hosts = 2
-	specs := []policySpec{specRandom(), specLWL(), specSITA(core.SITAUFair)}
+	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-u-fair")}
 	type cell struct {
 		load float64
 		// spec is nil for the TAGS cell at this load.

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"sita/internal/core"
 	"sita/internal/runner"
 	"sita/internal/stats"
 )
@@ -22,8 +21,8 @@ func TailLatency(cfg Config) ([]Table, error) {
 	t := NewTable("tail-latency", "Slowdown percentiles at load 0.7, 2 hosts (simulation)",
 		"percentile", "slowdown")
 	percentiles := []float64{0.50, 0.90, 0.95, 0.99, 0.999}
-	specs := []policySpec{specRandom(), specLWL(), specSITA(core.SITAE),
-		specSITA(core.SITAUOpt), specSITA(core.SITAUFair)}
+	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-e"),
+		spec("sita-u-opt"), spec("sita-u-fair")}
 	outs, err := runner.MapOpts(cfg.pool(), specs, func(_ int, spec policySpec) ([]seriesPoint, error) {
 		res, err := cfg.simulate(s, size, spec, true)
 		if err != nil {

@@ -145,7 +145,8 @@ type directRunner struct {
 
 	// Accounting sinks: phase 2 folds each emission into res inline —
 	// the same update sequence as Result.observe. cold is non-nil only
-	// when the run needs per-record extras (Classes, KeepRecords).
+	// when the run needs Result.observeExtras (OnRecord, Classes,
+	// KeepRecords).
 	res    *Result
 	warmup int
 	cold   func(JobRecord)

@@ -6,7 +6,6 @@ import (
 
 	"sita/internal/hostindex"
 	"sita/internal/sim"
-	"sita/internal/stats"
 	"sita/internal/workload"
 )
 
@@ -32,7 +31,6 @@ type psHost struct {
 	pending    sim.Handle // scheduled completion of the current minimum
 	engine     *sim.Engine
 	onDone     func(rec JobRecord)
-	workDone   float64
 }
 
 // advance charges elapsed processing time to every resident job.
@@ -95,7 +93,6 @@ func (h *psHost) complete(now float64) {
 	kept := h.jobs[:0]
 	for _, pj := range h.jobs {
 		if pj.remaining <= tol {
-			h.workDone += pj.job.Size
 			// Record Start so that Wait() + Size == Departure - Arrival:
 			// under PS the whole sharing-induced stretch counts as "wait".
 			rec := JobRecord{
@@ -300,52 +297,17 @@ func RunPS(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
 	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-	res := &Result{
-		PolicyName:  cfg.Policy.Name() + "/PS",
-		Hosts:       cfg.Hosts,
-		PerHostJobs: make([]int64, cfg.Hosts),
-		PerHostWork: make([]float64, cfg.Hosts),
-	}
-	if cfg.SizeClass != nil {
-		res.Classes = stats.NewClassTally()
-	}
-	if cfg.KeepRecords {
-		res.Records = make([]JobRecord, 0, len(jobs)-warmup)
-	}
+	res := newResult(cfg, len(jobs), warmup)
+	res.PolicyName += "/PS"
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {
 		eng.SetCancelCheck(defaultInterruptEvery, cfg.Interrupt)
 	}
 	sys := newPSOn(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
-		if cfg.OnRecord != nil {
-			cfg.OnRecord(rec)
-		}
-		res.PerHostJobs[rec.Host]++
-		if rec.Departure > res.Horizon {
-			res.Horizon = rec.Departure
-		}
-		if rec.ID < warmup {
-			return
-		}
-		slow := rec.Slowdown()
-		if slow < 1 {
-			slow = 1 // floating-point guard for lone jobs
-		}
-		res.Slowdown.Add(slow)
-		res.Response.Add(rec.Response())
-		res.Wait.Add(rec.Wait())
-		if res.Classes != nil {
-			res.Classes.Add(cfg.SizeClass(rec.Size), slow)
-		}
-		if cfg.KeepRecords {
-			res.Records = append(res.Records, rec)
-		}
+		res.observe(rec, warmup, &cfg)
 	})
 	sys.Simulate(renumbered)
 	res.Interrupted = eng.Interrupted()
-	for i, h := range sys.hosts {
-		res.PerHostWork[i] = h.workDone
-	}
 	return res
 }

@@ -35,10 +35,10 @@ type Config struct {
 	// block (e.g. a non-blocking context poll).
 	Interrupt func() bool
 	// OnRecord, when non-nil, receives every completed job's record in
-	// emission order — warmup jobs included, unlike KeepRecords — on both
-	// simulation paths (event heap and direct recurrence), before the
-	// record is folded into the statistics. The correctness harness
-	// (internal/simtest) streams invariant checks through it without
+	// emission order — warmup jobs included, unlike KeepRecords — on every
+	// simulation path (event heap, direct recurrence and PS hosts), after
+	// the record is folded into the delay statistics. The correctness
+	// harness (internal/simtest) streams invariant checks through it without
 	// buffering the whole run; nil costs nothing. The callback must not
 	// mutate shared state used by the simulation and must not retain the
 	// record past the call if it holds references (it does not — records
@@ -163,31 +163,48 @@ func newResult(cfg Config, n, warmup int) *Result {
 }
 
 // observe folds one completed job into the result: per-host accounting
-// always, delay statistics past the warmup prefix. Both simulation paths
-// — the event-heap engine and the direct recurrence — emit records
-// through this single function, in the same order, so the accumulated
+// always, delay statistics past the warmup prefix, then observeExtras.
+// Every simulation path emits records through it — the event-heap engine
+// and PS hosts call it, and the direct recurrence runs the same updates
+// inline and calls observeExtras — in the same order, so the accumulated
 // streams are bit-identical by construction.
 func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
-	if cfg.OnRecord != nil {
-		cfg.OnRecord(rec)
-	}
 	res.PerHostJobs[rec.Host]++
 	res.PerHostWork[rec.Host] += rec.Size
 	if rec.Departure > res.Horizon {
 		res.Horizon = rec.Departure
 	}
+	if rec.ID >= warmup {
+		res.Slowdown.Add(observedSlowdown(rec))
+		res.Response.Add(rec.Response())
+		res.Wait.Add(rec.Wait())
+	}
+	res.observeExtras(rec, warmup, cfg)
+}
+
+// observeExtras is observe's per-record tail: the OnRecord hook for every
+// record and, past the warmup prefix, the per-class tally and the kept
+// records.
+func (res *Result) observeExtras(rec JobRecord, warmup int, cfg *Config) {
+	if cfg.OnRecord != nil {
+		cfg.OnRecord(rec)
+	}
 	if rec.ID < warmup {
 		return
 	}
-	res.Slowdown.Add(rec.Slowdown())
-	res.Response.Add(rec.Response())
-	res.Wait.Add(rec.Wait())
 	if res.Classes != nil {
-		res.Classes.Add(cfg.SizeClass(rec.Size), rec.Slowdown())
+		res.Classes.Add(cfg.SizeClass(rec.Size), observedSlowdown(rec))
 	}
 	if cfg.KeepRecords {
 		res.Records = append(res.Records, rec)
 	}
+}
+
+// observedSlowdown is the slowdown a result records: rec's, clamped to 1.
+// A PS host can finish a lone job a rounding error before Arrival + Size;
+// an FCFS wait is never negative, so there the clamp never applies.
+func observedSlowdown(rec JobRecord) float64 {
+	return max(rec.Slowdown(), 1)
 }
 
 // Run simulates the job list under the configuration and returns aggregated
@@ -266,25 +283,9 @@ func runDirect(jobs []workload.Job, cfg Config) *Result {
 	d.res = res
 	d.warmup = warmup
 	if cfg.SizeClass != nil || cfg.KeepRecords || cfg.OnRecord != nil {
-		// Per-record extras run off the hot path, in the same emission
-		// order and after the same stream adds as Result.observe. The
-		// hook fires for every record (warmup included, matching
-		// Result.observe); the per-class and record-keeping extras apply
-		// only past the warmup prefix, exactly as on the engine path.
-		d.cold = func(rec JobRecord) {
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
-			}
-			if rec.ID < warmup {
-				return
-			}
-			if res.Classes != nil {
-				res.Classes.Add(cfg.SizeClass(rec.Size), rec.Slowdown())
-			}
-			if cfg.KeepRecords {
-				res.Records = append(res.Records, rec)
-			}
-		}
+		// Per-record extras run off the hot path, after the same stream
+		// adds as Result.observe.
+		d.cold = func(rec JobRecord) { res.observeExtras(rec, warmup, &cfg) }
 	}
 	d.replay(renumbered)
 	d.release()

@@ -373,6 +373,28 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestPullPolicyRejectedOnPS checks that simd answers a pull policy on
+// processor-sharing hosts with a 400 that says why, under every spelling,
+// instead of crashing the handler; the same policy on FCFS hosts, and a
+// push policy on PS hosts, still simulate.
+func TestPullPolicyRejectedOnPS(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, name := range []string{"central-queue", "CQ"} {
+		body := fmt.Sprintf(`{"policy":%q,"ps":true,"jobs":2000}`, name)
+		if code, _, b := postSim(t, ts.URL, body); code != http.StatusBadRequest || !strings.Contains(string(b), "processor-sharing") {
+			t.Errorf("%s: status %d body %s, want 400 naming processor-sharing", body, code, b)
+		}
+	}
+	for _, body := range []string{`{"policy":"cq","jobs":2000}`, `{"policy":"lwl","ps":true,"jobs":2000}`} {
+		if code, _, b := postSim(t, ts.URL, body); code != http.StatusOK {
+			t.Errorf("%s: status %d body %s, want 200", body, code, b)
+		}
+	}
+}
+
 // TestHostsCapped checks that both endpoints reject a host count above
 // catalog.MaxHosts before building a server: each host costs memory
 // before the first job runs, so an unbounded count is a cheap way to

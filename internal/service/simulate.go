@@ -47,6 +47,9 @@ func (q SimRequest) normalize(maxJobs int) (SimRequest, error) {
 		return q, err
 	}
 	q.Policy = c
+	if r, _ := core.LookupPolicy(c); q.PS && r.Pull {
+		return q, fmt.Errorf("policy %s holds jobs in a central queue until a host idles, but processor-sharing hosts take every job at once; it cannot run with \"ps\": true", c)
+	}
 	if q.Hosts == 0 {
 		q.Hosts = 2
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -166,7 +167,7 @@ func TestNewRNGStreamsUncorrelated(t *testing.T) {
 		sxx += (xs[i] - mx) * (xs[i] - mx)
 		syy += (ys[i] - my) * (ys[i] - my)
 	}
-	r := sxy / (sxx * syy)
+	r := sxy / math.Sqrt(sxx*syy)
 	if r > 0.2 || r < -0.2 {
 		t.Fatalf("adjacent-seed correlation = %v", r)
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"sita/internal/core"
 	"sita/internal/dist"
 	"sita/internal/policy"
-	"sita/internal/queueing"
 	"sita/internal/sim"
 )
 
@@ -40,51 +40,45 @@ func NewSITAPolicy(label string, cutoffs []float64) Policy {
 func NewRNG(seed, stream uint64) *rand.Rand { return sim.NewRNG(seed, stream) }
 
 // BaselinePolicies builds one fresh instance of every load-balancing
-// baseline, keyed by display name.
+// baseline — each policy-table row that needs no size information — keyed
+// by display name.
 func BaselinePolicies(seed uint64) map[string]Policy {
-	return map[string]Policy{
-		"Random":          NewRandomPolicy(NewRNG(seed, 100)),
-		"Round-Robin":     NewRoundRobinPolicy(),
-		"Shortest-Queue":  NewShortestQueuePolicy(),
-		"Least-Work-Left": NewLeastWorkLeftPolicy(),
-		"Central-Queue":   NewCentralQueuePolicy(),
+	out := map[string]Policy{}
+	for _, r := range core.Policies() {
+		if r.New != nil {
+			out[r.Name] = r.New(seed)
+		}
 	}
+	return out
 }
 
-// Predict analytically evaluates a policy family's mean slowdown for a
-// system of hosts at the given load under the workload's size distribution.
-// Supported names: "Random", "Round-Robin", "Least-Work-Left"/
-// "Central-Queue", "SITA-E", "SITA-U-opt", "SITA-U-fair", "SITA-U-rule".
+// Predict analytically evaluates a policy's mean slowdown for a system of
+// hosts at the given load under the workload's size distribution. name is
+// any spelling the policy table accepts: a display name ("Least-Work-Left"),
+// a catalog key ("lwl") or an alias, case folded. Every policy but
+// Shortest-Queue has a closed form; the SITA variants only for 2 hosts.
 func Predict(name string, load float64, size dist.Distribution, hosts int) (meanSlowdown float64, err error) {
-	lambda := float64(hosts) * load / size.Moment(1)
-	switch name {
-	case "Random":
-		return queueing.RandomSplit(lambda, size, hosts).MeanSlowdown(), nil
-	case "Round-Robin":
-		return queueing.RoundRobinSplit(lambda, size, hosts).MeanSlowdown(), nil
-	case "Least-Work-Left", "Central-Queue":
-		return queueing.LWL(lambda, size, hosts).MeanSlowdown(), nil
-	case "SITA-E", "SITA-U-opt", "SITA-U-fair", "SITA-U-rule":
-		var v Variant
-		switch name {
-		case "SITA-E":
-			v = SITAE
-		case "SITA-U-opt":
-			v = SITAUOpt
-		case "SITA-U-fair":
-			v = SITAUFair
-		default:
-			v = SITARule
-		}
-		if hosts != 2 {
-			return 0, fmt.Errorf("sita: analytic SITA prediction is closed-form for 2 hosts only, got %d", hosts)
-		}
-		d, err := NewDesign(v, load, size, hosts)
-		if err != nil {
-			return 0, err
-		}
-		return d.Predicted.MeanSlowdown, nil
-	default:
+	r, ok := core.LookupPolicy(name)
+	if !ok {
 		return 0, fmt.Errorf("sita: unknown policy %q", name)
 	}
+	if r.Predict == nil {
+		return 0, fmt.Errorf("sita: %s has no closed form", r.Name)
+	}
+	if err := checkSystem(load, hosts); err != nil {
+		return 0, err
+	}
+	return r.Predict(load, size, hosts)
+}
+
+// checkSystem validates the system Predict and Compare model: a load in
+// (0, 1), in the affirmative form so NaN fails too, and at least one host.
+func checkSystem(load float64, hosts int) error {
+	if !(load > 0 && load < 1) {
+		return fmt.Errorf("sita: load must be in (0,1), got %v", load)
+	}
+	if hosts < 1 {
+		return fmt.Errorf("sita: hosts must be >= 1, got %d", hosts)
+	}
+	return nil
 }

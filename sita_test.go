@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sita/internal/trace"
@@ -105,6 +106,37 @@ func TestPredict(t *testing.T) {
 	}
 	if _, err := Predict("SITA-E", 0.7, wl.Size, 4); err == nil {
 		t.Fatal("4-host closed-form SITA prediction should be rejected")
+	}
+}
+
+// TestPredictAndCompareRejectBadSystems checks that the two analytic and
+// comparison entry points answer a load outside (0, 1), NaN included, or
+// fewer than one host with an error rather than a panic or a NaN, and
+// that a known policy without a closed form is not called unknown.
+func TestPredictAndCompareRejectBadSystems(t *testing.T) {
+	wl, err := LoadWorkload("psc-c90", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type system struct {
+		load  float64
+		hosts int
+	}
+	bad := []system{{0, 2}, {-0.5, 2}, {1, 2}, {1.5, 2}, {math.NaN(), 2}, {0.7, 0}, {0.7, -1}}
+	for _, name := range []string{"Random", "Round-Robin", "Least-Work-Left", "Central-Queue", "SITA-E", "SITA-U-fair"} {
+		for _, sys := range bad {
+			if m, err := Predict(name, sys.load, wl.Size, sys.hosts); err == nil {
+				t.Errorf("Predict(%q, load %v, %d hosts) = %v, want an error", name, sys.load, sys.hosts, m)
+			}
+		}
+	}
+	if _, err := Predict("Shortest-Queue", 0.7, wl.Size, 2); err == nil || !strings.Contains(err.Error(), "no closed form") {
+		t.Errorf("Predict(Shortest-Queue) error %v, want one saying it has no closed form", err)
+	}
+	for _, sys := range bad {
+		if out, err := Compare(wl, sys.load, sys.hosts, 2000, 1); err == nil {
+			t.Errorf("Compare(load %v, %d hosts) returned %d outcomes, want an error", sys.load, sys.hosts, len(out))
+		}
 	}
 }
 
