@@ -136,6 +136,42 @@ func TestErlangCDecreasesWithServers(t *testing.T) {
 	}
 }
 
+// TestErlangCLargeHosts checks that ErlangC stays a probability at any
+// host count: a^h/h! overflows float64 from a few hundred hosts at high
+// load, where the Erlang-B recurrence takes over.
+func TestErlangCLargeHosts(t *testing.T) {
+	for _, h := range []int{1, 2, 10, 100, 170, 171, 500, 1024, 4096, 10000, 100000} {
+		for _, rho := range []float64{1e-3, 0.1, 0.5, 0.9, 0.99, 0.999} {
+			if c := ErlangC(h, rho*float64(h)); !(c >= 0 && c <= 1) {
+				t.Errorf("ErlangC(%d, %v) = %v, want a probability", h, rho*float64(h), c)
+			}
+		}
+	}
+}
+
+// TestErlangCFormulasAgree checks the Erlang-B route against the term
+// sums wherever the sums stay finite.
+func TestErlangCFormulasAgree(t *testing.T) {
+	compared := 0
+	for _, h := range []int{1, 2, 3, 8, 32, 100, 200, 500, 1000} {
+		for _, rho := range []float64{1e-3, 0.1, 0.5, 0.7, 0.9, 0.99} {
+			a := rho * float64(h)
+			top, sum := erlangCTerms(h, a, rho)
+			if math.IsInf(sum+top, 0) {
+				continue
+			}
+			compared++
+			sums, fromB := top/(sum+top), erlangCFromB(h, a, rho)
+			if !floatcmp.AlmostEqual(sums, fromB, 1e-12) {
+				t.Errorf("h=%d rho=%v: term sums give %v, Erlang B gives %v", h, rho, sums, fromB)
+			}
+		}
+	}
+	if compared < 30 {
+		t.Fatalf("only %d cases had finite term sums", compared)
+	}
+}
+
 func TestMMhReducesToMM1(t *testing.T) {
 	mm1 := NewMG1(0.5, dist.NewExponential(1))
 	mmh := NewMMh(0.5, 1, 1)

@@ -10,7 +10,9 @@ import (
 // ErlangC reports the M/M/h probability that an arriving job must wait,
 // where a = lambda/mu is the offered load in Erlangs and h the number of
 // servers. Returns 1 when the system is unstable (a >= h). Terms are
-// accumulated with the usual recurrence to avoid factorial overflow.
+// accumulated with the usual recurrence to avoid factorial overflow;
+// where a^h/h! still overflows (hundreds of hosts at high load), the
+// normalized Erlang-B recurrence takes over.
 // Panics if h <= 0 or a < 0.
 func ErlangC(h int, a float64) float64 {
 	if h <= 0 || a < 0 {
@@ -23,15 +25,35 @@ func ErlangC(h int, a float64) float64 {
 	if rho >= 1 {
 		return 1
 	}
-	// term_k = a^k/k!, built incrementally; sum collects k = 0..h-1.
+	if top, sum := erlangCTerms(h, a, rho); !math.IsInf(sum+top, 0) {
+		return top / (sum + top)
+	}
+	return erlangCFromB(h, a, rho)
+}
+
+// erlangCTerms returns the unnormalized Erlang-C terms: top is
+// a^h/h!/(1-rho) and sum is the sum of a^k/k! for k < h, built from
+// term_k = a^k/k! incrementally. Both overflow to +Inf once a^k/k!
+// passes the float64 range.
+func erlangCTerms(h int, a, rho float64) (top, sum float64) {
 	term := 1.0
-	sum := 1.0
+	sum = 1.0
 	for k := 1; k < h; k++ {
 		term *= a / float64(k)
 		sum += term
 	}
-	top := term * a / float64(h) / (1 - rho) // a^h/h! * 1/(1-rho)
-	return top / (sum + top)
+	return term * a / float64(h) / (1 - rho), sum
+}
+
+// erlangCFromB computes Erlang C from the Erlang-B blocking probability,
+// B_k = a·B_{k-1}/(k + a·B_{k-1}) from B_0 = 1, as B/(1 - rho(1 - B)).
+// Every B_k lies in (0, 1], so nothing overflows at any h.
+func erlangCFromB(h int, a, rho float64) float64 {
+	b := 1.0
+	for k := 1; k <= h; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	return b / (1 - rho*(1-b))
 }
 
 // MMh is an M/M/h queue: Poisson arrivals at rate Lambda, h identical

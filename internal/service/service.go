@@ -182,8 +182,10 @@ func (s *Server) Handler() http.Handler {
 		if !ok {
 			writeError(rec, http.StatusServiceUnavailable, "server is draining")
 		} else {
+			// Deferred so a handler panic, which net/http recovers,
+			// still releases the request and lets a drain finish.
+			defer finish()
 			s.mux.ServeHTTP(rec, r)
-			finish()
 		}
 		elapsed := wallNow().Sub(start)
 		s.metrics.observe(r.URL.Path, rec.code, elapsed.Seconds())

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -219,6 +220,33 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestHandlerPanicReleasesInflight checks that a handler panic, which
+// net/http recovers by dropping the connection, still releases the
+// request: the in-flight gauge returns to 0 and a drain finishes at once.
+func TestHandlerPanicReleasesInflight(t *testing.T) {
+	svc := New(Config{})
+	svc.testHookAdmitted = func() { panic("handler panic under test") }
+	ts := httptest.NewUnstartedServer(svc.Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	ts.Start()
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
+		strings.NewReader(`{"policy":"random","jobs":2000}`))
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking handler answered with status %d, want a dropped connection", resp.StatusCode)
+	}
+	if got := svc.inflight.Load(); got != 0 {
+		t.Fatalf("simd_inflight_requests reads %d after the panic, want 0", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown after a handler panic: %v", err)
 	}
 }
 

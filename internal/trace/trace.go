@@ -133,77 +133,89 @@ func Generate(p Profile, seed uint64) (*Trace, error) {
 	}
 	meanGap := p.MeanService / (0.7 * 2)
 	lambda := 1 / meanGap
-	arrRNG, sizeRNG := sim.NewRNG(seed, 0), sim.NewRNG(seed, 1)
-	if p.GapSCV <= 1 {
-		src := workload.NewSource(workload.NewPoisson(lambda),
-			workload.DistSizes{D: size}, arrRNG, sizeRNG)
-		return newGenerated(p, seed, src.Take(p.Jobs)), nil
+	var arr workload.ArrivalProcess = workload.NewPoisson(lambda)
+	var bursts *workload.MMPP2 // nil for Poisson arrivals
+	if p.GapSCV > 1 {
+		// Burst intensity scales with the profile's gap variability; the
+		// high state emits bursts of ~150 jobs at burstFactor times the
+		// mean rate.
+		burstFactor := math.Max(2, p.GapSCV/2)
+		rateHi := burstFactor * lambda
+		rateLo := 0.25 * lambda
+		pHi := (lambda - rateLo) / (rateHi - rateLo)
+		const jobsPerBurst = 150.0
+		switchHi := rateHi / jobsPerBurst
+		switchLo := switchHi * pHi / (1 - pHi)
+		bursts = workload.NewMMPP2(rateLo, rateHi, switchLo, switchHi)
+		arr = bursts
 	}
-	// Burst intensity scales with the profile's gap variability; the high
-	// state emits bursts of ~150 jobs at burstFactor times the mean rate.
-	burstFactor := math.Max(2, p.GapSCV/2)
-	rateHi := burstFactor * lambda
-	rateLo := 0.25 * lambda
-	pHi := (lambda - rateLo) / (rateHi - rateLo)
-	const jobsPerBurst = 150.0
-	switchHi := rateHi / jobsPerBurst
-	switchLo := switchHi * pHi / (1 - pHi)
-	arr := workload.NewMMPP2(rateLo, rateHi, switchLo, switchHi)
+	banded := p.BurstSizeBand > 0 && bursts != nil
 
+	// Jobs are drawn a block at a time: every arrival and size quantile u
+	// of the block, then the block's sizes through size.Quantiles.
+	// The mean size streams with exactly stats.Stream's update, so
+	// SizeMean matches computeSizeMean bit for bit. That update is one
+	// dependent divide chain, so it trails a block behind: the previous
+	// block's updates run in the loop that draws this block, where the
+	// draws overlap them.
 	// With BurstSizeBand > 0, sizes within a burst come from a narrow
 	// quantile band whose center is drawn fresh per burst: "many jobs with
 	// similar runtimes arrive simultaneously" (section 6). Because band
 	// centers are uniform, the marginal size distribution is approximately
 	// unchanged — only the correlation is added.
+	arrRNG, sizeRNG := sim.NewRNG(seed, 0), sim.NewRNG(seed, 1)
 	jobs := make([]workload.Job, p.Jobs)
-	clock := 0.0
+	var us [256]float64
+	clock, mean := 0.0, 0.0
+	addMean := func(j workload.Job) { mean += (j.Size - mean) / float64(j.ID+1) }
 	wasHigh := false
 	bandCenter := 0.0
-	for i := range jobs {
-		clock += arr.NextGap(arrRNG)
-		var u float64
-		if p.BurstSizeBand > 0 && arr.InHigh() {
-			if !wasHigh {
-				bandCenter = sizeRNG.Float64()
+	var prev []workload.Job // the block whose sizes the mean has yet to take
+	for lo := 0; lo < len(jobs); lo += len(us) {
+		block := jobs[lo:min(lo+len(us), len(jobs))]
+		for i := range block {
+			clock += arr.NextGap(arrRNG)
+			var u float64
+			if banded && bursts.InHigh() {
+				if !wasHigh {
+					bandCenter = sizeRNG.Float64()
+				}
+				u = bandCenter + (sizeRNG.Float64()-0.5)*p.BurstSizeBand
+				// Reflect at the boundaries so band mass is preserved.
+				if u < 0 {
+					u = -u
+				}
+				if u > 1 {
+					u = 2 - u
+				}
+				wasHigh = true
+			} else {
+				u = sizeRNG.Float64()
+				wasHigh = false
 			}
-			u = bandCenter + (sizeRNG.Float64()-0.5)*p.BurstSizeBand
-			// Reflect at the boundaries so band mass is preserved.
-			if u < 0 {
-				u = -u
+			us[i] = u
+			block[i].Arrival = clock
+			if i < len(prev) {
+				addMean(prev[i])
 			}
-			if u > 1 {
-				u = 2 - u
-			}
-			wasHigh = true
-		} else {
-			u = sizeRNG.Float64()
-			wasHigh = false
 		}
-		jobs[i] = workload.Job{ID: i, Arrival: clock, Size: size.Quantile(u)}
+		for _, j := range prev[min(len(block), len(prev)):] {
+			addMean(j)
+		}
+		size.Quantiles(us[:len(block)])
+		for i, x := range us[:len(block)] {
+			block[i].ID, block[i].Size = lo+i, x
+		}
+		prev = block
 	}
-	return newGenerated(p, seed, jobs), nil
-}
-
-// newGenerated packages a synthesized job slice with its generation
-// recipe as the cache identity. Generate is a pure function of (profile,
-// seed), so two traces with the same recipe identity hold identical jobs.
-func newGenerated(p Profile, seed uint64, jobs []workload.Job) *Trace {
-	t := &Trace{Name: p.Name, Jobs: jobs, id: Identity{Profile: p, Seed: seed}}
-	t.meanSize = t.computeSizeMean()
-	return t
+	for _, j := range prev {
+		addMean(j)
+	}
+	return &Trace{Name: p.Name, Jobs: jobs, id: Identity{Profile: p, Seed: seed}, meanSize: mean}, nil
 }
 
 // Len reports the number of jobs.
 func (t *Trace) Len() int { return len(t.Jobs) }
-
-// Sizes returns the job service requirements in trace order.
-func (t *Trace) Sizes() []float64 {
-	out := make([]float64, len(t.Jobs))
-	for i, j := range t.Jobs {
-		out[i] = j.Size
-	}
-	return out
-}
 
 // Gaps returns the interarrival gaps (first gap is the first job's arrival
 // offset from time zero).
@@ -302,15 +314,25 @@ func (t *Trace) JobsAtLoad(load float64, hosts int, poisson bool, seed uint64) [
 		panic(fmt.Sprintf("trace: load must be in (0,1), got %v", load))
 	}
 	mean := t.SizeMean()
-	var arr workload.ArrivalProcess
+	var replay *workload.Replay // nil in Poisson mode
+	var arr workload.Poisson
 	if poisson {
 		arr = workload.NewPoisson(workload.RateForLoad(load, mean, hosts))
 	} else {
-		arr = workload.NewReplayForLoad(t.Gaps(), load, mean, hosts)
+		replay = workload.NewReplayForLoad(t.Gaps(), load, mean, hosts)
 	}
-	src := workload.NewSource(arr, workload.NewReplaySizes(t.Sizes()),
-		sim.NewRNG(seed, 2), sim.NewRNG(seed, 3))
-	return src.Take(len(t.Jobs))
+	rng := sim.NewRNG(seed, 2)
+	jobs := make([]workload.Job, len(t.Jobs))
+	clock := 0.0
+	for i, j := range t.Jobs {
+		if replay != nil {
+			clock += replay.NextGap(nil)
+		} else {
+			clock += arr.NextGap(rng)
+		}
+		jobs[i] = workload.Job{ID: i, Arrival: clock, Size: j.Size}
+	}
+	return jobs
 }
 
 // Validate sanity-checks the trace: positive sizes, non-decreasing

@@ -97,31 +97,3 @@ type DistSizes struct {
 
 // NextSize samples the distribution.
 func (d DistSizes) NextSize(rng *rand.Rand) float64 { return d.D.Sample(rng) }
-
-// ReplaySizes cycles through a fixed list of job sizes in order — the
-// trace-driven mode. The order is preserved because size autocorrelation is
-// part of what distinguishes a trace from an i.i.d. sample.
-type ReplaySizes struct {
-	sizes []float64
-	pos   int
-}
-
-// NewReplaySizes copies the size list. Panics if it is empty.
-func NewReplaySizes(sizes []float64) *ReplaySizes {
-	if len(sizes) == 0 {
-		panic("workload: replay needs at least one size")
-	}
-	cp := make([]float64, len(sizes))
-	copy(cp, sizes)
-	return &ReplaySizes{sizes: cp}
-}
-
-// NextSize returns the next size in trace order, wrapping at the end.
-func (r *ReplaySizes) NextSize(*rand.Rand) float64 {
-	s := r.sizes[r.pos]
-	r.pos++
-	if r.pos == len(r.sizes) {
-		r.pos = 0
-	}
-	return s
-}

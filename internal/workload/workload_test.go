@@ -92,20 +92,6 @@ func TestSourceLoadTargeting(t *testing.T) {
 	}
 }
 
-func TestReplaySizesCycle(t *testing.T) {
-	r := NewReplaySizes([]float64{1, 2, 3})
-	var got []float64
-	for i := 0; i < 7; i++ {
-		got = append(got, r.NextSize(nil))
-	}
-	want := []float64{1, 2, 3, 1, 2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("replay order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRenewalLognormalBurstiness(t *testing.T) {
 	g := dist.NewLognormalFromMeanSCV(1, 25)
 	r := Renewal{Gap: g}
@@ -183,7 +169,6 @@ func TestReplayValidation(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewReplay(nil, 1) },
 		func() { NewReplay([]float64{1}, 0) },
-		func() { NewReplaySizes(nil) },
 		func() { NewPoisson(-1) },
 		func() { NewMMPP2(-1, 1, 1, 1) },
 	} {

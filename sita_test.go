@@ -109,6 +109,27 @@ func TestPredict(t *testing.T) {
 	}
 }
 
+// TestPredictLWLManyHosts checks the Least-Work-Left prediction where
+// a^h/h! overflows float64: it stays finite, and adding hosts at a fixed
+// per-host load never raises the mean slowdown.
+func TestPredictLWLManyHosts(t *testing.T) {
+	wl, err := LoadWorkload("psc-c90", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := math.Inf(1)
+	for _, h := range []int{512, 1024, 4096} {
+		m, err := Predict("lwl", 0.9, wl.Size, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(m) || math.IsInf(m, 0) || m > prev {
+			t.Fatalf("Predict(lwl, 0.9, %d hosts) = %v after %v", h, m, prev)
+		}
+		prev = m
+	}
+}
+
 // TestPredictAndCompareRejectBadSystems checks that the two analytic and
 // comparison entry points answer a load outside (0, 1), NaN included, or
 // fewer than one host with an error rather than a panic or a NaN, and
