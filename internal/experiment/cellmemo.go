@@ -73,9 +73,10 @@ func resultBytes(r *server.Result) int64 {
 // simulate runs spec's policy, built for the stream's load and host count
 // on the size distribution, over the stream with the config's warmup; a
 // cell simulated before in this process is answered from the cell memo.
-// Every driver's plain server.Run cell goes through here. Cells that set
-// SizeClass, OnRecord or another Config field take functions or state a
-// key cannot compare, so they call server.Run directly. The returned
+// Every driver's plain server.Run cell goes through here, by way of
+// runCells. Cells that set SizeClass, OnRecord or another Config field
+// take functions or state a key cannot compare, so they call server.Run
+// directly. The returned
 // Result is shared and read-only; err is spec's build error (an
 // infeasible design), which is never cached.
 func (c Config) simulate(s stream, size dist.BoundedPareto, spec policySpec, keepRecords bool) (*server.Result, error) {

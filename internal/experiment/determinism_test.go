@@ -23,8 +23,8 @@ func renderAll(t *testing.T, driver func(Config) ([]Table, error), cfg Config) s
 	return sb.String()
 }
 
-// TestWorkerCountInvariance is the contract of the parallel runner: the
-// same figure driver must produce byte-identical CSV output for workers=1
+// TestWorkerCountInvariance is the contract of the parallel runner: every
+// driver of IDs() must produce byte-identical CSV output for workers=1
 // (the sequential fast path), workers=4, and workers=GOMAXPROCS, because
 // every cell's seed is a pure function of its coordinates and results are
 // collected in cell order.
@@ -32,16 +32,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	withCellMemo(t, 0) // every worker count simulates its cells
 	cfg := testConfig()
 	cfg.Jobs = 6000
-	drivers := map[string]func(Config) ([]Table, error){
-		"fig4":             Figure4, // representative simSweep driver
-		"fig6":             Figure6, // host-count × policy cells
-		"misclassify":      Misclassification,
-		"fairness-profile": FairnessProfile,
-	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for name, driver := range drivers {
-		name, driver := name, driver
-		t.Run(name, func(t *testing.T) {
+	for _, id := range IDs() {
+		driver := Drivers()[id]
+		t.Run(id, func(t *testing.T) {
 			cfg := cfg
 			cfg.Workers = workerCounts[0]
 			want := renderAll(t, driver, cfg)
@@ -88,22 +82,33 @@ func TestReplicateWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestProgressReporting verifies a driver surfaces cell completion through
+// TestProgressReporting verifies drivers surface cell completion through
 // Config.Progress exactly once per cell.
 func TestProgressReporting(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 2000
 	cfg.Loads = []float64{0.5, 0.7}
-	var calls, lastTotal int
-	cfg.Progress = func(done, total int) {
-		calls++
-		lastTotal = total
-	}
-	if _, err := Figure4(cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Figure 4 sweeps 3 SITA variants over 2 loads = 6 cells.
-	if lastTotal != 6 || calls != 6 {
-		t.Errorf("progress saw %d calls with total %d, want 6 and 6", calls, lastTotal)
+	for _, tc := range []struct {
+		id    string
+		cells int
+	}{
+		{"fig4", 6},            // 3 SITA variants over 2 loads
+		{"sjf", 2},             // one task per load
+		{"estimate-noise", 10}, // 2 policies over 5 estimate-error levels
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			cfg := cfg
+			var calls, lastTotal int
+			cfg.Progress = func(done, total int) {
+				calls++
+				lastTotal = total
+			}
+			if _, err := Drivers()[tc.id](cfg); err != nil {
+				t.Fatal(err)
+			}
+			if lastTotal != tc.cells || calls != tc.cells {
+				t.Errorf("progress saw %d calls with total %d, want %d and %d", calls, lastTotal, tc.cells, tc.cells)
+			}
+		})
 	}
 }

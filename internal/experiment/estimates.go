@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"fmt"
+
 	"sita/internal/core"
+	"sita/internal/dist"
 	"sita/internal/policy"
 	"sita/internal/server"
 	"sita/internal/sim"
-	"sita/internal/streamcache"
 )
 
 // EstimateNoise sweeps the quality of user runtime estimates (lognormal
@@ -21,31 +23,41 @@ func EstimateNoise(cfg Config) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := cfg.Profile.MustSizeDist()
-	jobs := streamcache.Shared.JobsAtLoad(tr, load, 2, true, cfg.Seed)
-	fair, err := core.NewDesign(core.SITAUFair, load, size, 2)
-	if err != nil {
-		return nil, err
-	}
+	s := stream{tr, load, 2, true, cfg.Seed}
 	t := NewTable("estimate-noise", "Estimate-driven policies vs estimate quality, load 0.7 (simulation)",
 		"estimate log-sd sigma", "mean slowdown")
+	var cells []cell
 	for si, sigma := range []float64{0, 0.2, 0.69, 1.1, 1.6} {
-		cases := []struct {
-			name string
-			pol  server.Policy
-		}{
-			{"LWL-by-estimates", policy.NewEstimatedLWL(sigma, sim.NewRNG(cfg.Seed, 500+uint64(si)))},
-			{"SITA-U-fair-by-estimates", policy.NewEstimatedSITA(
-				policy.NewSITA(fair.Variant.String(), []float64{fair.Cutoff}),
-				sigma, sim.NewRNG(cfg.Seed, 600+uint64(si)))},
-		}
-		for _, c := range cases {
-			res := server.Run(jobs, server.Config{Hosts: 2, Policy: c.pol, WarmupFraction: cfg.Warmup})
-			t.Add(c.name, sigma, res.Slowdown.Mean())
-		}
+		cells = append(cells,
+			cell{s, specEstimatedLWL(sigma, 500+uint64(si)), "LWL-by-estimates", sigma},
+			cell{s, specEstimatedSITA(core.SITAUFair, sigma, 600+uint64(si)), "SITA-U-fair-by-estimates", sigma})
 	}
+	addPoints(t, cells, cfg.runCells(cfg.Profile.MustSizeDist(), cells, false), meanSlowdown)
 	t.Notes = append(t.Notes,
 		"SITA needs the estimate to land on the right side of ONE cutoff, so it degrades far more",
 		"slowly with estimate error than policies that sum estimates into backlogs (section 7's point)")
 	return []Table{*t}, nil
+}
+
+// specEstimatedLWL is Least-Work-Left computed from user runtime
+// estimates with lognormal error of log-sd sigma, drawn from RNG stream
+// rngStream of the seed. The name carries every parameter.
+func specEstimatedLWL(sigma float64, rngStream uint64) policySpec {
+	name := fmt.Sprintf("LWL-by-estimates sigma=%v (rng %d)", sigma, rngStream)
+	return policySpec{name: name, build: func(_ float64, _ dist.Distribution, _ int, seed uint64) (server.Policy, *core.Design, error) {
+		return policy.NewEstimatedLWL(sigma, sim.NewRNG(seed, rngStream)), nil, nil
+	}}
+}
+
+// specEstimatedSITA is variant v's 2-host SITA design routing by user
+// runtime estimates, with estimate error as in specEstimatedLWL.
+func specEstimatedSITA(v core.Variant, sigma float64, rngStream uint64) policySpec {
+	name := fmt.Sprintf("%v-by-estimates sigma=%v (rng %d)", v, sigma, rngStream)
+	return policySpec{name: name, build: func(load float64, size dist.Distribution, hosts int, seed uint64) (server.Policy, *core.Design, error) {
+		d, err := core.NewDesign(v, load, size, hosts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return policy.NewEstimatedSITA(policy.NewSITA(v.String(), []float64{d.Cutoff}), sigma, sim.NewRNG(seed, rngStream)), nil, nil
+	}}
 }

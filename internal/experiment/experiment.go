@@ -8,12 +8,15 @@
 // Each driver returns Tables: named series over a shared x axis, rendered
 // as aligned text or CSV by the caller (cmd/sweep).
 //
-// Drivers are deterministic: cell seeds derive from cell coordinates
-// (runner.CellSeed) before fan-out, so a driver's tables are bit-identical
-// for any Config.Workers value — the property the results/ golden files
-// pin. Drivers may run cells concurrently through internal/runner, but a
-// Config is owned by one driver call at a time; nothing here is safe for
-// concurrent mutation.
+// Drivers are deterministic: every seed is fixed by the cell's
+// coordinates before fan-out — a load sweep's job stream by jobSeed(load),
+// a host-count sweep's by Seed + h, and every other stream and policy RNG
+// by Seed (with a fixed RNG stream number, or Seed + 1 for derivation's
+// held-out half) — so a driver's tables are bit-identical for any
+// Config.Workers value, the property the results/ golden files pin.
+// Drivers run their cells concurrently through internal/runner (most
+// through runCells), but a Config is owned by one driver call at a time;
+// nothing here is safe for concurrent mutation.
 package experiment
 
 import (
@@ -155,52 +158,62 @@ func (c Config) jobSeed(load float64) uint64 {
 	return c.Seed + uint64(math.Float64bits(load))
 }
 
+// cell is one point of a driver's grid: spec's policy run on a job
+// stream, its value plotted at (series, x). A driver that plots several
+// values per cell (percentiles, deciles) reads only series.
+type cell struct {
+	s      stream
+	spec   policySpec
+	series string
+	x      float64
+}
+
+// runCells simulates the cells on the config's worker pool, each through
+// the cell memo, and returns their Results in cell order, so a driver's
+// output is identical for any worker count. A cell whose design is
+// infeasible (e.g. SITA cutoffs at overload) gets nil and is left out of
+// the tables, like the unreadable high-load ends of the paper's plots.
+func (c Config) runCells(size dist.BoundedPareto, cells []cell, keepRecords bool) []*server.Result {
+	results, _ := runner.MapOpts(c.pool(), cells, func(_ int, cl cell) (*server.Result, error) { // never fails
+		res, err := c.simulate(cl.s, size, cl.spec, keepRecords)
+		if err != nil {
+			return nil, nil
+		}
+		return res, nil
+	})
+	return results
+}
+
+// addPoints adds y of each simulated cell's Result at the cell's point.
+func addPoints(t *Table, cells []cell, results []*server.Result, y func(*server.Result) float64) {
+	for i, res := range results {
+		if res != nil {
+			t.Add(cells[i].series, cells[i].x, y(res))
+		}
+	}
+}
+
+// meanSlowdown is the y of most tables.
+func meanSlowdown(r *server.Result) float64 { return r.Slowdown.Mean() }
+
 // simSweep simulates each policy across the load sweep and returns mean
-// slowdown and variance-of-slowdown tables. Cells (one server.Run per
-// (policy, load) pair) fan out on the config's worker pool; results are
-// collected in cell order, so output is identical for any worker count.
+// slowdown and variance-of-slowdown tables.
 func (c Config) simSweep(id, title string, hosts int, specs []policySpec, poisson bool) ([]Table, error) {
 	tr, err := c.buildTrace()
 	if err != nil {
 		return nil, err
 	}
-	size := c.Profile.MustSizeDist()
-	mean := NewTable(id+"-mean", title+" — mean slowdown", "system load", "mean slowdown")
-	vari := NewTable(id+"-var", title+" — variance of slowdown", "system load", "variance of slowdown")
-	type cell struct {
-		spec policySpec
-		load float64
-	}
-	cells := make([]cell, 0, len(specs)*len(c.Loads))
+	var cells []cell
 	for _, spec := range specs {
 		for _, load := range c.Loads {
-			cells = append(cells, cell{spec, load})
+			cells = append(cells, cell{stream{tr, load, hosts, poisson, c.jobSeed(load)}, spec, spec.name, load})
 		}
 	}
-	type outcome struct {
-		ok         bool
-		mean, vari float64
-	}
-	outs, err := runner.MapOpts(c.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		res, err := c.simulate(stream{tr, cl.load, hosts, poisson, c.jobSeed(cl.load)}, size, cl.spec, false)
-		if err != nil {
-			// Infeasible points (e.g. SITA cutoffs at overload) are
-			// skipped, like the unreadable high-load ends of the
-			// paper's plots.
-			return outcome{}, nil
-		}
-		return outcome{true, res.Slowdown.Mean(), res.Slowdown.Variance()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if !o.ok {
-			continue
-		}
-		mean.Add(cells[i].spec.name, cells[i].load, o.mean)
-		vari.Add(cells[i].spec.name, cells[i].load, o.vari)
-	}
+	results := c.runCells(c.Profile.MustSizeDist(), cells, false)
+	mean := NewTable(id+"-mean", title+" — mean slowdown", "system load", "mean slowdown")
+	vari := NewTable(id+"-var", title+" — variance of slowdown", "system load", "variance of slowdown")
+	addPoints(mean, cells, results, meanSlowdown)
+	addPoints(vari, cells, results, func(r *server.Result) float64 { return r.Slowdown.Variance() })
 	return []Table{*mean, *vari}, nil
 }
 
@@ -287,40 +300,17 @@ func Figure6(cfg Config) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := cfg.Profile.MustSizeDist()
-	t := NewTable("fig6", "Slowdown vs number of hosts at load 0.7 (simulation)", "hosts", "mean slowdown")
+	// The job stream depends on the host count only, so every policy at a
+	// host count is measured on the same arrivals.
 	specs := []policySpec{spec("lwl"), spec("sita-e"), spec("sita-u-opt"), spec("sita-u-fair")}
-	type cell struct {
-		hosts int
-		spec  policySpec
-	}
-	cells := make([]cell, 0, len(hostCounts)*len(specs))
+	var cells []cell
 	for _, h := range hostCounts {
 		for _, spec := range specs {
-			cells = append(cells, cell{h, spec})
+			cells = append(cells, cell{stream{tr, load, h, true, cfg.Seed + uint64(h)}, spec, spec.name, float64(h)})
 		}
 	}
-	type outcome struct {
-		ok   bool
-		mean float64
-	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		// The job stream depends on the host count only, so every policy at
-		// a host count is measured on the same arrivals.
-		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
-		if err != nil {
-			return outcome{}, nil
-		}
-		return outcome{true, res.Slowdown.Mean()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if o.ok {
-			t.Add(cells[i].spec.name, float64(cells[i].hosts), o.mean)
-		}
-	}
+	t := NewTable("fig6", "Slowdown vs number of hosts at load 0.7 (simulation)", "hosts", "mean slowdown")
+	addPoints(t, cells, cfg.runCells(cfg.Profile.MustSizeDist(), cells, false), meanSlowdown)
 	return []Table{*t}, nil
 }
 

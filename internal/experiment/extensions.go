@@ -77,11 +77,6 @@ func Misclassification(cfg Config) ([]Table, error) {
 		{"longs claim short", policy.FlipLongOnly},
 		{"both directions", policy.FlipBoth},
 	}
-	type cell struct {
-		p    float64
-		name string
-		spec policySpec
-	}
 	var cells []cell
 	for _, p := range []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		for mi, m := range modes {
@@ -90,22 +85,10 @@ func Misclassification(cfg Config) ([]Table, error) {
 			if p > 0 {
 				sp = specMisclassified(core.SITAUFair, m.name, m.mode, p, 200+uint64(mi)*17+uint64(p*1000))
 			}
-			cells = append(cells, cell{p, m.name, sp})
+			cells = append(cells, cell{s, sp, m.name, p})
 		}
 	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (float64, error) {
-		res, err := cfg.simulate(s, size, cl.spec, false)
-		if err != nil {
-			return 0, err
-		}
-		return res.Slowdown.Mean(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, y := range outs {
-		t.Add(cells[i].name, cells[i].p, y)
-	}
+	addPoints(t, cells, cfg.runCells(size, cells, false), meanSlowdown)
 	t.Notes = append(t.Notes,
 		"section 7's claim, quantified: a misrouted short job hurts only itself - but its slowdown on the",
 		"near-saturated long host is astronomical, so even rare errors dominate the mean; misrouted longs",
@@ -167,11 +150,6 @@ func MultiCutoffAblation(cfg Config) ([]Table, error) {
 	size := cfg.Profile.MustSizeDist()
 	t := NewTable("multi-cutoff", "Grouped 2-cutoff SITA vs full multi-cutoff SITA, load 0.7 (simulation)",
 		"hosts", "mean slowdown")
-	type cell struct {
-		hosts int
-		name  string
-		spec  policySpec
-	}
 	variants := []struct {
 		name string
 		spec policySpec
@@ -183,29 +161,11 @@ func MultiCutoffAblation(cfg Config) ([]Table, error) {
 	var cells []cell
 	for _, h := range []int{4, 6, 8} {
 		for _, v := range variants {
-			cells = append(cells, cell{h, v.name, v.spec})
+			// Figure 6's streams: the grouped cells are Figure 6's own.
+			cells = append(cells, cell{stream{tr, load, h, true, cfg.Seed + uint64(h)}, v.spec, v.name, float64(h)})
 		}
 	}
-	type outcome struct {
-		ok   bool
-		mean float64
-	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		// Figure 6's streams: the grouped cells are Figure 6's own.
-		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
-		if err != nil {
-			return outcome{}, nil
-		}
-		return outcome{true, res.Slowdown.Mean()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if o.ok {
-			t.Add(cells[i].name, float64(cells[i].hosts), o.mean)
-		}
-	}
+	addPoints(t, cells, cfg.runCells(size, cells, false), meanSlowdown)
 	return []Table{*t}, nil
 }
 
@@ -228,54 +188,33 @@ func FairnessProfile(cfg Config) ([]Table, error) {
 	s := stream{tr, load, 2, true, cfg.Seed}
 	t := NewTable("fairness-profile", "Mean slowdown by job-size decile, load 0.7 (simulation)",
 		"size decile (1=smallest)", "mean slowdown")
-	// One cell per policy plus the Processor-Sharing reference (footnote
-	// 1's "ultimately fair" ideal, unattainable under run-to-completion)
-	// with random splitting. Each cell returns its decile profile.
+	// One cell per policy, each adding its decile profile, then the
+	// Processor-Sharing reference (footnote 1's "ultimately fair" ideal,
+	// unattainable under run-to-completion) with random splitting.
 	specs := []policySpec{spec("lwl"), spec("sita-e"), spec("sita-u-fair")}
-	type cell struct {
-		spec policySpec
-		ps   bool
-	}
 	var cells []cell
 	for _, spec := range specs {
-		cells = append(cells, cell{spec: spec})
+		cells = append(cells, cell{s: s, spec: spec, series: spec.name})
 	}
-	cells = append(cells, cell{ps: true})
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) ([]seriesPoint, error) {
-		name := "PS ideal (reference)"
-		var res *server.Result
-		if cl.ps {
-			res = server.RunPS(s.jobs(), server.Config{Hosts: 2,
-				Policy: policy.NewRandom(sim.NewRNG(cfg.Seed, 400)), WarmupFraction: cfg.Warmup,
-				KeepRecords: true})
-		} else {
-			var err error
-			if res, err = cfg.simulate(s, size, cl.spec, true); err != nil {
-				return nil, nil
-			}
-			name = cl.spec.name
-		}
+	addDeciles := func(series string, res *server.Result) {
 		tally := stats.NewDecileTally(bounds)
 		for _, r := range res.Records {
 			tally.Add(r.Size, r.Slowdown())
 		}
-		var pts []seriesPoint
 		for c := 0; c < tally.Classes(); c++ {
-			if tally.Count(c) == 0 {
-				continue
+			if tally.Count(c) > 0 {
+				t.Add(series, float64(c+1), tally.Mean(c))
 			}
-			pts = append(pts, seriesPoint{name, float64(c + 1), tally.Mean(c)})
-		}
-		return pts, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pts := range outs {
-		for _, p := range pts {
-			t.Add(p.series, p.x, p.y)
 		}
 	}
+	for i, res := range cfg.runCells(size, cells, true) {
+		if res != nil {
+			addDeciles(cells[i].series, res)
+		}
+	}
+	addDeciles("PS ideal (reference)", server.RunPS(s.jobs(), server.Config{Hosts: 2,
+		Policy: policy.NewRandom(sim.NewRNG(cfg.Seed, 400)), WarmupFraction: cfg.Warmup,
+		KeepRecords: true}))
 	t.Notes = append(t.Notes,
 		"SITA-U-fair flattens expected slowdown across deciles; balancing policies skew against small jobs;",
 		"the PS line is footnote 1's perfectly-fair (but non-run-to-completion) ideal")
@@ -298,13 +237,6 @@ func specMisclassified(v core.Variant, modeName string, mode policy.MisclassifyM
 
 func seriesForLoad(prefix string, load float64) string {
 	return prefix + "=" + formatCell(load)
-}
-
-// seriesPoint is one (series, x, y) observation produced inside a fan-out
-// cell and added to a table afterwards, in cell order.
-type seriesPoint struct {
-	series string
-	x, y   float64
 }
 
 // burstyJobs builds a job stream with lognormal interarrival gaps of the

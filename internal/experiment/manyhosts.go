@@ -1,9 +1,5 @@
 package experiment
 
-import (
-	"sita/internal/runner"
-)
-
 // ManyHosts sweeps the host count far past the paper's Figure 6 range —
 // h = 64 up to 4096 at fixed load — for the policies whose per-arrival
 // host selection is now indexed (Least-Work-Left, Shortest-Queue,
@@ -28,35 +24,12 @@ func ManyHosts(cfg Config) ([]Table, error) {
 	t := NewTable("many-hosts", "Slowdown vs number of hosts at load 0.7, indexed policies (simulation)",
 		"hosts", "mean slowdown")
 	specs := []policySpec{spec("lwl"), spec("shortest-queue"), spec("central-queue"), spec("random")}
-	type cell struct {
-		hosts int
-		spec  policySpec
-	}
-	cells := make([]cell, 0, len(hostCounts)*len(specs))
+	var cells []cell
 	for _, h := range hostCounts {
 		for _, spec := range specs {
-			cells = append(cells, cell{h, spec})
+			cells = append(cells, cell{stream{tr, load, h, true, cfg.Seed + uint64(h)}, spec, spec.name, float64(h)})
 		}
 	}
-	type outcome struct {
-		ok   bool
-		mean float64
-	}
-	size := cfg.Profile.MustSizeDist()
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		res, err := cfg.simulate(stream{tr, load, cl.hosts, true, cfg.Seed + uint64(cl.hosts)}, size, cl.spec, false)
-		if err != nil {
-			return outcome{}, nil
-		}
-		return outcome{true, res.Slowdown.Mean()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if o.ok {
-			t.Add(cells[i].spec.name, float64(cells[i].hosts), o.mean)
-		}
-	}
+	addPoints(t, cells, cfg.runCells(cfg.Profile.MustSizeDist(), cells, false), meanSlowdown)
 	return []Table{*t}, nil
 }

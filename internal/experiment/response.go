@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"sita/internal/runner"
+	"sita/internal/server"
 )
 
 // ResponseTime reports mean response time (seconds) per policy across the
@@ -21,36 +21,15 @@ func ResponseTime(cfg Config) ([]Table, error) {
 	const hosts = 2
 	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-e"),
 		spec("sita-u-opt"), spec("sita-u-fair")}
-	type cell struct {
-		spec policySpec
-		load float64
-	}
 	var cells []cell
 	for _, spec := range specs {
 		for _, load := range cfg.Loads {
-			cells = append(cells, cell{spec, load})
+			cells = append(cells, cell{stream{tr, load, hosts, true, cfg.Seed}, spec, spec.name, load})
 		}
 	}
-	type outcome struct {
-		ok         bool
-		mean, vari float64
-	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		res, err := cfg.simulate(stream{tr, cl.load, hosts, true, cfg.Seed}, size, cl.spec, false)
-		if err != nil {
-			return outcome{}, nil
-		}
-		return outcome{true, res.Response.Mean(), res.Response.Variance()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if o.ok {
-			mean.Add(cells[i].spec.name, cells[i].load, o.mean)
-			vari.Add(cells[i].spec.name, cells[i].load, o.vari)
-		}
-	}
+	results := cfg.runCells(size, cells, false)
+	addPoints(mean, cells, results, func(r *server.Result) float64 { return r.Response.Mean() })
+	addPoints(vari, cells, results, func(r *server.Result) float64 { return r.Response.Variance() })
 	mean.Notes = append(mean.Notes,
 		"section 3.2: response-time comparisons mirror slowdown but with smaller factors —",
 		"response is dominated by the long jobs, slowdown by the short ones")

@@ -3,6 +3,7 @@ package experiment
 import (
 	"sita/internal/core"
 	"sita/internal/policy"
+	"sita/internal/runner"
 	"sita/internal/server"
 	"sita/internal/streamcache"
 )
@@ -28,30 +29,34 @@ func SJFComparison(cfg Config) ([]Table, error) {
 	worst := NewTable("sjf-worst", "Worst single-job slowdown (starvation proxy)",
 		"system load", "max slowdown")
 	const hosts = 2
-	for _, load := range cfg.Loads {
-		jobs := streamcache.Shared.JobsAtLoad(tr, load, hosts, true, cfg.Seed)
+	names := []string{"Central-Queue (FCFS)", "Central-Queue (SJF)", "SITA-U-fair"}
+	// One task per load. Its runs set CentralOrder and SizeClass, which a
+	// cell key cannot hold, so they bypass the cell memo.
+	perLoad, _ := runner.MapOpts(cfg.pool(), cfg.Loads, func(_ int, load float64) ([]*server.Result, error) { // never fails
 		fair, err := core.NewDesign(core.SITAUFair, load, size, hosts)
 		if err != nil {
-			continue
+			return nil, nil
 		}
-		cases := []struct {
-			name  string
-			pol   server.Policy
-			order server.CentralOrder
-		}{
-			{"Central-Queue (FCFS)", policy.NewCentralQueue(), server.CentralFCFS},
-			{"Central-Queue (SJF)", policy.NewCentralQueue(), server.CentralSJF},
-			{"SITA-U-fair", fair.Policy(), server.CentralFCFS},
-		}
-		for _, c := range cases {
-			res := server.Run(jobs, server.Config{
-				Hosts: hosts, Policy: c.pol, WarmupFraction: cfg.Warmup,
-				CentralOrder: c.order,
+		jobs := streamcache.Shared.JobsAtLoad(tr, load, hosts, true, cfg.Seed)
+		run := func(pol server.Policy, order server.CentralOrder) *server.Result {
+			return server.Run(jobs, server.Config{
+				Hosts: hosts, Policy: pol, WarmupFraction: cfg.Warmup,
+				CentralOrder: order,
 				SizeClass:    fair.Classify,
 			})
-			mean.Add(c.name, load, res.Slowdown.Mean())
-			spread.Add(c.name, load, res.Classes.MaxSpread())
-			worst.Add(c.name, load, res.Slowdown.Max())
+		}
+		return []*server.Result{
+			run(policy.NewCentralQueue(), server.CentralFCFS),
+			run(policy.NewCentralQueue(), server.CentralSJF),
+			run(fair.Policy(), server.CentralFCFS),
+		}, nil
+	})
+	for i, results := range perLoad {
+		load := cfg.Loads[i]
+		for k, res := range results {
+			mean.Add(names[k], load, res.Slowdown.Mean())
+			spread.Add(names[k], load, res.Classes.MaxSpread())
+			worst.Add(names[k], load, res.Slowdown.Max())
 		}
 	}
 	mean.Notes = append(mean.Notes,

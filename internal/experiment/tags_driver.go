@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"sita/internal/policy"
 	"sita/internal/runner"
-	"sita/internal/server"
 	"sita/internal/tags"
 )
 
@@ -23,62 +21,32 @@ func TAGSComparison(cfg Config) ([]Table, error) {
 	waste := NewTable("tags-waste", "TAGS wasted work", "system load", "wasted-work fraction")
 	const hosts = 2
 	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-u-fair")}
-	type cell struct {
-		load float64
-		// spec is nil for the TAGS cell at this load.
-		spec *policySpec
-	}
 	var cells []cell
 	for _, load := range cfg.Loads {
-		cells = append(cells, cell{load: load})
-		for i := range specs {
-			cells = append(cells, cell{load, &specs[i]})
+		for _, spec := range specs {
+			cells = append(cells, cell{stream{tr, load, hosts, true, cfg.Seed}, spec, spec.name, load})
 		}
 	}
-	type outcome struct {
-		ok           bool
-		mean         float64
-		waste        float64
-		wasteTracked bool
-	}
-	outs, err := runner.MapOpts(cfg.pool(), cells, func(_ int, cl cell) (outcome, error) {
-		s := stream{tr, cl.load, hosts, true, cfg.Seed}
-		if cl.spec == nil {
-			// TAGS with analytically optimized kill cutoffs.
-			lambda := float64(hosts) * cl.load / size.Moment(1)
-			cuts, err := tags.OptimalCutoffs(lambda, size, hosts)
-			if err != nil {
-				return outcome{}, nil
-			}
-			res := tags.Simulate(s.jobs(), cuts, cfg.Warmup)
-			return outcome{true, res.Slowdown.Mean(), res.WasteFraction(), true}, nil
-		}
-		res, err := cfg.simulate(s, size, *cl.spec, false)
+	results := cfg.runCells(size, cells, false)
+	// TAGS with analytically optimized kill cutoffs, on the same streams;
+	// nil where no cutoffs exist.
+	tagsResults, _ := runner.MapOpts(cfg.pool(), cfg.Loads, func(_ int, load float64) (*tags.Result, error) { // never fails
+		cuts, err := tags.OptimalCutoffs(float64(hosts)*load/size.Moment(1), size, hosts)
 		if err != nil {
-			return outcome{}, nil
+			return nil, nil
 		}
-		return outcome{ok: true, mean: res.Slowdown.Mean()}, nil
+		return tags.Simulate(stream{tr, load, hosts, true, cfg.Seed}.jobs(), cuts, cfg.Warmup), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if !o.ok {
-			continue
+	n := len(specs)
+	for i, load := range cfg.Loads {
+		// TAGS first at each load, which makes it the first column.
+		if res := tagsResults[i]; res != nil {
+			mean.Add("TAGS", load, res.Slowdown.Mean())
+			waste.Add("TAGS", load, res.WasteFraction())
 		}
-		name := "TAGS"
-		if cells[i].spec != nil {
-			name = cells[i].spec.name
-		}
-		mean.Add(name, cells[i].load, o.mean)
-		if o.wasteTracked {
-			waste.Add("TAGS", cells[i].load, o.waste)
-		}
+		addPoints(mean, cells[i*n:(i+1)*n], results[i*n:(i+1)*n], meanSlowdown)
 	}
 	mean.Notes = append(mean.Notes,
 		"TAGS knows nothing about job sizes yet tracks size-aware SITA-U; Random and LWL know nothing and pay for it")
 	return []Table{*mean, *waste}, nil
 }
-
-// compile-time guard: the policies used above satisfy server.Policy.
-var _ server.Policy = policy.NewLeastWorkLeft()

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"sita/internal/runner"
 	"sita/internal/stats"
 )
 
@@ -23,27 +22,20 @@ func TailLatency(cfg Config) ([]Table, error) {
 	percentiles := []float64{0.50, 0.90, 0.95, 0.99, 0.999}
 	specs := []policySpec{spec("random"), spec("lwl"), spec("sita-e"),
 		spec("sita-u-opt"), spec("sita-u-fair")}
-	outs, err := runner.MapOpts(cfg.pool(), specs, func(_ int, spec policySpec) ([]seriesPoint, error) {
-		res, err := cfg.simulate(s, size, spec, true)
-		if err != nil {
-			return nil, nil
+	var cells []cell
+	for _, spec := range specs {
+		cells = append(cells, cell{s: s, spec: spec, series: spec.name})
+	}
+	for i, res := range cfg.runCells(size, cells, true) {
+		if res == nil {
+			continue
 		}
 		sample := stats.NewSample(len(res.Records))
 		for _, r := range res.Records {
 			sample.Add(r.Slowdown())
 		}
-		pts := make([]seriesPoint, 0, len(percentiles))
 		for _, q := range percentiles {
-			pts = append(pts, seriesPoint{spec.name, q * 100, sample.Quantile(q)})
-		}
-		return pts, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pts := range outs {
-		for _, p := range pts {
-			t.Add(p.series, p.x, p.y)
+			t.Add(cells[i].series, q*100, sample.Quantile(q))
 		}
 	}
 	t.Notes = append(t.Notes,

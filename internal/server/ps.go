@@ -265,7 +265,8 @@ func (s *PSSystem) Simulate(jobs []workload.Job) {
 }
 
 // HandleEvent dispatches the engine's typed events.
-// Panics if the policy routes a job outside the host range.
+// Panics if the policy holds a job centrally or routes it outside the host
+// range.
 //
 //sim:noalloc
 func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
@@ -273,6 +274,10 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 	case evPSArrival:
 		idx := s.policy.Assign(ev.Job, s)
 		if idx < 0 || idx >= len(s.hosts) {
+			if idx == Central {
+				panic(fmt.Sprintf("server: policy %q is a pull policy (Central-Queue): PS hosts have no central queue to hold a job",
+					s.policy.Name()))
+			}
 			panic(fmt.Sprintf("server: PS policy %q returned host %d of %d",
 				s.policy.Name(), idx, len(s.hosts)))
 		}
@@ -291,6 +296,8 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 // pjob state, so callers may share one job list across concurrent runs
 // (the package's read-only input contract).
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
+// Panics if the policy is a pull policy (Central-Queue): the first time
+// it holds a job centrally, since PS hosts have no central queue.
 //
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {

@@ -196,6 +196,22 @@ func TestPSValidation(t *testing.T) {
 	}
 }
 
+// TestRunPSRejectsPullPolicy checks that a pull policy under PS panics
+// naming the policy and the missing central queue, rather than reporting
+// host -1 as out of range.
+func TestRunPSRejectsPullPolicy(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`"pull"`, "pull policy", "no central queue"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q, want one containing %q", msg, want)
+			}
+		}
+	}()
+	// The second job arrives while the only host is busy, so pull holds it.
+	RunPS(jobs([2]float64{0, 5}, [2]float64{1, 1}), Config{Hosts: 1, Policy: pull{}})
+}
+
 // TestRunPSRejectsBadWarmup checks that RunPS holds Run's warmup
 // contract: a fraction outside [0, 1), NaN included, panics naming the
 // value — with or without kept records — instead of counting every job

@@ -201,6 +201,8 @@ func DefaultExperimentConfig() experiment.Config { return experiment.Default() }
 // run-to-completion — the paper's footnote-1 perfectly-fair reference
 // discipline (every job's expected slowdown is 1/(1-rho) on an M/G/1-PS
 // host, independent of size).
+// Panics if the policy is a pull policy (Central-Queue): PS hosts have no
+// central queue to hold a job in.
 func SimulatePS(p Policy, jobs []Job, hosts int, opts SimOptions) *Result {
 	return server.RunPS(jobs, server.Config{
 		Hosts:          hosts,

@@ -229,6 +229,19 @@ func TestSimulatePSFacade(t *testing.T) {
 	}
 }
 
+// TestSimulatePSRejectsCentralQueue pins SimulatePS's documented panic
+// for a pull policy.
+func TestSimulatePSRejectsCentralQueue(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"Central-Queue" is a pull policy`) || !strings.Contains(msg, "no central queue") {
+			t.Errorf("panic %q, want one naming Central-Queue as a pull policy with no central queue", msg)
+		}
+	}()
+	jobs := []Job{{ID: 0, Arrival: 0, Size: 5}, {ID: 1, Arrival: 1, Size: 1}, {ID: 2, Arrival: 1.5, Size: 1}}
+	SimulatePS(NewCentralQueuePolicy(), jobs, 2, SimOptions{})
+}
+
 func TestTAGSFacade(t *testing.T) {
 	wl, err := LoadWorkload("psc-c90", 3)
 	if err != nil {
