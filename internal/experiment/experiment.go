@@ -90,7 +90,7 @@ func (c Config) jobsPerPoint() int {
 // and generation is pure, so the second request onward reuses the first
 // trace. Cached traces are shared and must be treated as read-only, which
 // every consumer already does (JobsAtLoad, ComputeStats and SplitHalf
-// never write the job slice). Unbounded: a sweep touches a handful of
+// never write a trace). Unbounded: a sweep touches a handful of
 // traces. It is separate from simd's workload memo because the keys
 // differ: the sweep generates a shortened trace, simd truncates a full one.
 var traces = memo.New[traceKey, *trace.Trace](math.MaxInt64, nil)

@@ -452,8 +452,8 @@ func (s *Server) workload(profile string, seed uint64, jobs int) (*sita.Workload
 			return nil, err
 		}
 		if jobs > 0 && jobs < wl.Trace.Len() {
-			// Truncate derives a child trace (sharing the backing array,
-			// with its own cache identity and size mean); the full-trace
+			// Truncate derives a child trace (sharing the parent's
+			// columns, with its own cache identity and size mean); the full-trace
 			// entry for the same (profile, seed) may be cached too and
 			// stays intact.
 			wl = &sita.Workload{Profile: wl.Profile, Size: wl.Size, Trace: wl.Trace.Truncate(jobs)}

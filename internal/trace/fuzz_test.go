@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"sita/internal/workload"
 )
 
 // swfAllAtZero is a log with valid sizes whose jobs are all submitted at
@@ -81,6 +79,12 @@ func applyOp(t *Trace, b byte) *Trace {
 // reproduce both the identity and the exact job content — the property
 // internal/streamcache keys on. Literals without identity must stay
 // identity-less through any chain.
+//
+// It also holds lazy arrivals to their contract. One generated chain
+// derives before anything reads its arrivals, a second after they were
+// drawn, and a third runs on an eager copy (New of the jobs): all three
+// must hold the same sizes, arrivals and size mean, bit for bit, and
+// reading the arrivals must not change the identity.
 func FuzzIdentityDerivation(f *testing.F) {
 	f.Add(uint64(1), false, []byte{0})
 	f.Add(uint64(7), true, []byte{1, 2, 3, 4, 5})
@@ -95,20 +99,23 @@ func FuzzIdentityDerivation(f *testing.F) {
 		if !bursty {
 			p.GapSCV = 1 // exercise the plain-Poisson generation path too
 		}
-		a, err := Generate(p, seed)
-		if err != nil {
-			t.Fatalf("Generate: %v", err)
+		var gen [3]*Trace
+		for i := range gen {
+			tr, err := Generate(p, seed)
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			gen[i] = tr
 		}
-		b, err := Generate(p, seed)
-		if err != nil {
-			t.Fatalf("Generate (replay): %v", err)
-		}
+		a, b := gen[0], gen[1]
+		b.Jobs() // b's chain derives from drawn arrivals, a's from undrawn ones
+		eager := New("eager", gen[2].Jobs())
 		// A literal with the same jobs but no construction recipe rides
 		// along: its identity must remain zero through the whole chain.
-		lit := &Trace{Name: "literal", Jobs: a.Jobs}
+		lit := literal("literal", eager.Jobs())
 		for _, op := range ops {
 			parentID, _ := a.Identity()
-			a, b, lit = applyOp(a, op), applyOp(b, op), applyOp(lit, op)
+			a, b, eager, lit = applyOp(a, op), applyOp(b, op), applyOp(eager, op), applyOp(lit, op)
 
 			ida, oka := a.Identity()
 			idb, okb := b.Identity()
@@ -124,27 +131,41 @@ func FuzzIdentityDerivation(f *testing.F) {
 			if litID, ok := lit.Identity(); ok || !litID.IsZero() {
 				t.Fatalf("op %d: literal trace acquired identity %+v", op, litID)
 			}
-			if a.Len() != b.Len() {
-				t.Fatalf("op %d: equal identity, different lengths %d vs %d", op, a.Len(), b.Len())
+			if a.Len() != b.Len() || a.Len() != eager.Len() || a.Len() != lit.Len() {
+				t.Fatalf("op %d: equal content, different lengths %d, %d, %d, %d", op, a.Len(), b.Len(), eager.Len(), lit.Len())
 			}
-			for i := range a.Jobs {
-				if a.Jobs[i] != b.Jobs[i] {
-					t.Fatalf("op %d: equal identity %+v but job %d differs: %+v vs %+v", op, ida, i, a.Jobs[i], b.Jobs[i])
+			for i, x := range a.sizes {
+				if !sameBits(x, b.sizes[i]) || !sameBits(x, eager.sizes[i]) {
+					t.Fatalf("op %d: job %d size %v, %v drawn first, %v eager", op, i, x, b.sizes[i], eager.sizes[i])
 				}
 			}
-			//lint:allow floateq the precomputed mean must be bit-identical to a fresh streaming pass
-			if a.SizeMean() != recomputeMean(a.Jobs) {
-				t.Fatalf("op %d: precomputed size mean %v != fresh pass %v", op, a.SizeMean(), recomputeMean(a.Jobs))
+			if !sameBits(a.SizeMean(), a.computeSizeMean()) || !sameBits(a.SizeMean(), eager.SizeMean()) {
+				t.Fatalf("op %d: precomputed size mean %v, fresh pass %v, eager %v", op, a.SizeMean(), a.computeSizeMean(), eager.SizeMean())
 			}
-			if err := a.Validate(); err != nil {
+			if err := eager.Validate(); err != nil {
 				t.Fatalf("op %d: derived trace invalid: %v", op, err)
 			}
+		}
+		if a.lazy == nil || a.lazy.a != nil {
+			t.Fatal("the lazy chain's arrivals were drawn before the first read")
+		}
+		before, _ := a.Identity()
+		aj := a.Jobs()
+		if after, _ := a.Identity(); after != before {
+			t.Fatalf("reading arrivals changed the identity from %+v to %+v", before, after)
+		}
+		for _, other := range []*Trace{b, eager} {
+			for i, j := range other.Jobs() {
+				if j.ID != aj[i].ID || !sameBits(j.Arrival, aj[i].Arrival) || !sameBits(j.Size, aj[i].Size) {
+					t.Fatalf("job %d: %+v lazily derived, %+v in %q", i, aj[i], j, other.Name)
+				}
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("lazily derived trace invalid: %v", err)
 		}
 	})
 }
 
-// recomputeMean streams the mean size exactly as computeSizeMean does.
-func recomputeMean(jobs []workload.Job) float64 {
-	tmp := Trace{Jobs: jobs}
-	return tmp.computeSizeMean()
-}
+// sameBits reports whether x and y are the same float64, bit for bit.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

@@ -51,7 +51,7 @@ func TestGeneratedStreamsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := hex.EncodeToString(jobsDigest(tr.Jobs))
+		got := hex.EncodeToString(jobsDigest(tr.Jobs()))
 		mean := math.Float64bits(tr.SizeMean())
 		if got != w.jobs || mean != w.mean {
 			t.Errorf("Generate(%s, 1): digest %s, size mean %#x; want %s, %#x", w.p.Name, got, mean, w.jobs, w.mean)

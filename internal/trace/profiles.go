@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"sita/internal/dist"
+	"sita/internal/memo"
 )
 
 // Profile describes one supercomputing workload: the statistics the trace
@@ -109,10 +110,36 @@ func ByName(name string) (Profile, error) {
 	return p, nil
 }
 
+// sizeFitKey is what a size fit depends on: the profile's calibration
+// targets.
+type sizeFitKey struct{ mean, min, max float64 }
+
+// sizeFits memoizes SizeDist process-wide. Every Generate fits its
+// profile, and sita.WorkloadFromProfile fits it again; a fit is 200
+// bisection steps, with the same answer for every trace of a profile.
+// Errors are not stored, so an infeasible profile fits (and fails) on
+// every call. The bound keeps a caller passing arbitrary profiles from
+// growing it without limit.
+var sizeFits = memo.New[sizeFitKey, dist.BoundedPareto](sizeFitCap, nil)
+
+// sizeFitCap bounds sizeFits; the built-in profiles and a sweep's
+// variants of them take a handful of entries.
+const sizeFitCap = 64
+
 // SizeDist returns the Bounded Pareto service-time distribution calibrated
-// to the profile's min, max and mean.
+// to the profile's min, max and mean, fitted once per process for each
+// set of targets. A NaN target would make a key that never equals itself,
+// so it fits directly.
 func (p Profile) SizeDist() (dist.BoundedPareto, error) {
-	return dist.FitBoundedParetoMean(p.MeanService, p.MinService, p.MaxService)
+	key := sizeFitKey{p.MeanService, p.MinService, p.MaxService}
+	fit := func() (dist.BoundedPareto, error) {
+		return dist.FitBoundedParetoMean(p.MeanService, p.MinService, p.MaxService)
+	}
+	if key != key {
+		return fit()
+	}
+	d, _, err := sizeFits.Do(key, fit)
+	return d, err
 }
 
 // MustSizeDist is SizeDist for the built-in profiles, which are known to be

@@ -97,8 +97,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Jobs {
-		if a.Jobs[i] != b.Jobs[i] {
+	aj, bj := a.Jobs(), b.Jobs()
+	for i := range aj {
+		if aj[i] != bj[i] {
 			t.Fatalf("same seed, different job %d", i)
 		}
 	}
@@ -106,7 +107,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Jobs[0] == c.Jobs[0] && a.Jobs[1] == c.Jobs[1] {
+	if cj := c.Jobs(); aj[0] == cj[0] && aj[1] == cj[1] {
 		t.Fatal("different seeds produced identical prefix")
 	}
 }
@@ -153,7 +154,7 @@ func TestSplitHalf(t *testing.T) {
 	if a.Len() != 500 || b.Len() != 501 {
 		t.Fatalf("split %d/%d, want 500/501", a.Len(), b.Len())
 	}
-	if a.Jobs[len(a.Jobs)-1].Arrival > b.Jobs[0].Arrival {
+	if aj := a.Jobs(); aj[len(aj)-1].Arrival > b.Jobs()[0].Arrival {
 		t.Fatal("halves out of order")
 	}
 }
@@ -179,8 +180,9 @@ func TestJobsAtLoadPoisson(t *testing.T) {
 		t.Fatalf("realized load %v, want ~0.6", realized)
 	}
 	// Sizes preserved in trace order.
+	tj := tr.Jobs()
 	for i := range jobs {
-		if jobs[i].Size != tr.Jobs[i].Size {
+		if jobs[i].Size != tj[i].Size {
 			t.Fatalf("size order not preserved at %d", i)
 		}
 	}
@@ -194,14 +196,14 @@ func TestJobsAtLoadScaledGapsStayBursty(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := tr.JobsAtLoad(0.6, 2, false, 9)
-	scaled := &Trace{Name: "scaled", Jobs: jobs}
+	scaled := literal("scaled", jobs)
 	if got := scaled.ComputeStats().GapSCV; got < 2 {
 		t.Fatalf("scaled gaps C^2 = %v, want bursty", got)
 	}
 }
 
 func TestJobsAtLoadPanicsOnBadLoad(t *testing.T) {
-	tr := &Trace{Name: "x", Jobs: nil}
+	tr := literal("x", nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -228,12 +230,13 @@ func TestSWFRoundTrip(t *testing.T) {
 	if back.Len() != tr.Len() {
 		t.Fatalf("roundtrip len %d, want %d", back.Len(), tr.Len())
 	}
-	for i := range tr.Jobs {
-		if math.Abs(back.Jobs[i].Size-tr.Jobs[i].Size) > 0.01 {
-			t.Fatalf("job %d size %v != %v", i, back.Jobs[i].Size, tr.Jobs[i].Size)
+	tj, bj := tr.Jobs(), back.Jobs()
+	for i := range tj {
+		if math.Abs(bj[i].Size-tj[i].Size) > 0.01 {
+			t.Fatalf("job %d size %v != %v", i, bj[i].Size, tj[i].Size)
 		}
-		if math.Abs(back.Jobs[i].Arrival-tr.Jobs[i].Arrival) > 0.01 {
-			t.Fatalf("job %d arrival %v != %v", i, back.Jobs[i].Arrival, tr.Jobs[i].Arrival)
+		if math.Abs(bj[i].Arrival-tj[i].Arrival) > 0.01 {
+			t.Fatalf("job %d arrival %v != %v", i, bj[i].Arrival, tj[i].Arrival)
 		}
 	}
 }
@@ -253,8 +256,8 @@ func TestReadSWFSkipsCommentsAndCancelled(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (cancelled job dropped)", tr.Len())
 	}
-	if tr.Jobs[0].Size != 50 || tr.Jobs[1].Size != 75 {
-		t.Fatalf("sizes %v, %v", tr.Jobs[0].Size, tr.Jobs[1].Size)
+	if tj := tr.Jobs(); tj[0].Size != 50 || tj[1].Size != 75 {
+		t.Fatalf("sizes %v, %v", tj[0].Size, tj[1].Size)
 	}
 }
 
@@ -281,21 +284,21 @@ func TestReadSWFErrors(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	tr := &Trace{Name: "v", Jobs: []workload.Job{
+	tr := literal("v", []workload.Job{
 		{ID: 0, Arrival: 1, Size: 10},
 		{ID: 1, Arrival: 2, Size: 20},
-	}}
+	})
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	bad := &Trace{Name: "b", Jobs: []workload.Job{{ID: 0, Arrival: 5, Size: -1}}}
+	bad := literal("b", []workload.Job{{ID: 0, Arrival: 5, Size: -1}})
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	unordered := &Trace{Name: "u", Jobs: []workload.Job{
+	unordered := literal("u", []workload.Job{
 		{ID: 0, Arrival: 5, Size: 1},
 		{ID: 1, Arrival: 4, Size: 1},
-	}}
+	})
 	if err := unordered.Validate(); err == nil {
 		t.Fatal("unordered arrivals accepted")
 	}
@@ -317,7 +320,7 @@ func TestBurstSizeCorrelationKnob(t *testing.T) {
 	// Use log sizes: raw heavy-tailed sizes make the ACF estimator useless.
 	logs := func(tr *Trace) []float64 {
 		out := make([]float64, tr.Len())
-		for i, j := range tr.Jobs {
+		for i, j := range tr.Jobs() {
 			out[i] = math.Log(j.Size)
 		}
 		return out
@@ -338,19 +341,20 @@ func TestBurstSizeCorrelationKnob(t *testing.T) {
 }
 
 func TestHead(t *testing.T) {
-	tr := &Trace{Name: "h", Jobs: []workload.Job{
+	tr := literal("h", []workload.Job{
 		{ID: 0, Arrival: 1, Size: 1},
 		{ID: 1, Arrival: 2, Size: 2},
 		{ID: 2, Arrival: 3, Size: 3},
-	}}
+	})
 	h := tr.Head(2)
-	if h.Len() != 2 || h.Jobs[1].Size != 2 {
-		t.Fatalf("head wrong: %+v", h.Jobs)
+	if hj := h.Jobs(); h.Len() != 2 || hj[1].Size != 2 {
+		t.Fatalf("head wrong: %+v", hj)
 	}
-	// Copy, not alias.
-	h.Jobs[0].Size = 99
-	if tr.Jobs[0].Size == 99 {
-		t.Fatal("head aliases the original")
+	// The head shares the original's columns; the job slice Jobs builds
+	// belongs to the caller, so writing it changes neither trace.
+	h.Jobs()[0].Size = 99
+	if h.Jobs()[0].Size == 99 || tr.Jobs()[0].Size == 99 {
+		t.Fatal("a write to a Jobs slice reached the trace")
 	}
 	if tr.Head(10).Len() != 3 {
 		t.Fatal("over-length head should clamp")
@@ -367,4 +371,14 @@ func TestReadSWFRejectsNonFiniteValues(t *testing.T) {
 			t.Errorf("accepted non-finite field: %q", line)
 		}
 	}
+}
+
+// literal builds a trace from jobs the way a plain struct literal would:
+// eager arrivals, no identity and no precomputed size mean.
+func literal(name string, jobs []workload.Job) *Trace {
+	t := &Trace{Name: name, sizes: make([]float64, len(jobs)), arrivals: make([]float64, len(jobs))}
+	for i, j := range jobs {
+		t.arrivals[i], t.sizes[i] = j.Arrival, j.Size
+	}
+	return t
 }

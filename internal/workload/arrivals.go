@@ -97,57 +97,3 @@ func (m *MMPP2) NextGap(rng *rand.Rand) float64 {
 		m.inHi = !m.inHi
 	}
 }
-
-// Replay cycles through a fixed list of interarrival gaps multiplied by
-// Scale. This is the paper's section-6 protocol: use the trace's own
-// (bursty) interarrival sequence, rescaled to produce the desired system
-// load.
-type Replay struct {
-	gaps  []float64
-	scale float64
-	pos   int
-}
-
-// NewReplay copies the gap list; scale multiplies every gap.
-// Panics if gaps is empty or scale is not positive.
-func NewReplay(gaps []float64, scale float64) *Replay {
-	if len(gaps) == 0 {
-		panic("workload: replay needs at least one gap")
-	}
-	if scale <= 0 {
-		panic(fmt.Sprintf("workload: replay scale must be positive, got %v", scale))
-	}
-	cp := make([]float64, len(gaps))
-	copy(cp, gaps)
-	return &Replay{gaps: cp, scale: scale}
-}
-
-// NewReplayForLoad builds a Replay whose scale drives hosts unit-speed
-// hosts at the target load given the mean job size: the raw gaps' mean is
-// rescaled so that meanGap = meanSize / (load * hosts).
-// Panics if the gaps have a non-positive mean.
-func NewReplayForLoad(gaps []float64, load, meanSize float64, hosts int) *Replay {
-	sum := 0.0
-	for _, g := range gaps {
-		sum += g
-	}
-	meanGap := sum / float64(len(gaps))
-	if meanGap <= 0 {
-		panic("workload: replay gaps must have positive mean")
-	}
-	targetGap := meanSize / (load * float64(hosts))
-	return NewReplay(gaps, targetGap/meanGap)
-}
-
-// NextGap returns the next scaled gap, wrapping at the end of the list.
-func (r *Replay) NextGap(*rand.Rand) float64 {
-	g := r.gaps[r.pos] * r.scale
-	r.pos++
-	if r.pos == len(r.gaps) {
-		r.pos = 0
-	}
-	return g
-}
-
-// Scale reports the gap multiplier in use.
-func (r *Replay) Scale() float64 { return r.scale }

@@ -1,5 +1,5 @@
 // Package workload models the input side of a distributed server: arrival
-// processes (Poisson, renewal, Markov-modulated, trace replay), job-size
+// processes (Poisson, renewal, Markov-modulated), job-size
 // sources, and the Source type that pairs them into a stream of jobs at a
 // target system load.
 //
@@ -27,7 +27,7 @@ import (
 type Job = sim.Job
 
 // ArrivalProcess produces successive interarrival gaps. Implementations may
-// be stateful (MMPP, replay); a fresh process must be built per simulation
+// be stateful (MMPP); a fresh process must be built per simulation
 // run.
 type ArrivalProcess interface {
 	// NextGap returns the time until the next arrival.

@@ -143,32 +143,8 @@ func TestMMPP2IsBursty(t *testing.T) {
 	}
 }
 
-func TestReplayScaling(t *testing.T) {
-	r := NewReplay([]float64{1, 3}, 2)
-	if g := r.NextGap(nil); g != 2 {
-		t.Fatalf("gap = %v, want 2", g)
-	}
-	if g := r.NextGap(nil); g != 6 {
-		t.Fatalf("gap = %v, want 6", g)
-	}
-	if g := r.NextGap(nil); g != 2 {
-		t.Fatalf("wrap gap = %v, want 2", g)
-	}
-}
-
-func TestReplayForLoad(t *testing.T) {
-	gaps := []float64{1, 2, 3, 4} // mean 2.5
-	// Want load 0.5 on 2 hosts with mean size 10: target gap = 10/(0.5*2) = 10.
-	r := NewReplayForLoad(gaps, 0.5, 10, 2)
-	if math.Abs(r.Scale()-4) > 1e-12 {
-		t.Fatalf("scale = %v, want 4", r.Scale())
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
+func TestArrivalProcessValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewReplay(nil, 1) },
-		func() { NewReplay([]float64{1}, 0) },
 		func() { NewPoisson(-1) },
 		func() { NewMMPP2(-1, 1, 1, 1) },
 	} {

@@ -172,7 +172,7 @@ func TestWorkloadFromSWFRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := &Trace{Name: "small", Jobs: wl.Trace.Jobs[:2000]}
+	small := trace.New("small", wl.Trace.Jobs()[:2000])
 	if err := trace.WriteSWF(small, f); err != nil {
 		t.Fatal(err)
 	}
