@@ -26,7 +26,9 @@ import (
 // Writes into locally allocated job slices are exempt: a slice whose
 // variable is created in the same function by make, a composite literal,
 // or a var declaration without initializer (nil slice) aliases no caller
-// memory — exactly the copy-first idiom server.renumber uses. A job slice
+// memory — the copy-first idiom. (The simulation paths copy one job at a
+// time instead: j := jobs[i] is a value, so writing j.ID is no slice
+// write at all.) A job slice
 // is any slice whose element type is named Job, so the rule tracks
 // sim.Job and its workload.Job alias without importing either.
 //
@@ -91,7 +93,7 @@ func checkJobWrites(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 	// Pass 1: collect locally allocated job-slice variables. A variable
 	// whose value comes from make, a composite literal, or a nil var
 	// declaration aliases no caller memory, so writing through it is the
-	// sanctioned copy-first idiom (server.renumber). Rebinding such a
+	// sanctioned copy-first idiom. Rebinding such a
 	// variable to caller memory later would evade the rule, so an
 	// assignment from anything else removes the exemption.
 	local := make(map[*types.Var]bool)
@@ -185,12 +187,12 @@ func checkJobWrites(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNod
 		case *ast.AssignStmt:
 			for _, lhs := range node.Lhs {
 				if base := jobSliceWrite(lhs); base != nil && !exempt(base) {
-					pass.Reportf(lhs.Pos(), "%s writes a job-slice element inside a //sim:readonly region%s (copy first, like server.renumber)", where, via)
+					pass.Reportf(lhs.Pos(), "%s writes a job-slice element inside a //sim:readonly region%s (copy first)", where, via)
 				}
 			}
 		case *ast.IncDecStmt:
 			if base := jobSliceWrite(node.X); base != nil && !exempt(base) {
-				pass.Reportf(node.Pos(), "%s writes a job-slice element inside a //sim:readonly region%s (copy first, like server.renumber)", where, via)
+				pass.Reportf(node.Pos(), "%s writes a job-slice element inside a //sim:readonly region%s (copy first)", where, via)
 			}
 		case *ast.CallExpr:
 			id, ok := ast.Unparen(node.Fun).(*ast.Ident)

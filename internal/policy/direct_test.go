@@ -1,10 +1,13 @@
 package policy
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sita/internal/server"
 	"sita/internal/sim"
+	"sita/internal/stats"
 	"sita/internal/trace"
 	"sita/internal/workload"
 )
@@ -57,7 +60,29 @@ func profileStream(t *testing.T, p trace.Profile, n int) []workload.Job {
 	if err != nil {
 		t.Fatalf("generating %s: %v", p.Name, err)
 	}
-	return tr.Head(n).JobsAtLoad(0.8, 3, true, 13)
+	return tr.Truncate(n).JobsAtLoad(0.8, 3, true, 13)
+}
+
+// classDiff compares two class tallies bit for bit — the label sets, then
+// every class's Stream — and describes the first difference, or returns
+// "" when they are identical.
+func classDiff(a, b *stats.ClassTally) string {
+	if a == nil || b == nil {
+		if a != b {
+			return fmt.Sprintf("class tally presence differs: %v vs %v", a != nil, b != nil)
+		}
+		return ""
+	}
+	la, lb := a.Classes(), b.Classes()
+	if !slices.Equal(la, lb) {
+		return fmt.Sprintf("class labels differ: %v vs %v", la, lb)
+	}
+	for _, c := range la {
+		if sa, sb := *a.Class(c), *b.Class(c); sa != sb {
+			return fmt.Sprintf("class %d streams differ: %+v vs %+v", c, sa, sb)
+		}
+	}
+	return ""
 }
 
 func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
@@ -108,8 +133,8 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 				if direct.Horizon != engine.Horizon {
 					t.Fatalf("horizons differ: %v vs %v", direct.Horizon, engine.Horizon)
 				}
-				if (direct.Classes == nil) != (engine.Classes == nil) {
-					t.Fatal("class tallies differ in presence")
+				if diff := classDiff(direct.Classes, engine.Classes); diff != "" {
+					t.Fatal(diff)
 				}
 			})
 		}

@@ -42,7 +42,9 @@ import (
 // departure in O(log h) — one comparison per level, against the loser
 // stored at each node, with the running winner carried in a register —
 // and the per-record accounting (the same Welford-stream adds, in the
-// same order, as Result.observe) happens inline at the emission site.
+// same order, as Result.observe, including one SizeClass call per
+// post-warmup emission for the class tally) happens inline at the
+// emission site; only kept records and OnRecord go through cold.
 //
 // The only subtlety is the tie-break. The engine breaks equal departure
 // times by event sequence number: arrivals hold the seqs 0..n-1, which
@@ -81,7 +83,7 @@ const queuedTrigger = ^uint32(0)
 
 // directJob is the phase-2 view of one job, packed so an emission touches
 // a single 32-byte struct instead of four parallel arrays. The job's ID is
-// its index (renumber guarantees arrival ordinals), so it is not stored.
+// its index, the arrival ordinal assign stamps, so it is not stored.
 type directJob struct {
 	arr    float64
 	size   float64
@@ -145,11 +147,11 @@ type directRunner struct {
 
 	// Accounting sinks: phase 2 folds each emission into res inline —
 	// the same update sequence as Result.observe. cold is non-nil only
-	// when the run needs Result.observeExtras (OnRecord, Classes,
-	// KeepRecords).
-	res    *Result
-	warmup int
-	cold   func(JobRecord)
+	// when the run keeps records or has an OnRecord hook.
+	res       *Result
+	warmup    int
+	sizeClass func(float64) int
+	cold      func(JobRecord)
 }
 
 // directPool recycles runner scratch across simulation cells, mirroring
@@ -207,17 +209,18 @@ func (d *directRunner) setup(n, h int, p Policy) {
 	d.view.reset(p, d.free)
 }
 
-// release drops the per-run references (policy, result, cold closure) so a
+// release drops the per-run references (policy, result, callbacks) so a
 // pooled runner never retains a caller's objects, then returns it to the
 // pool.
 func (d *directRunner) release() {
 	d.view.reset(nil, nil)
 	d.res = nil
+	d.sizeClass = nil
 	d.cold = nil
 	directPool.Put(d)
 }
 
-// replay runs both phases over the renumbered job list, folding one
+// replay runs both phases over the job list, folding one
 // completion per job into d.res in the engine's exact emission order.
 // O(n log h); in practice two branch-light array passes, since h is small
 // next to n.
@@ -230,7 +233,8 @@ func (d *directRunner) replay(jobs []workload.Job) {
 
 // assign is phase 1: dispatch every job in arrival order, run Lindley's
 // recurrence on the chosen host's clock, and thread the per-host FCFS
-// chains that phase 2 merges. Once the policy's first argmin query has
+// chains that phase 2 merges; the loop's copy of each job carries its
+// arrival ordinal as its ID. Once the policy's first argmin query has
 // built the view's work index, each new clock is propagated into it.
 // Doubles as the sorted-arrival check, saving a separate pass over the
 // trace. Panics if the jobs are not sorted by arrival or the policy
@@ -244,6 +248,7 @@ func (d *directRunner) assign(jobs []workload.Job) {
 	p := view.policy
 	for i := range jobs {
 		j := jobs[i]
+		j.ID = i
 		if j.Arrival < prev {
 			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
 		}
@@ -337,9 +342,13 @@ func (d *directRunner) emitAll(n int) {
 		if int(e) >= d.warmup {
 			wait := dj.start - dj.arr
 			resp := wait + dj.size
-			res.Slowdown.Add(resp / dj.size)
+			slow := resp / dj.size
+			res.Slowdown.Add(slow)
 			res.Response.Add(resp)
 			res.Wait.Add(wait)
+			if d.sizeClass != nil {
+				res.Classes.Stream(d.sizeClass(dj.size)).Add(slow)
+			}
 		}
 		if d.cold != nil {
 			d.cold(JobRecord{

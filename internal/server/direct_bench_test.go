@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"sita/internal/stats"
 )
 
 // allocsIn runs f once and reports how many heap allocations were made on
@@ -53,15 +55,28 @@ func profiledAllocs(fn string) int64 {
 	return total
 }
 
+// sitaClass labels a size the way a SITA design's Classify does: the
+// index of the first cutoff it does not exceed.
+func sitaClass(size float64) int {
+	for i, c := range [...]float64{10, 100, 1000} {
+		if size <= c {
+			return i
+		}
+	}
+	return 3
+}
+
 // BenchmarkDirectReplayCore isolates the direct path's steady-state inner
 // loop — pooled scratch, assignment pass, tournament-merge emission — from
 // the per-run Result construction, for a state-blind policy (a scripted
-// round-robin, which never builds the work index) and one that reads host
-// work (Least-Work-Left through the view's index). It pins the //sim:noalloc
-// contract empirically: after the first replay grows the scratch arrays,
+// round-robin, which never builds the work index), one that reads host
+// work (Least-Work-Left through the view's index), and the scripted
+// round-robin with a size classifier, whose class tally the emission loop
+// feeds inline. It pins the //sim:noalloc contract empirically: after the
+// first replay grows the scratch arrays (and creates the class streams),
 // a replay must not allocate — the benchmark fails if one does (counted by
 // allocsIn, on the replay's own stack), so even a one-iteration smoke run
-// holds both cases to 0 allocs/op.
+// holds every case to 0 allocs/op.
 func BenchmarkDirectReplayCore(b *testing.B) {
 	const hosts = 32
 	jobs := goldenJobs(48, 100000)
@@ -70,20 +85,26 @@ func BenchmarkDirectReplayCore(b *testing.B) {
 		script[i] = i % hosts
 	}
 	for _, c := range []struct {
-		name string
-		pol  Policy
+		name      string
+		pol       Policy
+		sizeClass func(float64) int
 	}{
-		{"oblivious", &scripted{hosts: script}},
-		{"work-only", workLWL{}},
+		{"oblivious", &scripted{hosts: script}, nil},
+		{"work-only", workLWL{}, nil},
+		{"classes", &scripted{hosts: script}, sitaClass},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			res := &Result{
 				PerHostJobs: make([]int64, hosts),
 				PerHostWork: make([]float64, hosts),
 			}
+			if c.sizeClass != nil {
+				res.Classes = stats.NewClassTally()
+			}
 			d := directPool.Get().(*directRunner)
 			defer d.release()
 			d.res = res
+			d.sizeClass = c.sizeClass
 			replay := func() {
 				d.setup(len(jobs), hosts, c.pol)
 				d.replay(jobs)
@@ -99,6 +120,9 @@ func BenchmarkDirectReplayCore(b *testing.B) {
 			b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 			if res.Slowdown.Count() == 0 {
 				b.Fatal("no jobs observed")
+			}
+			if c.sizeClass != nil && len(res.Classes.Classes()) < 2 {
+				b.Fatalf("class tally holds %v, want several classes", res.Classes.Classes())
 			}
 			if allocs := allocsIn(replay); allocs != 0 {
 				b.Fatalf("steady-state replay allocated %v times", allocs)

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"sita/internal/sim"
+	"sita/internal/stats"
 	"sita/internal/workload"
 )
 
@@ -335,6 +338,11 @@ func TestRunDirectRefusesUnsortedArrivals(t *testing.T) {
 // streams and a heavy-tailed stream, full Result equality including
 // warmup filtering and per-class streams. The cross-package differential
 // over the real policies and trace profiles lives in internal/policy.
+//
+// Each run sets one of three size classifiers: labels inside the tally's
+// cached range, negative labels, and labels past that range. The "warmup"
+// stream's one giant job lies in the warmup prefix, so the class it maps
+// to must stay absent from both paths' tallies.
 func TestDirectEngineParityInPackage(t *testing.T) {
 	// Integer arrivals and sizes at about 2/3 load make departures land
 	// exactly on later arrivals while other hosts sit idle, so a host
@@ -346,10 +354,18 @@ func TestDirectEngineParityInPackage(t *testing.T) {
 		at += float64(rng.IntN(3))
 		traps[i] = workload.Job{ID: i, Arrival: at, Size: float64(1 + rng.IntN(3))}
 	}
+	warm := append([]workload.Job(nil), traps...)
+	warm[10].Size = giantSize
 	streams := map[string][]workload.Job{
 		"ties":    tieJobs(),
 		"heavy":   goldenJobs(47, 4000),
 		"tietrap": traps,
+		"warmup":  warm,
+	}
+	classifiers := map[string]func(float64) int{
+		"parity":   func(size float64) int { return int(size) & 1 },
+		"negative": func(size float64) int { return -1 - int(size)%3 },
+		"wide":     wideClass,
 	}
 	for name, jobs := range streams {
 		t.Run(name, func(t *testing.T) {
@@ -363,44 +379,93 @@ func TestDirectEngineParityInPackage(t *testing.T) {
 				func() Policy { return &lateLWL{k: 50} },
 				func() Policy { return &rangeOrRobin{} },
 			} {
-				p := build()
-				// seen holds each path's full emission stream, warmup
-				// included: KeepRecords drops the warmup prefix, where a
-				// mid-run index build can diverge and recouple.
-				var seen [2][]JobRecord
-				mk := func(engine bool) Config {
-					path := 0
-					if engine {
-						path = 1
+				for cname, classify := range classifiers {
+					p := build()
+					// seen holds each path's full emission stream, warmup
+					// included: KeepRecords drops the warmup prefix, where a
+					// mid-run index build can diverge and recouple.
+					var seen [2][]JobRecord
+					mk := func(engine bool) Config {
+						path := 0
+						if engine {
+							path = 1
+						}
+						return Config{
+							Hosts:          3,
+							Policy:         build(),
+							WarmupFraction: 0.25,
+							KeepRecords:    true,
+							SizeClass:      classify,
+							OrderCheck:     engine,
+							OnRecord:       func(r JobRecord) { seen[path] = append(seen[path], r) },
+						}
 					}
-					return Config{
-						Hosts:          3,
-						Policy:         build(),
-						WarmupFraction: 0.25,
-						KeepRecords:    true,
-						SizeClass:      func(size float64) int { return int(size) & 1 },
-						OrderCheck:     engine,
-						OnRecord:       func(r JobRecord) { seen[path] = append(seen[path], r) },
+					if !DirectEligible(mk(false)) {
+						t.Fatalf("%s: plain Run would not take the direct path", p.Name())
 					}
-				}
-				if !DirectEligible(mk(false)) {
-					t.Fatalf("%s: plain Run would not take the direct path", p.Name())
-				}
-				direct := Run(jobs, mk(false))
-				engine := Run(jobs, mk(true))
-				if got, want := formatRecords(seen[0]), formatRecords(seen[1]); got != want {
-					t.Fatalf("%s: emission streams differ:\ndirect: %.300s\nengine: %.300s", p.Name(), got, want)
-				}
-				if got, want := formatRecords(direct.Records), formatRecords(engine.Records); got != want {
-					t.Fatalf("%s: kept records differ:\ndirect: %.300s\nengine: %.300s", p.Name(), got, want)
-				}
-				if direct.Slowdown != engine.Slowdown || direct.Response != engine.Response || direct.Wait != engine.Wait {
-					t.Fatalf("%s: delay streams differ: %+v vs %+v", p.Name(), direct, engine)
-				}
-				if direct.Horizon != engine.Horizon {
-					t.Fatalf("%s: horizons differ: %v vs %v", p.Name(), direct.Horizon, engine.Horizon)
+					direct := Run(jobs, mk(false))
+					engine := Run(jobs, mk(true))
+					if got, want := formatRecords(seen[0]), formatRecords(seen[1]); got != want {
+						t.Fatalf("%s: emission streams differ:\ndirect: %.300s\nengine: %.300s", p.Name(), got, want)
+					}
+					if got, want := formatRecords(direct.Records), formatRecords(engine.Records); got != want {
+						t.Fatalf("%s: kept records differ:\ndirect: %.300s\nengine: %.300s", p.Name(), got, want)
+					}
+					if direct.Slowdown != engine.Slowdown || direct.Response != engine.Response || direct.Wait != engine.Wait {
+						t.Fatalf("%s: delay streams differ: %+v vs %+v", p.Name(), direct, engine)
+					}
+					if direct.Horizon != engine.Horizon {
+						t.Fatalf("%s: horizons differ: %v vs %v", p.Name(), direct.Horizon, engine.Horizon)
+					}
+					if diff := classDiff(direct.Classes, engine.Classes); diff != "" {
+						t.Fatalf("%s, %s classes: %s", p.Name(), cname, diff)
+					}
+					if name == "warmup" && cname == "wide" {
+						for path, res := range []*Result{direct, engine} {
+							if res.Classes.Class(giantClass) != nil || slices.Contains(res.Classes.Classes(), giantClass) {
+								t.Fatalf("%s, path %d: a class seen only in warmup was tallied: %v", p.Name(), path, res.Classes.Classes())
+							}
+						}
+					}
 				}
 			}
 		})
 	}
+}
+
+// giantSize marks a job the "wide" classifier gives a class of its own,
+// giantClass; wideClass spreads the other sizes over labels inside and
+// past the class tally's cached range (1 to 3 map to 7, 14 and 21).
+const (
+	giantSize  = 1e6
+	giantClass = 999
+)
+
+func wideClass(size float64) int {
+	if size >= giantSize {
+		return giantClass
+	}
+	return 7 * int(size)
+}
+
+// classDiff compares two class tallies bit for bit — the label sets, then
+// every class's Stream — and describes the first difference, or returns
+// "" when they are identical.
+func classDiff(a, b *stats.ClassTally) string {
+	if a == nil || b == nil {
+		if a != b {
+			return fmt.Sprintf("tally presence differs: %v vs %v", a != nil, b != nil)
+		}
+		return ""
+	}
+	la, lb := a.Classes(), b.Classes()
+	if !slices.Equal(la, lb) {
+		return fmt.Sprintf("labels differ: %v vs %v", la, lb)
+	}
+	for _, c := range la {
+		if sa, sb := *a.Class(c), *b.Class(c); sa != sb {
+			return fmt.Sprintf("class %d streams differ: %+v vs %+v", c, sa, sb)
+		}
+	}
+	return ""
 }

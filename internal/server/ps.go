@@ -128,9 +128,10 @@ func (h *psHost) add(job workload.Job, now float64) {
 // meaningful under PS — a PS host is never "busy" — so Assign must return a
 // host index.
 type PSSystem struct {
-	engine *sim.Engine
-	hosts  []*psHost
-	policy Policy
+	engine  *sim.Engine
+	hosts   []*psHost
+	policy  Policy
+	arrived int // arrivals so far: the next arrival's ordinal
 
 	// Host-selection indices (see System): the idle freelist is always
 	// maintained, the jobs argmin activates on the first MinJobsHost query.
@@ -250,7 +251,8 @@ func (s *PSSystem) noteJobs(i int) {
 
 // Simulate runs the jobs (sorted by arrival) to completion. Arrivals fire
 // straight from the slice (sim.Engine.RunFeed), exactly as in
-// System.Simulate, so the heap holds only PS completions.
+// System.Simulate, so the heap holds only PS completions, and records
+// carry each job's arrival ordinal as its ID.
 // Panics if the jobs are not sorted by arrival time or the policy routes
 // a job outside the host range.
 func (s *PSSystem) Simulate(jobs []workload.Job) {
@@ -272,7 +274,10 @@ func (s *PSSystem) Simulate(jobs []workload.Job) {
 func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evPSArrival:
-		idx := s.policy.Assign(ev.Job, s)
+		job := ev.Job
+		job.ID = s.arrived
+		s.arrived++
+		idx := s.policy.Assign(job, s)
 		if idx < 0 || idx >= len(s.hosts) {
 			if idx == Central {
 				panic(fmt.Sprintf("server: policy %q is a pull policy (Central-Queue): PS hosts have no central queue to hold a job",
@@ -281,7 +286,7 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 			panic(fmt.Sprintf("server: PS policy %q returned host %d of %d",
 				s.policy.Name(), idx, len(s.hosts)))
 		}
-		s.hosts[idx].add(ev.Job, now)
+		s.hosts[idx].add(job, now)
 		s.noteJobs(idx)
 	case evPSComplete:
 		s.hosts[ev.Host].complete(now)
@@ -302,7 +307,6 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
-	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)
 	res.PolicyName += "/PS"
@@ -314,7 +318,7 @@ func RunPS(jobs []workload.Job, cfg Config) *Result {
 	sys := newPSOn(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
 		res.observe(rec, warmup, &cfg)
 	})
-	sys.Simulate(renumbered)
+	sys.Simulate(jobs)
 	res.Interrupted = eng.Interrupted()
 	return res
 }

@@ -10,9 +10,9 @@ import (
 // These tests pin the package's read-only input contract (see the package
 // doc and //sim:readonly): internal/streamcache hands one generated job
 // slice to every policy at a load point, so Run, RunPS, and the TAGS
-// simulator must never write the slice they are given — neither on the
-// ordinal fast path (where renumber returns the input as-is) nor on the
-// renumbering path (which must copy first).
+// simulator must never write the slice they are given — neither when the
+// input already carries arrival ordinals nor when it does not, where each
+// path stamps the ordinal on its own copy of the job.
 
 // TestRunLeavesInputIntact runs every golden scenario's engine entry off
 // one snapshot-checked slice: any mutation of any element fails.
@@ -33,24 +33,81 @@ func TestRunLeavesInputIntact(t *testing.T) {
 	}
 }
 
-// TestRenumberPathLeavesInputIntact feeds non-ordinal IDs so Run takes
-// the renumbering path, which must copy rather than rewrite in place.
+// idRecorder wraps a policy and records the job IDs its Assign sees.
+type idRecorder struct {
+	Policy
+	seen []int
+}
+
+func (r *idRecorder) Assign(j workload.Job, v View) int {
+	r.seen = append(r.seen, j.ID)
+	return r.Policy.Assign(j, v)
+}
+
+// workIDRecorder is an idRecorder that keeps its inner policy's work-only
+// claim, so Run takes the direct path.
+type workIDRecorder struct{ idRecorder }
+
+func (*workIDRecorder) WorkOnly() bool { return true }
+
+// TestRenumberPathLeavesInputIntact feeds non-ordinal IDs through every
+// path — direct, both engine disciplines and PS. None may write the
+// input; each must give its records, and its policy's Assign calls,
+// arrival ordinals as IDs.
 func TestRenumberPathLeavesInputIntact(t *testing.T) {
 	shared := goldenJobs(43, 500)
 	for i := range shared {
-		shared[i].ID = 1000 + i // force renumber's copying branch
+		shared[i].ID = 1000 + i
 	}
 	snapshot := append([]workload.Job(nil), shared...)
 
-	res := Run(shared, Config{Hosts: 2, Policy: goldenLWL{}, KeepRecords: true})
-	for i := range shared {
-		if shared[i] != snapshot[i] {
-			t.Fatalf("renumber path mutated job %d: %+v, was %+v", i, shared[i], snapshot[i])
+	direct := &workIDRecorder{idRecorder{Policy: workLWL{}}}
+	fcfs := &idRecorder{Policy: &alternating{}}
+	sjf := &idRecorder{Policy: &alternating{}}
+	ps := &idRecorder{Policy: goldenLWL{}}
+	for _, c := range []struct {
+		name string
+		rec  *idRecorder
+		run  func() *Result
+	}{
+		{"direct", &direct.idRecorder, func() *Result {
+			cfg := Config{Hosts: 2, Policy: direct, KeepRecords: true}
+			if !DirectEligible(cfg) {
+				t.Fatal("the work-only recorder would not take the direct path")
+			}
+			return Run(shared, cfg)
+		}},
+		{"engine-fcfs", fcfs, func() *Result {
+			return Run(shared, Config{Hosts: 2, Policy: fcfs, CentralOrder: CentralFCFS, KeepRecords: true})
+		}},
+		{"engine-sjf", sjf, func() *Result {
+			return Run(shared, Config{Hosts: 2, Policy: sjf, CentralOrder: CentralSJF, KeepRecords: true})
+		}},
+		{"ps", ps, func() *Result {
+			return RunPS(shared, Config{Hosts: 2, Policy: ps, KeepRecords: true})
+		}},
+	} {
+		res := c.run()
+		for i := range shared {
+			if shared[i] != snapshot[i] {
+				t.Fatalf("%s: job %d mutated: %+v, was %+v", c.name, i, shared[i], snapshot[i])
+			}
 		}
-	}
-	for _, rec := range res.Records {
-		if rec.ID < 0 || rec.ID >= len(shared) {
-			t.Fatalf("records should carry arrival ordinals in [0,%d), got ID %d", len(shared), rec.ID)
+		if len(c.rec.seen) != len(shared) {
+			t.Fatalf("%s: Assign saw %d jobs, want %d", c.name, len(c.rec.seen), len(shared))
+		}
+		for i, id := range c.rec.seen {
+			if id != i {
+				t.Fatalf("%s: Assign call %d saw ID %d, want the arrival ordinal", c.name, i, id)
+			}
+		}
+		if len(res.Records) != len(shared) {
+			t.Fatalf("%s: kept %d records, want %d", c.name, len(res.Records), len(shared))
+		}
+		for _, rec := range res.Records {
+			if rec.ID < 0 || rec.ID >= len(shared) || rec.Arrival != shared[rec.ID].Arrival || rec.Size != shared[rec.ID].Size {
+				t.Fatalf("%s: record %+v does not carry its job's arrival ordinal", c.name, rec)
+			}
 		}
 	}
 }

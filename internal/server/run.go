@@ -21,7 +21,9 @@ type Config struct {
 	// proportional to the number of jobs).
 	KeepRecords bool
 	// SizeClass, when non-nil, maps a job size to a class label for
-	// per-class slowdown statistics (the fairness analyses).
+	// per-class slowdown statistics (the fairness analyses). Every path
+	// calls it once per record past the warmup prefix, in emission order,
+	// before OnRecord sees the record; warmup records never reach it.
 	SizeClass func(size float64) int
 	// CentralOrder selects the central-queue discipline for pull policies
 	// (default CentralFCFS).
@@ -163,11 +165,11 @@ func newResult(cfg Config, n, warmup int) *Result {
 }
 
 // observe folds one completed job into the result: per-host accounting
-// always, delay statistics past the warmup prefix, then observeExtras.
-// Every simulation path emits records through it — the event-heap engine
-// and PS hosts call it, and the direct recurrence runs the same updates
-// inline and calls observeExtras — in the same order, so the accumulated
-// streams are bit-identical by construction.
+// always; past the warmup prefix, the delay statistics, the per-class
+// tally and the kept records; then the OnRecord hook. The event-heap
+// engine and PS hosts call it; the direct recurrence runs the same
+// updates inline (emitAll), in the same order, so the accumulated streams
+// are bit-identical by construction.
 func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 	res.PerHostJobs[rec.Host]++
 	res.PerHostWork[rec.Host] += rec.Size
@@ -175,28 +177,19 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 		res.Horizon = rec.Departure
 	}
 	if rec.ID >= warmup {
-		res.Slowdown.Add(observedSlowdown(rec))
+		slow := observedSlowdown(rec)
+		res.Slowdown.Add(slow)
 		res.Response.Add(rec.Response())
 		res.Wait.Add(rec.Wait())
+		if res.Classes != nil {
+			res.Classes.Stream(cfg.SizeClass(rec.Size)).Add(slow)
+		}
+		if cfg.KeepRecords {
+			res.Records = append(res.Records, rec)
+		}
 	}
-	res.observeExtras(rec, warmup, cfg)
-}
-
-// observeExtras is observe's per-record tail: the OnRecord hook for every
-// record and, past the warmup prefix, the per-class tally and the kept
-// records.
-func (res *Result) observeExtras(rec JobRecord, warmup int, cfg *Config) {
 	if cfg.OnRecord != nil {
 		cfg.OnRecord(rec)
-	}
-	if rec.ID < warmup {
-		return
-	}
-	if res.Classes != nil {
-		res.Classes.Add(cfg.SizeClass(rec.Size), observedSlowdown(rec))
-	}
-	if cfg.KeepRecords {
-		res.Records = append(res.Records, rec)
 	}
 }
 
@@ -208,8 +201,9 @@ func observedSlowdown(rec JobRecord) float64 {
 }
 
 // Run simulates the job list under the configuration and returns aggregated
-// metrics. Jobs are renumbered by arrival order; records carry that
-// ordinal as their ID.
+// metrics. Every path stamps each job with its arrival ordinal as it first
+// reads it, so policies see, and records carry, that ordinal as the ID
+// whatever IDs the input holds.
 //
 // Dispatch: when DirectEligible(cfg) holds — the policy claims the
 // WorkOnly capability and neither an interrupt probe nor the order check
@@ -228,9 +222,9 @@ func observedSlowdown(rec JobRecord) float64 {
 // goroutine. Concurrent Run calls are safe provided each call gets its own
 // cfg.Policy instance (policies are stateful; see Policy) and its own
 // SizeClass func if that func is stateful. The jobs slice is never
-// written (it is copied first when renumbering is needed), so callers may
-// share one job list across concurrent runs — the package's read-only
-// input contract, which internal/streamcache relies on.
+// written (the ordinal goes on the path's own copy of each job), so
+// callers may share one job list across concurrent runs — the package's
+// read-only input contract, which internal/streamcache relies on.
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 //
 //sim:readonly jobs
@@ -248,7 +242,6 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 //
 //sim:readonly jobs
 func runEngine(jobs []workload.Job, cfg Config) *Result {
-	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 
 	res := newResult(cfg, len(jobs), warmup)
@@ -263,7 +256,7 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 	sys := newSystemOn(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, func(rec JobRecord) {
 		res.observe(rec, warmup, &cfg)
 	})
-	sys.Simulate(renumbered)
+	sys.Simulate(jobs)
 	res.Interrupted = eng.Interrupted()
 	res.MeanQueueLen = sys.MeanQueueLength()
 	return res
@@ -275,43 +268,26 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 //
 //sim:readonly jobs
 func runDirect(jobs []workload.Job, cfg Config) *Result {
-	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)
 	d := directPool.Get().(*directRunner)
-	d.setup(len(renumbered), cfg.Hosts, cfg.Policy)
+	d.setup(len(jobs), cfg.Hosts, cfg.Policy)
 	d.res = res
 	d.warmup = warmup
-	if cfg.SizeClass != nil || cfg.KeepRecords || cfg.OnRecord != nil {
-		// Per-record extras run off the hot path, after the same stream
-		// adds as Result.observe.
-		d.cold = func(rec JobRecord) { res.observeExtras(rec, warmup, &cfg) }
-	}
-	d.replay(renumbered)
-	d.release()
-	return res
-}
-
-// renumber gives jobs arrival-order ordinals as their IDs. Job streams
-// from workload.Source already carry ordinal IDs, in which case the input
-// is returned as-is (Simulate never writes the slice); otherwise a
-// renumbered copy is made so callers can share one job list across
-// concurrent runs.
-func renumber(jobs []workload.Job) []workload.Job {
-	ordinal := true
-	for i := range jobs {
-		if jobs[i].ID != i {
-			ordinal = false
-			break
+	d.sizeClass = cfg.SizeClass
+	if cfg.KeepRecords || cfg.OnRecord != nil {
+		// Kept records and the hook run off the hot path, after the
+		// record's stream adds, as in Result.observe.
+		d.cold = func(rec JobRecord) {
+			if cfg.KeepRecords && rec.ID >= warmup {
+				res.Records = append(res.Records, rec)
+			}
+			if cfg.OnRecord != nil {
+				cfg.OnRecord(rec)
+			}
 		}
 	}
-	if ordinal {
-		return jobs
-	}
-	renumbered := make([]workload.Job, len(jobs))
-	copy(renumbered, jobs)
-	for i := range renumbered {
-		renumbered[i].ID = i
-	}
-	return renumbered
+	d.replay(jobs)
+	d.release()
+	return res
 }

@@ -14,7 +14,7 @@
 // server), always with one engine, one policy, and one Result per cell.
 //
 // Read-only input contract: Run and RunPS never write the jobs slice they
-// are given — when renumbering is needed they copy first (see renumber),
+// are given — each path stamps arrival ordinals on its own job copies —
 // and the FCFS and PS systems read job values out of the feed without
 // aliasing slice elements. This is what lets internal/streamcache hand one
 // generated stream to every policy at a load point, copy-free and from
@@ -264,6 +264,7 @@ type System struct {
 	central centralQueue // dispatcher queue for pull policies
 
 	onComplete func(JobRecord)
+	arrived    int // arrivals so far: the next arrival's ordinal
 
 	// Little's-law accounting: time-integral of the number of waiting jobs
 	// (queued at hosts or held centrally, excluding jobs in service).
@@ -388,7 +389,7 @@ func (s *System) buildWorkIndex() {
 
 // Simulate runs the full job list through the system and waits for every
 // job to finish. Jobs must be sorted by arrival time; Simulate panics if
-// they are not.
+// they are not. Records carry each job's arrival ordinal as its ID.
 //
 // Arrivals fire straight from the slice (sim.Engine.RunFeed), so only
 // departures enter the event heap, which stays O(hosts) deep regardless of
@@ -421,12 +422,15 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 	}
 }
 
-// arrive routes one job through the policy at its arrival instant.
+// arrive stamps one job with its arrival ordinal and routes it through the
+// policy at its arrival instant.
 // Panics if the policy returns a host outside the valid range, which is a
 // contract violation by the Policy implementation.
 //
 //sim:noalloc
 func (s *System) arrive(job workload.Job, now float64) {
+	job.ID = s.arrived
+	s.arrived++
 	idx := s.policy.Assign(job, s)
 	if idx == Central {
 		// Hold at the dispatcher; a host will pull it when free. If some

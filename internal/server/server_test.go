@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sita/internal/dist"
@@ -202,23 +203,41 @@ func TestRunWarmupDiscards(t *testing.T) {
 	}
 }
 
+// TestRunSizeClassTally counts per-class observations on every path —
+// direct, engine and PS. The first job is the warmup prefix and the only
+// one of its class, so that class must stay absent from each tally.
 func TestRunSizeClassTally(t *testing.T) {
-	js := jobs([2]float64{0, 1}, [2]float64{0, 100})
-	res := Run(js, Config{
-		Hosts:  2,
-		Policy: sizeSplit{},
+	js := jobs([2]float64{0, giantSize}, [2]float64{1, 1}, [2]float64{2, 100}, [2]float64{3, 1})
+	cfg := Config{
+		Hosts:          2,
+		Policy:         workSizeSplit{},
+		WarmupFraction: 0.25,
 		SizeClass: func(s float64) int {
-			if s <= 10 {
+			switch {
+			case s >= giantSize:
+				return 2
+			case s <= 10:
 				return 0
 			}
 			return 1
 		},
-	})
-	if res.Classes == nil {
-		t.Fatal("classes not collected")
 	}
-	if res.Classes.Class(0).Count() != 1 || res.Classes.Class(1).Count() != 1 {
-		t.Fatal("class counts wrong")
+	engine := cfg
+	engine.OrderCheck = true
+	for name, res := range map[string]*Result{
+		"direct": Run(js, cfg),
+		"engine": Run(js, engine),
+		"ps":     RunPS(js, cfg),
+	} {
+		if res.Classes == nil {
+			t.Fatalf("%s: classes not collected", name)
+		}
+		if got := res.Classes.Classes(); !slices.Equal(got, []int{0, 1}) {
+			t.Fatalf("%s: classes %v, want [0 1]", name, got)
+		}
+		if res.Classes.Class(0).Count() != 2 || res.Classes.Class(1).Count() != 1 {
+			t.Fatalf("%s: class counts wrong", name)
+		}
 	}
 }
 
@@ -231,6 +250,12 @@ func (sizeSplit) Assign(j workload.Job, _ View) int {
 	}
 	return 1
 }
+
+// workSizeSplit is sizeSplit claiming the work-only capability it has, so
+// plain Run takes the direct path.
+type workSizeSplit struct{ sizeSplit }
+
+func (workSizeSplit) WorkOnly() bool { return true }
 
 func TestRunMG1AgainstPollaczekKhinchine(t *testing.T) {
 	// A 1-host system under Poisson arrivals is an M/G/1 queue; the

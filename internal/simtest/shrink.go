@@ -19,7 +19,7 @@ type Property func(jobs []workload.Job) error
 // same minimized trace. It returns the minimized trace and the error
 // the property reports on it. If jobs does not fail prop at all, Shrink
 // returns (nil, nil). Relative arrival order is preserved; job IDs are
-// left as-is (server.Run renumbers internally when IDs are not dense).
+// left as-is (server.Run stamps arrival ordinals on its own copies).
 func Shrink(jobs []workload.Job, prop Property, maxEvals int) ([]workload.Job, error) {
 	evals := 0
 	check := func(cand []workload.Job) error {

@@ -97,6 +97,10 @@ func (s *Sample) Variance() float64 {
 // per-size-class slowdown statistics (the fairness analyses).
 type ClassTally struct {
 	streams map[int]*Stream
+	// small caches the streams of labels 0..len(small)-1, the range every
+	// size classifier in the module uses (a SITA design's host index, a
+	// decile), so the simulator's per-record add skips the map lookup.
+	small [16]*Stream
 }
 
 // NewClassTally returns an empty tally.
@@ -105,13 +109,30 @@ func NewClassTally() *ClassTally {
 }
 
 // Add records observation x under class c.
-func (t *ClassTally) Add(c int, x float64) {
+func (t *ClassTally) Add(c int, x float64) { t.Stream(c).Add(x) }
+
+// Stream returns class c's stream, creating it on first use; call it only
+// just before an observation, so Classes lists observed classes alone.
+func (t *ClassTally) Stream(c int) *Stream {
+	if uint(c) < uint(len(t.small)) {
+		if s := t.small[c]; s != nil {
+			return s
+		}
+	}
+	return t.create(c)
+}
+
+// create is Stream's first-use and out-of-range path.
+func (t *ClassTally) create(c int) *Stream {
 	s, ok := t.streams[c]
 	if !ok {
 		s = &Stream{}
 		t.streams[c] = s
 	}
-	s.Add(x)
+	if uint(c) < uint(len(t.small)) {
+		t.small[c] = s
+	}
+	return s
 }
 
 // Class returns the stream for class c, or nil if the class has no

@@ -60,7 +60,7 @@ func applyOp(t *Trace, b byte) *Trace {
 	arg := int(b >> 2)
 	switch b % 4 {
 	case 0:
-		return t.Head(arg * 7 % (t.Len() + 1))
+		return t.Truncate(arg * 7 % (t.Len() + 1))
 	case 1:
 		first, _ := t.SplitHalf()
 		return first

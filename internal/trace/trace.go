@@ -29,8 +29,8 @@ import (
 // Traces are shared freely (the experiment trace cache, the job-stream
 // cache in internal/streamcache, and the simd workload memo all hand one
 // *Trace to many concurrent consumers, and the first arrival read is
-// safe among them), and the derivation helpers (Head, Truncate,
-// SplitHalf) return new traces that share the parent's columns instead of
+// safe among them), and the derivation helpers (Truncate, SplitHalf)
+// return new traces that share the parent's columns instead of
 // editing in place.
 type Trace struct {
 	Name string

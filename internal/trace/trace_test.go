@@ -340,24 +340,24 @@ func TestBurstSizeCorrelationKnob(t *testing.T) {
 	}
 }
 
-func TestHead(t *testing.T) {
+func TestTruncate(t *testing.T) {
 	tr := literal("h", []workload.Job{
 		{ID: 0, Arrival: 1, Size: 1},
 		{ID: 1, Arrival: 2, Size: 2},
 		{ID: 2, Arrival: 3, Size: 3},
 	})
-	h := tr.Head(2)
+	h := tr.Truncate(2)
 	if hj := h.Jobs(); h.Len() != 2 || hj[1].Size != 2 {
-		t.Fatalf("head wrong: %+v", hj)
+		t.Fatalf("prefix wrong: %+v", hj)
 	}
-	// The head shares the original's columns; the job slice Jobs builds
+	// The prefix shares the original's columns; the job slice Jobs builds
 	// belongs to the caller, so writing it changes neither trace.
 	h.Jobs()[0].Size = 99
 	if h.Jobs()[0].Size == 99 || tr.Jobs()[0].Size == 99 {
 		t.Fatal("a write to a Jobs slice reached the trace")
 	}
-	if tr.Head(10).Len() != 3 {
-		t.Fatal("over-length head should clamp")
+	if tr.Truncate(10) != tr || tr.Truncate(3) != tr {
+		t.Fatal("a prefix of at least the whole trace should be the trace itself")
 	}
 }
 
