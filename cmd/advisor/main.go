@@ -1,12 +1,13 @@
 // Command advisor is the operator-facing capstone: given a workload (a
 // built-in profile or a real SWF log), a host count and a system load, it
 // characterizes the workload, predicts every policy's performance,
-// recommends a task assignment design, and verifies the recommendation by
-// simulation.
+// derives each SITA variant's cutoffs, recommends a task assignment
+// design, and verifies the recommendation by simulation.
 //
 // Usage:
 //
 //	advisor -profile psc-c90 -load 0.7
+//	advisor -profile psc-c90 -load 0.7 -hosts 8   # plus full multi-cutoff vectors
 //	advisor -in mylog.swf -hosts 4 -load 0.6 -slo 50
 package main
 
@@ -15,12 +16,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"sita"
 	"sita/internal/catalog"
 	"sita/internal/core"
-	"sita/internal/dist"
 )
 
 func main() {
@@ -64,15 +65,15 @@ func main() {
 		fatal(err)
 	}
 
+	adv := core.Advise(*load, wl.Size, *hosts)
+
 	// 1. Characterize.
 	st := wl.Trace.ComputeStats()
-	scv := dist.SquaredCV(wl.Size)
 	fmt.Printf("workload %s\n", wl.Profile.Name)
 	fmt.Printf("  %d jobs, mean %.0fs, range [%.0fs, %.0fs]\n", st.Jobs, st.Mean, st.Min, st.Max)
-	fmt.Printf("  size C^2 = %.1f (fitted Bounded Pareto alpha = %.2f)\n", scv, wl.Size.Alpha)
-	tail := wl.Size.LoadCutoff(0.5)
+	fmt.Printf("  size C^2 = %.1f (fitted Bounded Pareto alpha = %.2f)\n", adv.SizeSCV, wl.Size.Alpha)
 	fmt.Printf("  heavy tail: the biggest %.2f%% of jobs carry half the load (cutoff %.0fs)\n",
-		100*(1-wl.Size.CDF(tail)), tail)
+		100*adv.TailFraction, adv.TailCutoff)
 
 	// 2. Predict every policy (2-host closed forms; simulation covers the
 	//    configured host count below).
@@ -96,14 +97,45 @@ func main() {
 	}
 	w.Flush()
 
-	// 3. Recommend: SITA-U-fair (the paper's bottom line — nearly optimal
-	//    *and* fair); fall back to SITA-U-opt if fairness derivation fails.
-	design, err := sita.NewDesign(sita.SITAUFair, *load, wl.Size, *hosts)
-	if err != nil {
-		design, err = sita.NewDesign(sita.SITAUOpt, *load, wl.Size, *hosts)
+	// 3. Derive every SITA variant's design on the configured host count
+	//    (one cutoff, as the grouped construction uses; predictions exist
+	//    for 2 hosts only) and, beyond 2 hosts, the full cutoff vectors.
+	fmt.Printf("\nSITA designs (%d hosts, load %.2f):\n", *hosts, *load)
+	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "  variant\tcutoff(s)\tshort-load frac\tpredicted E[S]\tpredicted Var[S]\thost loads\n")
+	for _, vd := range adv.Variants {
+		d := vd.Design
+		if d == nil {
+			fmt.Fprintf(w, "  %s\t-\t-\t-\t-\t%v\n", vd.Variant, vd.Err)
+			continue
+		}
+		es, vs, loads := "-", "-", "-"
+		if d.HasPrediction {
+			es, vs = fmt.Sprintf("%.2f", d.Predicted.MeanSlowdown), fmt.Sprintf("%.3g", d.Predicted.VarSlowdown)
+			hl := make([]string, len(d.Predicted.Hosts))
+			for i, h := range d.Predicted.Hosts {
+				hl[i] = fmt.Sprintf("%.3f", h.Load)
+			}
+			loads = strings.Join(hl, " ")
+		}
+		fmt.Fprintf(w, "  %s\t%.1f\t%.3f\t%s\t%s\t%s\n", vd.Variant, d.Cutoff, d.ShortLoadFraction(), es, vs, loads)
 	}
-	if err != nil {
-		fatal(fmt.Errorf("no feasible SITA design at load %v: %w", *load, err))
+	w.Flush()
+	if *hosts > 2 {
+		fmt.Printf("\nfull multi-cutoff vectors for %d hosts (the search the paper calls too expensive):\n", *hosts)
+		for _, v := range []core.Variant{core.SITAE, core.SITAUOpt, core.SITAUFair} {
+			if fd, err := core.NewDesignFull(v, *load, wl.Size, *hosts); err != nil {
+				fmt.Printf("  %-11s %v\n", v, err)
+			} else {
+				fmt.Printf("  %-11s %v\n", v, round(fd.Cutoffs))
+			}
+		}
+	}
+
+	// 4. Recommend.
+	design := adv.Recommended
+	if design == nil {
+		fatal(fmt.Errorf("no feasible SITA-U design at load %v on %d hosts", *load, *hosts))
 	}
 	fmt.Printf("\nrecommendation: %s on %d hosts\n", design.Variant, *hosts)
 	fmt.Printf("  size cutoff: %.0fs (jobs up to this run on the short side: %d of %d hosts)\n",
@@ -111,7 +143,7 @@ func main() {
 	fmt.Printf("  short side carries %.0f%% of the load (rule of thumb: %.0f%%)\n",
 		100*design.ShortLoadFraction(), 100*core.RuleOfThumbFraction(*load))
 
-	// 4. Verify by simulation on the configured host count.
+	// 5. Verify by simulation on the configured host count.
 	sim := wl.JobsAtLoad(*load, *hosts, true, *seed)
 	if *jobs > 0 && *jobs < len(sim) {
 		sim = sim[:*jobs]
@@ -139,6 +171,15 @@ func main() {
 		fmt.Printf("\nSLO: mean slowdown <= %.0f -> recommendation %s the objective (measured %.1f)\n",
 			*slo, verdict, res.Slowdown.Mean())
 	}
+}
+
+// round formats cutoffs to a tenth of a second.
+func round(cuts []float64) []string {
+	out := make([]string, len(cuts))
+	for i, c := range cuts {
+		out[i] = fmt.Sprintf("%.1f", c)
+	}
+	return out
 }
 
 // checkSLO accepts a mean-slowdown objective: finite and >= 0, with 0

@@ -29,7 +29,7 @@ var testOnlyReach = map[string]string{
 	"sita/internal/stats.Autocorrelation": "trace.TestBurstSizeCorrelationKnob",
 	"sita/internal/server.New":            "the engine tests of server_test.go and invariants_test.go",
 	"sita/internal/server.NewPS":          "the PS engine tests of ps_test.go",
-	"sita/internal/runner.Map":            "streamcache.TestConcurrentFanOut, streamcache.TestTraceStatsMemo",
+	"sita/internal/runner.Map":            "streamcache.TestConcurrentFanOut",
 	"sita/internal/runner.CellSeed":       "runner.TestCellSeedDistinct, runner.TestSeedStability",
 	"sita/internal/experiment.ClearMemos": "experiment.TestClearMemosSimulatesAgain and the sweep benchmarks, which time cold runs",
 	"sita/internal/simtest.*":             "the property harness; its own oracle, invariant and metamorphic tests drive it",

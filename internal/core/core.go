@@ -12,6 +12,10 @@
 //  3. Build the dispatcher policy (plain SITA for 2 hosts, the grouped
 //     SITA+LWL hybrid for larger systems, section 5).
 //  4. Predict performance analytically and/or simulate.
+//
+// Advise runs steps 1 and 2 (and, on 2 hosts, the analytic step 4) for
+// every variant and recommends one; simd's /v1/advise and cmd/advisor
+// both report it.
 package core
 
 import (
@@ -207,6 +211,55 @@ func validateDesign(load float64, hosts int) error {
 		return fmt.Errorf("core: need at least 2 hosts, got %d", hosts)
 	}
 	return nil
+}
+
+// Advice is the paper's flow run for one workload and system: the size
+// characterization, every variant's design, and the recommendation.
+type Advice struct {
+	// MeanSize and SizeSCV are the size distribution's mean and squared
+	// coefficient of variation.
+	MeanSize, SizeSCV float64
+	// TailCutoff is the size above which the biggest jobs carry half the
+	// load; TailFraction is the fraction of jobs above it.
+	TailCutoff, TailFraction float64
+	// Variants holds one entry per element of Variants(), in order.
+	Variants []VariantDesign
+	// Recommended is SITA-U-fair's design, else SITA-U-opt's, else nil.
+	Recommended *Design
+}
+
+// VariantDesign is one variant's design, or the error deriving it.
+type VariantDesign struct {
+	Variant Variant
+	Design  *Design
+	Err     error
+}
+
+// Advise characterizes the size distribution, derives every variant's
+// design for hosts identical hosts at the system load, and recommends
+// the paper's bottom line: SITA-U-fair, nearly optimal and fair, falling
+// back to SITA-U-opt when the fairness search is infeasible.
+func Advise(load float64, size dist.BoundedPareto, hosts int) Advice {
+	tail := size.LoadCutoff(0.5)
+	a := Advice{
+		MeanSize:     size.Moment(1),
+		SizeSCV:      dist.SquaredCV(size),
+		TailCutoff:   tail,
+		TailFraction: 1 - size.CDF(tail),
+	}
+	for _, v := range Variants() {
+		d, err := NewDesign(v, load, size, hosts)
+		a.Variants = append(a.Variants, VariantDesign{Variant: v, Design: d, Err: err})
+	}
+	for _, want := range []Variant{SITAUFair, SITAUOpt} {
+		for _, vd := range a.Variants {
+			if vd.Variant == want && vd.Design != nil {
+				a.Recommended = vd.Design
+				return a
+			}
+		}
+	}
+	return a
 }
 
 // Policy builds a fresh dispatcher policy implementing the design. For two

@@ -84,6 +84,50 @@ func TestNewDesignValidation(t *testing.T) {
 	}
 }
 
+// TestAdvise checks that Advise holds NewDesign's outcome for every
+// variant, in Variants() order, and recommends SITA-U-fair when it is
+// feasible and nothing when no SITA-U design is.
+func TestAdvise(t *testing.T) {
+	size := c90Size(t)
+	for _, tc := range []struct {
+		load  float64
+		hosts int
+		want  string
+	}{
+		{0.7, 2, "SITA-U-fair"},
+		{0.3, 8, "SITA-U-fair"},
+		{0.999999999, 2, ""}, // overloaded: no cutoff search is feasible
+		{0.7, 1, ""},
+	} {
+		a := Advise(tc.load, size, tc.hosts)
+		if len(a.Variants) != len(Variants()) {
+			t.Fatalf("load %v, %d hosts: %d variants, want %d", tc.load, tc.hosts, len(a.Variants), len(Variants()))
+		}
+		for i, v := range Variants() {
+			vd := a.Variants[i]
+			d, err := NewDesign(v, tc.load, size, tc.hosts)
+			if vd.Variant != v || (vd.Err == nil) != (err == nil) || (vd.Design == nil) != (d == nil) ||
+				d != nil && (vd.Design.Cutoff != d.Cutoff || vd.Design.Predicted.MeanSlowdown != d.Predicted.MeanSlowdown) {
+				t.Errorf("load %v, %d hosts: entry %d = %+v, want NewDesign(%v) = %+v, %v", tc.load, tc.hosts, i, vd, v, d, err)
+			}
+		}
+		got := ""
+		if a.Recommended != nil {
+			got = a.Recommended.Variant.String()
+		}
+		if got != tc.want {
+			t.Errorf("load %v, %d hosts: recommended %q, want %q", tc.load, tc.hosts, got, tc.want)
+		}
+	}
+	a := Advise(0.7, size, 2)
+	if a.MeanSize != size.Moment(1) || a.SizeSCV != dist.SquaredCV(size) || a.TailCutoff != size.LoadCutoff(0.5) {
+		t.Errorf("characterization %+v does not match the size distribution", a)
+	}
+	if a.TailFraction <= 0 || a.TailFraction >= 0.01 {
+		t.Errorf("tail job fraction %v: half the C90 load should sit in well under 1%% of jobs", a.TailFraction)
+	}
+}
+
 func TestDesignUnbalancedVariantsUnderloadShortSide(t *testing.T) {
 	size := c90Size(t)
 	e, err := NewDesign(SITAE, 0.7, size, 2)

@@ -80,7 +80,15 @@ func resultBytes(r *server.Result) int64 {
 // Result is shared and read-only; err is spec's build error (an
 // infeasible design), which is never cached.
 func (c Config) simulate(s stream, size dist.BoundedPareto, spec policySpec, keepRecords bool) (*server.Result, error) {
-	run := func() (*server.Result, error) {
+	key := cellKey{
+		stream:      streamcache.Key{Trace: s.tr.Identity(), Load: s.load, Hosts: s.hosts, Poisson: s.poisson, Seed: s.seed},
+		policy:      spec.name,
+		size:        size,
+		seed:        c.Seed,
+		warmup:      c.Warmup,
+		keepRecords: keepRecords,
+	}
+	res, _, err := cellMemo.Do(key, func() (*server.Result, error) {
 		p, _, err := spec.build(s.load, size, s.hosts, c.Seed)
 		if err != nil {
 			return nil, err
@@ -91,19 +99,6 @@ func (c Config) simulate(s stream, size dist.BoundedPareto, spec policySpec, kee
 			WarmupFraction: c.Warmup,
 			KeepRecords:    keepRecords,
 		}), nil
-	}
-	id, ok := s.tr.Identity()
-	if !ok {
-		return run()
-	}
-	key := cellKey{
-		stream:      streamcache.Key{Trace: id, Load: s.load, Hosts: s.hosts, Poisson: s.poisson, Seed: s.seed},
-		policy:      spec.name,
-		size:        size,
-		seed:        c.Seed,
-		warmup:      c.Warmup,
-		keepRecords: keepRecords,
-	}
-	res, _, err := cellMemo.Do(key, run)
+	})
 	return res, err
 }

@@ -28,7 +28,6 @@ import (
 	"sita/internal/memo"
 	"sita/internal/runner"
 	"sita/internal/server"
-	"sita/internal/streamcache"
 	"sita/internal/trace"
 )
 
@@ -217,14 +216,6 @@ func (c Config) simSweep(id, title string, hosts int, specs []policySpec, poisso
 	return []Table{*mean, *vari}, nil
 }
 
-// traceStats memoizes ComputeStats through the stream cache's
-// identity-keyed memo: the statistic is pure, and identity keying (unlike
-// the pointer keying this replaces) shares the entry across regenerations
-// of the same recipe and can never alias a recycled pointer.
-func traceStats(tr *trace.Trace) trace.Stats {
-	return streamcache.Shared.TraceStats(tr)
-}
-
 // Table1 regenerates the trace characterization table for all three
 // workloads.
 func Table1(cfg Config) ([]Table, error) {
@@ -237,7 +228,7 @@ func Table1(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: table1 %s: %w", p.Name, err)
 		}
-		st := traceStats(tr)
+		st := tr.ComputeStats()
 		x := float64(i)
 		t.Add("jobs", x, float64(st.Jobs))
 		t.Add("mean(s)", x, st.Mean)

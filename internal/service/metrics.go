@@ -159,7 +159,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP simd_streamcache_evictions_total Streams evicted to hold the byte bound.")
 	fmt.Fprintln(w, "# TYPE simd_streamcache_evictions_total counter")
 	fmt.Fprintf(w, "simd_streamcache_evictions_total %d\n", ss.Evictions)
-	fmt.Fprintln(w, "# HELP simd_streamcache_generations_total Stream generations performed (misses plus bypasses).")
+	fmt.Fprintln(w, "# HELP simd_streamcache_generations_total Stream generations performed (one per cache miss).")
 	fmt.Fprintln(w, "# TYPE simd_streamcache_generations_total counter")
 	fmt.Fprintf(w, "simd_streamcache_generations_total %d\n", ss.Generations)
 	fmt.Fprintln(w, "# HELP simd_streamcache_entries Cached job streams.")

@@ -12,7 +12,6 @@ import (
 	"sita"
 	"sita/internal/catalog"
 	"sita/internal/core"
-	"sita/internal/dist"
 	"sita/internal/server"
 	"sita/internal/streamcache"
 )
@@ -278,10 +277,9 @@ func (s *Server) runSimulation(req SimRequest) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-// AdviseResponse is the body of GET /v1/advise: the workload
+// AdviseResponse is the body of GET /v1/advise: core.Advise's workload
 // characterization, each SITA variant's derived design with its analytic
-// prediction, and the recommendation the paper argues for (SITA-U-fair,
-// falling back to SITA-U-opt when the fairness derivation is infeasible).
+// prediction, and the recommended variant ("" when none is feasible).
 type AdviseResponse struct {
 	Profile  string  `json:"profile"`
 	Load     float64 `json:"load"`
@@ -376,28 +374,27 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// runAdvise derives every SITA variant's design for the workload and
-// packages the recommendation.
+// runAdvise maps core.Advise's characterization, designs and
+// recommendation for the workload onto the response body.
 func (s *Server) runAdvise(profile string, load float64, hosts int, seed uint64) ([]byte, error) {
 	wl, err := s.workload(profile, seed, 0)
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
-	tail := wl.Size.LoadCutoff(0.5)
+	a := core.Advise(load, wl.Size, hosts)
 	resp := AdviseResponse{
 		Profile:      profile,
 		Load:         load,
 		Hosts:        hosts,
-		MeanSize:     wl.Size.Moment(1),
-		SizeSCV:      dist.SquaredCV(wl.Size),
-		TailCutoff:   tail,
-		TailFraction: 1 - wl.Size.CDF(tail),
+		MeanSize:     a.MeanSize,
+		SizeSCV:      a.SizeSCV,
+		TailCutoff:   a.TailCutoff,
+		TailFraction: a.TailFraction,
 	}
-	for _, v := range core.Variants() {
-		adv := VariantAdvice{Variant: v.String()}
-		d, err := sita.NewDesign(v, load, wl.Size, hosts)
-		if err != nil {
-			adv.Error = err.Error()
+	for _, vd := range a.Variants {
+		adv := VariantAdvice{Variant: vd.Variant.String()}
+		if d := vd.Design; d == nil {
+			adv.Error = vd.Err.Error()
 		} else {
 			adv.Cutoff = d.Cutoff
 			adv.ShortHosts = d.ShortHosts
@@ -410,18 +407,8 @@ func (s *Server) runAdvise(profile string, load float64, hosts int, seed uint64)
 		}
 		resp.Variants = append(resp.Variants, adv)
 	}
-	// The paper's bottom line: SITA-U-fair is nearly optimal and fair;
-	// fall back to SITA-U-opt when the fairness derivation is infeasible.
-	for _, want := range []string{core.SITAUFair.String(), core.SITAUOpt.String()} {
-		for _, adv := range resp.Variants {
-			if adv.Variant == want && adv.Error == "" {
-				resp.Recommended = want
-				break
-			}
-		}
-		if resp.Recommended != "" {
-			break
-		}
+	if a.Recommended != nil {
+		resp.Recommended = a.Recommended.Variant.String()
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {

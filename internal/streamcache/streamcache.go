@@ -14,19 +14,14 @@
 // indistinguishable from regeneration. Second, consumers never write the
 // slice: server.Run and server.RunPS document (and //sim:readonly enforces)
 // that job slices are read-only, so one slice can feed many concurrent
-// simulations without copies. Traces without an identity (zero
-// trace.Identity, e.g. hand-built literals) bypass the cache and regenerate.
+// simulations without copies.
 //
-// A Cache holds two memo.Cache instances: the streams, in a byte-bounded
-// LRU whose concurrent requests for one key collapse single-flight so a
-// 16-worker sweep still generates once; and the traces' Table-1
-// statistics (TraceStats), keyed by identity and unbounded.
+// A Cache holds the streams in a byte-bounded memo.Cache LRU whose
+// concurrent requests for one key collapse single-flight, so a 16-worker
+// sweep still generates once.
 package streamcache
 
 import (
-	"math"
-	"sync/atomic"
-
 	"sita/internal/memo"
 	"sita/internal/trace"
 	"sita/internal/workload"
@@ -57,8 +52,7 @@ type Stats struct {
 	Misses      uint64 // triggered a generation
 	Joins       uint64 // waited on another goroutine's generation
 	Evictions   uint64 // entries dropped to respect MaxBytes
-	Bypasses    uint64 // identity-less traces generated directly
-	Generations uint64 // total JobsAtLoad invocations performed
+	Generations uint64 // JobsAtLoad retimings performed; equals Misses
 	Entries     int
 	Bytes       int64
 	MaxBytes    int64
@@ -67,9 +61,7 @@ type Stats struct {
 // Cache is a byte-bounded, single-flight stream cache. The zero value is
 // not usable; construct with New.
 type Cache struct {
-	streams    *memo.Cache[Key, []workload.Job]
-	traceStats *memo.Cache[trace.Identity, trace.Stats]
-	bypasses   atomic.Uint64
+	streams *memo.Cache[Key, []workload.Job]
 
 	// testHookGenerate, when non-nil, is invoked once per actual stream
 	// generation (inside the single-flight critical path, outside the
@@ -89,7 +81,6 @@ func New(maxBytes int64) *Cache {
 		streams: memo.New[Key](maxBytes, func(jobs []workload.Job) int64 {
 			return int64(len(jobs)) * bytesPerJob
 		}),
-		traceStats: memo.New[trace.Identity, trace.Stats](math.MaxInt64, nil),
 	}
 }
 
@@ -103,16 +94,14 @@ func (c *Cache) SetMaxBytes(n int64) { c.streams.SetMaxCost(n) }
 // (see the immutability contract in internal/trace). Panics, like
 // trace.JobsAtLoad, if load is outside (0, 1).
 func (c *Cache) JobsAtLoad(tr *trace.Trace, load float64, hosts int, poisson bool, seed uint64) []workload.Job {
-	// The key is built in place and generate takes it by pointer: at 144
-	// bytes, each copy shows on the hit path.
-	key := Key{Load: load, Hosts: hosts, Poisson: poisson, Seed: seed}
-	var ok bool
-	if key.Trace, ok = tr.Identity(); !ok {
-		c.bypasses.Add(1)
-		return c.generate(tr, &key)
-	}
+	// The key is built once, in place: at 144 bytes, each copy shows on
+	// the hit path.
+	key := Key{Trace: tr.Identity(), Load: load, Hosts: hosts, Poisson: poisson, Seed: seed}
 	jobs, _, err := c.streams.Do(key, func() ([]workload.Job, error) {
-		return c.generate(tr, &key), nil
+		if c.testHookGenerate != nil {
+			c.testHookGenerate(key)
+		}
+		return tr.JobsAtLoad(key.Load, key.Hosts, key.Poisson, key.Seed), nil
 	})
 	if err != nil { // the generation this call joined panicked
 		panic(err)
@@ -120,43 +109,15 @@ func (c *Cache) JobsAtLoad(tr *trace.Trace, load float64, hosts int, poisson boo
 	return jobs
 }
 
-// generate retimes tr for key, bypassing the cache.
-func (c *Cache) generate(tr *trace.Trace, key *Key) []workload.Job {
-	if c.testHookGenerate != nil {
-		c.testHookGenerate(*key)
-	}
-	return tr.JobsAtLoad(key.Load, key.Hosts, key.Poisson, key.Seed)
-}
-
-// TraceStats returns tr.ComputeStats(), memoized by trace identity. This
-// replaces pointer-keyed stats caches: two regenerations of the same
-// profile+seed share one entry, and distinct traces can never collide even
-// if an old *Trace's address is reused. Identity-less traces compute
-// directly. Panics if it joined a concurrent ComputeStats of the same trace
-// that panicked.
-func (c *Cache) TraceStats(tr *trace.Trace) trace.Stats {
-	id, ok := tr.Identity()
-	if !ok {
-		return tr.ComputeStats()
-	}
-	s, _, err := c.traceStats.Do(id, func() (trace.Stats, error) { return tr.ComputeStats(), nil })
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Stats snapshots the stream counters.
 func (c *Cache) Stats() Stats {
 	s := c.streams.Stats()
-	bypasses := c.bypasses.Load()
 	return Stats{
 		Hits:        s.Hits,
 		Misses:      s.Misses,
 		Joins:       s.Joins,
 		Evictions:   s.Evictions,
-		Bypasses:    bypasses,
-		Generations: s.Misses + bypasses,
+		Generations: s.Misses,
 		Entries:     s.Entries,
 		Bytes:       s.Cost,
 		MaxBytes:    s.MaxCost,

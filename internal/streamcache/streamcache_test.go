@@ -143,33 +143,6 @@ func TestSetMaxBytesEvicts(t *testing.T) {
 	}
 }
 
-// TestIdentityLessTraceBypasses: a Trace built as a plain literal has no
-// identity, so the cache counts a bypass per call and never stores. A
-// literal built outside package trace holds no jobs, and retiming no
-// jobs panics (there is no mean size to scale to), so each call is
-// expected to panic after it is counted.
-func TestIdentityLessTraceBypasses(t *testing.T) {
-	tr := &trace.Trace{Name: "literal"}
-	if id, ok := tr.Identity(); ok || !id.IsZero() {
-		t.Fatalf("literal has identity %+v", id)
-	}
-	c := New(DefaultMaxBytes)
-	for call := 0; call < 2; call++ {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("call %d: retiming an empty trace did not panic", call)
-				}
-			}()
-			c.JobsAtLoad(tr, 0.5, 2, true, 1)
-		}()
-	}
-	st := c.Stats()
-	if st.Bypasses != 2 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 2 bypasses, no misses and no entries", st)
-	}
-}
-
 // TestCacheTransparent: the cached stream is byte-identical to a direct
 // trace.JobsAtLoad call, and so is the stream with the cache turned off —
 // the cache can never change experiment output.
@@ -204,26 +177,6 @@ func TestDerivedTraceDistinctIdentity(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 2 {
 		t.Fatalf("expected two distinct entries, got %+v", st)
-	}
-}
-
-// TestTraceStatsMemo: identity-keyed stats memoization returns identical
-// rows and computes once per identity, including across regenerations of
-// the same recipe (which pointer keying could not share).
-func TestTraceStatsMemo(t *testing.T) {
-	tr1 := testTrace(t, 2000)
-	tr2 := testTrace(t, 2000) // same recipe, different *Trace
-	if tr1 == tr2 {
-		t.Fatal("want distinct pointers")
-	}
-	c := New(DefaultMaxBytes)
-	s1 := c.TraceStats(tr1)
-	s2 := c.TraceStats(tr2)
-	if s1 != s2 {
-		t.Fatalf("same identity produced different stats: %+v vs %+v", s1, s2)
-	}
-	if want := tr1.ComputeStats(); s1 != want {
-		t.Fatalf("memoized stats %+v differ from direct %+v", s1, want)
 	}
 }
 

@@ -77,8 +77,7 @@ func applyOp(t *Trace, b byte) *Trace {
 // (profile, seed) and every derivation is a pure function of its
 // parent, so replaying the same chain from the same recipe must
 // reproduce both the identity and the exact job content — the property
-// internal/streamcache keys on. Literals without identity must stay
-// identity-less through any chain.
+// internal/streamcache keys on.
 //
 // It also holds lazy arrivals to their contract. One generated chain
 // derives before anything reads its arrivals, a second after they were
@@ -110,17 +109,13 @@ func FuzzIdentityDerivation(f *testing.F) {
 		a, b := gen[0], gen[1]
 		b.Jobs() // b's chain derives from drawn arrivals, a's from undrawn ones
 		eager := New("eager", gen[2].Jobs())
-		// A literal with the same jobs but no construction recipe rides
-		// along: its identity must remain zero through the whole chain.
-		lit := literal("literal", eager.Jobs())
 		for _, op := range ops {
-			parentID, _ := a.Identity()
-			a, b, eager, lit = applyOp(a, op), applyOp(b, op), applyOp(eager, op), applyOp(lit, op)
+			parentID := a.Identity()
+			a, b, eager = applyOp(a, op), applyOp(b, op), applyOp(eager, op)
 
-			ida, oka := a.Identity()
-			idb, okb := b.Identity()
-			if !oka || !okb || ida != idb {
-				t.Fatalf("op %d: replayed chain diverged: %+v (ok=%v) vs %+v (ok=%v)", op, ida, oka, idb, okb)
+			ida, idb := a.Identity(), b.Identity()
+			if ida != idb {
+				t.Fatalf("op %d: replayed chain diverged: %+v vs %+v", op, ida, idb)
 			}
 			if ida.Profile != parentID.Profile || ida.Seed != parentID.Seed || ida.Anon != parentID.Anon {
 				t.Fatalf("op %d: derivation rewrote the recipe: parent %+v, child %+v", op, parentID, ida)
@@ -128,11 +123,8 @@ func FuzzIdentityDerivation(f *testing.F) {
 			if !strings.HasPrefix(ida.Ops, parentID.Ops) {
 				t.Fatalf("op %d: child ops %q does not extend parent ops %q", op, ida.Ops, parentID.Ops)
 			}
-			if litID, ok := lit.Identity(); ok || !litID.IsZero() {
-				t.Fatalf("op %d: literal trace acquired identity %+v", op, litID)
-			}
-			if a.Len() != b.Len() || a.Len() != eager.Len() || a.Len() != lit.Len() {
-				t.Fatalf("op %d: equal content, different lengths %d, %d, %d, %d", op, a.Len(), b.Len(), eager.Len(), lit.Len())
+			if a.Len() != b.Len() || a.Len() != eager.Len() {
+				t.Fatalf("op %d: equal content, different lengths %d, %d, %d", op, a.Len(), b.Len(), eager.Len())
 			}
 			for i, x := range a.sizes {
 				if !sameBits(x, b.sizes[i]) || !sameBits(x, eager.sizes[i]) {
@@ -149,9 +141,9 @@ func FuzzIdentityDerivation(f *testing.F) {
 		if a.lazy == nil || a.lazy.a != nil {
 			t.Fatal("the lazy chain's arrivals were drawn before the first read")
 		}
-		before, _ := a.Identity()
+		before := a.Identity()
 		aj := a.Jobs()
-		if after, _ := a.Identity(); after != before {
+		if after := a.Identity(); after != before {
 			t.Fatalf("reading arrivals changed the identity from %+v to %+v", before, after)
 		}
 		for _, other := range []*Trace{b, eager} {

@@ -46,8 +46,7 @@ type Trace struct {
 	lazy *lazyArrivals
 	off  int
 
-	// id is the cache identity assigned at construction (see Identity);
-	// zero for traces built as plain literals, which caches then bypass.
+	// id is the cache identity assigned at construction (see Identity).
 	id Identity
 	// meanSize is the precomputed mean job size (0 when not precomputed;
 	// job sizes are validated positive, so 0 is never a real mean).
@@ -86,8 +85,9 @@ func (t *Trace) arrivalTimes() []float64 {
 // both), or one was derived from the other by a pure derivation (Ops
 // records the chain), or they are literally the same construction (Anon,
 // a process-unique sequence number, for traces with no reproducible
-// recipe such as SWF imports). The zero Identity means "no identity":
-// caches fall back to regenerating rather than guessing.
+// recipe such as SWF imports). Every constructor assigns one, so only a
+// trace built as an empty struct literal, which holds no jobs, has the
+// zero Identity.
 type Identity struct {
 	// Profile and Seed are the generation recipe for synthesized traces.
 	Profile Profile
@@ -99,9 +99,6 @@ type Identity struct {
 	// ("/derive", "[:20000]", "/thin3", ...), empty for the original.
 	Ops string
 }
-
-// IsZero reports whether the identity is unset.
-func (id Identity) IsZero() bool { return id == Identity{} }
 
 // anonSeq numbers identities for traces without a generation recipe.
 var anonSeq atomic.Uint64
@@ -127,26 +124,19 @@ func New(name string, jobs []workload.Job) *Trace {
 // derive builds a child trace holding jobs [lo, hi) of t by a pure
 // derivation: the child shares t's columns (a lazy parent's arrivals are
 // drawn once, for both), and its identity extends the parent's Ops chain,
-// so caches can key derived traces without content hashing. A parent
-// without identity yields a child without identity.
+// so caches can key derived traces without content hashing.
 func (t *Trace) derive(name, op string, lo, hi int) *Trace {
-	out := &Trace{Name: name, sizes: t.sizes[lo:hi], lazy: t.lazy, off: t.off + lo}
+	out := &Trace{Name: name, sizes: t.sizes[lo:hi], lazy: t.lazy, off: t.off + lo, id: t.id}
 	if t.lazy == nil {
 		out.arrivals = t.arrivals[lo:hi]
 	}
-	if !t.id.IsZero() {
-		out.id = t.id
-		out.id.Ops += op
-	}
+	out.id.Ops += op
 	out.meanSize = out.computeSizeMean()
 	return out
 }
 
-// Identity returns the trace's cache identity (zero, with ok=false, for
-// traces built as plain literals).
-func (t *Trace) Identity() (id Identity, ok bool) {
-	return t.id, !t.id.IsZero()
-}
+// Identity returns the trace's cache identity.
+func (t *Trace) Identity() Identity { return t.id }
 
 // computeSizeMean streams the mean job size exactly as ComputeStats does,
 // so the precomputed value is bit-identical to a fresh pass.

@@ -374,7 +374,8 @@ func TestReadSWFRejectsNonFiniteValues(t *testing.T) {
 }
 
 // literal builds a trace from jobs the way a plain struct literal would:
-// eager arrivals, no identity and no precomputed size mean.
+// eager arrivals, no identity and no precomputed size mean. Only tests
+// that touch no cache use it; every constructor assigns an identity.
 func literal(name string, jobs []workload.Job) *Trace {
 	t := &Trace{Name: name, sizes: make([]float64, len(jobs)), arrivals: make([]float64, len(jobs))}
 	for i, j := range jobs {
