@@ -36,22 +36,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *in == "" {
-		if err := catalog.CheckProfile(*profile); err != nil {
-			fatal(fmt.Errorf("-profile: %w", err))
-		}
-	}
-	if err := catalog.CheckHosts(*hosts); err != nil {
-		fatal(fmt.Errorf("-hosts: %w", err))
-	}
-	if err := catalog.CheckLoad(*load); err != nil {
-		fatal(fmt.Errorf("-load: %w", err))
-	}
-	if err := catalog.CheckJobs(*jobs); err != nil {
-		fatal(fmt.Errorf("-jobs: %w", err))
-	}
-	if err := checkSLO(*slo); err != nil {
-		fatal(fmt.Errorf("-slo: %w", err))
+	if err := checkFlags(*profile, *in, *hosts, *load, *jobs, *slo); err != nil {
+		fatal(err)
 	}
 
 	var wl *sita.Workload
@@ -180,6 +166,28 @@ func round(cuts []float64) []string {
 		out[i] = fmt.Sprintf("%.1f", c)
 	}
 	return out
+}
+
+// checkFlags validates the flags before any work, naming the first bad one.
+func checkFlags(profile, in string, hosts int, load float64, jobs int, slo float64) error {
+	if in == "" {
+		if err := catalog.CheckProfile(profile); err != nil {
+			return fmt.Errorf("-profile: %w", err)
+		}
+	}
+	if err := catalog.CheckAdviceHosts(hosts); err != nil {
+		return fmt.Errorf("-hosts: %w", err)
+	}
+	if err := catalog.CheckLoad(load); err != nil {
+		return fmt.Errorf("-load: %w", err)
+	}
+	if err := catalog.CheckJobs(jobs); err != nil {
+		return fmt.Errorf("-jobs: %w", err)
+	}
+	if err := checkSLO(slo); err != nil {
+		return fmt.Errorf("-slo: %w", err)
+	}
+	return nil
 }
 
 // checkSLO accepts a mean-slowdown objective: finite and >= 0, with 0

@@ -93,6 +93,16 @@ func CheckHosts(h int) error {
 	return nil
 }
 
+// CheckAdviceHosts validates the host count of a SITA advice request: in
+// [2, MaxHosts], since every SITA design splits jobs between at least two
+// hosts.
+func CheckAdviceHosts(h int) error {
+	if h < 2 {
+		return fmt.Errorf("SITA advice needs at least 2 hosts, got %d", h)
+	}
+	return CheckHosts(h)
+}
+
 // CheckJobs validates a job-count cap: 0 (profile default) or positive.
 func CheckJobs(jobs int) error {
 	if jobs < 0 {

@@ -82,6 +82,9 @@ func FuzzParameterChecks(f *testing.F) {
 		if err := CheckHosts(hosts); (err == nil) != (hosts >= 1 && hosts <= MaxHosts) {
 			t.Fatalf("CheckHosts(%d) = %v", hosts, err)
 		}
+		if err := CheckAdviceHosts(hosts); (err == nil) != (hosts >= 2 && hosts <= MaxHosts) {
+			t.Fatalf("CheckAdviceHosts(%d) = %v", hosts, err)
+		}
 		if err := CheckWorkers(workers); (err == nil) != (workers >= 1) {
 			t.Fatalf("CheckWorkers(%d) = %v", workers, err)
 		}

@@ -16,15 +16,18 @@ type BoundedPareto struct {
 	K     float64 // smallest job
 	P     float64 // largest job
 	norm  float64 // 1 - (K/P)^Alpha, cached normalizer
+	c     float64 // Alpha*K^Alpha/norm, the partial moments' cached factor
 }
 
-// NewBoundedPareto validates parameters and precomputes the normalizer.
-// Panics unless alpha > 0 and 0 < k < p.
+// NewBoundedPareto validates parameters and precomputes the normalizer and
+// the partial moments' factor. Panics unless alpha > 0 and 0 < k < p.
 func NewBoundedPareto(alpha, k, p float64) BoundedPareto {
 	if alpha <= 0 || k <= 0 || p <= k {
 		panic(fmt.Sprintf("dist: bounded pareto needs alpha>0, 0<k<p, got alpha=%v k=%v p=%v", alpha, k, p))
 	}
-	return BoundedPareto{Alpha: alpha, K: k, P: p, norm: 1 - math.Pow(k/p, alpha)}
+	b := BoundedPareto{Alpha: alpha, K: k, P: p, norm: 1 - math.Pow(k/p, alpha)}
+	b.c = b.Alpha * math.Pow(b.K, b.Alpha) / b.norm
+	return b
 }
 
 // Sample draws by inverse CDF.
@@ -69,13 +72,12 @@ func (b BoundedPareto) PartialMoment(j, lo, hi float64) float64 {
 	if hi <= lo {
 		return 0
 	}
-	c := b.Alpha * math.Pow(b.K, b.Alpha) / b.norm
 	//lint:allow floateq exact dispatch at the removable singularity j = alpha
 	if j == b.Alpha {
-		return c * math.Log(hi/lo)
+		return b.c * math.Log(hi/lo)
 	}
 	e := j - b.Alpha
-	return c * (math.Pow(hi, e) - math.Pow(lo, e)) / e
+	return b.c * (math.Pow(hi, e) - math.Pow(lo, e)) / e
 }
 
 // Support reports [K, P].

@@ -160,9 +160,11 @@ func FairCutoff(lambda float64, size dist.Distribution) (float64, error) {
 		return 0, err
 	}
 	lo, hi := outerEdges(size)
+	loEdge, hiEdge := dist.NewEdge(size, lo), dist.NewEdge(size, hi)
 	diff := func(c float64) float64 {
-		_, s, _ := hostSlowdown(lambda, size, lo, c)
-		_, l, _ := hostSlowdown(lambda, size, c, hi)
+		e := dist.NewEdge(size, c)
+		_, s, _ := hostSlowdown(lambda, size, loEdge, e)
+		_, l, _ := hostSlowdown(lambda, size, e, hiEdge)
 		if math.IsInf(s, 1) && math.IsInf(l, 1) {
 			return 0
 		}

@@ -32,40 +32,39 @@ func EqualLoadCutoffs(size dist.Distribution, h int) ([]float64, error) {
 // as a function of its cutoffs: +Inf when any host is unstable or the
 // cutoffs do not strictly ascend, else the same value as
 // NewSITA(lambda, size, cuts).Analyze().MeanSlowdown, bit for bit. It
-// caches each host's JobFraction*MeanSlowdown term and load. Moving cutoff
-// i changes only hosts i and i+1, so a trial move evaluates two hosts and
-// re-sums the h cached terms in host order, which is Analyze's order. An
-// empty host's term is +0, and adding +0 to the sum changes nothing, so
+// caches each host's JobFraction*MeanSlowdown term and load, and each
+// host edge's dist.Edge. Moving cutoff i changes only its own edge and
+// hosts i and i+1, so a trial move builds one edge, evaluates two hosts
+// and re-sums the h cached terms in host order, which is Analyze's order.
+// An empty host's term is +0, and adding +0 to the sum changes nothing, so
 // the sum matches Analyze skipping that host.
 type cutoffObjective struct {
 	lambda float64
 	size   dist.Distribution
-	lo, hi float64   // outer edges of the first and last host's intervals
-	cuts   []float64 // current cutoffs, owned
-	terms  []float64 // per host JobFraction*MeanSlowdown
-	loads  []float64 // per host utilization
+	cuts   []float64   // current cutoffs, owned
+	edges  []dist.Edge // host k serves (edges[k], edges[k+1]]: the outer low edge, the cutoffs, the outer high edge
+	terms  []float64   // per host JobFraction*MeanSlowdown
+	loads  []float64   // per host utilization
 }
 
 // newCutoffObjective evaluates every host at cuts, which it takes over.
 func newCutoffObjective(lambda float64, size dist.Distribution, cuts []float64) *cutoffObjective {
+	h := len(cuts) + 1
 	o := &cutoffObjective{lambda: lambda, size: size, cuts: cuts,
-		terms: make([]float64, len(cuts)+1), loads: make([]float64, len(cuts)+1)}
-	o.lo, o.hi = outerEdges(size)
+		edges: make([]dist.Edge, h+1), terms: make([]float64, h), loads: make([]float64, h)}
+	lo, hi := outerEdges(size)
+	o.edges[0], o.edges[h] = dist.NewEdge(size, lo), dist.NewEdge(size, hi)
+	for k, c := range cuts {
+		o.edges[k+1] = dist.NewEdge(size, c)
+	}
 	for k := range o.terms {
-		o.terms[k], o.loads[k] = o.host(k)
+		o.terms[k], o.loads[k] = o.host(o.edges[k], o.edges[k+1])
 	}
 	return o
 }
 
-// host evaluates host k at the current cutoffs.
-func (o *cutoffObjective) host(k int) (term, load float64) {
-	lo, hi := o.lo, o.hi
-	if k > 0 {
-		lo = o.cuts[k-1]
-	}
-	if k < len(o.cuts) {
-		hi = o.cuts[k]
-	}
+// host evaluates the host serving (lo.X, hi.X].
+func (o *cutoffObjective) host(lo, hi dist.Edge) (term, load float64) {
 	frac, slowdown, load := hostSlowdown(o.lambda, o.size, lo, hi)
 	return frac * slowdown, load
 }
@@ -80,15 +79,13 @@ func (o *cutoffObjective) trial(i int, c float64) float64 {
 	old := o.cuts[i]
 	o.cuts[i] = c
 	ascending := strictlyAscending(o.cuts)
-	var ti, li, tj, lj float64
-	if ascending {
-		ti, li = o.host(i)
-		tj, lj = o.host(i + 1)
-	}
 	o.cuts[i] = old
 	if !ascending {
 		return math.Inf(1)
 	}
+	e := dist.NewEdge(o.size, c)
+	ti, li := o.host(o.edges[i], e)
+	tj, lj := o.host(e, o.edges[i+2])
 	var sum float64
 	for k, term := range o.terms {
 		load := o.loads[k]
@@ -106,11 +103,13 @@ func (o *cutoffObjective) trial(i int, c float64) float64 {
 	return sum
 }
 
-// move sets cutoff i to c and refreshes the two hosts it bounds.
+// move sets cutoff i to c and refreshes its edge and the two hosts it
+// bounds.
 func (o *cutoffObjective) move(i int, c float64) {
 	o.cuts[i] = c
-	o.terms[i], o.loads[i] = o.host(i)
-	o.terms[i+1], o.loads[i+1] = o.host(i + 1)
+	o.edges[i+1] = dist.NewEdge(o.size, c)
+	o.terms[i], o.loads[i] = o.host(o.edges[i], o.edges[i+1])
+	o.terms[i+1], o.loads[i+1] = o.host(o.edges[i+1], o.edges[i+2])
 }
 
 // strictlyAscending reports whether every cutoff exceeds the one before.
@@ -223,9 +222,10 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 		return []float64{c}, nil
 	}
 	lo, hi := supportBounds(size)
+	loEdge, hiEdge := dist.NewEdge(size, lo), dist.NewEdge(size, hi)
 
-	// slowdown evaluates host (prev, c] under total rate lambda.
-	slowdown := func(prev, c float64) float64 {
+	// slowdown evaluates host (prev.X, c.X] under total rate lambda.
+	slowdown := func(prev, c dist.Edge) float64 {
 		_, s, _ := hostSlowdown(lambda, size, prev, c)
 		return s
 	}
@@ -234,27 +234,27 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 	// it reports the last host's slowdown (or +Inf when infeasible).
 	cutsForTau := func(tau float64) ([]float64, float64) {
 		cuts := make([]float64, h-1)
-		prev := lo
+		prev := loEdge
 		for i := 0; i < h-1; i++ {
-			a, b := prev*(1+1e-12), hi
-			if slowdown(prev, b) < tau {
+			a, b := prev.X*(1+1e-12), hi
+			if slowdown(prev, hiEdge) < tau {
 				// Even absorbing everything stays below tau: saturate.
 				cuts[i] = b
-				prev = b
+				prev = hiEdge
 				continue
 			}
 			for it := 0; it < 100; it++ {
 				mid := math.Sqrt(a * b)
-				if slowdown(prev, mid) < tau {
+				if slowdown(prev, dist.NewEdge(size, mid)) < tau {
 					a = mid
 				} else {
 					b = mid
 				}
 			}
 			cuts[i] = math.Sqrt(a * b)
-			prev = cuts[i]
+			prev = dist.NewEdge(size, cuts[i])
 		}
-		return cuts, slowdown(prev, hi)
+		return cuts, slowdown(prev, hiEdge)
 	}
 
 	// Bisect tau: as tau grows each host absorbs more jobs, leaving the last

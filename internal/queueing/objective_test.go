@@ -152,7 +152,7 @@ func TestHostSlowdownMatchesHostAnalysis(t *testing.T) {
 					s := NewSITA(lambda, p.size, cuts)
 					for k, hm := range s.HostAnalysis() {
 						lo, hi := s.interval(k)
-						frac, slowdown, load := hostSlowdown(lambda, p.size, lo, hi)
+						frac, slowdown, load := hostSlowdown(lambda, p.size, dist.NewEdge(p.size, lo), dist.NewEdge(p.size, hi))
 						wantSlowdown := hm.MeanSlowdown
 						if hm.JobFraction == 0 {
 							wantSlowdown = 1
@@ -255,17 +255,37 @@ func runNoPanic(t *testing.T, name string, fn func() ([]float64, error)) (cuts [
 	return fn()
 }
 
-func BenchmarkOptimalCutoffs(b *testing.B) {
+// benchmarkSearch times one cutoff search on the C90-like size at load 0.7
+// for each host count.
+func benchmarkSearch(b *testing.B, hosts []int, search func(lambda float64, size dist.Distribution, h int) ([]float64, error)) {
 	size := c90ish()
-	for _, h := range []int{4, 6, 8} {
+	for _, h := range hosts {
 		lambda := float64(h) * 0.7 / size.Moment(1)
 		b.Run(fmt.Sprintf("h%d", h), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := OptimalCutoffs(lambda, size, h); err != nil {
+				if _, err := search(lambda, size, h); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+func BenchmarkOptimalCutoff(b *testing.B) {
+	benchmarkSearch(b, []int{2}, func(l float64, s dist.Distribution, _ int) ([]float64, error) {
+		c, err := OptimalCutoff(l, s)
+		return []float64{c}, err
+	})
+}
+
+func BenchmarkFairCutoff(b *testing.B) {
+	benchmarkSearch(b, []int{2}, func(l float64, s dist.Distribution, _ int) ([]float64, error) {
+		c, err := FairCutoff(l, s)
+		return []float64{c}, err
+	})
+}
+
+func BenchmarkOptimalCutoffs(b *testing.B) { benchmarkSearch(b, []int{4, 6, 8}, OptimalCutoffs) }
+
+func BenchmarkFairCutoffs(b *testing.B) { benchmarkSearch(b, []int{4, 8}, FairCutoffs) }

@@ -102,29 +102,28 @@ func (s SITA) HostAnalysis() []HostMetrics {
 	return out
 }
 
-// hostSlowdown evaluates the host serving sizes in (lo, hi] of a SITA
+// hostSlowdown evaluates the host serving sizes in (lo.X, hi.X] of a SITA
 // system with total arrival rate lambda: the fraction of jobs it receives,
 // their mean slowdown (1 for an empty host, +Inf when it is unstable) and
 // its utilization. It is the objective every cutoff search evaluates, so it
-// does only the work a search needs: one Prob and the partial moments
-// j = 1, 2, -1, with no allocation. Each value is computed by exactly the
+// does only the work a search needs: one dist.Interval over edges the
+// search keeps, with no allocation. Each value is computed by exactly the
 // floating-point operations HostAnalysis and MG1 perform on a Truncated
 // size, so frac*slowdown and load are bit-identical to Analyze's per-host
 // JobFraction*MeanSlowdown and Load.
-func hostSlowdown(lambda float64, size dist.Distribution, lo, hi float64) (frac, slowdown, load float64) {
-	mass := dist.Prob(size, lo, hi)
+func hostSlowdown(lambda float64, size dist.Distribution, lo, hi dist.Edge) (frac, slowdown, load float64) {
+	mass, work, second, inv := dist.Interval(size, lo, hi)
 	if mass <= 1e-15 {
 		return 0, 1, 0
 	}
-	work := dist.PartialMoment(size, 1, lo, hi)
 	load = lambda * work
 	q := lambda * mass // MG1.Lambda
 	rho := q * (work / mass)
 	if !(rho < 1) { // !MG1.Stable()
 		return mass, math.Inf(1), load
 	}
-	wait := q * (dist.PartialMoment(size, 2, lo, hi) / mass) / (2 * (1 - rho))
-	return mass, 1 + wait*(dist.PartialMoment(size, -1, lo, hi)/mass), load
+	wait := q * (second / mass) / (2 * (1 - rho))
+	return mass, 1 + wait*(inv/mass), load
 }
 
 // Feasible reports whether every host's utilization is below 1.

@@ -351,7 +351,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := catalog.CheckHosts(hosts); err != nil {
+	if err := catalog.CheckAdviceHosts(hosts); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
