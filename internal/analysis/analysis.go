@@ -1,12 +1,13 @@
 // Package analysis is the simulator's static-analysis suite: six
 // file-local analyzers (seedflow, nowallclock, maporder, floateq,
-// panicpolicy, pairing) plus three interprocedural ones (allocfree,
-// readonly, oblivious) that machine-check the determinism, numeric,
-// allocation, input-immutability, policy-capability (a WorkOnly policy
-// reads no job counts or idle lists), and resource-lifecycle contracts
-// the experiment pipeline depends on, and the small framework they run
-// on — including a whole-module static call graph (see callgraph.go) for
-// the interprocedural family.
+// panicpolicy, pairing) plus two interprocedural ones (allocfree,
+// readonly) that machine-check the determinism, numeric, allocation,
+// input-immutability and resource-lifecycle contracts the experiment
+// pipeline depends on, and the small framework they run on — including a
+// whole-module static call graph (see callgraph.go) for the
+// interprocedural family. What a policy may read when it dispatches needs
+// no analyzer: server.WorkPolicy and server.StatePolicy fix it in the
+// type of Assign's view parameter.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // an Analyzer holds a Run function over a type-checked Pass, diagnostics
@@ -260,6 +261,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy, Pairing,
-		Allocfree, Readonly, Oblivious,
+		Allocfree, Readonly,
 	}
 }

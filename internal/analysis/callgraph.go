@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the whole-module static call graph the interprocedural
-// analyzers (allocfree, readonly, oblivious) run on. Nodes are the named
+// analyzers (allocfree, readonly) run on. Nodes are the named
 // functions and methods of the loaded packages; a function literal is
 // attributed to the named declaration that lexically contains it, so a
 // closure's calls count as its enclosing function's calls. An edge is a
@@ -20,8 +20,7 @@ import (
 // Calls through interfaces and func-typed values, and functions referenced
 // as values, resolve to no edge. The contracts walked over the graph are
 // about code a function runs itself: the simulation hot paths are written
-// devirtualized, and a WorkOnly wrapper's inner policy is checked on its
-// own declaration. The determinism contract does not rest on the graph at
+// devirtualized. The determinism contract does not rest on the graph at
 // all: the file-local analyzers (nowallclock, seedflow, maporder) run over
 // every function, so a forbidden source is flagged where it is written,
 // whatever path reaches it.

@@ -52,8 +52,7 @@ func reachSet(g *CallGraph, root *CGNode) map[string]bool {
 }
 
 // TestCallGraphInterfaceDispatch pins that an interface call is not an
-// edge: the walks check code a function runs itself, and a WorkOnly
-// wrapper's inner policy is checked on its own declaration.
+// edge: the walks check code a function runs itself.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	g := loadFixtureGraph(t, "callgraph")
 	reach := reachSet(g, byDisplay(t, g, "callgraph.drive"))

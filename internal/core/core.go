@@ -224,7 +224,10 @@ type Advice struct {
 	TailCutoff, TailFraction float64
 	// Variants holds one entry per element of Variants(), in order.
 	Variants []VariantDesign
-	// Recommended is SITA-U-fair's design, else SITA-U-opt's, else nil.
+	// Recommended is SITA-U-fair's design, or nil when its search is
+	// infeasible. SITA-U-opt shares that feasibility range
+	// (queueing.FeasibleCutoffRange), so it is never feasible there
+	// either.
 	Recommended *Design
 }
 
@@ -237,8 +240,7 @@ type VariantDesign struct {
 
 // Advise characterizes the size distribution, derives every variant's
 // design for hosts identical hosts at the system load, and recommends
-// the paper's bottom line: SITA-U-fair, nearly optimal and fair, falling
-// back to SITA-U-opt when the fairness search is infeasible.
+// the paper's bottom line: SITA-U-fair, nearly optimal and fair.
 func Advise(load float64, size dist.BoundedPareto, hosts int) Advice {
 	tail := size.LoadCutoff(0.5)
 	a := Advice{
@@ -251,12 +253,9 @@ func Advise(load float64, size dist.BoundedPareto, hosts int) Advice {
 		d, err := NewDesign(v, load, size, hosts)
 		a.Variants = append(a.Variants, VariantDesign{Variant: v, Design: d, Err: err})
 	}
-	for _, want := range []Variant{SITAUFair, SITAUOpt} {
-		for _, vd := range a.Variants {
-			if vd.Variant == want && vd.Design != nil {
-				a.Recommended = vd.Design
-				return a
-			}
+	for _, vd := range a.Variants {
+		if vd.Variant == SITAUFair {
+			a.Recommended = vd.Design
 		}
 	}
 	return a

@@ -119,6 +119,40 @@ func TestAdvise(t *testing.T) {
 			t.Errorf("load %v, %d hosts: recommended %q, want %q", tc.load, tc.hosts, got, tc.want)
 		}
 	}
+	// Recommended has no SITA-U-opt fallback because none is needed: a
+	// fair design exists wherever an opt design does, over every
+	// profile, loads up to the overload edge, and host counts from 2 to
+	// 64.
+	loads := []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999, 0.99999, 0.999999999}
+	optDesigns := 0
+	for _, prof := range []trace.Profile{trace.C90(), trace.J90(), trace.CTC()} {
+		psize, err := prof.SizeDist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range loads {
+			for _, hosts := range []int{2, 3, 4, 8, 16, 64} {
+				var opt, fair *Design
+				for _, vd := range Advise(load, psize, hosts).Variants {
+					switch vd.Variant {
+					case SITAUOpt:
+						opt = vd.Design
+					case SITAUFair:
+						fair = vd.Design
+					}
+				}
+				if opt != nil {
+					optDesigns++
+					if fair == nil {
+						t.Errorf("%s, load %v, %d hosts: SITA-U-opt has a design, SITA-U-fair none", prof.Name, load, hosts)
+					}
+				}
+			}
+		}
+	}
+	if optDesigns == 0 {
+		t.Fatal("no SITA-U-opt design anywhere on the grid: the check above is vacuous")
+	}
 	a := Advise(0.7, size, 2)
 	if a.MeanSize != size.Moment(1) || a.SizeSCV != dist.SquaredCV(size) || a.TailCutoff != size.LoadCutoff(0.5) {
 		t.Errorf("characterization %+v does not match the size distribution", a)

@@ -231,7 +231,8 @@ func specMisclassified(v core.Variant, modeName string, mode policy.MisclassifyM
 		if err != nil {
 			return nil, nil, err
 		}
-		return policy.NewMisclassifyMode(d.Policy(), d.Cutoff, p, mode, sim.NewRNG(seed, rngStream)), nil, nil
+		// A design's policy is SITA or grouped SITA, both work policies.
+		return policy.NewMisclassifyMode(d.Policy().(server.WorkPolicy), d.Cutoff, p, mode, sim.NewRNG(seed, rngStream)), nil, nil
 	}}
 }
 

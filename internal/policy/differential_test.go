@@ -54,9 +54,9 @@ func tieTrapJobs(rng *rand.Rand, n int) []workload.Job {
 
 // diffPolicies runs a fresh indexed policy twice — pinned to the engine
 // (OrderCheck), where the System's own argmin indices answer, and through
-// plain Run, which takes the direct recurrence for oblivious and
-// work-only policies — and holds both record streams to the scan
-// reference's, which never claims a capability and so runs on the engine.
+// plain Run, which takes the direct recurrence for work policies — and
+// holds both record streams to the scan reference's, a state policy and
+// so run on the engine.
 func diffPolicies(t *testing.T, name string, hosts int, jobs []workload.Job,
 	indexed func() server.Policy, scan server.Policy, order server.CentralOrder) {
 	t.Helper()

@@ -17,14 +17,13 @@ import (
 type rangeOrRobin struct{ n int }
 
 func (*rangeOrRobin) Name() string { return "range-or-robin" }
-func (p *rangeOrRobin) Assign(_ workload.Job, v server.View) int {
+func (p *rangeOrRobin) Assign(_ workload.Job, v server.WorkView) int {
 	p.n++
 	if p.n%2 == 0 {
 		return v.MinWorkHostIn(min(1, v.Hosts()-1), v.Hosts())
 	}
 	return p.n % v.Hosts()
 }
-func (*rangeOrRobin) WorkOnly() bool { return true }
 
 // fuzzHeader is the number of leading bytes FuzzDirectMatchesEngine reads
 // as run parameters; the bytes after it (and after any SITA cutoffs) are
@@ -39,7 +38,7 @@ const fuzzMaxJobs = 512
 type fuzzCase struct {
 	hosts     int
 	warmup    float64
-	build     func() server.Policy
+	build     func() server.WorkPolicy
 	sizeClass func(float64) int
 	jobs      []workload.Job
 }
@@ -68,9 +67,9 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	switch hdr[2] % 6 {
 	case 0:
 		seed := uint64(hdr[4] >> 1)
-		c.build = func() server.Policy { return NewRandom(sim.NewRNG(seed, 0)) }
+		c.build = func() server.WorkPolicy { return NewRandom(sim.NewRNG(seed, 0)) }
 	case 1:
-		c.build = func() server.Policy { return NewRoundRobin() }
+		c.build = func() server.WorkPolicy { return NewRoundRobin() }
 	case 2:
 		cutoffs := make([]float64, h-1)
 		at := 0.0
@@ -81,9 +80,9 @@ func decodeFuzzCase(data []byte) fuzzCase {
 			}
 			cutoffs[i] = at
 		}
-		c.build = func() server.Policy { return NewSITA("sita", cutoffs) }
+		c.build = func() server.WorkPolicy { return NewSITA("sita", cutoffs) }
 	case 3:
-		c.build = func() server.Policy { return NewLeastWorkLeft() }
+		c.build = func() server.WorkPolicy { return NewLeastWorkLeft() }
 	case 4:
 		cutoff, short := float64(hdr[5]&15), 1
 		if h == 1 {
@@ -91,9 +90,9 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		} else {
 			short = 1 + int(hdr[5]>>4)%(h-1)
 		}
-		c.build = func() server.Policy { return NewGroupedSITA("grouped", cutoff, short) }
+		c.build = func() server.WorkPolicy { return NewGroupedSITA("grouped", cutoff, short) }
 	default:
-		c.build = func() server.Policy { return &rangeOrRobin{} }
+		c.build = func() server.WorkPolicy { return &rangeOrRobin{} }
 	}
 	switch hdr[3] % 4 {
 	case 1:

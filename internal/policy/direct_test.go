@@ -13,42 +13,43 @@ import (
 )
 
 // Differential proof of the direct fast path over the real policy
-// implementations: every policy that claims the WorkOnly capability must produce a bit-identical Result through plain server.Run
-// (the direct recurrence) and the event-heap engine
+// implementations: every work policy must produce a bit-identical Result
+// through plain server.Run (the direct recurrence) and the event-heap
+// engine
 // — same record bytes, same Welford stream states, same per-host
 // accounting — on streams retimed from all three of the paper's workload
 // profiles. Fresh policy instances (and fresh generators from the same
 // seed) per run keep the RNG draw sequences comparable.
 
-// directCases builds one instance of every capability-claiming policy on
-// 3 hosts: the state-blind ones, and those that read host work
+// directCases builds one instance of every work policy on 3 hosts: the
+// state-blind ones, and those that read host work
 // (Least-Work-Left, grouped SITA with one and with two short hosts, and a
 // misclassifying wrapper around LWL). Constructors are called per run so sequential
 // state (Round-Robin's counter, generators, believed backlogs) starts
 // identically on each path.
 func directCases() []struct {
 	name  string
-	build func() server.Policy
+	build func() server.WorkPolicy
 } {
 	cutoffs := []float64{100, 10000}
 	return []struct {
 		name  string
-		build func() server.Policy
+		build func() server.WorkPolicy
 	}{
-		{"random", func() server.Policy { return NewRandom(sim.NewRNG(7, 0)) }},
-		{"round-robin", func() server.Policy { return NewRoundRobin() }},
-		{"sita", func() server.Policy { return NewSITA("SITA-E", cutoffs) }},
-		{"misclassify-sita", func() server.Policy {
+		{"random", func() server.WorkPolicy { return NewRandom(sim.NewRNG(7, 0)) }},
+		{"round-robin", func() server.WorkPolicy { return NewRoundRobin() }},
+		{"sita", func() server.WorkPolicy { return NewSITA("SITA-E", cutoffs) }},
+		{"misclassify-sita", func() server.WorkPolicy {
 			return NewMisclassifyMode(NewSITA("SITA-E", cutoffs), 100, 0.3, FlipBoth, sim.NewRNG(7, 1))
 		}},
-		{"estimated-sita", func() server.Policy {
+		{"estimated-sita", func() server.WorkPolicy {
 			return NewEstimatedSITA(NewSITA("SITA-E", cutoffs), 0.5, sim.NewRNG(7, 2))
 		}},
-		{"estimated-lwl", func() server.Policy { return NewEstimatedLWL(0.5, sim.NewRNG(7, 3)) }},
-		{"lwl", func() server.Policy { return NewLeastWorkLeft() }},
-		{"grouped-sita-1of3", func() server.Policy { return NewGroupedSITA("grouped", 100, 1) }},
-		{"grouped-sita-2of3", func() server.Policy { return NewGroupedSITA("grouped", 100, 2) }},
-		{"misclassify-lwl", func() server.Policy {
+		{"estimated-lwl", func() server.WorkPolicy { return NewEstimatedLWL(0.5, sim.NewRNG(7, 3)) }},
+		{"lwl", func() server.WorkPolicy { return NewLeastWorkLeft() }},
+		{"grouped-sita-1of3", func() server.WorkPolicy { return NewGroupedSITA("grouped", 100, 1) }},
+		{"grouped-sita-2of3", func() server.WorkPolicy { return NewGroupedSITA("grouped", 100, 2) }},
+		{"misclassify-lwl", func() server.WorkPolicy {
 			return NewMisclassifyMode(NewLeastWorkLeft(), 100, 0.3, FlipBoth, sim.NewRNG(7, 4))
 		}},
 	}
@@ -90,9 +91,6 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 		jobs := profileStream(t, prof, 4000)
 		for _, pc := range directCases() {
 			t.Run(prof.Name+"/"+pc.name, func(t *testing.T) {
-				if p := pc.build(); !server.IsWorkOnly(p) {
-					t.Fatalf("%s does not claim the WorkOnly capability", pc.name)
-				}
 				// The order check pins a run to the engine.
 				cfg := func(p server.Policy, engine bool) server.Config {
 					return server.Config{
@@ -141,15 +139,16 @@ func TestDirectPathMatchesEngineAllObliviousPolicies(t *testing.T) {
 	}
 }
 
-// TestObliviousCapabilityClaims pins which policies claim the WorkOnly
-// capability — the state-blind ones and those that read only host work —
-// and that wrappers forward rather than assert it: wrapping a policy that
-// reads job counts must not claim it, however the wrapper itself behaves.
+// TestObliviousCapabilityClaims pins which policies plain server.Run
+// takes to the direct path: the work policies — the state-blind ones and
+// those that read only host work, wrapped or not — and not the state
+// policies. The kinds themselves are compile-time facts (the assertions
+// in policy.go); this pins that DirectEligible follows them.
 func TestObliviousCapabilityClaims(t *testing.T) {
 	claims := []struct {
-		name     string
-		p        server.Policy
-		workOnly bool
+		name   string
+		p      server.Policy
+		direct bool
 	}{
 		{"Random", NewRandom(sim.NewRNG(1, 0)), true},
 		{"RoundRobin", NewRoundRobin(), true},
@@ -160,17 +159,13 @@ func TestObliviousCapabilityClaims(t *testing.T) {
 		{"CentralQueue", NewCentralQueue(), false},
 		{"GroupedSITA", NewGroupedSITA("grouped", 10, 1), true},
 		{"Misclassify(SITA)", NewMisclassifyMode(NewSITA("s", []float64{10}), 10, 0.1, FlipBoth, sim.NewRNG(1, 2)), true},
-		{"Misclassify(ShortestQueue)", NewMisclassifyMode(NewShortestQueue(), 10, 0.1, FlipBoth, sim.NewRNG(1, 3)), false},
 		{"Misclassify(LWL)", NewMisclassifyMode(NewLeastWorkLeft(), 10, 0.1, FlipBoth, sim.NewRNG(1, 4)), true},
 		{"Misclassify(GroupedSITA)", NewMisclassifyMode(NewGroupedSITA("grouped", 10, 1), 10, 0.1, FlipBoth, sim.NewRNG(1, 6)), true},
 		{"EstimatedSITA(SITA)", NewEstimatedSITA(NewSITA("s", []float64{10}), 0.3, sim.NewRNG(1, 5)), true},
 	}
 	for _, c := range claims {
-		if got := server.IsWorkOnly(c.p); got != c.workOnly {
-			t.Errorf("IsWorkOnly(%s) = %v, want %v", c.name, got, c.workOnly)
-		}
-		if got := server.DirectEligible(server.Config{Hosts: 2, Policy: c.p}); got != c.workOnly {
-			t.Errorf("DirectEligible(%s) = %v, want %v", c.name, got, c.workOnly)
+		if got := server.DirectEligible(server.Config{Hosts: 2, Policy: c.p}); got != c.direct {
+			t.Errorf("DirectEligible(%s) = %v, want %v", c.name, got, c.direct)
 		}
 	}
 }

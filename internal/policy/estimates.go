@@ -65,7 +65,7 @@ func (p *EstimatedLWL) Estimate(size float64) float64 {
 // the old scan did — the belief floors at now before the estimate is added
 // — so the belief trajectory, and with it the assignment stream and the
 // rng draw order, stay bit-identical.
-func (p *EstimatedLWL) Assign(j workload.Job, v server.View) int {
+func (p *EstimatedLWL) Assign(j workload.Job, v server.WorkView) int {
 	if !p.inited {
 		p.believed.Reset(v.Hosts())
 		p.inited = true
@@ -80,12 +80,6 @@ func (p *EstimatedLWL) Assign(j workload.Job, v server.View) int {
 	p.believed.SetKey(best, base+p.Estimate(j.Size))
 	return best
 }
-
-// WorkOnly reports that Assign reads no system state at all: the
-// believed backlogs live inside the policy, advanced only by job arrivals
-// and its own rng draws — the dispatcher of §1.2 genuinely never sees the
-// true queues — so server.Run may take the direct-recurrence path.
-func (*EstimatedLWL) WorkOnly() bool { return true }
 
 // EstimatedSITA routes by a noisy runtime estimate instead of the true
 // size: the continuous version of the short/long misclassification model,
@@ -112,14 +106,9 @@ func (p *EstimatedSITA) Name() string {
 }
 
 // Assign perturbs the size seen by the inner SITA policy.
-func (p *EstimatedSITA) Assign(j workload.Job, v server.View) int {
+func (p *EstimatedSITA) Assign(j workload.Job, v server.WorkView) int {
 	if p.sigma > 0 {
 		j.Size *= math.Exp(p.sigma * p.rng.NormFloat64())
 	}
 	return p.inner.Assign(j, v)
 }
-
-// WorkOnly forwards the inner policy's capability (always true today —
-// the inner policy is a *SITA — but written as a delegation so the claim
-// tracks the wrapped instance, as Misclassify's does).
-func (p *EstimatedSITA) WorkOnly() bool { return server.IsWorkOnly(p.inner) }

@@ -14,6 +14,12 @@
 // to the sim.RNG stream injected at construction. The indexed variants
 // keep their hostindex structures in reusable storage, so host selection
 // stays allocation-free on the simulation hot path.
+//
+// Each policy's kind is part of its type: the work policies read at most
+// host work through a server.WorkView, so server.Run takes the direct
+// recurrence for them; Shortest-Queue and Central-Queue read the full
+// server.View and run on the event-heap engine. The assertions below make
+// a policy that changes kind a compile error here.
 package policy
 
 import (
@@ -23,6 +29,19 @@ import (
 
 	"sita/internal/server"
 	"sita/internal/workload"
+)
+
+var (
+	_ server.WorkPolicy  = (*Random)(nil)
+	_ server.WorkPolicy  = (*RoundRobin)(nil)
+	_ server.StatePolicy = ShortestQueue{}
+	_ server.WorkPolicy  = LeastWorkLeft{}
+	_ server.StatePolicy = CentralQueue{}
+	_ server.WorkPolicy  = (*SITA)(nil)
+	_ server.WorkPolicy  = (*GroupedSITA)(nil)
+	_ server.WorkPolicy  = (*Misclassify)(nil)
+	_ server.WorkPolicy  = (*EstimatedLWL)(nil)
+	_ server.WorkPolicy  = (*EstimatedSITA)(nil)
 )
 
 // Random assigns each job to a host chosen uniformly at random: Bernoulli
@@ -45,14 +64,9 @@ func NewRandom(rng *rand.Rand) *Random {
 func (*Random) Name() string { return "Random" }
 
 // Assign picks a uniform host.
-func (p *Random) Assign(_ workload.Job, v server.View) int {
+func (p *Random) Assign(_ workload.Job, v server.WorkView) int {
 	return p.rng.IntN(v.Hosts())
 }
-
-// WorkOnly reports that Assign reads no system state at all (only the
-// host count and the policy's own generator), so server.Run may take the
-// direct-recurrence path.
-func (*Random) WorkOnly() bool { return true }
 
 // RoundRobin assigns the i-th arriving job to host i mod h, equalizing the
 // expected number of jobs per host with less interarrival variability than
@@ -68,16 +82,11 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (*RoundRobin) Name() string { return "Round-Robin" }
 
 // Assign cycles through the hosts.
-func (p *RoundRobin) Assign(_ workload.Job, v server.View) int {
+func (p *RoundRobin) Assign(_ workload.Job, v server.WorkView) int {
 	idx := p.next
 	p.next = (p.next + 1) % v.Hosts()
 	return idx
 }
-
-// WorkOnly reports that Assign reads no system state at all (only the
-// host count and the policy's own counter), so server.Run may take the
-// direct-recurrence path.
-func (*RoundRobin) WorkOnly() bool { return true }
 
 // ShortestQueue sends each job to the host currently holding the fewest
 // jobs, equalizing the instantaneous number of jobs. Ties break to the
@@ -112,14 +121,9 @@ func (LeastWorkLeft) Name() string { return "Least-Work-Left" }
 // Assign picks the host with minimal backlog via the view's incremental
 // work index — O(log h) instead of an O(h) scan, same pick including the
 // lowest-index tie-break among drained hosts.
-func (LeastWorkLeft) Assign(_ workload.Job, v server.View) int {
+func (LeastWorkLeft) Assign(_ workload.Job, v server.WorkView) int {
 	return v.MinWorkHost()
 }
-
-// WorkOnly reports that Assign reads only host work (MinWorkHost), which
-// the direct recurrence answers from its per-host clocks, so server.Run
-// may take the direct-recurrence path.
-func (LeastWorkLeft) WorkOnly() bool { return true }
 
 // CentralQueue holds every job in a FCFS queue at the dispatcher; a host
 // pulls the next job the moment it goes idle. Provably equivalent to
@@ -177,18 +181,13 @@ func (p *SITA) Cutoffs() []float64 {
 // Assign routes by size interval. SearchFloat64s returns the first cutoff
 // >= size, so a size exactly on a cutoff lands in the lower interval,
 // matching the (lo, hi] convention of the analysis.
-func (p *SITA) Assign(j workload.Job, v server.View) int {
+func (p *SITA) Assign(j workload.Job, v server.WorkView) int {
 	idx := sort.SearchFloat64s(p.cutoffs, j.Size)
 	if idx >= v.Hosts() {
 		return v.Hosts() - 1
 	}
 	return idx
 }
-
-// WorkOnly reports that Assign reads no system state at all (only the
-// job size, the fixed cutoffs and the host count), so server.Run may take
-// the direct-recurrence path.
-func (*SITA) WorkOnly() bool { return true }
 
 // GroupedSITA is the paper's section-5 construction for systems with many
 // hosts: hosts are divided into a short group and a long group, the 2-host
@@ -213,7 +212,7 @@ func NewGroupedSITA(label string, cutoff float64, shortHosts int) *GroupedSITA {
 func (p *GroupedSITA) Name() string { return p.label }
 
 // Assign classifies by the 2-host cutoff, then runs LWL within the group.
-func (p *GroupedSITA) Assign(j workload.Job, v server.View) int {
+func (p *GroupedSITA) Assign(j workload.Job, v server.WorkView) int {
 	lo, hi := 0, p.shortHosts
 	if j.Size > p.cutoff {
 		lo, hi = p.shortHosts, v.Hosts()
@@ -225,16 +224,12 @@ func (p *GroupedSITA) Assign(j workload.Job, v server.View) int {
 	return v.MinWorkHostIn(lo, hi)
 }
 
-// WorkOnly reports that Assign reads only host work (MinWorkHostIn, plus
-// the host count), so server.Run may take the direct-recurrence path.
-func (*GroupedSITA) WorkOnly() bool { return true }
-
-// Misclassify wraps a size-based policy to model imperfect user runtime
-// estimates (section 7): with probability P the job is presented to the
+// Misclassify wraps a size-based work policy to model imperfect user
+// runtime estimates (section 7): with probability P the job is presented to the
 // inner policy with a size drawn from the opposite side of the cutoff, so
 // it is routed as if the user misjudged short vs long.
 type Misclassify struct {
-	inner  server.Policy
+	inner  server.WorkPolicy
 	cutoff float64
 	p      float64
 	mode   MisclassifyMode
@@ -262,7 +257,7 @@ const (
 // separates short from long, p is the per-job misclassification
 // probability, and mode picks the directions it applies in.
 // Panics if inner or rng is nil, or p is outside [0, 1].
-func NewMisclassifyMode(inner server.Policy, cutoff, p float64, mode MisclassifyMode, rng *rand.Rand) *Misclassify {
+func NewMisclassifyMode(inner server.WorkPolicy, cutoff, p float64, mode MisclassifyMode, rng *rand.Rand) *Misclassify {
 	if inner == nil || rng == nil {
 		panic("policy: misclassify needs an inner policy and a generator")
 	}
@@ -279,7 +274,7 @@ func (m *Misclassify) Name() string {
 
 // Assign flips the job's apparent class with probability P (subject to the
 // direction mode) before delegating.
-func (m *Misclassify) Assign(j workload.Job, v server.View) int {
+func (m *Misclassify) Assign(j workload.Job, v server.WorkView) int {
 	short := j.Size <= m.cutoff
 	eligible := m.mode == FlipBoth ||
 		(m.mode == FlipShortOnly && short) ||
@@ -295,10 +290,3 @@ func (m *Misclassify) Assign(j workload.Job, v server.View) int {
 	}
 	return m.inner.Assign(j, v)
 }
-
-// WorkOnly forwards the inner policy's capability: the wrapper itself
-// adds only a size perturbation and an rng draw, both state-blind, so the
-// wrapped pair is work-only exactly when the inner policy is. Wrapping
-// SITA, Least-Work-Left or grouped SITA yields true; wrapping
-// Shortest-Queue yields false.
-func (m *Misclassify) WorkOnly() bool { return server.IsWorkOnly(m.inner) }

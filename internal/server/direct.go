@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the direct-recurrence fast path. When the assignment
-// decision reads at most host work (see WorkOnly), each FCFS host evolves
+// decision reads at most host work (a WorkPolicy), each FCFS host evolves
 // as an independent single-server queue and every job's service window
 // follows Lindley's recurrence:
 //
@@ -141,9 +141,9 @@ type directRunner struct {
 	job  []directJob
 	link []directLink
 
-	// The View handed to the policy; it also holds the policy the replay
-	// loop calls.
-	view workView
+	// The policy and the WorkView handed to it.
+	policy WorkPolicy
+	view   workView
 
 	// Accounting sinks: phase 2 folds each emission into res inline —
 	// the same update sequence as Result.observe. cold is non-nil only
@@ -170,7 +170,7 @@ var directPool = sync.Pool{New: func() any { return new(directRunner) }}
 // max with any finite arrival is unchanged, and it makes "host idle at
 // this arrival" a single float compare (a fresh host's clock is below
 // every arrival by construction).
-func (d *directRunner) setup(n, h int, p Policy) {
+func (d *directRunner) setup(n, h int, p WorkPolicy) {
 	m := 1
 	for m < h {
 		m <<= 1
@@ -206,14 +206,16 @@ func (d *directRunner) setup(n, h int, p Policy) {
 		d.last[i] = int32(n+1) + int32(i)
 		d.link[n+1+i] = directLink{next: sentinel, trig: 0}
 	}
-	d.view.reset(p, d.free)
+	d.policy = p
+	d.view.reset(d.free)
 }
 
 // release drops the per-run references (policy, result, callbacks) so a
 // pooled runner never retains a caller's objects, then returns it to the
 // pool.
 func (d *directRunner) release() {
-	d.view.reset(nil, nil)
+	d.policy = nil
+	d.view.reset(nil)
 	d.res = nil
 	d.sizeClass = nil
 	d.cold = nil
@@ -245,7 +247,7 @@ func (d *directRunner) assign(jobs []workload.Job) {
 	sentinel := int32(len(jobs))
 	prev := 0.0
 	view := &d.view
-	p := view.policy
+	p := d.policy
 	for i := range jobs {
 		j := jobs[i]
 		j.ID = i
@@ -423,13 +425,14 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 
 // DirectEligible reports whether Run would take the direct path for this
 // configuration. The decision reads the run's own Config and nothing
-// else: the policy claims the WorkOnly capability and neither an
-// interrupt probe nor the order check is installed. Callers that install
-// per-request interrupt probes (internal/service) use this to skip the
-// probe when the run will be too fast to need one. cfg.OrderCheck asserts
+// else: the policy is a WorkPolicy and neither an interrupt probe nor the
+// order check is installed. Callers that install per-request interrupt
+// probes (internal/service) use this to skip the probe when the run will
+// be too fast to need one. cfg.OrderCheck asserts
 // event-heap dispatch order, so it pins the run to the engine — which
 // also makes it how tests, benchmarks and the property harness force the
 // engine for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
-	return cfg.Interrupt == nil && !cfg.OrderCheck && IsWorkOnly(cfg.Policy)
+	_, work := cfg.Policy.(WorkPolicy)
+	return work && cfg.Interrupt == nil && !cfg.OrderCheck
 }

@@ -86,11 +86,11 @@ func BenchmarkDirectReplayCore(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name      string
-		pol       Policy
+		pol       WorkPolicy
 		sizeClass func(float64) int
 	}{
 		{"oblivious", &scripted{hosts: script}, nil},
-		{"work-only", workLWL{}, nil},
+		{"work-only", indexedLWL{}, nil},
 		{"classes", &scripted{hosts: script}, sitaClass},
 	} {
 		b.Run(c.name, func(b *testing.B) {

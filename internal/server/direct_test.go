@@ -15,87 +15,28 @@ import (
 )
 
 // scripted replays a fixed job→host assignment (e.g. one recovered from a
-// golden record stream). State-blind by construction, so it legitimately
-// claims the WorkOnly capability.
+// golden record stream). State-blind by construction, so a work policy.
 type scripted struct{ hosts []int }
 
-func (*scripted) Name() string                        { return "scripted" }
-func (s *scripted) Assign(j workload.Job, _ View) int { return s.hosts[j.ID] }
-func (*scripted) WorkOnly() bool                      { return true }
+func (*scripted) Name() string                            { return "scripted" }
+func (s *scripted) Assign(j workload.Job, _ WorkView) int { return s.hosts[j.ID] }
 
-// workLiar claims the work-only capability but reads job counts or the
-// idle freelist (method), or returns Central (method "Central") — the
-// violations the work view and the replay loop must catch.
-type workLiar struct{ method string }
+// centralLiar is a work policy that breaks its contract by returning
+// Central, which the direct path's replay loop must catch.
+type centralLiar struct{}
 
-func (*workLiar) Name() string { return "work-liar" }
-func (l *workLiar) Assign(_ workload.Job, v View) int {
-	switch l.method {
-	case "NumJobs":
-		return v.NumJobs(0) * 0
-	case "MinJobsHost":
-		return v.MinJobsHost()
-	case "NextIdleHost":
-		_ = v.NextIdleHost()
-	case "Central":
-		return Central
-	}
-	return v.MinWorkHost()
-}
-func (*workLiar) WorkOnly() bool { return true }
+func (centralLiar) Name() string                      { return "central-liar" }
+func (centralLiar) Assign(workload.Job, WorkView) int { return Central }
 
-// lateLiar claims the work-only capability and keeps it for its first
-// k jobs, asking every host-work query the claim allows, then reads a
-// forbidden query (method) — so the tripwire must fire on a view whose
-// work index is already built and kept current.
-type lateLiar struct {
-	method string
-	k, n   int
-}
-
-func (*lateLiar) Name() string { return "late-liar" }
-func (l *lateLiar) Assign(_ workload.Job, v View) int {
-	l.n++
-	if l.n > l.k {
-		switch l.method {
-		case "NumJobs":
-			return v.NumJobs(0) * 0
-		case "MinJobsHost":
-			return v.MinJobsHost()
-		case "NextIdleHost":
-			_ = v.NextIdleHost()
-		}
-	}
-	_ = v.WorkLeft(0)
-	_ = v.Idle(v.Hosts() - 1)
-	_ = v.MinWorkHostIn(0, v.Hosts())
-	return v.MinWorkHost()
-}
-func (*lateLiar) WorkOnly() bool { return true }
-
-// workLWL is an honest work-only policy: Least-Work-Left through the
-// view's work index.
-type workLWL struct{}
-
-func (workLWL) Name() string                      { return "work-lwl" }
-func (workLWL) Assign(_ workload.Job, v View) int { return v.MinWorkHost() }
-func (workLWL) WorkOnly() bool                    { return true }
-
-// workScanLWL is the golden streams' scan LWL claiming the work-only
-// capability, so it reads WorkLeft through the direct path's work view.
-type workScanLWL struct{ goldenLWL }
-
-func (workScanLWL) WorkOnly() bool { return true }
-
-// idleFirst is an honest work-only policy that reads Idle as well: the
-// lowest idle host if any, else the least WorkLeft. A host whose
-// departure falls exactly at the arrival has zero work left but is not
-// idle yet, so this pick differs from LWL's exactly at the ties the
-// direct path must reproduce.
+// idleFirst is a work policy that reads Idle as well: the lowest idle
+// host if any, else the least WorkLeft. A host whose departure falls
+// exactly at the arrival has zero work left but is not idle yet, so this
+// pick differs from LWL's exactly at the ties the direct path must
+// reproduce.
 type idleFirst struct{}
 
 func (idleFirst) Name() string { return "idle-first" }
-func (idleFirst) Assign(_ workload.Job, v View) int {
+func (idleFirst) Assign(_ workload.Job, v WorkView) int {
 	best, bestW := -1, 0.0
 	for i := 0; i < v.Hosts(); i++ {
 		if v.Idle(i) {
@@ -107,44 +48,40 @@ func (idleFirst) Assign(_ workload.Job, v View) int {
 	}
 	return best
 }
-func (idleFirst) WorkOnly() bool { return true }
 
-// lateLWL is an honest work-only policy that round-robins its first k
-// jobs without a query and then turns Least-Work-Left, so the work index
-// is first built mid-run from clocks the state-blind picks advanced.
+// lateLWL is a work policy that round-robins its first k jobs without a
+// query and then turns Least-Work-Left, so the work index is first built
+// mid-run from clocks the state-blind picks advanced.
 type lateLWL struct{ k, n int }
 
 func (*lateLWL) Name() string { return "late-lwl" }
-func (p *lateLWL) Assign(_ workload.Job, v View) int {
+func (p *lateLWL) Assign(_ workload.Job, v WorkView) int {
 	p.n++
 	if p.n <= p.k {
 		return p.n % v.Hosts()
 	}
 	return v.MinWorkHost()
 }
-func (*lateLWL) WorkOnly() bool { return true }
 
-// rangeOrRobin is an honest work-only policy that alternates a
-// least-work pick among hosts 1.. with a round-robin pick over all hosts,
-// so the index must follow clocks advanced by picks that never query it.
+// rangeOrRobin is a work policy that alternates a least-work pick among
+// hosts 1.. with a round-robin pick over all hosts, so the index must
+// follow clocks advanced by picks that never query it.
 type rangeOrRobin struct{ n int }
 
 func (*rangeOrRobin) Name() string { return "range-or-robin" }
-func (p *rangeOrRobin) Assign(_ workload.Job, v View) int {
+func (p *rangeOrRobin) Assign(_ workload.Job, v WorkView) int {
 	p.n++
 	if p.n%2 == 0 {
 		return v.MinWorkHostIn(1, v.Hosts())
 	}
 	return p.n % v.Hosts()
 }
-func (*rangeOrRobin) WorkOnly() bool { return true }
 
-// toHostZero is honestly state-blind and trivial.
+// toHostZero is a state-blind, trivial work policy.
 type toHostZero struct{}
 
-func (toHostZero) Name() string                  { return "to-host-zero" }
-func (toHostZero) Assign(workload.Job, View) int { return 0 }
-func (toHostZero) WorkOnly() bool                { return true }
+func (toHostZero) Name() string                      { return "to-host-zero" }
+func (toHostZero) Assign(workload.Job, WorkView) int { return 0 }
 
 // parseGoldenHosts recovers the job→host assignment from a golden record
 // stream (lines of "ID Host Arrival Size Start Departure").
@@ -189,10 +126,10 @@ func TestDirectGoldenReplay(t *testing.T) {
 		{"push-lwl", "push-lwl", goldenJobs(42, 3000), 3, nil},
 		{"central-fcfs", "central-fcfs", goldenJobs(43, 3000), 3, nil},
 		{"ties-push-lwl", "ties-push-lwl", tieJobs(), 2, nil},
-		{"push-lwl/work-index", "push-lwl", goldenJobs(42, 3000), 3, workLWL{}},
-		{"push-lwl/work-scan", "push-lwl", goldenJobs(42, 3000), 3, workScanLWL{}},
-		{"ties-push-lwl/work-index", "ties-push-lwl", tieJobs(), 2, workLWL{}},
-		{"ties-push-lwl/work-scan", "ties-push-lwl", tieJobs(), 2, workScanLWL{}},
+		{"push-lwl/work-index", "push-lwl", goldenJobs(42, 3000), 3, indexedLWL{}},
+		{"push-lwl/work-scan", "push-lwl", goldenJobs(42, 3000), 3, goldenLWL{}},
+		{"ties-push-lwl/work-index", "ties-push-lwl", tieJobs(), 2, indexedLWL{}},
+		{"ties-push-lwl/work-scan", "ties-push-lwl", tieJobs(), 2, goldenLWL{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,36 +151,25 @@ func TestDirectGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestDirectWorkViewTripwire proves the direct path's view fails loudly,
-// naming the policy, when a work-only policy reads what its claim rules
-// out or returns Central, and otherwise answers the host-work queries and
-// the host count.
+// TestDirectWorkViewTripwire proves the direct path fails loudly, naming
+// the policy, when a work policy returns Central, and otherwise answers
+// the host-work queries and the host count.
 func TestDirectWorkViewTripwire(t *testing.T) {
 	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 0.5, Size: 1}}
-	for _, c := range []struct{ method, want string }{
-		{"NumJobs", "claims WorkOnly but read View.NumJobs"},
-		{"MinJobsHost", "claims WorkOnly but read View.MinJobsHost"},
-		{"NextIdleHost", "claims WorkOnly but read View.NextIdleHost"},
-		{"Central", "returned host -1"},
-	} {
-		t.Run(c.method, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s did not panic on the direct path", c.method)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, `"work-liar"`) || !strings.Contains(msg, c.want) {
-					t.Fatalf("panic %v does not name the policy and the violation %q", r, c.want)
-				}
-			}()
-			runDirect(jobs, Config{Hosts: 2, Policy: &workLiar{method: c.method}})
-		})
-	}
+	t.Run("Central", func(t *testing.T) {
+		defer func() {
+			r := recover()
+			msg, ok := r.(string)
+			if !ok || !strings.Contains(msg, `"central-liar"`) || !strings.Contains(msg, "returned host -1") {
+				t.Fatalf("panic %v does not name the policy and the returned Central", r)
+			}
+		}()
+		runDirect(jobs, Config{Hosts: 2, Policy: centralLiar{}})
+	})
 	// The second job arrives while host 0 still works: LWL picks host 1.
-	res := runDirect(jobs, Config{Hosts: 2, Policy: workLWL{}, KeepRecords: true})
+	res := runDirect(jobs, Config{Hosts: 2, Policy: indexedLWL{}, KeepRecords: true})
 	if len(res.Records) != 2 || res.Records[0].Host != 0 || res.Records[1].Host != 1 {
-		t.Fatalf("honest work-only policy misrouted on the direct path: %+v", res.Records)
+		t.Fatalf("work policy misrouted on the direct path: %+v", res.Records)
 	}
 	// A policy that reads nothing runs on the same view.
 	res = runDirect(jobs, Config{Hosts: 2, Policy: toHostZero{}, KeepRecords: true})
@@ -252,69 +178,38 @@ func TestDirectWorkViewTripwire(t *testing.T) {
 	}
 }
 
-// TestDirectViewTripwire proves the direct path's view answers every
-// host-work query a work-only claim allows and still fails loudly,
-// naming the policy and the query, when the policy later reads job
-// counts or the idle freelist.
-func TestDirectViewTripwire(t *testing.T) {
-	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 0.5, Size: 1}, {Arrival: 3, Size: 1}, {Arrival: 3.5, Size: 2}}
-	for _, method := range []string{"NumJobs", "MinJobsHost", "NextIdleHost"} {
-		t.Run(method, func(t *testing.T) {
-			p := &lateLiar{method: method, k: 3}
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("View.%s did not panic on the direct path", method)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, `"late-liar"`) || !strings.Contains(msg, "claims WorkOnly but read View."+method) {
-					t.Fatalf("panic %v does not name the policy and View.%s", r, method)
-				}
-				if p.n != p.k+1 {
-					t.Fatalf("panicked at job %d, want job %d (the first forbidden read)", p.n, p.k+1)
-				}
-			}()
-			runDirect(jobs, Config{Hosts: 2, Policy: p})
-		})
-	}
-}
-
 // TestDirectDispatch pins Run's dispatch rule by observing which path a
-// lying policy dies on: by default Run hands it the direct path's view
-// (panic); with the order check or an interrupt probe installed it gets
-// the engine's real view (no panic).
+// run took through Result.MeanQueueLen, which only the engine accrues:
+// the second job queues behind the first, so an engine run reports a
+// positive mean queue length and a direct run 0. By default Run hands a
+// work policy to the direct path; the order check or an interrupt probe
+// pins the engine, and a state policy always gets it.
 func TestDirectDispatch(t *testing.T) {
-	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 1, Size: 2}}
-	runPanics := func(cfg Config) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		Run(jobs, cfg)
-		return
+	jobs := []workload.Job{{Arrival: 0, Size: 2}, {Arrival: 1, Size: 2}}
+	plain := Config{Hosts: 2, Policy: toHostZero{}}
+	if !DirectEligible(plain) || Run(jobs, plain).MeanQueueLen != 0 {
+		t.Fatal("Run did not take the direct path for a work policy")
 	}
-	if !runPanics(Config{Hosts: 2, Policy: &workLiar{method: "NumJobs"}}) {
-		t.Fatal("Run did not take the direct path for a claimed work-only policy")
+	if !DirectEligible(Config{Hosts: 2, Policy: indexedLWL{}}) {
+		t.Fatal("DirectEligible false for a host-work-reading work policy")
 	}
-	ordered := Config{Hosts: 2, Policy: &workLiar{method: "NumJobs"}, OrderCheck: true}
-	if runPanics(ordered) {
-		t.Fatal("Run took the direct path despite the order check")
-	}
-	if DirectEligible(ordered) {
-		t.Fatal("DirectEligible true with the order check installed")
-	}
-	interrupted := Config{Hosts: 2, Policy: &workLiar{method: "NumJobs"}, Interrupt: func() bool { return false }}
-	if runPanics(interrupted) {
-		t.Fatal("Run took the direct path despite an interrupt probe")
-	}
-	if DirectEligible(interrupted) {
-		t.Fatal("DirectEligible true with an interrupt probe installed")
-	}
-	if !DirectEligible(Config{Hosts: 2, Policy: toHostZero{}}) {
-		t.Fatal("DirectEligible false for a state-blind policy with no probe")
-	}
-	if !DirectEligible(Config{Hosts: 2, Policy: workLWL{}}) {
-		t.Fatal("DirectEligible false for a work-only policy with no probe")
-	}
-	if DirectEligible(Config{Hosts: 2, Policy: goldenLWL{}}) {
-		t.Fatal("DirectEligible true for a policy without the capability")
+	ordered, interrupted := plain, plain
+	ordered.OrderCheck = true
+	interrupted.Interrupt = func() bool { return false }
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"order check", ordered},
+		{"interrupt probe", interrupted},
+		{"state policy", Config{Hosts: 2, Policy: toHost(0)}},
+	} {
+		if DirectEligible(c.cfg) {
+			t.Errorf("%s: DirectEligible true", c.name)
+		}
+		if Run(jobs, c.cfg).MeanQueueLen <= 0 {
+			t.Errorf("%s: Run took the direct path", c.name)
+		}
 	}
 }
 

@@ -15,11 +15,13 @@ import (
 // bytes proves the indices reproduce the scans' picks — including every
 // tie — on the exact traces that pin the kernel's event ordering.
 
-// indexedLWL is least-work-left through the incremental work index.
+// indexedLWL is least-work-left through the incremental work index. A
+// work policy, so plain Run takes the direct path; the engine scenarios
+// set OrderCheck.
 type indexedLWL struct{}
 
-func (indexedLWL) Name() string                      { return "lwl-indexed" }
-func (indexedLWL) Assign(_ workload.Job, v View) int { return v.MinWorkHost() }
+func (indexedLWL) Name() string                          { return "lwl-indexed" }
+func (indexedLWL) Assign(_ workload.Job, v WorkView) int { return v.MinWorkHost() }
 
 // indexedCQ routes to the lowest idle host via the freelist, else holds
 // centrally. Under CentralFCFS this is record-equivalent to holding every
@@ -41,10 +43,10 @@ func TestKernelGoldenIndexedReplay(t *testing.T) {
 		run    func() *Result
 	}{
 		{"push-lwl", func() *Result {
-			return Run(goldenJobs(42, 3000), Config{Hosts: 3, Policy: indexedLWL{}, KeepRecords: true})
+			return Run(goldenJobs(42, 3000), Config{Hosts: 3, Policy: indexedLWL{}, KeepRecords: true, OrderCheck: true})
 		}},
 		{"ties-push-lwl", func() *Result {
-			return Run(tieJobs(), Config{Hosts: 2, Policy: indexedLWL{}, KeepRecords: true})
+			return Run(tieJobs(), Config{Hosts: 2, Policy: indexedLWL{}, KeepRecords: true, OrderCheck: true})
 		}},
 		{"ps-cancel", func() *Result {
 			return RunPS(goldenJobs(46, 1500), Config{Hosts: 2, Policy: indexedLWL{}, KeepRecords: true})
@@ -75,7 +77,7 @@ func TestKernelGoldenIndexedReplay(t *testing.T) {
 func TestIndexedSelectionSurvivesEngineReuse(t *testing.T) {
 	run := func(hosts int) string {
 		return formatRecords(Run(goldenJobs(42, 2000),
-			Config{Hosts: hosts, Policy: indexedLWL{}, KeepRecords: true}).Records)
+			Config{Hosts: hosts, Policy: indexedLWL{}, KeepRecords: true, OrderCheck: true}).Records)
 	}
 	first5 := run(5)
 	first2 := run(2)

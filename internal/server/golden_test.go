@@ -49,11 +49,14 @@ type toCentral struct{}
 func (toCentral) Name() string                  { return "to-central" }
 func (toCentral) Assign(workload.Job, View) int { return Central }
 
-// goldenLWL is least-work-left without importing internal/policy.
+// goldenLWL is least-work-left by a WorkLeft scan, without importing
+// internal/policy (which would create an import cycle in tests). A work
+// policy, so plain Run takes the direct path; the engine scenarios set
+// OrderCheck.
 type goldenLWL struct{}
 
 func (goldenLWL) Name() string { return "lwl" }
-func (goldenLWL) Assign(_ workload.Job, v View) int {
+func (goldenLWL) Assign(_ workload.Job, v WorkView) int {
 	best, bestW := 0, v.WorkLeft(0)
 	for i := 1; i < v.Hosts(); i++ {
 		if w := v.WorkLeft(i); w < bestW {
@@ -102,7 +105,7 @@ func goldenScenarios() []struct {
 		run  func() *Result
 	}{
 		{"push-lwl", func() *Result {
-			return Run(goldenJobs(42, 3000), Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true})
+			return Run(goldenJobs(42, 3000), Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true, OrderCheck: true})
 		}},
 		{"central-fcfs", func() *Result {
 			return Run(goldenJobs(43, 3000), Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralFCFS, KeepRecords: true})
@@ -120,7 +123,7 @@ func goldenScenarios() []struct {
 			return Run(tieJobs(), Config{Hosts: 2, Policy: toCentral{}, CentralOrder: CentralSJF, KeepRecords: true})
 		}},
 		{"ties-push-lwl", func() *Result {
-			return Run(tieJobs(), Config{Hosts: 2, Policy: goldenLWL{}, KeepRecords: true})
+			return Run(tieJobs(), Config{Hosts: 2, Policy: goldenLWL{}, KeepRecords: true, OrderCheck: true})
 		}},
 	}
 }

@@ -51,21 +51,6 @@ func (p *dequeueProbe) Assign(j workload.Job, v View) int {
 	return 0
 }
 
-// lwlPolicy is a local copy of least-work-left for property tests without
-// importing internal/policy (which would create an import cycle in tests).
-type lwlPolicy struct{}
-
-func (lwlPolicy) Name() string { return "lwl" }
-func (lwlPolicy) Assign(_ workload.Job, v View) int {
-	best, bestW := 0, v.WorkLeft(0)
-	for i := 1; i < v.Hosts(); i++ {
-		if w := v.WorkLeft(i); w < bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
 func TestWorkConservationProperty(t *testing.T) {
 	// Completed work per host must sum exactly to the total job size mass,
 	// and every job completes, for random workloads and host counts.
@@ -77,7 +62,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			workload.DistSizes{D: size},
 			sim.NewRNG(seed, 0), sim.NewRNG(seed, 1))
 		js := src.Take(2000)
-		res := Run(js, Config{Hosts: hosts, Policy: lwlPolicy{}})
+		res := Run(js, Config{Hosts: hosts, Policy: goldenLWL{}})
 		if res.Slowdown.Count() != int64(len(js)) {
 			return false
 		}
@@ -101,7 +86,7 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 	src := workload.NewSource(workload.NewPoisson(lambda),
 		workload.DistSizes{D: size},
 		sim.NewRNG(3, 0), sim.NewRNG(3, 1))
-	res := Run(src.Take(30000), Config{Hosts: 2, Policy: lwlPolicy{}})
+	res := Run(src.Take(30000), Config{Hosts: 2, Policy: goldenLWL{}})
 	for i := 0; i < 2; i++ {
 		if u := res.Utilization(i); u > 1+1e-9 {
 			t.Errorf("host %d utilization %v > 1", i, u)
@@ -116,7 +101,7 @@ func TestResponseDecomposition(t *testing.T) {
 	src := workload.NewSource(workload.NewPoisson(lambda),
 		workload.DistSizes{D: size},
 		sim.NewRNG(4, 0), sim.NewRNG(4, 1))
-	res := Run(src.Take(5000), Config{Hosts: 2, Policy: lwlPolicy{}, KeepRecords: true})
+	res := Run(src.Take(5000), Config{Hosts: 2, Policy: goldenLWL{}, KeepRecords: true})
 	for _, r := range res.Records {
 		if math.Abs(r.Response()-(r.Wait()+r.Size)) > 1e-12 {
 			t.Fatalf("job %d: response %v != wait %v + size %v", r.ID, r.Response(), r.Wait(), r.Size)
@@ -134,7 +119,7 @@ func TestLoadFractionsSumToOne(t *testing.T) {
 		src := workload.NewSource(workload.NewPoisson(lambda),
 			workload.DistSizes{D: size},
 			sim.NewRNG(seed, 0), sim.NewRNG(seed, 1))
-		res := Run(src.Take(1000), Config{Hosts: 3, Policy: lwlPolicy{}})
+		res := Run(src.Take(1000), Config{Hosts: 3, Policy: goldenLWL{}})
 		sum := 0.0
 		for _, fr := range res.LoadFractions() {
 			if fr < 0 {
@@ -150,7 +135,7 @@ func TestLoadFractionsSumToOne(t *testing.T) {
 }
 
 func TestEmptyRunLoadFractions(t *testing.T) {
-	res := Run(nil, Config{Hosts: 2, Policy: lwlPolicy{}})
+	res := Run(nil, Config{Hosts: 2, Policy: goldenLWL{}})
 	fr := res.LoadFractions()
 	if fr[0] != 0 || fr[1] != 0 {
 		t.Fatalf("empty run load fractions %v, want zeros", fr)
@@ -170,7 +155,7 @@ func TestSlowdownVarianceAgainstTakacs(t *testing.T) {
 	src := workload.NewSource(workload.NewPoisson(lambda),
 		workload.DistSizes{D: size},
 		sim.NewRNG(14, 0), sim.NewRNG(14, 1))
-	res := Run(src.Take(600000), Config{Hosts: 1, Policy: lwlPolicy{}, WarmupFraction: 0.1})
+	res := Run(src.Take(600000), Config{Hosts: 1, Policy: goldenLWL{}, WarmupFraction: 0.1})
 
 	q := queueing.NewMG1(lambda, size)
 	wantMean := q.MeanSlowdown()
@@ -195,7 +180,7 @@ func TestLittlesLaw(t *testing.T) {
 	jobs := src.Take(300000)
 
 	var wait stats.Stream
-	sys := New(1, lwlPolicy{}, func(r JobRecord) { wait.Add(r.Wait()) })
+	sys := New(1, goldenLWL{}, func(r JobRecord) { wait.Add(r.Wait()) })
 	sys.Simulate(jobs)
 
 	horizon := sys.Now()

@@ -132,6 +132,9 @@ type PSSystem struct {
 	hosts   []*psHost
 	policy  Policy
 	arrived int // arrivals so far: the next arrival's ordinal
+	// The policy's kind, resolved once per run: exactly one is non-nil.
+	workPolicy  WorkPolicy
+	statePolicy StatePolicy
 
 	// Host-selection indices (see System): the idle freelist is always
 	// maintained, the jobs argmin activates on the first MinJobsHost query.
@@ -142,7 +145,8 @@ type PSSystem struct {
 }
 
 // NewPS builds a PS distributed server.
-// Panics if h < 1 or p is nil.
+// Panics if h < 1, p is nil, or p is neither a WorkPolicy nor a
+// StatePolicy.
 func NewPS(h int, p Policy, onComplete func(JobRecord)) *PSSystem {
 	if h <= 0 {
 		panic(fmt.Sprintf("server: need at least one host, got %d", h))
@@ -154,8 +158,10 @@ func NewPS(h int, p Policy, onComplete func(JobRecord)) *PSSystem {
 }
 
 // newPSOn wires a PSSystem onto an existing engine (fresh or pooled).
+// Panics if p is neither a WorkPolicy nor a StatePolicy.
 func newPSOn(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *PSSystem {
-	s := &PSSystem{engine: eng, policy: p}
+	work, state := policyKinds(p)
+	s := &PSSystem{engine: eng, policy: p, workPolicy: work, statePolicy: state}
 	for i := 0; i < h; i++ {
 		s.hosts = append(s.hosts, &psHost{index: i, engine: eng, onDone: onComplete})
 	}
@@ -277,7 +283,12 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 		job := ev.Job
 		job.ID = s.arrived
 		s.arrived++
-		idx := s.policy.Assign(job, s)
+		var idx int
+		if s.workPolicy != nil {
+			idx = s.workPolicy.Assign(job, s)
+		} else {
+			idx = s.statePolicy.Assign(job, s)
+		}
 		if idx < 0 || idx >= len(s.hosts) {
 			if idx == Central {
 				panic(fmt.Sprintf("server: policy %q is a pull policy (Central-Queue): PS hosts have no central queue to hold a job",
@@ -300,7 +311,8 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 // The jobs slice is never written: hosts copy each job into host-local
 // pjob state, so callers may share one job list across concurrent runs
 // (the package's read-only input contract).
-// Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
+// Panics if cfg.Hosts <= 0, cfg.WarmupFraction is outside [0, 1), or
+// cfg.Policy is neither a WorkPolicy nor a StatePolicy.
 // Panics if the policy is a pull policy (Central-Queue): the first time
 // it holds a job centrally, since PS hosts have no central queue.
 //

@@ -110,7 +110,7 @@ func TestPSWorkConservation(t *testing.T) {
 		workload.DistSizes{D: size},
 		sim.NewRNG(10, 0), sim.NewRNG(10, 1))
 	js := src.Take(20000)
-	res := RunPS(js, Config{Hosts: 2, Policy: lwlPolicy{}})
+	res := RunPS(js, Config{Hosts: 2, Policy: goldenLWL{}})
 	if res.Slowdown.Count() != int64(len(js)) {
 		t.Fatalf("completed %d of %d", res.Slowdown.Count(), len(js))
 	}
@@ -132,7 +132,7 @@ func TestPSSlowdownAtLeastOne(t *testing.T) {
 	src := workload.NewSource(workload.NewPoisson(lambda),
 		workload.DistSizes{D: size},
 		sim.NewRNG(11, 0), sim.NewRNG(11, 1))
-	res := RunPS(src.Take(20000), Config{Hosts: 2, Policy: lwlPolicy{}})
+	res := RunPS(src.Take(20000), Config{Hosts: 2, Policy: goldenLWL{}})
 	if res.Slowdown.Min() < 1 {
 		t.Fatalf("PS slowdown %v < 1", res.Slowdown.Min())
 	}

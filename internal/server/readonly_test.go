@@ -20,7 +20,7 @@ func TestRunLeavesInputIntact(t *testing.T) {
 	shared := goldenJobs(42, 3000)
 	snapshot := append([]workload.Job(nil), shared...)
 
-	Run(shared, Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true})
+	Run(shared, Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true, OrderCheck: true})
 	Run(shared, Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralFCFS})
 	Run(shared, Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralSJF})
 	Run(shared, Config{Hosts: 3, Policy: &alternating{}, CentralOrder: CentralSJF})
@@ -33,22 +33,31 @@ func TestRunLeavesInputIntact(t *testing.T) {
 	}
 }
 
-// idRecorder wraps a policy and records the job IDs its Assign sees.
-type idRecorder struct {
-	Policy
-	seen []int
+// idRecorder records the job IDs a policy's Assign sees.
+type idRecorder struct{ seen []int }
+
+// stateIDRecorder wraps a state policy in an idRecorder.
+type stateIDRecorder struct {
+	StatePolicy
+	idRecorder
 }
 
-func (r *idRecorder) Assign(j workload.Job, v View) int {
+func (r *stateIDRecorder) Assign(j workload.Job, v View) int {
 	r.seen = append(r.seen, j.ID)
-	return r.Policy.Assign(j, v)
+	return r.StatePolicy.Assign(j, v)
 }
 
-// workIDRecorder is an idRecorder that keeps its inner policy's work-only
-// claim, so Run takes the direct path.
-type workIDRecorder struct{ idRecorder }
+// workIDRecorder wraps a work policy in an idRecorder and stays a work
+// policy, so Run takes the direct path.
+type workIDRecorder struct {
+	WorkPolicy
+	idRecorder
+}
 
-func (*workIDRecorder) WorkOnly() bool { return true }
+func (r *workIDRecorder) Assign(j workload.Job, v WorkView) int {
+	r.seen = append(r.seen, j.ID)
+	return r.WorkPolicy.Assign(j, v)
+}
 
 // TestRenumberPathLeavesInputIntact feeds non-ordinal IDs through every
 // path — direct, both engine disciplines and PS. None may write the
@@ -61,10 +70,10 @@ func TestRenumberPathLeavesInputIntact(t *testing.T) {
 	}
 	snapshot := append([]workload.Job(nil), shared...)
 
-	direct := &workIDRecorder{idRecorder{Policy: workLWL{}}}
-	fcfs := &idRecorder{Policy: &alternating{}}
-	sjf := &idRecorder{Policy: &alternating{}}
-	ps := &idRecorder{Policy: goldenLWL{}}
+	direct := &workIDRecorder{WorkPolicy: indexedLWL{}}
+	fcfs := &stateIDRecorder{StatePolicy: &alternating{}}
+	sjf := &stateIDRecorder{StatePolicy: &alternating{}}
+	ps := &workIDRecorder{WorkPolicy: goldenLWL{}}
 	for _, c := range []struct {
 		name string
 		rec  *idRecorder
@@ -73,17 +82,17 @@ func TestRenumberPathLeavesInputIntact(t *testing.T) {
 		{"direct", &direct.idRecorder, func() *Result {
 			cfg := Config{Hosts: 2, Policy: direct, KeepRecords: true}
 			if !DirectEligible(cfg) {
-				t.Fatal("the work-only recorder would not take the direct path")
+				t.Fatal("the work recorder would not take the direct path")
 			}
 			return Run(shared, cfg)
 		}},
-		{"engine-fcfs", fcfs, func() *Result {
+		{"engine-fcfs", &fcfs.idRecorder, func() *Result {
 			return Run(shared, Config{Hosts: 2, Policy: fcfs, CentralOrder: CentralFCFS, KeepRecords: true})
 		}},
-		{"engine-sjf", sjf, func() *Result {
+		{"engine-sjf", &sjf.idRecorder, func() *Result {
 			return Run(shared, Config{Hosts: 2, Policy: sjf, CentralOrder: CentralSJF, KeepRecords: true})
 		}},
-		{"ps", ps, func() *Result {
+		{"ps", &ps.idRecorder, func() *Result {
 			return RunPS(shared, Config{Hosts: 2, Policy: ps, KeepRecords: true})
 		}},
 	} {
@@ -126,7 +135,7 @@ func TestSharedSliceDifferential(t *testing.T) {
 	}
 	scenarios := []scenario{
 		{"push-lwl", func(jobs []workload.Job) *Result {
-			return Run(jobs, Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true})
+			return Run(jobs, Config{Hosts: 3, Policy: goldenLWL{}, KeepRecords: true, OrderCheck: true})
 		}},
 		{"central-sjf", func(jobs []workload.Job) *Result {
 			return Run(jobs, Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralSJF, KeepRecords: true})

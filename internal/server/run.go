@@ -96,7 +96,7 @@ type Result struct {
 	// law (E[Q] = lambda * E[W]) a genuine cross-check of the event
 	// bookkeeping rather than an identity. Populated only by the engine
 	// FCFS path; 0 on the direct-recurrence and PS paths — so 0 for
-	// every work-only policy (Random, Round-Robin, SITA, Least-Work-Left,
+	// every WorkPolicy (Random, Round-Robin, SITA, Least-Work-Left,
 	// grouped SITA) under plain Run, and set when cfg.OrderCheck pins the
 	// engine.
 	MeanQueueLen float64
@@ -205,15 +205,14 @@ func observedSlowdown(rec JobRecord) float64 {
 // reads it, so policies see, and records carry, that ordinal as the ID
 // whatever IDs the input holds.
 //
-// Dispatch: when DirectEligible(cfg) holds — the policy claims the
-// WorkOnly capability and neither an interrupt probe nor the order check
-// is installed — Run takes the direct recurrence (runDirect) instead of
-// the discrete-event engine. The two paths produce
-// bit-identical Results — same float sequence, same record emission
-// order, same RNG draw order, same answers to work-only policies' queries
-// — except Result.MeanQueueLen, an engine-only accrual, so the dispatch is
-// otherwise invisible to callers; setting cfg.OrderCheck forces the engine
-// for parity checks.
+// Dispatch: when DirectEligible(cfg) holds — the policy is a WorkPolicy
+// and neither an interrupt probe nor the order check is installed — Run
+// takes the direct recurrence (runDirect) instead of the discrete-event
+// engine. The two paths produce bit-identical Results — same float
+// sequence, same record emission order, same RNG draw order, same answers
+// to WorkView queries — except Result.MeanQueueLen, an engine-only
+// accrual, so the dispatch is otherwise invisible to callers; setting
+// cfg.OrderCheck forces the engine for parity checks.
 //
 // Concurrency: Run itself is synchronous and single-goroutine — the
 // completion accounting (Result.observe) updates the Result's Horizon,
@@ -225,7 +224,8 @@ func observedSlowdown(rec JobRecord) float64 {
 // written (the ordinal goes on the path's own copy of each job), so
 // callers may share one job list across concurrent runs — the package's
 // read-only input contract, which internal/streamcache relies on.
-// Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
+// Panics if cfg.Hosts <= 0, cfg.WarmupFraction is outside [0, 1), or
+// cfg.Policy is neither a WorkPolicy nor a StatePolicy.
 //
 //sim:readonly jobs
 func Run(jobs []workload.Job, cfg Config) *Result {
@@ -237,8 +237,8 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 }
 
 // runEngine is the discrete-event path: every arrival and departure is an
-// event on the sim.Engine heap, which is what supports state-reading
-// policies, central-queue pulls, and cooperative interruption.
+// event on the sim.Engine heap, which is what supports state policies,
+// central-queue pulls, and cooperative interruption.
 //
 //sim:readonly jobs
 func runEngine(jobs []workload.Job, cfg Config) *Result {
@@ -264,14 +264,15 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 
 // runDirect is the direct-recurrence path (see direct.go), equivalent to
 // runEngine as Run's comment states. Panics if the jobs are not sorted by
-// arrival or the policy breaks its WorkOnly claim.
+// arrival or the policy returns a host outside the range (Central
+// included).
 //
 //sim:readonly jobs
 func runDirect(jobs []workload.Job, cfg Config) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)
 	d := directPool.Get().(*directRunner)
-	d.setup(len(jobs), cfg.Hosts, cfg.Policy)
+	d.setup(len(jobs), cfg.Hosts, cfg.Policy.(WorkPolicy))
 	d.res = res
 	d.warmup = warmup
 	d.sizeClass = cfg.SizeClass

@@ -2,8 +2,11 @@
 // server of h identical hosts fed by one job stream through a dispatcher.
 // Each host serves its queue in FCFS order, one job at a time,
 // run-to-completion (no preemption, no time-sharing). The dispatcher runs a
-// pluggable task assignment policy; pull-based policies (Central-Queue) hold
-// jobs at the dispatcher until a host goes idle.
+// pluggable task assignment policy of one of two kinds: a WorkPolicy reads
+// at most host work (WorkView), which lets Run replay it on the heap-free
+// direct recurrence; a StatePolicy reads the full View, job counts and the
+// idle freelist included, and may hold jobs at the dispatcher until a host
+// goes idle (pull-based policies such as Central-Queue).
 //
 // A simulation run is deterministic and single-goroutine: given the same
 // policy, job stream, and options, Run and RunPS produce bit-identical
@@ -60,22 +63,22 @@ const (
 	evPSComplete                  // PS host Ev.Host reaches its next completion
 )
 
-// View is the system state a policy may consult when assigning a job. All
-// queries refer to the instant of the arrival being dispatched.
+// WorkView is the system state a work policy may consult when assigning
+// a job: the host count and host work. All queries refer to the instant
+// of the arrival being dispatched.
 //
-// The per-host queries (NumJobs, WorkLeft, Idle) cost O(1) each, so a
-// policy scanning all hosts pays O(h) per arrival. The argmin queries
-// (MinWorkHost, MinWorkHostIn, MinJobsHost, NextIdleHost) answer the
-// scans the standard policies actually perform from incrementally
-// maintained indices in O(log h) or better, and are guaranteed to return
-// exactly the host a lowest-index-wins linear scan would: strictly
-// smallest value first, lowest host index among exact ties (see
-// ARCHITECTURE.md § Host-selection indices for the tie-break argument).
-type View interface {
+// The per-host queries (WorkLeft, Idle) cost O(1) each, so a policy
+// scanning all hosts pays O(h) per arrival. The argmin queries
+// (MinWorkHost, MinWorkHostIn here, MinJobsHost and NextIdleHost on
+// View) answer the scans the standard policies actually perform from
+// incrementally maintained indices in O(log h) or better, and are
+// guaranteed to return exactly the host a lowest-index-wins linear scan
+// would: strictly smallest value first, lowest host index among exact
+// ties (see ARCHITECTURE.md § Host-selection indices for the tie-break
+// argument).
+type WorkView interface {
 	// Hosts reports the number of hosts.
 	Hosts() int
-	// NumJobs reports how many jobs are at host i (queued plus running).
-	NumJobs(i int) int
 	// WorkLeft reports the total unfinished work at host i, including the
 	// remainder of the running job.
 	WorkLeft(i int) float64
@@ -88,6 +91,14 @@ type View interface {
 	// grouped-SITA within-group dispatch). Panics if the range is empty
 	// or out of bounds: group bounds are the policy's contract.
 	MinWorkHostIn(lo, hi int) int
+}
+
+// View is the full system state a state policy may consult: host work
+// plus job counts and the idle freelist.
+type View interface {
+	WorkView
+	// NumJobs reports how many jobs are at host i (queued plus running).
+	NumJobs(i int) int
 	// MinJobsHost reports the host a lowest-index-wins scan of NumJobs
 	// would pick.
 	MinJobsHost() int
@@ -96,12 +107,48 @@ type View interface {
 	NextIdleHost() int
 }
 
-// Policy is a task assignment rule. Assign returns a host index in
-// [0, view.Hosts()) or Central. Policies may be stateful (Round-Robin) and
-// are therefore not shared across concurrent simulations.
+// Policy is a task assignment rule. Every policy is a WorkPolicy or a
+// StatePolicy; the kind is its Assign method's view parameter, so what a
+// policy may read is fixed by its type. Run, RunPS, New and NewPS panic,
+// naming the policy, on one that is neither. Policies may be stateful
+// (Round-Robin) and are therefore not shared across concurrent
+// simulations.
 type Policy interface {
 	Name() string
+}
+
+// WorkPolicy is a policy whose Assign reads at most host work, through a
+// WorkView, and returns a host index in [0, v.Hosts()), never Central.
+// Reading nothing qualifies: Random, Round-Robin and SITA are work
+// policies beside Least-Work-Left and grouped SITA. Run replays every
+// work policy on the heap-free direct recurrence (direct.go), whose view
+// answers host work from the per-host Lindley clocks and nothing else; a
+// returned Central panics there.
+type WorkPolicy interface {
+	Policy
+	Assign(job workload.Job, v WorkView) int
+}
+
+// StatePolicy is a policy whose Assign reads the full View: job counts
+// or the idle freelist (Shortest-Queue), or a central queue it may hold
+// the job in by returning Central (Central-Queue). It returns a host
+// index in [0, v.Hosts()) or Central, and always runs on the event-heap
+// engine.
+type StatePolicy interface {
+	Policy
 	Assign(job workload.Job, v View) int
+}
+
+// policyKinds resolves p's kind once per run: exactly one of the results
+// is non-nil. Panics naming p if p is neither kind.
+func policyKinds(p Policy) (WorkPolicy, StatePolicy) {
+	switch p := p.(type) {
+	case WorkPolicy:
+		return p, nil
+	case StatePolicy:
+		return nil, p
+	}
+	panic(fmt.Sprintf("server: policy %q is neither a WorkPolicy nor a StatePolicy: its Assign must take a WorkView or a View", p.Name()))
 }
 
 // JobRecord is the outcome of one simulated job.
@@ -260,6 +307,9 @@ type System struct {
 	engine *sim.Engine
 	hosts  []host
 	policy Policy
+	// The policy's kind, resolved once per run: exactly one is non-nil.
+	workPolicy  WorkPolicy
+	statePolicy StatePolicy
 
 	central centralQueue // dispatcher queue for pull policies
 
@@ -292,7 +342,8 @@ func New(h int, p Policy, onComplete func(JobRecord)) *System {
 }
 
 // NewWithOrder builds a distributed server with an explicit central-queue
-// discipline. Panics if h < 1 or p is nil.
+// discipline. Panics if h < 1, p is nil, or p is neither a WorkPolicy nor
+// a StatePolicy.
 func NewWithOrder(h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
 	if h <= 0 {
 		panic(fmt.Sprintf("server: need at least one host, got %d", h))
@@ -304,13 +355,17 @@ func NewWithOrder(h int, p Policy, order CentralOrder, onComplete func(JobRecord
 }
 
 // newSystemOn wires a System onto an existing engine (fresh or pooled).
+// Panics if p is neither a WorkPolicy nor a StatePolicy.
 func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
+	work, state := policyKinds(p)
 	s := &System{
-		engine:     eng,
-		hosts:      make([]host, h),
-		policy:     p,
-		central:    centralQueue{order: order},
-		onComplete: onComplete,
+		engine:      eng,
+		hosts:       make([]host, h),
+		policy:      p,
+		workPolicy:  work,
+		statePolicy: state,
+		central:     centralQueue{order: order},
+		onComplete:  onComplete,
 	}
 	s.idle.Reset(h)
 	s.idle.SetAll()
@@ -318,7 +373,8 @@ func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplet
 	return s
 }
 
-// View interface implementation: the System itself is the policy's view.
+// View interface implementation: the System itself is the policy's view,
+// whichever kind the policy is.
 
 // Hosts reports the host count.
 func (s *System) Hosts() int { return len(s.hosts) }
@@ -431,7 +487,12 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 func (s *System) arrive(job workload.Job, now float64) {
 	job.ID = s.arrived
 	s.arrived++
-	idx := s.policy.Assign(job, s)
+	var idx int
+	if s.workPolicy != nil {
+		idx = s.workPolicy.Assign(job, s)
+	} else {
+		idx = s.statePolicy.Assign(job, s)
+	}
 	if idx == Central {
 		// Hold at the dispatcher; a host will pull it when free. If some
 		// host is already idle the policy should have returned it, but be

@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"sita/internal/dist"
@@ -210,7 +211,7 @@ func TestRunSizeClassTally(t *testing.T) {
 	js := jobs([2]float64{0, giantSize}, [2]float64{1, 1}, [2]float64{2, 100}, [2]float64{3, 1})
 	cfg := Config{
 		Hosts:          2,
-		Policy:         workSizeSplit{},
+		Policy:         sizeSplit{},
 		WarmupFraction: 0.25,
 		SizeClass: func(s float64) int {
 			switch {
@@ -241,21 +242,17 @@ func TestRunSizeClassTally(t *testing.T) {
 	}
 }
 
+// sizeSplit routes by size alone: a work policy, so plain Run takes the
+// direct path.
 type sizeSplit struct{}
 
 func (sizeSplit) Name() string { return "split" }
-func (sizeSplit) Assign(j workload.Job, _ View) int {
+func (sizeSplit) Assign(j workload.Job, _ WorkView) int {
 	if j.Size <= 10 {
 		return 0
 	}
 	return 1
 }
-
-// workSizeSplit is sizeSplit claiming the work-only capability it has, so
-// plain Run takes the direct path.
-type workSizeSplit struct{ sizeSplit }
-
-func (workSizeSplit) WorkOnly() bool { return true }
 
 func TestRunMG1AgainstPollaczekKhinchine(t *testing.T) {
 	// A 1-host system under Poisson arrivals is an M/G/1 queue; the
@@ -305,6 +302,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// nameOnly is a Policy of neither kind: it has no Assign.
+type nameOnly struct{}
+
+func (nameOnly) Name() string { return "name-only" }
+
+// TestPolicyOfNeitherKindPanics checks that every entry point refuses a
+// policy that is neither a WorkPolicy nor a StatePolicy, naming it.
+func TestPolicyOfNeitherKindPanics(t *testing.T) {
+	js := jobs([2]float64{0, 1})
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Run", func() { Run(js, Config{Hosts: 1, Policy: nameOnly{}}) }},
+		{"RunPS", func() { RunPS(js, Config{Hosts: 1, Policy: nameOnly{}}) }},
+		{"New", func() { New(1, nameOnly{}, nil) }},
+		{"NewPS", func() { NewPS(1, nameOnly{}, nil) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"name-only"`) || !strings.Contains(msg, "neither a WorkPolicy nor a StatePolicy") {
+					t.Errorf("%s: panic %q, want one naming the policy and its missing kind", c.name, msg)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
+
 func TestBadPolicyIndexPanics(t *testing.T) {
 	sys := New(2, toHost(7), nil)
 	defer func() {
@@ -320,7 +347,7 @@ func TestBadPolicyIndexPanics(t *testing.T) {
 // records never grows the slice.
 func TestKeptRecordsPresized(t *testing.T) {
 	jobs := goldenJobs(42, 3000)
-	cfg := Config{Hosts: 3, Policy: workLWL{}, WarmupFraction: 0.1, KeepRecords: true}
+	cfg := Config{Hosts: 3, Policy: indexedLWL{}, WarmupFraction: 0.1, KeepRecords: true}
 	want := len(jobs) - int(cfg.WarmupFraction*float64(len(jobs)))
 	engine := cfg
 	engine.OrderCheck = true

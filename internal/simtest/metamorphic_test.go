@@ -103,16 +103,17 @@ func TestTimeScalingBitExact(t *testing.T) {
 	}
 }
 
-// permuted relabels the hosts an oblivious inner policy picks. It does
-// not claim the WorkOnly capability, so runs land on the engine path.
+// permuted relabels the hosts an oblivious inner policy picks. A work
+// policy like its inner one; the runs below set OrderCheck, so they land
+// on the engine path.
 type permuted struct {
-	inner server.Policy
+	inner server.WorkPolicy
 	perm  []int
 }
 
 func (p permuted) Name() string { return "perm-" + p.inner.Name() }
 
-func (p permuted) Assign(j workload.Job, v server.View) int {
+func (p permuted) Assign(j workload.Job, v server.WorkView) int {
 	return p.perm[p.inner.Assign(j, v)]
 }
 
@@ -125,10 +126,10 @@ func (p permuted) Assign(j workload.Job, v server.View) int {
 func TestHostPermutationInvariance(t *testing.T) {
 	const hosts = 4
 	perm := []int{2, 0, 3, 1}
-	builds := map[string]func() server.Policy{
-		"random":      func() server.Policy { return policy.NewRandom(sim.NewRNG(77, 9)) },
-		"round-robin": func() server.Policy { return policy.NewRoundRobin() },
-		"sita": func() server.Policy {
+	builds := map[string]func() server.WorkPolicy{
+		"random":      func() server.WorkPolicy { return policy.NewRandom(sim.NewRNG(77, 9)) },
+		"round-robin": func() server.WorkPolicy { return policy.NewRoundRobin() },
+		"sita": func() server.WorkPolicy {
 			return policy.NewSITA("sita", []float64{1.0, 2.5, 6.0})
 		},
 	}
