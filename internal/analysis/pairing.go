@@ -6,21 +6,9 @@ import (
 	"go/types"
 )
 
-// Pairing checks resource-lifecycle pairing conventions in function
-// bodies — the rules the engine pool (internal/sim) and the HTTP service
-// (internal/service) depend on for correctness under early returns and
-// concurrency:
-//
-//   - Acquire/Release: a value obtained from an Acquire call must have a
-//     deferred Release for the same variable, registered before any
-//     return statement can execute; otherwise an early return leaks the
-//     pooled resource.
-//
-//   - SetCancelCheck ordering: SetCancelCheck installs per-run cancel
-//     state on a pooled engine; Release is what clears it. The deferred
-//     Release must therefore already be registered (lexically earlier)
-//     when SetCancelCheck runs — otherwise a panic or early return
-//     between the two would return a poisoned engine to the pool.
+// Pairing checks the lock and goroutine pairing conventions the HTTP
+// service (internal/service) and the worker pools depend on for
+// correctness under early returns and concurrency:
 //
 //   - Lock/Unlock: a mutex Lock without a deferred Unlock must reach its
 //     unlock on every path; a return statement lexically between the
@@ -32,18 +20,17 @@ import (
 //     counter may be observed at zero before the goroutine runs. Add
 //     belongs before the go statement.
 //
-// Acquire/Release/SetCancelCheck are matched by name (the module's pool
-// convention); mutex and WaitGroup methods are matched by their defining
-// package (sync), so renamed fields and embedded mutexes are still
-// caught. Each function body is analyzed as its own unit: returns and
-// locks inside nested function literals belong to the literal, not the
-// enclosing function.
+// The pooled simulation engine needs no rule here: sim.Run is the only
+// code that takes one from the pool, and it returns it on every exit.
+// Mutex and WaitGroup methods are matched by their defining package
+// (sync), so renamed fields and embedded mutexes are still caught. Each
+// function body is analyzed as its own unit: returns and locks inside
+// nested function literals belong to the literal, not the enclosing
+// function.
 var Pairing = &Analyzer{
 	Name: "pairing",
-	Doc: "resource-lifecycle pairing: Acquire needs a deferred Release " +
-		"before any return, SetCancelCheck requires the deferred Release " +
-		"already registered, no return between Lock and its Unlock, no " +
-		"WaitGroup.Add inside the goroutine being waited for",
+	Doc: "lock and goroutine pairing: no return between Lock and its " +
+		"Unlock, no WaitGroup.Add inside the goroutine being waited for",
 	Run: runPairing,
 }
 
@@ -141,54 +128,24 @@ func calleeName(call *ast.CallExpr) string {
 func checkUnit(pass *Pass, u bodyUnit) {
 	info := pass.Pkg.Info
 
-	type acquire struct {
-		varName string
-		pos     token.Pos
-	}
-	type deferRelease struct {
-		varName string
-		pos     token.Pos
-	}
 	type lockSite struct {
 		recv   string // receiver expression, printed
 		unlock string // matching unlock method name
 		pos    token.Pos
 	}
-	var acquires []acquire
-	var releases []deferRelease
 	var locks []lockSite
 	unlocks := make(map[string][]token.Pos)      // recv+method -> plain unlock positions
 	deferUnlocks := make(map[string][]token.Pos) // recv+method -> deferred unlock positions
 	var returns []token.Pos
 
-	// releaseVar extracts the variable a Release call releases: the sole
-	// argument (package-function form, Release(v)) or the receiver
-	// (method form, v.Release()).
-	releaseVar := func(call *ast.CallExpr) string {
-		if len(call.Args) == 1 {
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				return id.Name
-			}
+	recordDeferredUnlock := func(call *ast.CallExpr, pos token.Pos) {
+		name := calleeName(call)
+		if name != "Unlock" && name != "RUnlock" {
+			return
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-				return id.Name
-			}
-		}
-		return ""
-	}
-
-	recordDeferredCall := func(call *ast.CallExpr, pos token.Pos) {
-		switch calleeName(call) {
-		case "Release":
-			if v := releaseVar(call); v != "" {
-				releases = append(releases, deferRelease{varName: v, pos: pos})
-			}
-		case "Unlock", "RUnlock":
-			if recv, ok := syncMethod(info, call, calleeName(call)); ok {
-				k := types.ExprString(recv) + "." + calleeName(call)
-				deferUnlocks[k] = append(deferUnlocks[k], pos)
-			}
+		if recv, ok := syncMethod(info, call, name); ok {
+			k := types.ExprString(recv) + "." + name
+			deferUnlocks[k] = append(deferUnlocks[k], pos)
 		}
 	}
 
@@ -196,22 +153,14 @@ func checkUnit(pass *Pass, u bodyUnit) {
 		switch node := node.(type) {
 		case *ast.ReturnStmt:
 			returns = append(returns, node.Pos())
-		case *ast.AssignStmt:
-			if len(node.Rhs) == 1 && len(node.Lhs) >= 1 {
-				if call, ok := ast.Unparen(node.Rhs[0]).(*ast.CallExpr); ok && calleeName(call) == "Acquire" {
-					if id, ok := ast.Unparen(node.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-						acquires = append(acquires, acquire{varName: id.Name, pos: node.Pos()})
-					}
-				}
-			}
 		case *ast.DeferStmt:
-			recordDeferredCall(node.Call, node.Pos())
-			// A deferred closure that unlocks or releases also counts:
+			recordDeferredUnlock(node.Call, node.Pos())
+			// A deferred closure that unlocks also counts:
 			// defer func() { mu.Unlock() }() is a valid pairing.
 			if lit, ok := ast.Unparen(node.Call.Fun).(*ast.FuncLit); ok {
 				ast.Inspect(lit.Body, func(inner ast.Node) bool {
 					if call, ok := inner.(*ast.CallExpr); ok {
-						recordDeferredCall(call, node.Pos())
+						recordDeferredUnlock(call, node.Pos())
 					}
 					return true
 				})
@@ -249,61 +198,10 @@ func checkUnit(pass *Pass, u bodyUnit) {
 						}
 					}
 				}
-			case "SetCancelCheck":
-				sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr)
-				if !ok {
-					break
-				}
-				id, ok := ast.Unparen(sel.X).(*ast.Ident)
-				if !ok {
-					break
-				}
-				acquired := false
-				for _, a := range acquires {
-					if a.varName == id.Name && a.pos < node.Pos() {
-						acquired = true
-					}
-				}
-				if !acquired {
-					break
-				}
-				guarded := false
-				for _, r := range releases {
-					if r.varName == id.Name && r.pos < node.Pos() {
-						guarded = true
-					}
-				}
-				if !guarded {
-					pass.Reportf(node.Pos(),
-						"SetCancelCheck on %s before its deferred Release is registered; a panic here would return a poisoned engine to the pool", id.Name)
-				}
 			}
 		}
 		return true
 	})
-
-	// Acquire pairing: a deferred Release for the same variable must
-	// exist, and no return may sit between the Acquire and that defer.
-	for _, a := range acquires {
-		var release *deferRelease
-		for i := range releases {
-			if releases[i].varName == a.varName && releases[i].pos > a.pos {
-				release = &releases[i]
-				break
-			}
-		}
-		if release == nil {
-			pass.Reportf(a.pos,
-				"%s acquired without a deferred Release for %q; every return path leaks the pooled resource", u.label, a.varName)
-			continue
-		}
-		for _, r := range returns {
-			if r > a.pos && r < release.pos {
-				pass.Reportf(r,
-					"return between Acquire of %q and its deferred Release leaks the pooled resource", a.varName)
-			}
-		}
-	}
 
 	// Lock pairing: a lock with no deferred unlock must reach a plain
 	// unlock of the same receiver, with no return in the window between.

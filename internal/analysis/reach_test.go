@@ -27,8 +27,6 @@ var testOnlyReach = map[string]string{
 	"sita/internal/queueing.NewMM1":       "simtest.TestRandomPolicyMatchesMM1",
 	"sita/internal/queueing.MG1PS":        "server.TestPSMatchesMG1PSFormula",
 	"sita/internal/stats.Autocorrelation": "trace.TestBurstSizeCorrelationKnob",
-	"sita/internal/server.New":            "the engine tests of server_test.go and invariants_test.go",
-	"sita/internal/server.NewPS":          "the PS engine tests of ps_test.go",
 	"sita/internal/runner.Map":            "streamcache.TestConcurrentFanOut",
 	"sita/internal/runner.CellSeed":       "runner.TestCellSeedDistinct, runner.TestSeedStability",
 	"sita/internal/experiment.ClearMemos": "experiment.TestClearMemosSimulatesAgain and the sweep benchmarks, which time cold runs",

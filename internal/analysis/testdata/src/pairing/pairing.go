@@ -1,62 +1,9 @@
-// Package pairing is the golden fixture for the resource-lifecycle
-// analyzer: Acquire/Release pairing, SetCancelCheck ordering, mutex
-// lock/unlock windows, and WaitGroup.Add placement.
+// Package pairing is the golden fixture for the lock and goroutine
+// pairing analyzer: mutex lock/unlock windows and WaitGroup.Add
+// placement.
 package pairing
 
 import "sync"
-
-// engine stands in for the pooled simulation engine.
-type engine struct{ cancelEvery int }
-
-func (e *engine) SetCancelCheck(every int, fn func() bool) { e.cancelEvery = every }
-func (e *engine) work() int                                { return e.cancelEvery }
-
-var pool sync.Pool
-
-// Acquire and Release mimic the sim package's pool API.
-func Acquire() *engine { return pool.Get().(*engine) }
-
-func Release(e *engine) {
-	e.cancelEvery = 0
-	pool.Put(e)
-}
-
-// good is the sanctioned shape: defer Release registered immediately,
-// before SetCancelCheck installs per-run state.
-func good(interrupt func() bool) int {
-	eng := Acquire()
-	defer Release(eng)
-	if interrupt != nil {
-		eng.SetCancelCheck(4096, interrupt)
-	}
-	return eng.work()
-}
-
-// leaky never releases: every return path leaks the pooled engine.
-func leaky() int {
-	eng := Acquire() // want `leaky acquired without a deferred Release for "eng"`
-	return eng.work()
-}
-
-// earlyReturn registers the defer too late: the conditional return
-// between Acquire and the defer leaks the engine.
-func earlyReturn(skip bool) int {
-	eng := Acquire()
-	if skip {
-		return 0 // want `return between Acquire of "eng" and its deferred Release leaks the pooled resource`
-	}
-	defer Release(eng)
-	return eng.work()
-}
-
-// poisoned installs cancel state before the deferred Release exists: a
-// panic inside SetCancelCheck's window would pool a poisoned engine.
-func poisoned(interrupt func() bool) int {
-	eng := Acquire()
-	eng.SetCancelCheck(4096, interrupt) // want `SetCancelCheck on eng before its deferred Release is registered`
-	defer Release(eng)
-	return eng.work()
-}
 
 // counter guards a value with a mutex.
 type counter struct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"sita/internal/sim"
 	"sita/internal/workload"
 )
 
@@ -48,7 +49,7 @@ import (
 //
 // The only subtlety is the tie-break. The engine breaks equal departure
 // times by event sequence number: arrivals hold the seqs 0..n-1, which
-// the engine's feed (sim.Engine.RunFeed) takes before anything fires, and
+// the engine's arrival feed (sim.Run) takes before anything fires, and
 // each departure is scheduled — and numbered — at the instant its job
 // starts service, so equal-time departures emit in service-start order.
 // Start order itself is lexicographic in (start time, trigger seq): a
@@ -72,8 +73,10 @@ import (
 // processing order by construction. The keys do not depend on how the
 // hosts were chosen.
 //
-// Policies that read job counts or the idle freelist (Shortest-Queue,
-// Central-Queue), pull policies, processor sharing, and interrupted runs
+// Phase 1 polls Config.Interrupt every sim.InterruptEvery jobs, the
+// engine's cadence; an interrupted run stops there, before phase 2 folds
+// in any completion. Policies that read job counts or the idle freelist
+// (Shortest-Queue, Central-Queue), pull policies, and processor sharing
 // still require the engine; Run dispatches automatically.
 
 // queuedTrigger marks a job whose service start is triggered by its FCFS
@@ -152,6 +155,9 @@ type directRunner struct {
 	warmup    int
 	sizeClass func(float64) int
 	cold      func(JobRecord)
+
+	// interrupt is the run's Config.Interrupt, polled by assign.
+	interrupt func() bool
 }
 
 // directPool recycles runner scratch across simulation cells, mirroring
@@ -219,18 +225,23 @@ func (d *directRunner) release() {
 	d.res = nil
 	d.sizeClass = nil
 	d.cold = nil
+	d.interrupt = nil
 	directPool.Put(d)
 }
 
 // replay runs both phases over the job list, folding one
-// completion per job into d.res in the engine's exact emission order.
-// O(n log h); in practice two branch-light array passes, since h is small
-// next to n.
+// completion per job into d.res in the engine's exact emission order,
+// and reports whether d.interrupt stopped phase 1, in which case nothing
+// is folded in. O(n log h); in practice two branch-light array passes,
+// since h is small next to n.
 //
 //sim:noalloc
-func (d *directRunner) replay(jobs []workload.Job) {
-	d.assign(jobs)
+func (d *directRunner) replay(jobs []workload.Job) (interrupted bool) {
+	if d.assign(jobs) {
+		return true
+	}
 	d.emitAll(len(jobs))
+	return false
 }
 
 // assign is phase 1: dispatch every job in arrival order, run Lindley's
@@ -238,17 +249,25 @@ func (d *directRunner) replay(jobs []workload.Job) {
 // chains that phase 2 merges; the loop's copy of each job carries its
 // arrival ordinal as its ID. Once the policy's first argmin query has
 // built the view's work index, each new clock is propagated into it.
-// Doubles as the sorted-arrival check, saving a separate pass over the
-// trace. Panics if the jobs are not sorted by arrival or the policy
-// returns an out-of-range host.
+// d.interrupt is polled before every sim.InterruptEvery-th job after the
+// first; assign reports whether a poll stopped it. Doubles as the
+// sorted-arrival check, saving a separate pass over the trace. Panics if
+// the jobs are not sorted by arrival or the policy returns an
+// out-of-range host.
 //
 //sim:noalloc
-func (d *directRunner) assign(jobs []workload.Job) {
+func (d *directRunner) assign(jobs []workload.Job) (interrupted bool) {
 	sentinel := int32(len(jobs))
 	prev := 0.0
 	view := &d.view
 	p := d.policy
 	for i := range jobs {
+		// An inline poll, not a loop over blocks: the nested loop kept
+		// more state live across Assign's interface call, and reloading
+		// it cost every job.
+		if uint(i)%sim.InterruptEvery == 0 && i > 0 && d.interrupt != nil && d.interrupt() {
+			return true
+		}
 		j := jobs[i]
 		j.ID = i
 		if j.Arrival < prev {
@@ -284,6 +303,7 @@ func (d *directRunner) assign(jobs []workload.Job) {
 		d.link[d.last[idx]].next = int32(i)
 		d.last[idx] = int32(i)
 	}
+	return false
 }
 
 // emitAll is phase 2: merge the per-host departure chains through the
@@ -425,14 +445,11 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 
 // DirectEligible reports whether Run would take the direct path for this
 // configuration. The decision reads the run's own Config and nothing
-// else: the policy is a WorkPolicy and neither an interrupt probe nor the
-// order check is installed. Callers that install per-request interrupt
-// probes (internal/service) use this to skip the probe when the run will
-// be too fast to need one. cfg.OrderCheck asserts
-// event-heap dispatch order, so it pins the run to the engine — which
-// also makes it how tests, benchmarks and the property harness force the
-// engine for heap-vs-direct comparisons.
+// else: the policy is a WorkPolicy and the order check is not armed.
+// cfg.OrderCheck asserts event-heap dispatch order, so it pins the run to
+// the engine — which also makes it how tests, benchmarks and the property
+// harness force the engine for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
 	_, work := cfg.Policy.(WorkPolicy)
-	return work && cfg.Interrupt == nil && !cfg.OrderCheck
+	return work && !cfg.OrderCheck
 }

@@ -22,7 +22,7 @@ func (*scripted) Name() string                            { return "scripted" }
 func (s *scripted) Assign(j workload.Job, _ WorkView) int { return s.hosts[j.ID] }
 
 // centralLiar is a work policy that breaks its contract by returning
-// Central, which the direct path's replay loop must catch.
+// Central, which every path must refuse rather than hold the job.
 type centralLiar struct{}
 
 func (centralLiar) Name() string                      { return "central-liar" }
@@ -151,20 +151,33 @@ func TestDirectGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestDirectWorkViewTripwire proves the direct path fails loudly, naming
-// the policy, when a work policy returns Central, and otherwise answers
-// the host-work queries and the host count.
+// TestDirectWorkViewTripwire proves every path fails loudly, naming the
+// policy, when a work policy returns Central — the engine must not hold
+// the job centrally as it would for a state policy, and PS must not call
+// it a pull policy — and that the direct path otherwise answers the
+// host-work queries and the host count.
 func TestDirectWorkViewTripwire(t *testing.T) {
 	jobs := []workload.Job{{Arrival: 0, Size: 1}, {Arrival: 0.5, Size: 1}}
 	t.Run("Central", func(t *testing.T) {
-		defer func() {
-			r := recover()
-			msg, ok := r.(string)
-			if !ok || !strings.Contains(msg, `"central-liar"`) || !strings.Contains(msg, "returned host -1") {
-				t.Fatalf("panic %v does not name the policy and the returned Central", r)
-			}
-		}()
-		runDirect(jobs, Config{Hosts: 2, Policy: centralLiar{}})
+		liar := Config{Hosts: 2, Policy: centralLiar{}}
+		engine := liar
+		engine.OrderCheck = true
+		for name, run := range map[string]func(){
+			"direct": func() { Run(jobs, liar) },
+			"engine": func() { Run(jobs, engine) },
+			"ps":     func() { RunPS(jobs, liar) },
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					msg, ok := r.(string)
+					if !ok || !strings.Contains(msg, `"central-liar"`) || !strings.Contains(msg, "returned host -1") {
+						t.Fatalf("%s: panic %v does not name the policy and the returned Central", name, r)
+					}
+				}()
+				run()
+			}()
+		}
 	})
 	// The second job arrives while host 0 still works: LWL picks host 1.
 	res := runDirect(jobs, Config{Hosts: 2, Policy: indexedLWL{}, KeepRecords: true})
@@ -182,33 +195,30 @@ func TestDirectWorkViewTripwire(t *testing.T) {
 // run took through Result.MeanQueueLen, which only the engine accrues:
 // the second job queues behind the first, so an engine run reports a
 // positive mean queue length and a direct run 0. By default Run hands a
-// work policy to the direct path; the order check or an interrupt probe
-// pins the engine, and a state policy always gets it.
+// work policy to the direct path, an interrupt probe included; the order
+// check pins the engine, and a state policy always gets it.
 func TestDirectDispatch(t *testing.T) {
 	jobs := []workload.Job{{Arrival: 0, Size: 2}, {Arrival: 1, Size: 2}}
 	plain := Config{Hosts: 2, Policy: toHostZero{}}
-	if !DirectEligible(plain) || Run(jobs, plain).MeanQueueLen != 0 {
-		t.Fatal("Run did not take the direct path for a work policy")
-	}
-	if !DirectEligible(Config{Hosts: 2, Policy: indexedLWL{}}) {
-		t.Fatal("DirectEligible false for a host-work-reading work policy")
-	}
 	ordered, interrupted := plain, plain
 	ordered.OrderCheck = true
 	interrupted.Interrupt = func() bool { return false }
 	for _, c := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		direct bool
 	}{
-		{"order check", ordered},
-		{"interrupt probe", interrupted},
-		{"state policy", Config{Hosts: 2, Policy: toHost(0)}},
+		{"work policy", plain, true},
+		{"host-work-reading work policy", Config{Hosts: 2, Policy: indexedLWL{}}, true},
+		{"interrupt probe", interrupted, true},
+		{"order check", ordered, false},
+		{"state policy", Config{Hosts: 2, Policy: toHost(0)}, false},
 	} {
-		if DirectEligible(c.cfg) {
-			t.Errorf("%s: DirectEligible true", c.name)
+		if DirectEligible(c.cfg) != c.direct {
+			t.Errorf("%s: DirectEligible %v, want %v", c.name, !c.direct, c.direct)
 		}
-		if Run(jobs, c.cfg).MeanQueueLen <= 0 {
-			t.Errorf("%s: Run took the direct path", c.name)
+		if tookDirect := Run(jobs, c.cfg).MeanQueueLen == 0; tookDirect != c.direct {
+			t.Errorf("%s: Run took the direct path: %v, want %v", c.name, tookDirect, c.direct)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sita/internal/dist"
 	"sita/internal/queueing"
 	"sita/internal/sim"
-	"sita/internal/stats"
 	"sita/internal/workload"
 )
 
@@ -18,12 +17,11 @@ import (
 // Least-Work-Left decisions.
 func TestWorkLeftAfterDequeue(t *testing.T) {
 	probe := &dequeueProbe{t: t}
-	sys := New(1, probe, nil)
-	sys.Simulate(jobs(
+	simulate(1, probe, jobs(
 		[2]float64{0, 10}, // runs 0-10
 		[2]float64{1, 5},  // queued, runs 10-15
 		[2]float64{12, 1}, // arrives mid-second-job: backlog must be 3
-	))
+	), nil)
 	if !probe.checked {
 		t.Fatal("probe never reached the third arrival")
 	}
@@ -179,14 +177,10 @@ func TestLittlesLaw(t *testing.T) {
 		sim.NewRNG(17, 0), sim.NewRNG(17, 1))
 	jobs := src.Take(300000)
 
-	var wait stats.Stream
-	sys := New(1, goldenLWL{}, func(r JobRecord) { wait.Add(r.Wait()) })
-	sys.Simulate(jobs)
-
-	horizon := sys.Now()
-	realizedLambda := float64(len(jobs)) / horizon
-	littles := realizedLambda * wait.Mean()
-	measured := sys.MeanQueueLength()
+	res := simulate(1, goldenLWL{}, jobs, nil)
+	realizedLambda := float64(len(jobs)) / res.Horizon
+	littles := realizedLambda * res.Wait.Mean()
+	measured := res.MeanQueueLen
 	if math.Abs(measured-littles)/littles > 0.02 {
 		t.Fatalf("Little's law violated: E[Q] measured %v vs lambda*E[W] %v", measured, littles)
 	}

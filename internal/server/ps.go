@@ -144,22 +144,9 @@ type PSSystem struct {
 	jobsOn  bool
 }
 
-// NewPS builds a PS distributed server.
-// Panics if h < 1, p is nil, or p is neither a WorkPolicy nor a
-// StatePolicy.
-func NewPS(h int, p Policy, onComplete func(JobRecord)) *PSSystem {
-	if h <= 0 {
-		panic(fmt.Sprintf("server: need at least one host, got %d", h))
-	}
-	if p == nil {
-		panic("server: nil policy")
-	}
-	return newPSOn(&sim.Engine{}, h, p, onComplete)
-}
-
-// newPSOn wires a PSSystem onto an existing engine (fresh or pooled).
+// newPS wires a PSSystem onto the engine sim.Run hands to RunPS.
 // Panics if p is neither a WorkPolicy nor a StatePolicy.
-func newPSOn(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *PSSystem {
+func newPS(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *PSSystem {
 	work, state := policyKinds(p)
 	s := &PSSystem{engine: eng, policy: p, workPolicy: work, statePolicy: state}
 	for i := 0; i < h; i++ {
@@ -167,7 +154,6 @@ func newPSOn(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *PSSy
 	}
 	s.idle.Reset(h)
 	s.idle.SetAll()
-	eng.SetHandler(s)
 	return s
 }
 
@@ -255,23 +241,6 @@ func (s *PSSystem) noteJobs(i int) {
 	}
 }
 
-// Simulate runs the jobs (sorted by arrival) to completion. Arrivals fire
-// straight from the slice (sim.Engine.RunFeed), exactly as in
-// System.Simulate, so the heap holds only PS completions, and records
-// carry each job's arrival ordinal as its ID.
-// Panics if the jobs are not sorted by arrival time or the policy routes
-// a job outside the host range.
-func (s *PSSystem) Simulate(jobs []workload.Job) {
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
-	}
-	s.engine.RunFeed(jobs, evPSArrival)
-}
-
 // HandleEvent dispatches the engine's typed events.
 // Panics if the policy holds a job centrally or routes it outside the host
 // range.
@@ -290,7 +259,7 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 			idx = s.statePolicy.Assign(job, s)
 		}
 		if idx < 0 || idx >= len(s.hosts) {
-			if idx == Central {
+			if idx == Central && s.statePolicy != nil {
 				panic(fmt.Sprintf("server: policy %q is a pull policy (Central-Queue): PS hosts have no central queue to hold a job",
 					s.policy.Name()))
 			}
@@ -311,10 +280,15 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 // The jobs slice is never written: hosts copy each job into host-local
 // pjob state, so callers may share one job list across concurrent runs
 // (the package's read-only input contract).
-// Panics if cfg.Hosts <= 0, cfg.WarmupFraction is outside [0, 1), or
-// cfg.Policy is neither a WorkPolicy nor a StatePolicy.
-// Panics if the policy is a pull policy (Central-Queue): the first time
-// it holds a job centrally, since PS hosts have no central queue.
+// Arrivals fire straight from the slice, as on FCFS hosts, so the heap
+// holds only PS completions, and records carry each job's arrival ordinal
+// as its ID.
+// Panics if cfg.Hosts <= 0, cfg.Policy is nil, cfg.WarmupFraction is
+// outside [0, 1), cfg.Policy is neither a WorkPolicy nor a StatePolicy,
+// the jobs are not sorted by arrival, or the policy routes a job outside
+// the host range. Panics if the policy is a pull policy (Central-Queue):
+// the first time it holds a job centrally, since PS hosts have no central
+// queue.
 //
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
@@ -322,15 +296,11 @@ func RunPS(jobs []workload.Job, cfg Config) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)
 	res.PolicyName += "/PS"
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(defaultInterruptEvery, cfg.Interrupt)
-	}
-	sys := newPSOn(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
-		res.observe(rec, warmup, &cfg)
-	})
-	sys.Simulate(jobs)
-	res.Interrupted = eng.Interrupted()
+	res.Interrupted = sim.Run(jobs, evPSArrival, sim.Options{Interrupt: cfg.Interrupt, OrderCheck: cfg.OrderCheck},
+		func(eng *sim.Engine) sim.Handler {
+			return newPS(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
+				res.observe(rec, warmup, &cfg)
+			})
+		})
 	return res
 }

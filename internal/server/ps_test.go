@@ -11,10 +11,15 @@ import (
 	"sita/internal/workload"
 )
 
-func TestPSSingleJob(t *testing.T) {
+// psRecords runs jobs on h PS hosts under p and returns every record.
+func psRecords(h int, p Policy, jobs []workload.Job) []JobRecord {
 	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
-	sys.Simulate(jobs([2]float64{0, 10}))
+	RunPS(jobs, Config{Hosts: h, Policy: p, OnRecord: func(r JobRecord) { recs = append(recs, r) }})
+	return recs
+}
+
+func TestPSSingleJob(t *testing.T) {
+	recs := psRecords(1, toHost(0), jobs([2]float64{0, 10}))
 	if len(recs) != 1 {
 		t.Fatalf("completed %d jobs", len(recs))
 	}
@@ -26,9 +31,7 @@ func TestPSSingleJob(t *testing.T) {
 func TestPSTwoJobsShareExactly(t *testing.T) {
 	// Two equal jobs arriving together each run at rate 1/2 and finish at
 	// 2x their size.
-	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
-	sys.Simulate(jobs([2]float64{0, 10}, [2]float64{0, 10}))
+	recs := psRecords(1, toHost(0), jobs([2]float64{0, 10}, [2]float64{0, 10}))
 	if len(recs) != 2 {
 		t.Fatalf("completed %d jobs", len(recs))
 	}
@@ -44,9 +47,7 @@ func TestPSHandComputedSchedule(t *testing.T) {
 	// 0-2: A alone, 2 units done (2 left).
 	// 2-4: both at rate 1/2; at t=4 B has 0 left and departs.
 	// 4-5: A alone finishes its last unit; departs at 5.
-	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
-	sys.Simulate(jobs([2]float64{0, 4}, [2]float64{2, 1}))
+	recs := psRecords(1, toHost(0), jobs([2]float64{0, 4}, [2]float64{2, 1}))
 	byID := map[int]JobRecord{}
 	for _, r := range recs {
 		byID[r.ID] = r
@@ -140,8 +141,7 @@ func TestPSSlowdownAtLeastOne(t *testing.T) {
 
 func TestPSViewMethods(t *testing.T) {
 	probe := &psProbe{t: t}
-	sys := NewPS(2, probe, nil)
-	sys.Simulate(jobs([2]float64{0, 10}, [2]float64{1, 10}))
+	RunPS(jobs([2]float64{0, 10}, [2]float64{1, 10}), Config{Hosts: 2, Policy: probe})
 	if !probe.sawResident {
 		t.Fatal("probe never observed a resident job")
 	}
@@ -173,17 +173,10 @@ func (p *psProbe) Assign(_ workload.Job, v View) int {
 
 func TestPSValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewPS(0, toHost(0), nil) },
-		func() { NewPS(1, nil, nil) },
 		func() { RunPS(nil, Config{Hosts: 0, Policy: toHost(0)}) },
-		func() {
-			sys := NewPS(1, toHost(5), nil)
-			sys.Simulate(jobs([2]float64{0, 1}))
-		},
-		func() {
-			sys := NewPS(1, toHost(0), nil)
-			sys.Simulate(jobs([2]float64{5, 1}, [2]float64{1, 1}))
-		},
+		func() { RunPS(nil, Config{Hosts: 1}) },
+		func() { RunPS(jobs([2]float64{0, 1}), Config{Hosts: 1, Policy: toHost(5)}) },
+		func() { RunPS(jobs([2]float64{5, 1}, [2]float64{1, 1}), Config{Hosts: 1, Policy: toHost(0)}) },
 	} {
 		func() {
 			defer func() {

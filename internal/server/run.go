@@ -28,13 +28,15 @@ type Config struct {
 	// CentralOrder selects the central-queue discipline for pull policies
 	// (default CentralFCFS).
 	CentralOrder CentralOrder
-	// Interrupt, when non-nil, is polled every defaultInterruptEvery
-	// (4096) simulated events; when it reports true the simulation stops
-	// early and the Result carries Interrupted=true with statistics over
-	// the jobs completed so far. Serving paths use this to honor request
-	// deadlines; batch paths leave it nil, which costs nothing and keeps
-	// output byte-identical. The callback must be cheap and must not
-	// block (e.g. a non-blocking context poll).
+	// Interrupt, when non-nil, is polled every sim.InterruptEvery (4096)
+	// steps on every path: simulated events on the engine and PS hosts,
+	// assigned jobs in the direct recurrence's first phase. When it
+	// reports true the simulation stops early and the Result carries
+	// Interrupted=true (see Result.Interrupted for what the other fields
+	// then hold). Serving paths use this to honor request deadlines; batch
+	// paths leave it nil, which costs nothing and keeps output
+	// byte-identical. The callback must be cheap and must not block (e.g.
+	// a non-blocking context poll).
 	Interrupt func() bool
 	// OnRecord, when non-nil, receives every completed job's record in
 	// emission order — warmup jobs included, unlike KeepRecords — on every
@@ -47,18 +49,13 @@ type Config struct {
 	// are plain values).
 	OnRecord func(JobRecord)
 	// OrderCheck arms the event kernel's dispatch-order assertion
-	// (sim.Engine.SetOrderCheck) for the run: the engine panics if it
-	// ever fires an event out of (time, seq) order. The direct
-	// recurrence has no event heap, so setting it pins the run to the
-	// engine; tests and the property harness (internal/simtest) use it to
-	// force the engine. Not for production sweeps.
+	// (sim.Options.OrderCheck) for the run: the engine panics if it ever
+	// fires an event out of (time, seq) order. The direct recurrence has
+	// no event heap, so setting it pins the run to the engine; tests and
+	// the property harness (internal/simtest) use it to force the engine.
+	// Not for production sweeps.
 	OrderCheck bool
 }
-
-// defaultInterruptEvery balances deadline latency against probe overhead:
-// at millions of events per second, 4096 events bound the reaction time to
-// well under a millisecond while keeping the poll far off the hot path.
-const defaultInterruptEvery = 4096
 
 // Result aggregates one run's metrics.
 //
@@ -85,8 +82,13 @@ type Result struct {
 	Horizon float64
 
 	// Interrupted reports that Config.Interrupt stopped the simulation
-	// before the job list drained; every other field then covers only the
-	// prefix of jobs that completed in time.
+	// before the job list drained. On the engine and PS paths every other
+	// field then covers only the jobs that completed in time. The direct
+	// recurrence folds completions in only after its first phase has
+	// assigned every job, so an interrupted direct run completed none: its
+	// statistics, per-host counts, Horizon and Records are empty and
+	// OnRecord never ran. Either way the Result is partial and must not
+	// be served as the run's answer.
 	Interrupted bool
 
 	// MeanQueueLen is the time-averaged number of waiting jobs over the
@@ -133,10 +135,14 @@ func (r *Result) Utilization(i int) float64 {
 }
 
 // validateConfig checks Run's configuration contracts.
-// Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
+// Panics if cfg.Hosts <= 0, cfg.Policy is nil or cfg.WarmupFraction is
+// outside [0, 1).
 func validateConfig(cfg Config) {
 	if cfg.Hosts <= 0 {
 		panic(fmt.Sprintf("server: config needs hosts > 0, got %d", cfg.Hosts))
+	}
+	if cfg.Policy == nil {
+		panic("server: nil policy")
 	}
 	// Affirmative form so NaN is rejected too (int(NaN * n) is not a
 	// warmup count).
@@ -206,9 +212,8 @@ func observedSlowdown(rec JobRecord) float64 {
 // whatever IDs the input holds.
 //
 // Dispatch: when DirectEligible(cfg) holds — the policy is a WorkPolicy
-// and neither an interrupt probe nor the order check is installed — Run
-// takes the direct recurrence (runDirect) instead of the discrete-event
-// engine. The two paths produce bit-identical Results — same float
+// and the order check is not armed — Run takes the direct recurrence
+// (runDirect) instead of the discrete-event engine. The two paths produce bit-identical Results — same float
 // sequence, same record emission order, same RNG draw order, same answers
 // to WorkView queries — except Result.MeanQueueLen, an engine-only
 // accrual, so the dispatch is otherwise invisible to callers; setting
@@ -224,8 +229,9 @@ func observedSlowdown(rec JobRecord) float64 {
 // written (the ordinal goes on the path's own copy of each job), so
 // callers may share one job list across concurrent runs — the package's
 // read-only input contract, which internal/streamcache relies on.
-// Panics if cfg.Hosts <= 0, cfg.WarmupFraction is outside [0, 1), or
-// cfg.Policy is neither a WorkPolicy nor a StatePolicy.
+// Panics if cfg.Hosts <= 0, cfg.Policy is nil, cfg.WarmupFraction is
+// outside [0, 1), cfg.Policy is neither a WorkPolicy nor a StatePolicy,
+// or the jobs are not sorted by arrival.
 //
 //sim:readonly jobs
 func Run(jobs []workload.Job, cfg Config) *Result {
@@ -237,33 +243,28 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 }
 
 // runEngine is the discrete-event path: every arrival and departure is an
-// event on the sim.Engine heap, which is what supports state policies,
-// central-queue pulls, and cooperative interruption.
+// event on a pooled sim.Engine's heap, which is what supports state
+// policies and central-queue pulls.
 //
 //sim:readonly jobs
 func runEngine(jobs []workload.Job, cfg Config) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-
 	res := newResult(cfg, len(jobs), warmup)
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(defaultInterruptEvery, cfg.Interrupt)
-	}
-	if cfg.OrderCheck {
-		eng.SetOrderCheck(true)
-	}
-	sys := newSystemOn(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, func(rec JobRecord) {
-		res.observe(rec, warmup, &cfg)
-	})
-	sys.Simulate(jobs)
-	res.Interrupted = eng.Interrupted()
+	var sys *System
+	res.Interrupted = sim.Run(jobs, evArrival, sim.Options{Interrupt: cfg.Interrupt, OrderCheck: cfg.OrderCheck},
+		func(eng *sim.Engine) sim.Handler {
+			sys = newSystem(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, func(rec JobRecord) {
+				res.observe(rec, warmup, &cfg)
+			})
+			return sys
+		})
 	res.MeanQueueLen = sys.MeanQueueLength()
 	return res
 }
 
 // runDirect is the direct-recurrence path (see direct.go), equivalent to
-// runEngine as Run's comment states. Panics if the jobs are not sorted by
+// runEngine as Run's comment states, and honoring cfg.Interrupt as
+// Result.Interrupted describes. Panics if the jobs are not sorted by
 // arrival or the policy returns a host outside the range (Central
 // included).
 //
@@ -276,6 +277,7 @@ func runDirect(jobs []workload.Job, cfg Config) *Result {
 	d.res = res
 	d.warmup = warmup
 	d.sizeClass = cfg.SizeClass
+	d.interrupt = cfg.Interrupt
 	if cfg.KeepRecords || cfg.OnRecord != nil {
 		// Kept records and the hook run off the hot path, after the
 		// record's stream adds, as in Result.observe.
@@ -288,7 +290,7 @@ func runDirect(jobs []workload.Job, cfg Config) *Result {
 			}
 		}
 	}
-	d.replay(jobs)
+	res.Interrupted = d.replay(jobs)
 	d.release()
 	return res
 }

@@ -109,10 +109,9 @@ type View interface {
 
 // Policy is a task assignment rule. Every policy is a WorkPolicy or a
 // StatePolicy; the kind is its Assign method's view parameter, so what a
-// policy may read is fixed by its type. Run, RunPS, New and NewPS panic,
-// naming the policy, on one that is neither. Policies may be stateful
-// (Round-Robin) and are therefore not shared across concurrent
-// simulations.
+// policy may read is fixed by its type. Run and RunPS panic, naming the
+// policy, on one that is neither. Policies may be stateful (Round-Robin)
+// and are therefore not shared across concurrent simulations.
 type Policy interface {
 	Name() string
 }
@@ -301,10 +300,14 @@ func (q *centralQueue) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// System is the simulated distributed server. Build with New, feed jobs in
-// arrival order via the Run functions.
+// System is the simulated distributed server on FCFS hosts, the engine
+// path's model: runEngine builds one per run.
 type System struct {
 	engine *sim.Engine
+	// now is the instant of the event being handled, and after the run
+	// of the last one, so MeanQueueLength needs no engine once sim.Run
+	// has returned it to the pool.
+	now    float64
 	hosts  []host
 	policy Policy
 	// The policy's kind, resolved once per run: exactly one is non-nil.
@@ -335,28 +338,9 @@ type System struct {
 	jobsOn  bool
 }
 
-// New builds a distributed server with h hosts and the given policy, using
-// a FCFS central queue.
-func New(h int, p Policy, onComplete func(JobRecord)) *System {
-	return NewWithOrder(h, p, CentralFCFS, onComplete)
-}
-
-// NewWithOrder builds a distributed server with an explicit central-queue
-// discipline. Panics if h < 1, p is nil, or p is neither a WorkPolicy nor
-// a StatePolicy.
-func NewWithOrder(h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
-	if h <= 0 {
-		panic(fmt.Sprintf("server: need at least one host, got %d", h))
-	}
-	if p == nil {
-		panic("server: nil policy")
-	}
-	return newSystemOn(&sim.Engine{}, h, p, order, onComplete)
-}
-
-// newSystemOn wires a System onto an existing engine (fresh or pooled).
+// newSystem wires a System onto the engine sim.Run hands to runEngine.
 // Panics if p is neither a WorkPolicy nor a StatePolicy.
-func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
+func newSystem(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
 	work, state := policyKinds(p)
 	s := &System{
 		engine:      eng,
@@ -369,7 +353,6 @@ func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplet
 	}
 	s.idle.Reset(h)
 	s.idle.SetAll()
-	eng.SetHandler(s)
 	return s
 }
 
@@ -384,7 +367,7 @@ func (s *System) NumJobs(i int) int { return s.hosts[i].jobs }
 
 // WorkLeft reports remaining work at host i at the current instant.
 func (s *System) WorkLeft(i int) float64 {
-	left := s.hosts[i].readyAt - s.engine.Now()
+	left := s.hosts[i].readyAt - s.now
 	if left < 0 || !s.hosts[i].running && s.hosts[i].queued() == 0 {
 		return 0
 	}
@@ -403,7 +386,7 @@ func (s *System) MinWorkHost() int {
 	if !s.workOn {
 		s.buildWorkIndex()
 	}
-	return s.work.ArgMin(s.engine.Now())
+	return s.work.ArgMin(s.now)
 }
 
 // MinWorkHostIn is MinWorkHost over hosts lo <= i < hi.
@@ -412,7 +395,7 @@ func (s *System) MinWorkHostIn(lo, hi int) int {
 	if !s.workOn {
 		s.buildWorkIndex()
 	}
-	return s.work.ArgMinRange(lo, hi, s.engine.Now())
+	return s.work.ArgMinRange(lo, hi, s.now)
 }
 
 // MinJobsHost reports the host with the fewest jobs, ties to the lowest
@@ -443,29 +426,11 @@ func (s *System) buildWorkIndex() {
 	s.workOn = true
 }
 
-// Simulate runs the full job list through the system and waits for every
-// job to finish. Jobs must be sorted by arrival time; Simulate panics if
-// they are not. Records carry each job's arrival ordinal as its ID.
-//
-// Arrivals fire straight from the slice (sim.Engine.RunFeed), so only
-// departures enter the event heap, which stays O(hosts) deep regardless of
-// trace length; the event order — and therefore every simulated record —
-// is identical to pre-scheduling the whole trace.
-func (s *System) Simulate(jobs []workload.Job) {
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
-	}
-	s.engine.RunFeed(jobs, evArrival)
-}
-
 // HandleEvent dispatches the engine's typed events.
 //
 //sim:noalloc
 func (s *System) HandleEvent(now float64, ev sim.Ev) {
+	s.now = now
 	switch ev.Kind {
 	case evArrival:
 		s.arrive(ev.Job, now)
@@ -479,9 +444,11 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 }
 
 // arrive stamps one job with its arrival ordinal and routes it through the
-// policy at its arrival instant.
-// Panics if the policy returns a host outside the valid range, which is a
-// contract violation by the Policy implementation.
+// policy at its arrival instant. Only a state policy may hold the job
+// centrally.
+// Panics if the policy returns a host outside the valid range — Central
+// included, for a work policy — which is a contract violation by the
+// Policy implementation.
 //
 //sim:noalloc
 func (s *System) arrive(job workload.Job, now float64) {
@@ -490,10 +457,7 @@ func (s *System) arrive(job workload.Job, now float64) {
 	var idx int
 	if s.workPolicy != nil {
 		idx = s.workPolicy.Assign(job, s)
-	} else {
-		idx = s.statePolicy.Assign(job, s)
-	}
-	if idx == Central {
+	} else if idx = s.statePolicy.Assign(job, s); idx == Central {
 		// Hold at the dispatcher; a host will pull it when free. If some
 		// host is already idle the policy should have returned it, but be
 		// robust and drain immediately — the freelist hands out idle hosts
@@ -609,16 +573,13 @@ func (s *System) accrueQueue(now float64) {
 	s.lastAccrual = now
 }
 
-// MeanQueueLength reports the time-averaged number of waiting jobs over the
-// simulated horizon — E[Q] in the paper's theorem 1, for checking Little's
-// law E[Q] = lambda*E[W] against the simulated mean wait.
+// MeanQueueLength reports the time-averaged number of waiting jobs up to
+// the last handled event — E[Q] in the paper's theorem 1, for checking
+// Little's law E[Q] = lambda*E[W] against the simulated mean wait.
 func (s *System) MeanQueueLength() float64 {
-	if s.engine.Now() == 0 {
+	if s.now == 0 {
 		return 0
 	}
-	s.accrueQueue(s.engine.Now())
-	return s.queueArea / s.engine.Now()
+	s.accrueQueue(s.now)
+	return s.queueArea / s.now
 }
-
-// Now reports the simulator clock.
-func (s *System) Now() float64 { return s.engine.Now() }

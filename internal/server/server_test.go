@@ -30,6 +30,13 @@ func (pull) Assign(_ workload.Job, v View) int {
 	return Central
 }
 
+// simulate runs jobs on the engine — the order check pins it even for a
+// work policy — over h FCFS hosts under p, handing onComplete every
+// record.
+func simulate(h int, p Policy, jobs []workload.Job, onComplete func(JobRecord)) *Result {
+	return Run(jobs, Config{Hosts: h, Policy: p, OrderCheck: true, OnRecord: onComplete})
+}
+
 func jobs(list ...[2]float64) []workload.Job {
 	out := make([]workload.Job, len(list))
 	for i, a := range list {
@@ -41,8 +48,8 @@ func jobs(list ...[2]float64) []workload.Job {
 func TestSingleHostFCFS(t *testing.T) {
 	// Three jobs on one host: classic FCFS hand calculation.
 	var recs []JobRecord
-	sys := New(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
-	sys.Simulate(jobs([2]float64{0, 10}, [2]float64{2, 5}, [2]float64{20, 1}))
+	simulate(1, toHost(0), jobs([2]float64{0, 10}, [2]float64{2, 5}, [2]float64{20, 1}),
+		func(r JobRecord) { recs = append(recs, r) })
 	if len(recs) != 3 {
 		t.Fatalf("completed %d jobs, want 3", len(recs))
 	}
@@ -67,7 +74,7 @@ func TestSlowdownAtLeastOne(t *testing.T) {
 	src := workload.NewSource(workload.NewPoisson(0.5),
 		workload.DistSizes{D: dist.NewBoundedPareto(1.1, 1, 1e4)},
 		sim.NewRNG(1, 0), sim.NewRNG(1, 1))
-	sys := New(2, toHost(0), func(r JobRecord) {
+	simulate(2, toHost(0), src.Take(5000), func(r JobRecord) {
 		if r.Slowdown() < 1 {
 			t.Fatalf("slowdown %v < 1 for job %d", r.Slowdown(), r.ID)
 		}
@@ -75,14 +82,16 @@ func TestSlowdownAtLeastOne(t *testing.T) {
 			t.Fatalf("job %d starts before arrival", r.ID)
 		}
 	})
-	sys.Simulate(src.Take(5000))
 }
 
 func TestFCFSOrderPreservedPerHost(t *testing.T) {
 	// Departure order on a host must follow arrival order of its jobs.
 	lastDeparture := map[int]float64{}
 	lastArrival := map[int]float64{}
-	sys := New(3, toHost(1), func(r JobRecord) {
+	src := workload.NewSource(workload.NewPoisson(1),
+		workload.DistSizes{D: dist.NewExponential(1)},
+		sim.NewRNG(2, 0), sim.NewRNG(2, 1))
+	simulate(3, toHost(1), src.Take(3000), func(r JobRecord) {
 		if r.Departure < lastDeparture[r.Host] {
 			t.Fatalf("departures out of order on host %d", r.Host)
 		}
@@ -92,21 +101,16 @@ func TestFCFSOrderPreservedPerHost(t *testing.T) {
 		lastDeparture[r.Host] = r.Departure
 		lastArrival[r.Host] = r.Arrival
 	})
-	src := workload.NewSource(workload.NewPoisson(1),
-		workload.DistSizes{D: dist.NewExponential(1)},
-		sim.NewRNG(2, 0), sim.NewRNG(2, 1))
-	sys.Simulate(src.Take(3000))
 }
 
 func TestCentralQueueDrainsIdleHosts(t *testing.T) {
 	var recs []JobRecord
-	sys := New(2, pull{}, func(r JobRecord) { recs = append(recs, r) })
 	// Two long jobs occupy both hosts; two short jobs queue centrally and
 	// start when hosts free, in FCFS order.
-	sys.Simulate(jobs(
+	simulate(2, pull{}, jobs(
 		[2]float64{0, 10}, [2]float64{0, 20},
 		[2]float64{1, 1}, [2]float64{2, 1},
-	))
+	), func(r JobRecord) { recs = append(recs, r) })
 	if len(recs) != 4 {
 		t.Fatalf("completed %d jobs, want 4", len(recs))
 	}
@@ -121,15 +125,9 @@ func TestCentralQueueDrainsIdleHosts(t *testing.T) {
 }
 
 func TestWorkLeftAndNumJobsViews(t *testing.T) {
-	sys := New(2, toHost(0), nil)
-	sys.Simulate(nil) // initialize
-	if sys.WorkLeft(0) != 0 || sys.NumJobs(0) != 0 || !sys.Idle(0) {
-		t.Fatal("fresh system should be idle")
-	}
 	// Probe views mid-simulation via a policy.
 	probe := probePolicy{t: t}
-	sys2 := New(2, &probe, nil)
-	sys2.Simulate(jobs([2]float64{0, 10}, [2]float64{1, 10}, [2]float64{2, 3}))
+	simulate(2, &probe, jobs([2]float64{0, 10}, [2]float64{1, 10}, [2]float64{2, 3}), nil)
 	if !probe.sawBacklog {
 		t.Fatal("policy never observed a backlog")
 	}
@@ -146,8 +144,9 @@ func (*probePolicy) Name() string { return "probe" }
 func (p *probePolicy) Assign(j workload.Job, v View) int {
 	switch p.n {
 	case 0:
-		if v.WorkLeft(0) != 0 {
-			p.t.Errorf("first arrival: work left %v, want 0", v.WorkLeft(0))
+		if v.WorkLeft(0) != 0 || v.NumJobs(0) != 0 || !v.Idle(0) {
+			p.t.Errorf("first arrival: work left %v, %d jobs, idle %v; want a fresh, idle host",
+				v.WorkLeft(0), v.NumJobs(0), v.Idle(0))
 		}
 	case 1:
 		// t=1: host 0 has 9 seconds of its first job left.
@@ -275,20 +274,18 @@ func TestRunMG1AgainstPollaczekKhinchine(t *testing.T) {
 }
 
 func TestUnsortedJobsPanic(t *testing.T) {
-	sys := New(1, toHost(0), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for unsorted arrivals")
 		}
 	}()
-	sys.Simulate(jobs([2]float64{5, 1}, [2]float64{1, 1}))
+	simulate(1, toHost(0), jobs([2]float64{5, 1}, [2]float64{1, 1}), nil)
 }
 
 func TestConfigValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { New(0, toHost(0), nil) },
-		func() { New(1, nil, nil) },
 		func() { Run(nil, Config{Hosts: 0, Policy: toHost(0)}) },
+		func() { Run(nil, Config{Hosts: 1}) },
 		func() { Run(nil, Config{Hosts: 1, Policy: toHost(0), WarmupFraction: 1}) },
 	} {
 		func() {
@@ -307,7 +304,7 @@ type nameOnly struct{}
 
 func (nameOnly) Name() string { return "name-only" }
 
-// TestPolicyOfNeitherKindPanics checks that every entry point refuses a
+// TestPolicyOfNeitherKindPanics checks that both entry points refuse a
 // policy that is neither a WorkPolicy nor a StatePolicy, naming it.
 func TestPolicyOfNeitherKindPanics(t *testing.T) {
 	js := jobs([2]float64{0, 1})
@@ -317,8 +314,6 @@ func TestPolicyOfNeitherKindPanics(t *testing.T) {
 	}{
 		{"Run", func() { Run(js, Config{Hosts: 1, Policy: nameOnly{}}) }},
 		{"RunPS", func() { RunPS(js, Config{Hosts: 1, Policy: nameOnly{}}) }},
-		{"New", func() { New(1, nameOnly{}, nil) }},
-		{"NewPS", func() { NewPS(1, nameOnly{}, nil) }},
 	} {
 		func() {
 			defer func() {
@@ -333,13 +328,12 @@ func TestPolicyOfNeitherKindPanics(t *testing.T) {
 }
 
 func TestBadPolicyIndexPanics(t *testing.T) {
-	sys := New(2, toHost(7), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range host")
 		}
 	}()
-	sys.Simulate(jobs([2]float64{0, 1}))
+	simulate(2, toHost(7), jobs([2]float64{0, 1}), nil)
 }
 
 // TestKeptRecordsPresized checks that every simulation path sizes
@@ -363,23 +357,30 @@ func TestKeptRecordsPresized(t *testing.T) {
 	}
 }
 
-// TestInterruptCadence pins how far an engine run gets when its Interrupt
-// trips on the third poll, one poll every defaultInterruptEvery fired
-// events. Every arrival, departure and popped PS completion (canceled or
-// not) advances the probe, so the completed-job counts below move if the
-// kernel ever changes which entries it counts — the probe's cadence on
-// the serving path (Config.Interrupt) would then change with it.
+// TestInterruptCadence pins how far a run gets when its Interrupt trips
+// on the third poll, one poll every sim.InterruptEvery steps. On the
+// engine every arrival, departure and popped PS completion (canceled or
+// not) is a step, so the completed-job counts below move if the kernel
+// ever changes which entries it counts — the probe's cadence on the
+// serving path (Config.Interrupt) would then change with it. The direct
+// path polls before every sim.InterruptEvery-th job it assigns and folds
+// completions in only after assigning all of them, so its third poll
+// stops it with 3*sim.InterruptEvery jobs assigned and none completed.
 func TestInterruptCadence(t *testing.T) {
 	jobs := goldenJobs(47, 20000)
+	direct := &countingLWL{}
 	for _, tc := range []struct {
 		name string
 		run  func([]workload.Job, Config) *Result
 		cfg  Config
 		want int64
 	}{
-		{"fcfs-lwl", Run, Config{Hosts: 3, Policy: goldenLWL{}}, 6105},
+		{"fcfs-lwl", Run, Config{Hosts: 3, Policy: goldenLWL{}, OrderCheck: true}, 6105},
 		{"fcfs-central-sjf", Run, Config{Hosts: 3, Policy: toCentral{}, CentralOrder: CentralSJF}, 6138},
 		{"ps-lwl", RunPS, Config{Hosts: 2, Policy: goldenLWL{}}, 3737},
+		{"direct-lwl", Run, Config{Hosts: 3, Policy: direct, KeepRecords: true, OnRecord: func(JobRecord) {
+			t.Error("direct-lwl: an interrupted direct run emitted a record")
+		}}, 0},
 	} {
 		polls := 0
 		tc.cfg.Interrupt = func() bool { polls++; return polls == 3 }
@@ -392,5 +393,21 @@ func TestInterruptCadence(t *testing.T) {
 			t.Errorf("%s: interrupted %v after %d polls with %d jobs done, want true, 3, %d",
 				tc.name, res.Interrupted, polls, done, tc.want)
 		}
+		if tc.want == 0 && (res.Slowdown.Count() != 0 || res.Horizon != 0 || len(res.Records) != 0) {
+			t.Errorf("%s: interrupted direct run holds %d slowdowns, horizon %v, %d records; want none",
+				tc.name, res.Slowdown.Count(), res.Horizon, len(res.Records))
+		}
 	}
+	if direct.n != 3*sim.InterruptEvery {
+		t.Errorf("direct-lwl: %d jobs assigned before the third poll stopped it, want %d", direct.n, 3*sim.InterruptEvery)
+	}
+}
+
+// countingLWL is Least-Work-Left counting its Assign calls.
+type countingLWL struct{ n int }
+
+func (*countingLWL) Name() string { return "counting-lwl" }
+func (c *countingLWL) Assign(_ workload.Job, v WorkView) int {
+	c.n++
+	return v.MinWorkHost()
 }

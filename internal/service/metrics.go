@@ -116,7 +116,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 	sims, rejected, deadlines := m.simulations, m.rejected, m.deadlines
 	m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP simd_simulations_total Simulations actually executed (cache misses that ran an engine).")
+	fmt.Fprintln(w, "# HELP simd_simulations_total Simulations actually executed (cache misses that ran a simulation, on the engine or the direct path).")
 	fmt.Fprintln(w, "# TYPE simd_simulations_total counter")
 	fmt.Fprintf(w, "simd_simulations_total %d\n", sims)
 	fmt.Fprintln(w, "# HELP simd_rejected_total Requests rejected with 429 by admission control.")

@@ -4,11 +4,11 @@
 // coalescing (identical requests are simulated exactly once and answered
 // with byte-identical bodies), bounded-concurrency admission with
 // backpressure (429 + Retry-After once the wait queue is full),
-// per-request deadlines wired into the engine's cooperative cancel probe
-// (503 on expiry, no leaked engines), graceful drain (admitted requests
-// complete, new ones are refused), and an observability surface: /healthz,
-// Prometheus-text /metrics, expvar, pprof, and structured JSON access
-// logs.
+// per-request deadlines wired into the simulation's cooperative cancel
+// probe on every path (503 on expiry, no leaked engines), graceful drain
+// (admitted requests complete, new ones are refused), and an
+// observability surface: /healthz, Prometheus-text /metrics, expvar,
+// pprof, and structured JSON access logs.
 //
 // Both of the package's memos are memo.Cache instances: the response
 // cache (byte-bounded, Config.CacheBytes) and the workload memo (generated
@@ -17,7 +17,7 @@
 // Concurrency contract: a Server is safe for arbitrary concurrent
 // requests. Simulations themselves stay single-goroutine — concurrency
 // enters only through the admission semaphore, and every simulation cell
-// owns its engine (sim.Acquire/Release), policy instance, and Result, the
+// owns its engine (one scoped sim.Run), policy instance, and Result, the
 // same discipline internal/runner enforces for sweeps. Wall-clock time is
 // confined to serving concerns (latency metrics, deadlines, Retry-After);
 // simulated time still advances only through sim.Engine, which is why a

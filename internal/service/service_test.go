@@ -115,6 +115,31 @@ func TestDeadlineReturns503(t *testing.T) {
 	}
 }
 
+// TestDeadlineReturns503OnDirectPath checks that a direct-eligible policy
+// honors its deadline as an engine run does: Least-Work-Left takes the
+// direct recurrence, whose first phase polls the probe once per
+// sim.InterruptEvery jobs. The hook outlasts the 1 ms budget, so the
+// full-profile trace's first poll already sees the deadline; the 503 is
+// not cached, and the same simulation succeeds afterwards.
+func TestDeadlineReturns503OnDirectPath(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2})
+	svc.testHookAdmitted = func() { time.Sleep(10 * time.Millisecond) }
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	code, _, body := postSim(t, ts.URL, `{"policy":"lwl","load":0.9,"timeout_ms":1}`)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("deadline request: status %d, body %s, want 503", code, body)
+	}
+	if _, _, deadlines := svc.metrics.snapshot(); deadlines != 1 {
+		t.Fatalf("deadline metric reads %d, want 1", deadlines)
+	}
+	code, cache, body := postSim(t, ts.URL, `{"policy":"lwl","load":0.9}`)
+	if code != http.StatusOK || cache != "miss" {
+		t.Fatalf("retry after deadline: status %d cache %q, body %s; want 200 and a miss", code, cache, body)
+	}
+}
+
 // TestBackpressure429 checks admission control: with one slot and no
 // queue, a second distinct request is refused with 429 + Retry-After.
 func TestBackpressure429(t *testing.T) {
@@ -372,6 +397,28 @@ func TestAdvise(t *testing.T) {
 	code, _, body = get("?profile=nope")
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "psc-c90") {
 		t.Fatalf("bad profile should name valid values: status %d body %s", code, body)
+	}
+}
+
+// TestAdviseLeavesWorkloadMemo checks that advice reads the profile's
+// size distribution and generates no trace: an advise request naming a
+// seed no simulation has used adds nothing to the workload memo.
+func TestAdviseLeavesWorkloadMemo(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/v1/advise?profile=psc-j90&load=0.7&seed=987654")
+	if err != nil {
+		t.Fatalf("GET /v1/advise: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("advise: status %d, want 200", resp.StatusCode)
+	}
+	if st := svc.workloads.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("advise touched the workload memo: %+v", st)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sita/internal/core"
 	"sita/internal/server"
 	"sita/internal/streamcache"
+	"sita/internal/trace"
 )
 
 // SimRequest is the body of POST /v1/simulate. Every field except Policy
@@ -186,8 +187,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSimulation executes one admitted simulation end to end: claim a
-// slot, build the (memoized) workload and a fresh policy, run the engine
-// with the deadline's cancel probe installed, and marshal the response.
+// slot, build the (memoized) workload and a fresh policy, run it with the
+// deadline's cancel probe installed, and marshal the response.
 // The deadline context is deliberately detached from the client
 // connection: once admitted, a simulation runs to completion (or its own
 // deadline) even if the client goes away, so a drain always converges and
@@ -226,15 +227,8 @@ func (s *Server) runSimulation(req SimRequest) ([]byte, error) {
 	if design != nil {
 		cfg.SizeClass = design.Classify
 	}
-	// Direct-eligible policies take the direct-recurrence path, which
-	// finishes in milliseconds at service scale and does not support the
-	// cancel probe — installing one would force these runs back onto the
-	// engine. PS always needs the engine, and any engine run keeps the
-	// deadline probe.
-	if req.PS || !server.DirectEligible(cfg) {
-		cfg.Interrupt = func() bool {
-			return ctx.Err() != nil
-		}
+	cfg.Interrupt = func() bool {
+		return ctx.Err() != nil
 	}
 	s.metrics.addSimulation()
 	var res *server.Result
@@ -334,14 +328,13 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		}
 		hosts = n
 	}
-	var seed uint64 = 1
+	// Clients still send seed; advice depends on none, so it is checked
+	// and otherwise ignored.
 	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseUint(v, 10, 64); err != nil {
 			writeError(w, http.StatusBadRequest, "bad seed: "+err.Error())
 			return
 		}
-		seed = n
 	}
 	if err := catalog.CheckProfile(profile); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -356,9 +349,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := fmt.Sprintf("advise|pr=%s|l=%g|h=%d|s=%d", profile, load, hosts, seed)
+	key := fmt.Sprintf("advise|pr=%s|l=%g|h=%d", profile, load, hosts)
 	body, status, err := s.cache.Do(key, func() ([]byte, error) {
-		return s.runAdvise(profile, load, hosts, seed)
+		return runAdvise(profile, load, hosts)
 	})
 	if err != nil {
 		var bad badRequest
@@ -375,13 +368,19 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAdvise maps core.Advise's characterization, designs and
-// recommendation for the workload onto the response body.
-func (s *Server) runAdvise(profile string, load float64, hosts int, seed uint64) ([]byte, error) {
-	wl, err := s.workload(profile, seed, 0)
+// recommendation for the profile's size distribution onto the response
+// body. Advice reads the distribution, never a generated trace, so it
+// depends on no seed and leaves the workload memo alone.
+func runAdvise(profile string, load float64, hosts int) ([]byte, error) {
+	p, err := trace.ByName(profile)
 	if err != nil {
 		return nil, badRequest{err.Error()}
 	}
-	a := core.Advise(load, wl.Size, hosts)
+	size, err := p.SizeDist()
+	if err != nil {
+		return nil, badRequest{err.Error()}
+	}
+	a := core.Advise(load, size, hosts)
 	resp := AdviseResponse{
 		Profile:      profile,
 		Load:         load,

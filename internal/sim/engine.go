@@ -8,16 +8,21 @@
 // — and carry a small typed payload (Ev: kind + host index + job)
 // dispatched to the engine's Handler. Cancellation uses generation-counted
 // handles into a reusable slot arena, so a Handle stays 16 bytes and a
-// stale handle (its event fired, or the engine was Reset) is a safe no-op.
-// Engines are reusable via Reset and poolable via Acquire/Release, so a
-// sweep of thousands of simulation cells reuses a few engines' backing
-// arrays instead of reallocating per cell.
+// stale handle (its event fired, or the engine was reset) is a safe no-op.
 //
-// Serving paths that must bound a simulation's wall-clock cost can install
-// a cooperative cancellation probe (SetCancelCheck): a zero-allocation
-// callback polled every N fired events. The probe is off by default and
-// cleared on Reset/Acquire/Release, so batch paths (cmd/sweep, results/)
-// never observe it and their output stays byte-identical.
+// Models run only through Run, one scoped call per simulation: it checks
+// the feed is sorted, takes an engine from a process-wide pool, arms the
+// run's optional checks, feeds the jobs and returns the engine on every
+// exit, panics included. A sweep of thousands of simulation cells thus
+// reuses a few engines' backing arrays instead of reallocating per cell,
+// and no code outside this package can leak a pooled engine or leave a
+// request's state on one.
+//
+// Serving paths that must bound a simulation's wall-clock cost pass a
+// cooperative cancellation probe (Options.Interrupt): a zero-allocation
+// callback polled every InterruptEvery loop steps. The probe is off by
+// default and dropped when the run ends, so batch paths (cmd/sweep,
+// results/) never observe it and their output stays byte-identical.
 package sim
 
 import (
@@ -86,7 +91,7 @@ type Handle struct {
 
 // Cancel prevents the event from firing. Canceling an already-fired,
 // already-canceled, or zero Handle is a no-op, as is canceling across an
-// Engine.Reset (the reset bumps every slot generation).
+// engine reset (the reset bumps every slot generation).
 func (h Handle) Cancel() {
 	if h.e == nil || int(h.id) >= len(h.e.slots) {
 		return
@@ -98,8 +103,9 @@ func (h Handle) Cancel() {
 	s.canceled = true
 }
 
-// Engine is a single-threaded discrete-event simulator. The zero value is
-// a ready-to-use engine starting at time 0.
+// Engine is a single-threaded discrete-event simulator. Run hands one to a
+// model's build function; the model schedules events on it and reads its
+// clock.
 type Engine struct {
 	now     float64
 	seq     uint64
@@ -109,17 +115,16 @@ type Engine struct {
 	fired   uint64
 	handler Handler
 
-	// Cooperative cancellation (SetCancelCheck): checkFn is polled every
-	// checkEvery fired events; when it reports true the run stops and
-	// interrupted is set. checkEvery == 0 (the default) disables the
+	// Cooperative cancellation (Options.Interrupt): checkFn is polled
+	// every InterruptEvery loop steps; when it reports true the run stops
+	// and interrupted is set. A nil checkFn (the default) disables the
 	// check entirely, so CLI/sweep paths pay one predictable branch per
-	// event and produce byte-identical output.
-	checkEvery  uint64
+	// step and produce byte-identical output.
 	checkCount  uint64
 	checkFn     func() bool
 	interrupted bool
 
-	// Dispatch-order verification (SetOrderCheck): when enabled, fire
+	// Dispatch-order verification (Options.OrderCheck): when enabled, fire
 	// asserts that events leave the heap in nondecreasing (time, seq)
 	// order — the kernel's core determinism invariant. Off by default
 	// (one predictable branch per event); the property harness
@@ -138,9 +143,8 @@ func (e *Engine) Now() float64 { return e.now }
 // complexity assertions in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// SetHandler installs the typed-event consumer. Schedule panics at fire
-// time if no handler is installed.
-func (e *Engine) SetHandler(h Handler) { e.handler = h }
+// setHandler installs the typed-event consumer.
+func (e *Engine) setHandler(h Handler) { e.handler = h }
 
 // less orders heap entries by (time, seq): virtual time first, schedule
 // order among simultaneous events.
@@ -237,46 +241,75 @@ func (e *Engine) ScheduleAfter(delay float64, ev Ev) Handle {
 	return e.Schedule(e.now+delay, ev)
 }
 
-// SetCancelCheck installs a cooperative cancellation probe: fn is polled
-// every `every` loop steps (an arrival or a popped, maybe canceled, entry)
-// of a run, and when it reports true the run stops after the current
-// event and Interrupted reports true.
-// every <= 0 (or fn == nil) disables the check — the default — so the
-// probe costs nothing on paths that never set it and simulation output
-// stays byte-identical. The probe itself allocates nothing on the engine
-// side; fn should be equally cheap (e.g. a non-blocking context poll).
-// Reset and Acquire clear the probe, so pooled engines never retain a
-// request-scoped closure across reuse.
-func (e *Engine) SetCancelCheck(every int, fn func() bool) {
-	if every <= 0 || fn == nil {
-		e.checkEvery, e.checkFn = 0, nil
-		return
+// InterruptEvery is the cancellation probe's cadence: a run polls
+// Options.Interrupt once per InterruptEvery loop steps. At millions of
+// events per second that bounds the reaction time to well under a
+// millisecond while keeping the poll far off the hot path. The direct
+// recurrence in internal/server polls on the same cadence, per assigned
+// job.
+const InterruptEvery = 4096
+
+// Options arms a run's optional checks. The zero value arms none, which
+// costs one predictable branch per loop step and keeps output
+// byte-identical.
+type Options struct {
+	// Interrupt, when non-nil, is polled every InterruptEvery loop steps
+	// (an arrival or a popped, maybe canceled, entry); when it reports
+	// true the run stops after the current event and Run reports the
+	// interruption. It must be cheap and must not block (e.g. a
+	// non-blocking context poll); the engine drops it when the run ends.
+	Interrupt func() bool
+	// OrderCheck arms the dispatch-order assertion: every fired event
+	// must carry a (time, seq) pair no smaller, in lexicographic order,
+	// than the previously fired one, and a violation panics. This is the
+	// kernel invariant that makes simulations deterministic and record
+	// streams reproducible; property tests (internal/simtest) run entire
+	// simulations with it armed.
+	OrderCheck bool
+}
+
+// Run runs one trace-driven simulation on a pooled engine and reports
+// whether opts.Interrupt stopped it before the feed and the heap drained.
+// It checks that jobs are sorted by arrival, takes an engine from the
+// pool, arms opts, installs the handler build returns for that engine,
+// and feeds the jobs (runFeed); the engine goes back to the pool on every
+// exit, a panicking handler included, without the run's probe or
+// handler. build may schedule initial events on the engine; the model it
+// returns must not use the engine after Run returns.
+// Panics if the jobs are not sorted by arrival (a negative first arrival
+// counts as unsorted).
+func Run(jobs []Job, kind uint8, opts Options, build func(*Engine) Handler) (interrupted bool) {
+	prev := 0.0
+	for i, j := range jobs {
+		if j.Arrival < prev {
+			panic(fmt.Sprintf("sim: job %d arrives at %v before %v", i, j.Arrival, prev))
+		}
+		prev = j.Arrival
 	}
-	e.checkEvery = uint64(every)
+	e := acquire()
+	defer release(e)
+	e.setCancelCheck(opts.Interrupt)
+	e.setOrderCheck(opts.OrderCheck)
+	e.setHandler(build(e))
+	e.runFeed(jobs, kind)
+	return e.interrupted
+}
+
+// setCancelCheck installs the cooperative cancellation probe, polled
+// every InterruptEvery loop steps; nil disables it.
+func (e *Engine) setCancelCheck(fn func() bool) {
 	e.checkFn = fn
 	e.checkCount = 0
 }
 
-// Interrupted reports whether the most recent run stopped because the
-// cancel check fired rather than by draining.
-func (e *Engine) Interrupted() bool { return e.interrupted }
-
-// SetOrderCheck toggles dispatch-order verification: with the check on,
-// every fired event must carry a (time, seq) pair no smaller — in
-// lexicographic order — than the previously fired one, and a violation
-// panics. This is the kernel invariant that makes simulations
-// deterministic and record streams reproducible; the check exists so
-// property tests (internal/simtest) can run entire simulations with the
-// invariant armed. Off by default; cleared by Reset (and therefore
-// Acquire), like the cancel probe, so pooled engines never carry it into
-// batch paths.
-func (e *Engine) SetOrderCheck(on bool) {
+// setOrderCheck toggles the dispatch-order assertion (Options.OrderCheck).
+func (e *Engine) setOrderCheck(on bool) {
 	e.orderCheck = on
 	e.lastAt = math.Inf(-1)
 	e.lastSeq = 0
 }
 
-// RunFeed runs a trace-driven simulation: each job, sorted by arrival,
+// runFeed runs a trace-driven simulation: each job, sorted by arrival,
 // fires as Ev{Kind: kind, Job: job} straight from the slice, merged with
 // the heap's events in (time, seq) order, so only runtime events enter
 // the heap. The feed takes the next len(jobs) sequence numbers before
@@ -287,10 +320,10 @@ func (e *Engine) SetOrderCheck(on bool) {
 // and the cancel probe polls on them. The run ends when the feed and the
 // heap are both drained, or when the probe fires, which drops the rest
 // of the feed. The probe counts each step of the loop, an arrival or a
-// popped entry, canceled or not. RunFeed(nil, 0) drains the heap alone.
+// popped entry, canceled or not. runFeed(nil, 0) drains the heap alone.
 //
 //sim:noalloc
-func (e *Engine) RunFeed(jobs []Job, kind uint8) {
+func (e *Engine) runFeed(jobs []Job, kind uint8) {
 	e.interrupted = false
 	base := e.seq
 	e.seq += uint64(len(jobs))
@@ -305,8 +338,8 @@ func (e *Engine) RunFeed(jobs []Job, kind uint8) {
 		} else if at, seq, ev, live := e.pop(); live {
 			e.fire(at, seq, ev)
 		}
-		if e.checkEvery != 0 {
-			if e.checkCount++; e.checkCount >= e.checkEvery {
+		if e.checkFn != nil {
+			if e.checkCount++; e.checkCount >= InterruptEvery {
 				e.checkCount = 0
 				e.interrupted = e.checkFn()
 			}
@@ -333,7 +366,7 @@ func (e *Engine) pop() (at float64, seq uint64, ev Ev, live bool) {
 }
 
 // fire dispatches one live event to the handler at its time. Panics if
-// the order check (SetOrderCheck) is armed and the event is out of
+// the order check (Options.OrderCheck) is armed and the event is out of
 // (time, seq) dispatch order — that is the check's entire job.
 func (e *Engine) fire(at float64, seq uint64, ev Ev) {
 	if e.orderCheck {
@@ -349,13 +382,12 @@ func (e *Engine) fire(at float64, seq uint64, ev Ev) {
 	e.handler.HandleEvent(at, ev)
 }
 
-// Reset returns the engine to its zero state — time 0, empty queue,
-// sequence counter 0 — while keeping the heap, slot arena, and freelist
-// capacity for reuse. Every outstanding Handle is invalidated (its slot
-// generation advances), so canceling across a Reset is a no-op. The
-// handler is kept; replace it with SetHandler when repurposing the
-// engine.
-func (e *Engine) Reset() {
+// reset returns the engine to its zero state — time 0, empty queue,
+// sequence counter 0, no checks armed — while keeping the heap, slot
+// arena, and freelist capacity for reuse. Every outstanding Handle is
+// invalidated (its slot generation advances), so canceling across a reset
+// is a no-op. The handler is kept.
+func (e *Engine) reset() {
 	for _, en := range e.events {
 		e.freeSlot(en.id)
 	}
@@ -363,7 +395,6 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
-	e.checkEvery = 0
 	e.checkCount = 0
 	e.checkFn = nil
 	e.interrupted = false
@@ -371,48 +402,45 @@ func (e *Engine) Reset() {
 }
 
 // enginePool recycles engines across simulation cells: a sweep's worker
-// goroutines Acquire/Release thousands of times but allocate only a
-// handful of engines, and each reuse carries warmed-up heap and arena
-// capacity with it.
+// goroutines run thousands of cells but allocate only a handful of
+// engines, and each reuse carries warmed-up heap and arena capacity with
+// it.
 var enginePool = sync.Pool{New: func() any {
 	poolNews.Add(1)
 	return new(Engine)
 }}
 
-// poolAcquires and poolNews count Acquire calls and fresh allocations the
-// pool had to make, so long-running services can report engine reuse on
-// their metrics surface. One atomic add per simulation cell is noise next
-// to the cell's own cost.
+// poolAcquires and poolNews count engines taken from the pool and fresh
+// allocations the pool had to make, so long-running services can report
+// engine reuse on their metrics surface. One atomic add per simulation
+// cell is noise next to the cell's own cost.
 var (
 	poolAcquires atomic.Uint64
 	poolNews     atomic.Uint64
 )
 
-// PoolStats reports how many engines have been handed out by Acquire and
-// how many of those were fresh allocations (rather than pool reuses) since
+// PoolStats reports how many engines Run has taken from the pool and how
+// many of those were fresh allocations (rather than pool reuses) since
 // process start. Safe for concurrent use.
 func PoolStats() (acquires, news uint64) {
 	return poolAcquires.Load(), poolNews.Load()
 }
 
-// Acquire returns a Reset engine from a process-wide reuse pool. Pair
-// with Release when the simulation is done. Safe for concurrent use; the
-// engine itself remains single-goroutine.
-func Acquire() *Engine {
+// acquire returns a reset engine from the pool.
+func acquire() *Engine {
 	poolAcquires.Add(1)
 	e := enginePool.Get().(*Engine)
-	e.Reset()
-	e.handler = nil
+	e.reset()
 	return e
 }
 
-// Release returns an engine to the reuse pool. The caller must not use
-// the engine afterwards (outstanding Handles become inert only after the
-// next Acquire's Reset, so do not Release an engine whose handles are
-// still being canceled). The cancel check is dropped before pooling so a
-// request-scoped closure is never retained by an idle engine.
-func Release(e *Engine) {
-	e.checkEvery, e.checkFn = 0, nil
+// release returns an engine to the pool. The run's probe and handler are
+// dropped first, so an idle pooled engine never retains a request-scoped
+// closure or a model; the next acquire's reset clears the rest, which
+// also makes handles from the finished run inert.
+func release(e *Engine) {
+	e.checkFn = nil
+	e.handler = nil
 	enginePool.Put(e)
 }
 

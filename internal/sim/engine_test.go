@@ -11,12 +11,12 @@ import (
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	var e Engine
 	var fired []float64
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
+	e.setHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 	times := []float64{5, 1, 3, 2, 4}
 	for _, at := range times {
 		e.Schedule(at, Ev{})
 	}
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if !sort.Float64sAreSorted(fired) {
 		t.Fatalf("events fired out of order: %v", fired)
 	}
@@ -31,11 +31,11 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 	var e Engine
 	var order []int
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, int(ev.Host)) }))
+	e.setHandler(handlerFunc(func(now float64, ev Ev) { order = append(order, int(ev.Host)) }))
 	for i := 0; i < 10; i++ {
 		e.Schedule(1.0, Ev{Host: int32(i)})
 	}
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if len(order) != 10 {
 		t.Fatalf("fired %d simultaneous events, want 10", len(order))
 	}
@@ -49,14 +49,14 @@ func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 func TestEngineAfterAndNesting(t *testing.T) {
 	var e Engine
 	var log []float64
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+	e.setHandler(handlerFunc(func(now float64, ev Ev) {
 		log = append(log, now)
 		if ev.Kind == 1 {
 			e.ScheduleAfter(2, Ev{Kind: 2})
 		}
 	}))
 	e.ScheduleAfter(1, Ev{Kind: 1})
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if len(log) != 2 || log[0] != 1 || log[1] != 3 {
 		t.Fatalf("nested scheduling log = %v, want [1 3]", log)
 	}
@@ -65,11 +65,11 @@ func TestEngineAfterAndNesting(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	var e Engine
 	fired := false
-	e.SetHandler(handlerFunc(func(float64, Ev) { fired = true }))
+	e.setHandler(handlerFunc(func(float64, Ev) { fired = true }))
 	h := e.Schedule(1, Ev{})
 	h.Cancel()
 	h.Cancel() // double-cancel is fine
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -80,9 +80,9 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	var e Engine
-	e.SetHandler(&nopHandler{})
+	e.setHandler(&nopHandler{})
 	e.Schedule(5, Ev{})
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -105,7 +105,7 @@ func TestEngineOrderProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var e Engine
 		var fired []float64
-		e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
+		e.setHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 		for _, r := range raw {
 			at := r
 			if at < 0 {
@@ -116,7 +116,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			}
 			e.Schedule(at, Ev{})
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 		return sort.Float64sAreSorted(fired)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -178,11 +178,11 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	var h nopHandler
 	for i := 0; i < b.N; i++ {
 		var e Engine
-		e.SetHandler(&h)
+		e.setHandler(&h)
 		for j := 0; j < 1000; j++ {
 			e.Schedule(rng.Float64()*1000, Ev{})
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestEngineRandomCancelStress(t *testing.T) {
 		var items []*tracked
 		fired := map[*tracked]bool{}
 		lastTime := -1.0
-		e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+		e.setHandler(handlerFunc(func(now float64, ev Ev) {
 			it := items[ev.Job.ID]
 			if now < lastTime {
 				t.Fatalf("trial %d: time went backwards", trial)
@@ -224,7 +224,7 @@ func TestEngineRandomCancelStress(t *testing.T) {
 				}
 			}
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 		live := 0
 		for _, it := range items {
 			if !it.canceled {
@@ -242,13 +242,13 @@ func TestEngineRandomCancelStress(t *testing.T) {
 
 func TestEngineFiredCounter(t *testing.T) {
 	var e Engine
-	e.SetHandler(&nopHandler{})
+	e.setHandler(&nopHandler{})
 	for i := 0; i < 10; i++ {
 		e.Schedule(float64(i), Ev{})
 	}
 	h := e.Schedule(100, Ev{})
 	h.Cancel()
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if e.Fired() != 10 {
 		t.Fatalf("fired = %d, want 10 (canceled events don't count)", e.Fired())
 	}

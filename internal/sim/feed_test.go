@@ -42,20 +42,20 @@ func (m *feedModel) HandleEvent(now float64, ev Ev) {
 }
 
 // runFeedModel runs jobs through feedModel with the order check armed,
-// either fed (RunFeed) or scheduled eagerly up front (the oracle), and
+// either fed (runFeed) or scheduled eagerly up front (the oracle), and
 // reports what fired and the engine's Fired count.
 func runFeedModel(jobs []Job, pattern []byte, feed bool) ([]firing, uint64) {
 	var e Engine
 	m := &feedModel{e: &e, pattern: pattern}
-	e.SetHandler(m)
-	e.SetOrderCheck(true)
+	e.setHandler(m)
+	e.setOrderCheck(true)
 	if feed {
-		e.RunFeed(jobs, 1)
+		e.runFeed(jobs, 1)
 	} else {
 		for _, j := range jobs {
 			e.Schedule(j.Arrival, Ev{Kind: 1, Job: j})
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 	}
 	return m.log, e.Fired()
 }
@@ -90,7 +90,7 @@ func checkFeedMatchesEager(t *testing.T, gaps, pattern []byte) {
 // TestEngineFeedMatchesEagerOrder checks the feed's determinism contract:
 // firing arrivals from the slice, with runtime events scheduled at the
 // arrivals' own instants, gives exactly the order of scheduling every
-// arrival eagerly and then calling RunFeed(nil, 0).
+// arrival eagerly and then calling runFeed(nil, 0).
 func TestEngineFeedMatchesEagerOrder(t *testing.T) {
 	checkFeedMatchesEager(t, []byte{1, 0, 1, 0, 0, 1, 0, 2, 0}, []byte{0, 3, 6, 1, 4, 7, 2, 5, 8, 9})
 	checkFeedMatchesEager(t, []byte{0, 0, 0, 0}, []byte{0})
@@ -101,15 +101,15 @@ func TestEngineFeedMatchesEagerOrder(t *testing.T) {
 // dispatch-order assertion: an unsorted feed panics once it is armed.
 func TestEngineFeedOrderCheck(t *testing.T) {
 	var e Engine
-	e.SetHandler(&nopHandler{})
-	e.SetOrderCheck(true)
+	e.setHandler(&nopHandler{})
+	e.setOrderCheck(true)
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "dispatch order violated") {
 			t.Fatalf("unsorted feed: panic %q, want a dispatch-order violation", msg)
 		}
 	}()
-	e.RunFeed([]Job{{Arrival: 2}, {Arrival: 1}}, 1)
+	e.runFeed([]Job{{Arrival: 2}, {Arrival: 1}}, 1)
 }
 
 // TestEngineFeedFiredCountsArrivals checks that Fired counts every fed
@@ -118,7 +118,7 @@ func TestEngineFeedOrderCheck(t *testing.T) {
 func TestEngineFeedFiredCountsArrivals(t *testing.T) {
 	var e Engine
 	departures := 0
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+	e.setHandler(handlerFunc(func(now float64, ev Ev) {
 		if ev.Kind == 2 {
 			departures++
 			return
@@ -127,15 +127,15 @@ func TestEngineFeedFiredCountsArrivals(t *testing.T) {
 		e.ScheduleAfter(2, Ev{Kind: 2}).Cancel()
 	}))
 	jobs := feedJobs([]byte{0, 1, 1, 0, 2})
-	e.RunFeed(jobs, 1)
+	e.runFeed(jobs, 1)
 	if departures != len(jobs) || e.Fired() != uint64(len(jobs)+departures) {
 		t.Fatalf("fired %d with %d departures, want %d arrivals + %d departures",
 			e.Fired(), departures, len(jobs), len(jobs))
 	}
 }
 
-// FuzzFeedOrder holds RunFeed to its oracle, eager Schedule of every
-// arrival followed by RunFeed(nil, 0), on tie-heavy sorted arrivals and handler
+// FuzzFeedOrder holds runFeed to its oracle, eager Schedule of every
+// arrival followed by runFeed(nil, 0), on tie-heavy sorted arrivals and handler
 // events at small integer delays, some of them canceled.
 func FuzzFeedOrder(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 0, 1, 0, 2, 0}, []byte{0, 3, 6, 1, 4, 7, 2, 5, 8, 9})

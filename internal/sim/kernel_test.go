@@ -19,10 +19,10 @@ func (r *recorder) HandleEvent(now float64, ev Ev) {
 func TestEngineTypedDispatch(t *testing.T) {
 	var e Engine
 	var r recorder
-	e.SetHandler(&r)
+	e.setHandler(&r)
 	e.Schedule(2, Ev{Kind: 7, Host: 3, Job: Job{ID: 42, Arrival: 2, Size: 5}})
 	e.ScheduleAfter(1, Ev{Kind: 9, T0: 0.5})
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if len(r.evs) != 2 {
 		t.Fatalf("dispatched %d events, want 2", len(r.evs))
 	}
@@ -37,7 +37,7 @@ func TestEngineTypedDispatch(t *testing.T) {
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	var e Engine
 	var ran []int32
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) { ran = append(ran, ev.Host) }))
+	e.setHandler(handlerFunc(func(now float64, ev Ev) { ran = append(ran, ev.Host) }))
 	var hs []Handle
 	for i := 0; i < 5; i++ {
 		hs = append(hs, e.Schedule(float64(i+1), Ev{Host: int32(i)}))
@@ -45,7 +45,7 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 	hs[1].Cancel()
 	hs[3].Cancel()
 	hs[3].Cancel() // double-cancel is a no-op
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if e.Fired() != 3 {
 		t.Fatalf("fired = %d, want 3 (canceled events must not count)", e.Fired())
 	}
@@ -56,30 +56,30 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 
 func TestEngineResetRestartsClockAndSeq(t *testing.T) {
 	var e Engine
-	e.SetHandler(&nopHandler{})
+	e.setHandler(&nopHandler{})
 	for i := 0; i < 8; i++ {
 		e.Schedule(float64(i+10), Ev{})
 	}
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if e.Now() != 17 || e.Fired() != 8 {
 		t.Fatalf("pre-reset now=%v fired=%d, want 17/8", e.Now(), e.Fired())
 	}
-	e.Reset()
+	e.reset()
 	if e.Now() != 0 || e.Fired() != 0 {
 		t.Fatalf("post-reset now=%v fired=%d, want zeros", e.Now(), e.Fired())
 	}
 	// The clock restarted, so scheduling before the old horizon must work.
 	var fired []float64
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
+	e.setHandler(handlerFunc(func(now float64, ev Ev) { fired = append(fired, now) }))
 	e.Schedule(1, Ev{})
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("post-reset run fired %v, want [1]", fired)
 	}
 }
 
 // TestEngineTieBreakAcrossReset is the seq-restart regression test: after
-// Reset the sequence counter returns to zero, so a replication scheduling
+// reset the sequence counter returns to zero, so a replication scheduling
 // the same simultaneous events observes the same FIFO tie-break as a fresh
 // engine — not one skewed by leftover sequence numbers from the previous
 // run.
@@ -88,7 +88,7 @@ func TestEngineTieBreakAcrossReset(t *testing.T) {
 		var order []int
 		// Two fed arrivals at t=1; the first schedules a runtime event at
 		// the same instant, and the feed's seqs must win the tie.
-		e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+		e.setHandler(handlerFunc(func(now float64, ev Ev) {
 			if ev.Kind == 1 {
 				order = append(order, 100)
 				return
@@ -98,19 +98,19 @@ func TestEngineTieBreakAcrossReset(t *testing.T) {
 			}
 			order = append(order, len(order))
 		}))
-		e.RunFeed([]Job{{Arrival: 1}, {Arrival: 1}}, 0)
+		e.runFeed([]Job{{Arrival: 1}, {Arrival: 1}}, 0)
 		return order
 	}
 	var e Engine
 	first := run(&e)
-	e.Reset()
+	e.reset()
 	second := run(&e)
 	if len(first) != 3 || len(second) != 3 {
 		t.Fatalf("runs fired %d/%d events, want 3 each", len(first), len(second))
 	}
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("tie-break differs across Reset: %v vs %v", first, second)
+			t.Fatalf("tie-break differs across reset: %v vs %v", first, second)
 		}
 	}
 	// Feed seqs 0 and 1 precede the runtime event's seq 2.
@@ -127,38 +127,38 @@ func (f handlerFunc) HandleEvent(now float64, ev Ev) { f(now, ev) }
 func TestEngineResetInvalidatesHandles(t *testing.T) {
 	var e Engine
 	h := e.Schedule(5, Ev{})
-	e.Reset()
+	e.reset()
 	// The old handle's slot was recycled; cancel must not touch whatever
 	// lives there now.
 	fired := false
-	e.SetHandler(handlerFunc(func(float64, Ev) { fired = true }))
+	e.setHandler(handlerFunc(func(float64, Ev) { fired = true }))
 	e.Schedule(1, Ev{})
 	h.Cancel()
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 	if !fired || e.Fired() != 1 {
-		t.Fatalf("stale handle canceled an event scheduled after Reset: fired=%v, count %d", fired, e.Fired())
+		t.Fatalf("stale handle canceled an event scheduled after reset: fired=%v, count %d", fired, e.Fired())
 	}
 }
 
 func TestAcquireReleaseReuse(t *testing.T) {
-	e := Acquire()
-	e.SetHandler(&nopHandler{})
+	e := acquire()
+	e.setHandler(&nopHandler{})
 	e.Schedule(3, Ev{})
-	e.RunFeed(nil, 0)
-	Release(e)
-	e2 := Acquire()
+	e.runFeed(nil, 0)
+	release(e)
+	e2 := acquire()
 	// Whether or not the pool returned the same engine, it must be reset.
 	if e2.Now() != 0 || e2.Fired() != 0 {
 		t.Fatalf("acquired engine not reset: now=%v fired=%d", e2.Now(), e2.Fired())
 	}
 	count := 0
-	e2.SetHandler(handlerFunc(func(float64, Ev) { count++ }))
+	e2.setHandler(handlerFunc(func(float64, Ev) { count++ }))
 	e2.Schedule(1, Ev{})
-	e2.RunFeed(nil, 0)
+	e2.runFeed(nil, 0)
 	if count != 1 || e2.Fired() != 1 {
 		t.Fatalf("reused engine ran %d handlers, fired %d events; want 1, 1", count, e2.Fired())
 	}
-	Release(e2)
+	release(e2)
 }
 
 // nopHandler discards events; used by the steady-state benchmarks.
@@ -172,13 +172,13 @@ func (h *nopHandler) HandleEvent(float64, Ev) { h.n++ }
 func BenchmarkEngineTypedSteadyState(b *testing.B) {
 	var e Engine
 	var h nopHandler
-	e.SetHandler(&h)
+	e.setHandler(&h)
 	depth := 64 // concurrent events in flight, like busy hosts
 	for i := 0; i < depth; i++ {
 		e.Schedule(float64(i), Ev{Kind: 1})
 	}
 	fired := 0
-	e.SetHandler(handlerFunc(func(now float64, ev Ev) {
+	e.setHandler(handlerFunc(func(now float64, ev Ev) {
 		fired++
 		if fired < b.N {
 			e.ScheduleAfter(1, Ev{Kind: 1})
@@ -186,7 +186,7 @@ func BenchmarkEngineTypedSteadyState(b *testing.B) {
 	}))
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.RunFeed(nil, 0)
+	e.runFeed(nil, 0)
 }
 
 // BenchmarkEngineScheduleCancel measures schedule-then-cancel churn, the
@@ -194,13 +194,13 @@ func BenchmarkEngineTypedSteadyState(b *testing.B) {
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	var e Engine
 	var h nopHandler
-	e.SetHandler(&h)
+	e.setHandler(&h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hd := e.Schedule(float64(i)+1, Ev{Kind: 1})
 		hd.Cancel()
-		e.RunFeed(nil, 0) // drain the canceled entry so the heap stays small
+		e.runFeed(nil, 0) // drain the canceled entry so the heap stays small
 	}
 }
 
@@ -214,15 +214,15 @@ func BenchmarkEngineResetReuse(b *testing.B) {
 	}
 	var e Engine
 	var h nopHandler
-	e.SetHandler(&h)
+	e.setHandler(&h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Reset()
+		e.reset()
 		for _, at := range times {
 			e.Schedule(at, Ev{Kind: 1})
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 	}
 }
 
@@ -239,10 +239,10 @@ func BenchmarkEngineFreshPerRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var e Engine
-		e.SetHandler(&h)
+		e.setHandler(&h)
 		for _, at := range times {
 			e.Schedule(at, Ev{Kind: 1})
 		}
-		e.RunFeed(nil, 0)
+		e.runFeed(nil, 0)
 	}
 }

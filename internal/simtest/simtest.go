@@ -29,8 +29,9 @@
 //
 // The harness leans on two hooks added for it: server.Config.OnRecord
 // streams every completed job's record (warmup included) out of both
-// simulation paths, and sim.Engine.SetOrderCheck arms the kernel's
-// dispatch-order invariant for the duration of a property run.
+// simulation paths, and server.Config.OrderCheck (sim.Options.OrderCheck)
+// arms the kernel's dispatch-order invariant for the duration of a
+// property run.
 //
 // Everything here is deterministic: generators are seeded, the shrinker
 // is a pure function of its inputs, and failures reproduce byte-for-byte.

@@ -182,29 +182,20 @@ func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
 	if !(warmup >= 0 && warmup < 1) {
 		panic(fmt.Sprintf("tags: warmup fraction %v outside [0, 1)", warmup))
 	}
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("tags: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
-	}
 	hosts := len(cutoffs) + 1
 	res := &Result{
 		PerHostCompleted: make([]int64, hosts),
 		PerHostBusy:      make([]float64, hosts),
 	}
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	t := &tagsSim{
-		eng:     eng,
-		cutoffs: cutoffs,
-		res:     res,
-		hs:      make([]tagsHost, hosts),
-		warmup:  int(warmup * float64(len(jobs))),
-	}
-	eng.SetHandler(t)
-	eng.RunFeed(jobs, evArrival)
+	sim.Run(jobs, evArrival, sim.Options{}, func(eng *sim.Engine) sim.Handler {
+		return &tagsSim{
+			eng:     eng,
+			cutoffs: cutoffs,
+			res:     res,
+			hs:      make([]tagsHost, hosts),
+			warmup:  int(warmup * float64(len(jobs))),
+		}
+	})
 	return res
 }
 
