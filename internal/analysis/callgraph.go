@@ -63,9 +63,6 @@ type CallGraph struct {
 	pkgPaths map[string]string
 }
 
-// Node returns the node with the given key, or nil.
-func (g *CallGraph) Node(key string) *CGNode { return g.nodes[key] }
-
 // Nodes returns every node in sorted key order.
 func (g *CallGraph) Nodes() []*CGNode {
 	out := make([]*CGNode, len(g.keys))

@@ -157,7 +157,7 @@ func TestSimDirectiveValidation(t *testing.T) {
 		}
 	}
 	// The well-formed directive parsed.
-	if a := g.Node("simdirectives.A"); a == nil || !a.NoAlloc {
+	if a := g.nodes["simdirectives.A"]; a == nil || !a.NoAlloc {
 		t.Errorf("well-formed //sim:noalloc on A not parsed: %+v", a)
 	}
 }

@@ -121,10 +121,6 @@ func NewTruncated(d Distribution, lo, hi float64) *Truncated {
 	return &Truncated{inner: d, lo: lo, hi: hi, mass: mass}
 }
 
-// Mass reports P(lo < X <= hi) under the inner distribution: the fraction of
-// jobs routed to this size interval.
-func (t *Truncated) Mass() float64 { return t.mass }
-
 // Sample draws by inverse-CDF within the interval when the inner
 // distribution exposes a quantile function, else by rejection.
 func (t *Truncated) Sample(rng *rand.Rand) float64 {

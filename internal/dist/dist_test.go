@@ -315,11 +315,11 @@ func TestTruncated(t *testing.T) {
 	cut := b.LoadCutoff(0.5)
 	short := NewTruncated(b, 0, cut)
 	long := NewTruncated(b, cut, math.Inf(1))
-	if !floatcmp.AlmostEqual(short.Mass()+long.Mass(), 1, 1e-9) {
-		t.Errorf("masses %v + %v != 1", short.Mass(), long.Mass())
+	if !floatcmp.AlmostEqual(short.mass+long.mass, 1, 1e-9) {
+		t.Errorf("masses %v + %v != 1", short.mass, long.mass)
 	}
 	// Law of total expectation.
-	total := short.Mass()*short.Moment(1) + long.Mass()*long.Moment(1)
+	total := short.mass*short.Moment(1) + long.mass*long.Moment(1)
 	if !floatcmp.AlmostEqual(total, b.Moment(1), 1e-9) {
 		t.Errorf("conditional means don't reassemble: %v vs %v", total, b.Moment(1))
 	}

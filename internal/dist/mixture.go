@@ -211,7 +211,3 @@ func (e *Empirical) Quantile(p float64) float64 {
 	}
 	return e.xs[idx]
 }
-
-// Values returns the sorted observations; callers must not modify the
-// returned slice.
-func (e *Empirical) Values() []float64 { return e.xs }

@@ -127,9 +127,6 @@ func (t *Tree) fill(h int, k uint64) {
 	}
 }
 
-// Len reports the host count the tree was Reset to.
-func (t *Tree) Len() int { return t.n }
-
 // Key reports host i's current key (+Inf when absent; -0 reads as +0).
 func (t *Tree) Key(i int) float64 { return unordered(t.node[t.base+i].key) }
 
@@ -271,9 +268,6 @@ type TimedMin struct {
 
 // Reset sizes the index for h hosts, all drained. Panics if h < 1.
 func (m *TimedMin) Reset(h int) { m.tree.fill(h, drained) }
-
-// Len reports the host count.
-func (m *TimedMin) Len() int { return m.tree.Len() }
 
 // SetKey gives host i a drain instant.
 //

@@ -171,13 +171,6 @@ func NewSITA(label string, cutoffs []float64) *SITA {
 // Name identifies the policy in reports.
 func (p *SITA) Name() string { return p.label }
 
-// Cutoffs returns a copy of the policy's cutoffs.
-func (p *SITA) Cutoffs() []float64 {
-	cp := make([]float64, len(p.cutoffs))
-	copy(cp, p.cutoffs)
-	return cp
-}
-
 // Assign routes by size interval. SearchFloat64s returns the first cutoff
 // >= size, so a size exactly on a cutoff lands in the lower interval,
 // matching the (lo, hi] convention of the analysis.

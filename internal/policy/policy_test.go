@@ -123,13 +123,8 @@ func TestSITACutoffsCopied(t *testing.T) {
 	cuts := []float64{1, 2}
 	p := NewSITA("s", cuts)
 	cuts[0] = 99
-	if p.Cutoffs()[0] != 1 {
+	if p.cutoffs[0] != 1 {
 		t.Fatal("constructor did not copy cutoffs")
-	}
-	got := p.Cutoffs()
-	got[1] = 77
-	if p.Cutoffs()[1] != 2 {
-		t.Fatal("accessor did not copy cutoffs")
 	}
 }
 

@@ -44,9 +44,6 @@ func (q GG1) MeanWait() float64 {
 	return rho / (1 - rho) * q.Size.Moment(1) * (q.CA2 + cs2) / 2
 }
 
-// MeanResponse reports E[T] = E[W] + E[X].
-func (q GG1) MeanResponse() float64 { return q.MeanWait() + q.Size.Moment(1) }
-
 // MeanSlowdown reports E[S] = 1 + E[W]*E[1/X] (waiting time approximately
 // independent of a job's own size under FCFS).
 func (q GG1) MeanSlowdown() float64 {

@@ -110,15 +110,6 @@ func (q MG1) SlowdownVariance() float64 {
 	return q.SlowdownSecondMoment() - s*s
 }
 
-// MeanQueueLength reports E[Q] = lambda * E[W] (Little's law on the waiting
-// room).
-func (q MG1) MeanQueueLength() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	return q.Lambda * q.MeanWait()
-}
-
 // MG1PS models an M/G/1 Processor-Sharing queue: the paper's footnote-1
 // reference for perfect fairness. PS response time is insensitive to the
 // service distribution beyond its mean: E[T | X = x] = x/(1-rho), so every

@@ -22,10 +22,6 @@ func TestMG1MatchesMM1ClosedForm(t *testing.T) {
 	if !floatcmp.AlmostEqual(q.MeanResponse(), 4, 1e-12) {
 		t.Fatalf("E[T] = %v, want 4", q.MeanResponse())
 	}
-	// Little: E[Q] = lambda E[W] = 0.5
-	if !floatcmp.AlmostEqual(q.MeanQueueLength(), 0.5, 1e-12) {
-		t.Fatalf("E[Q] = %v, want 0.5", q.MeanQueueLength())
-	}
 }
 
 func TestMG1DeterministicVsExponential(t *testing.T) {
@@ -49,7 +45,6 @@ func TestMG1UnstableReturnsInf(t *testing.T) {
 		"WaitSecondMoment":    q.WaitSecondMoment(),
 		"MeanSlowdown":        q.MeanSlowdown(),
 		"SlowdownVariance":    q.SlowdownVariance(),
-		"MeanQueueLength":     q.MeanQueueLength(),
 		"ResponseVariance":    q.ResponseVariance(),
 		"SlowdownSecondMomnt": q.SlowdownSecondMoment(),
 	} {

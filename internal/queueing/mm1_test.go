@@ -23,8 +23,8 @@ func TestMM1MatchesMG1Exponential(t *testing.T) {
 		if got, want := mm1.MeanResponse(), mg1.MeanResponse(); !floatcmp.AlmostEqual(got, want, 1e-12) {
 			t.Errorf("rho=%v: MM1 MeanResponse %v != MG1 %v", rho, got, want)
 		}
-		if got, want := mm1.MeanQueueLength(), mg1.MeanQueueLength(); !floatcmp.AlmostEqual(got, want, 1e-12) {
-			t.Errorf("rho=%v: MM1 MeanQueueLength %v != MG1 %v", rho, got, want)
+		if got, want := mm1.MeanQueueLength(), lambda*mg1.MeanWait(); !floatcmp.AlmostEqual(got, want, 1e-12) {
+			t.Errorf("rho=%v: MM1 MeanQueueLength %v != lambda*MG1 MeanWait %v", rho, got, want)
 		}
 	}
 }

@@ -86,14 +86,6 @@ func (q MMh) MeanWait() float64 {
 	return c / (float64(q.H)/q.MeanService - q.Lambda)
 }
 
-// MeanQueueLength reports E[Q] = lambda*E[W].
-func (q MMh) MeanQueueLength() float64 {
-	if q.Load() >= 1 {
-		return math.Inf(1)
-	}
-	return q.Lambda * q.MeanWait()
-}
-
 // MGh approximates an M/G/h queue — the model for the Least-Work-Left /
 // Central-Queue policy — using the Lee-Longton two-moment approximation:
 //
@@ -131,9 +123,6 @@ func (q MGh) MeanWait() float64 {
 	return (1 + scv) / 2 * base
 }
 
-// MeanResponse reports E[T] = E[W] + E[X].
-func (q MGh) MeanResponse() float64 { return q.MeanWait() + q.Size.Moment(1) }
-
 // MeanSlowdown reports E[S] = 1 + E[W]*E[1/X]; the independence of a job's
 // size from its delay is inherited from the FCFS central queue.
 func (q MGh) MeanSlowdown() float64 {
@@ -141,12 +130,4 @@ func (q MGh) MeanSlowdown() float64 {
 		return math.Inf(1)
 	}
 	return 1 + q.MeanWait()*q.Size.Moment(-1)
-}
-
-// MeanQueueLength reports E[Q] = lambda*E[W].
-func (q MGh) MeanQueueLength() float64 {
-	if q.Load() >= 1 {
-		return math.Inf(1)
-	}
-	return q.Lambda * q.MeanWait()
 }

@@ -82,8 +82,8 @@ func MapOpts[In, Out any](opts Options, items []In, fn func(i int, item In) (Out
 
 	var (
 		next atomic.Int64 // next unclaimed cell index
-		done atomic.Int64 // completed cells, for progress reporting
-		mu   sync.Mutex   // serializes Progress callbacks
+		done int          // completed cells, for progress reporting; guarded by mu
+		mu   sync.Mutex   // serializes Progress callbacks, so done reaches them in order
 		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
@@ -96,10 +96,10 @@ func MapOpts[In, Out any](opts Options, items []In, fn func(i int, item In) (Out
 					return
 				}
 				out[i], errs[i] = fn(i, items[i])
-				d := int(done.Add(1))
 				if opts.Progress != nil {
 					mu.Lock()
-					opts.Progress(d, n)
+					done++
+					opts.Progress(done, n)
 					mu.Unlock()
 				}
 			}

@@ -72,14 +72,6 @@ func (m *Metrics) addDeadline() {
 	m.mu.Unlock()
 }
 
-// snapshot reads the scalar counters under the lock (used by tests and
-// by writePrometheus).
-func (m *Metrics) snapshot() (sims, rejected, deadlines uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.simulations, m.rejected, m.deadlines
-}
-
 // writePrometheus renders every counter and gauge in Prometheus text
 // exposition format. Output order is deterministic (sorted label sets) so
 // consecutive scrapes diff cleanly.

@@ -32,6 +32,13 @@ func postSim(t *testing.T, url, body string) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("X-Cache"), b
 }
 
+// counters reads m's scalar counters under its lock.
+func counters(m *Metrics) (sims, rejected, deadlines uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.simulations, m.rejected, m.deadlines
+}
+
 // TestConcurrentIdenticalRequests is the cache contract end to end:
 // concurrent identical requests produce byte-identical bodies and exactly
 // one simulation runs.
@@ -63,7 +70,7 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("request %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if sims, _, _ := svc.metrics.snapshot(); sims != 1 {
+	if sims, _, _ := counters(svc.metrics); sims != 1 {
 		t.Fatalf("ran %d simulations for %d identical requests, want exactly 1", sims, n)
 	}
 	cs := svc.cache.Stats()
@@ -94,7 +101,7 @@ func TestDeadlineReturns503(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline request: status %d, body %s, want 503", code, body)
 	}
-	if _, _, deadlines := svc.metrics.snapshot(); deadlines == 0 {
+	if _, _, deadlines := counters(svc.metrics); deadlines == 0 {
 		t.Fatal("deadline metric not incremented")
 	}
 	if got := svc.inflight.Load(); got != 0 {
@@ -131,7 +138,7 @@ func TestDeadlineReturns503OnDirectPath(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline request: status %d, body %s, want 503", code, body)
 	}
-	if _, _, deadlines := svc.metrics.snapshot(); deadlines != 1 {
+	if _, _, deadlines := counters(svc.metrics); deadlines != 1 {
 		t.Fatalf("deadline metric reads %d, want 1", deadlines)
 	}
 	code, cache, body := postSim(t, ts.URL, `{"policy":"lwl","load":0.9}`)
@@ -176,7 +183,7 @@ func TestBackpressure429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	if _, rejected, _ := svc.metrics.snapshot(); rejected == 0 {
+	if _, rejected, _ := counters(svc.metrics); rejected == 0 {
 		t.Fatal("rejected metric not incremented")
 	}
 	close(gate)

@@ -112,7 +112,6 @@ type Engine struct {
 	events  []entry // binary min-heap on (at, seq)
 	slots   []slot  // payload arena; entries point into it by index
 	free    []int32 // freelist of reusable slot indices
-	fired   uint64
 	handler Handler
 
 	// Cooperative cancellation (Options.Interrupt): checkFn is polled
@@ -138,10 +137,6 @@ type Engine struct {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
-
-// Fired reports how many events have executed, useful for progress and
-// complexity assertions in tests.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // setHandler installs the typed-event consumer.
 func (e *Engine) setHandler(h Handler) { e.handler = h }
@@ -315,8 +310,8 @@ func (e *Engine) setOrderCheck(on bool) {
 // the heap. The feed takes the next len(jobs) sequence numbers before
 // anything fires: an arrival wins every tie with an event scheduled
 // during the run, exactly as if every arrival had been scheduled up
-// front. Arrivals are events in every other respect too — Fired counts
-// them, the order check (which panics on an unsorted feed) sees them,
+// front. Arrivals are events in every other respect too — the handler
+// sees them, the order check (which panics on an unsorted feed) sees them,
 // and the cancel probe polls on them. The run ends when the feed and the
 // heap are both drained, or when the probe fires, which drops the rest
 // of the feed. The probe counts each step of the loop, an arrival or a
@@ -378,7 +373,6 @@ func (e *Engine) fire(at float64, seq uint64, ev Ev) {
 		e.lastAt, e.lastSeq = at, seq
 	}
 	e.now = at
-	e.fired++
 	e.handler.HandleEvent(at, ev)
 }
 
@@ -394,7 +388,6 @@ func (e *Engine) reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.fired = 0
 	e.checkCount = 0
 	e.checkFn = nil
 	e.interrupted = false

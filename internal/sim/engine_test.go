@@ -73,9 +73,6 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if e.Fired() != 0 {
-		t.Fatalf("fired count = %d, want 0", e.Fired())
-	}
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
@@ -199,8 +196,10 @@ func TestEngineRandomCancelStress(t *testing.T) {
 		}
 		var items []*tracked
 		fired := map[*tracked]bool{}
+		handled := 0
 		lastTime := -1.0
 		e.setHandler(handlerFunc(func(now float64, ev Ev) {
+			handled++
 			it := items[ev.Job.ID]
 			if now < lastTime {
 				t.Fatalf("trial %d: time went backwards", trial)
@@ -234,22 +233,8 @@ func TestEngineRandomCancelStress(t *testing.T) {
 				}
 			}
 		}
-		if e.Fired() != uint64(live) {
-			t.Fatalf("trial %d: fired %d events, want the %d live ones", trial, e.Fired(), live)
+		if handled != live {
+			t.Fatalf("trial %d: handled %d events, want the %d live ones", trial, handled, live)
 		}
-	}
-}
-
-func TestEngineFiredCounter(t *testing.T) {
-	var e Engine
-	e.setHandler(&nopHandler{})
-	for i := 0; i < 10; i++ {
-		e.Schedule(float64(i), Ev{})
-	}
-	h := e.Schedule(100, Ev{})
-	h.Cancel()
-	e.runFeed(nil, 0)
-	if e.Fired() != 10 {
-		t.Fatalf("fired = %d, want 10 (canceled events don't count)", e.Fired())
 	}
 }

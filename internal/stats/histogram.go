@@ -15,7 +15,6 @@ type LogHistogram struct {
 	logBase   float64
 	counts    map[int]int64
 	underflow int64
-	n         int64
 }
 
 // NewLogHistogram returns a histogram whose bins grow geometrically by
@@ -34,7 +33,6 @@ func NewLogHistogram(base float64) *LogHistogram {
 
 // Add records one observation.
 func (h *LogHistogram) Add(x float64) {
-	h.n++
 	if x <= 0 {
 		h.underflow++
 		return
@@ -42,9 +40,6 @@ func (h *LogHistogram) Add(x float64) {
 	bin := int(math.Floor(math.Log(x) / h.logBase))
 	h.counts[bin]++
 }
-
-// Count reports the total number of observations, including underflow.
-func (h *LogHistogram) Count() int64 { return h.n }
 
 // Underflow reports the number of non-positive observations.
 func (h *LogHistogram) Underflow() int64 { return h.underflow }

@@ -26,16 +26,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// Len reports the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
-// Values returns the observations in sorted order. The returned slice is
-// owned by the sample; callers must not modify it.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	return s.xs
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -64,33 +54,6 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.xs[len(s.xs)-1]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Mean returns the sample mean (0 if empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (s *Sample) Variance() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
 }
 
 // ClassTally keeps one Stream per integer class. It is used for per-host and

@@ -389,12 +389,15 @@ func (t *Trace) Truncate(n int) *Trace {
 // hosts). The result is a pure function of (trace content, load, hosts,
 // poisson, seed) — the property internal/streamcache keys on; consumers
 // that retime the same trace repeatedly should go through that cache
-// instead of calling this directly. Panics if load is outside (0, 1), or,
-// outside Poisson mode, if the trace is empty or its gaps have a
-// non-positive mean.
+// instead of calling this directly. Panics if load is outside (0, 1) or
+// NaN, if hosts < 1, or, outside Poisson mode, if the trace is empty or
+// its gaps have a non-positive mean.
 func (t *Trace) JobsAtLoad(load float64, hosts int, poisson bool, seed uint64) []workload.Job {
-	if load <= 0 || load >= 1 {
+	if !(load > 0 && load < 1) {
 		panic(fmt.Sprintf("trace: load must be in (0,1), got %v", load))
+	}
+	if hosts < 1 {
+		panic(fmt.Sprintf("trace: hosts must be at least 1, got %d", hosts))
 	}
 	mean := t.SizeMean()
 	jobs := make([]workload.Job, len(t.sizes))

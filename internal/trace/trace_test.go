@@ -202,14 +202,26 @@ func TestJobsAtLoadScaledGapsStayBursty(t *testing.T) {
 	}
 }
 
+// TestJobsAtLoadPanicsOnBadLoad checks that JobsAtLoad refuses a load
+// outside (0, 1), NaN included, and fewer than one host, itself and in
+// both arrival modes, before either mode computes an arrival.
 func TestJobsAtLoadPanicsOnBadLoad(t *testing.T) {
-	tr := literal("x", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	tr := literal("x", []workload.Job{{Arrival: 1, Size: 1}, {Arrival: 2, Size: 1}})
+	for _, c := range []struct {
+		load  float64
+		hosts int
+	}{{1.5, 2}, {0, 2}, {math.NaN(), 2}, {0.5, 0}, {0.5, -1}} {
+		for _, poisson := range []bool{true, false} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "trace: ") {
+						t.Errorf("JobsAtLoad(%v, %d, poisson=%v): panic %q, want JobsAtLoad's own", c.load, c.hosts, poisson, msg)
+					}
+				}()
+				tr.JobsAtLoad(c.load, c.hosts, poisson, 1)
+			}()
 		}
-	}()
-	tr.JobsAtLoad(1.5, 2, true, 1)
+	}
 }
 
 func TestSWFRoundTrip(t *testing.T) {

@@ -57,13 +57,6 @@ func NewMMPP2(rateLo, rateHi, switchLo, switchHi float64) *MMPP2 {
 	return &MMPP2{RateLo: rateLo, RateHi: rateHi, SwitchLo: switchLo, SwitchHi: switchHi}
 }
 
-// MeanRate reports the long-run arrival rate: the stationary mix of the two
-// state rates. State lo has stationary probability switchHi/(switchLo+switchHi).
-func (m *MMPP2) MeanRate() float64 {
-	pLo := m.SwitchHi / (m.SwitchLo + m.SwitchHi)
-	return pLo*m.RateLo + (1-pLo)*m.RateHi
-}
-
 // InHigh reports whether the modulating chain is currently in the
 // high-rate (burst) state. Callers can use this to correlate other job
 // attributes — e.g. sizes — with bursts.

@@ -45,7 +45,7 @@ type SizeSource interface {
 // meanSize: load = lambda * meanSize / hosts.
 // Panics unless load, meanSize, and hosts are positive.
 func RateForLoad(load, meanSize float64, hosts int) float64 {
-	if load <= 0 || meanSize <= 0 || hosts <= 0 {
+	if !(load > 0 && meanSize > 0) || hosts <= 0 {
 		panic(fmt.Sprintf("workload: invalid load=%v meanSize=%v hosts=%d", load, meanSize, hosts))
 	}
 	return load * float64(hosts) / meanSize
