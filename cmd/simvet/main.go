@@ -1,9 +1,8 @@
 // Command simvet runs the simulator's static-analysis suite over the
 // given package patterns (default ./...) and exits nonzero on findings.
-// It is the CI gate for the determinism, numeric-correctness,
-// allocation, input-immutability and resource-lifecycle contracts (eight
-// analyzers: six file-local, two interprocedural); see internal/analysis
-// for the analyzers.
+// It is the CI gate for the determinism, numeric-correctness, allocation
+// and resource-lifecycle contracts (seven analyzers: six file-local, one
+// interprocedural); see internal/analysis for the analyzers.
 //
 // Usage:
 //

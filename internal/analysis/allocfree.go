@@ -18,6 +18,10 @@ import (
 // module callees:
 //
 //   - make and new
+//   - taking the address of a composite literal (&T{...}), which
+//     allocates whenever the value escapes
+//   - storing into a map (m[k] = v, m[k] += v, m[k]++), which allocates
+//     when the key is new or the map grows
 //   - append (amortized growth allocates; append into a pre-grown
 //     recycled backing array is the one sanctioned pattern and must be
 //     suppressed per-site with //lint:allow allocfree <reason>, which
@@ -39,8 +43,8 @@ import (
 var Allocfree = &Analyzer{
 	Name: "allocfree",
 	Doc: "//sim:noalloc functions and their static callees must not " +
-		"allocate: no make/new/append/closure-capture/interface-boxing/" +
-		"string-concat outside suppressed, documented sites",
+		"allocate: no make/new/&T{}/map-store/append/closure-capture/" +
+		"interface-boxing/string-concat outside suppressed, documented sites",
 	RunModule: runAllocfree,
 }
 
@@ -120,6 +124,20 @@ func checkAllocs(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*
 				}
 				pass.Reportf(node.Pos(), "%s calls %s inside a //sim:noalloc region%s", where, b.Name(), via)
 			}
+		case *ast.UnaryExpr:
+			if _, lit := ast.Unparen(node.X).(*ast.CompositeLit); lit && node.Op == token.AND && !inPanic(node.Pos()) {
+				pass.Reportf(node.Pos(), "%s takes the address of a composite literal inside a //sim:noalloc region%s", where, via)
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range node.Lhs {
+				if isMapIndex(info, lhs) {
+					pass.Reportf(lhs.Pos(), "%s stores into a map inside a //sim:noalloc region%s", where, via)
+				}
+			}
+		case *ast.IncDecStmt:
+			if isMapIndex(info, node.X) {
+				pass.Reportf(node.X.Pos(), "%s stores into a map inside a //sim:noalloc region%s", where, via)
+			}
 		case *ast.FuncLit:
 			if inPanic(node.Pos()) {
 				return false
@@ -143,6 +161,21 @@ func checkAllocs(pass *ModulePass, g *CallGraph, n *CGNode, parent map[*CGNode]*
 	})
 
 	checkBoxing(pass, n, where, via, inPanic)
+}
+
+// isMapIndex reports whether e indexes a map: as an assignment target, a
+// store.
+func isMapIndex(info *types.Info, e ast.Expr) bool {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	tv, ok := info.Types[ix.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // captures reports whether a func literal references any identifier

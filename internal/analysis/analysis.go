@@ -1,13 +1,16 @@
 // Package analysis is the simulator's static-analysis suite: six
 // file-local analyzers (seedflow, nowallclock, maporder, floateq,
-// panicpolicy, pairing) plus two interprocedural ones (allocfree,
-// readonly) that machine-check the determinism, numeric, allocation,
-// input-immutability and resource-lifecycle contracts the experiment
-// pipeline depends on, and the small framework they run on — including a
-// whole-module static call graph (see callgraph.go) for the
-// interprocedural family. What a policy may read when it dispatches needs
-// no analyzer: server.WorkPolicy and server.StatePolicy fix it in the
-// type of Assign's view parameter.
+// panicpolicy, pairing) plus one interprocedural one (allocfree) that
+// machine-check the determinism, numeric, allocation and
+// resource-lifecycle contracts the experiment pipeline depends on, and the
+// small framework they run on — including a whole-module static call
+// graph (see callgraph.go) for allocfree. What a policy may read when it
+// dispatches needs no analyzer: server.WorkPolicy and server.StatePolicy
+// fix it in the type of Assign's view parameter. Nor does the read-only
+// input contract: the snapshot table in internal/server
+// (TestReadOnlyContract), held to full statement coverage of every
+// function that holds a job slice, runs each write those functions could
+// make.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // an Analyzer holds a Run function over a type-checked Pass, diagnostics
@@ -256,11 +259,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Analyzers returns the full simvet suite in a fixed order: the
-// file-local checkers first, then the interprocedural family built on the
-// module call graph.
+// file-local checkers first, then allocfree, which walks the module call
+// graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy, Pairing,
-		Allocfree, Readonly,
+		Allocfree,
 	}
 }

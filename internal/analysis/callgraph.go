@@ -10,30 +10,28 @@ import (
 )
 
 // This file builds the whole-module static call graph the interprocedural
-// analyzers (allocfree, readonly) run on. Nodes are the named
-// functions and methods of the loaded packages; a function literal is
-// attributed to the named declaration that lexically contains it, so a
-// closure's calls count as its enclosing function's calls. An edge is a
-// statically resolved call to another module function: a package
-// function, a method on a concrete receiver, or a qualified pkg.Func.
+// analyzer (allocfree) runs on. Nodes are the named functions and methods
+// of the loaded packages; a function literal is attributed to the named
+// declaration that lexically contains it, so a closure's calls count as
+// its enclosing function's calls. An edge is a statically resolved call to
+// another module function: a package function, a method on a concrete
+// receiver, or a qualified pkg.Func.
 //
-// Calls through interfaces and func-typed values, and functions referenced
-// as values, resolve to no edge. The contracts walked over the graph are
-// about code a function runs itself: the simulation hot paths are written
-// devirtualized. The determinism contract does not rest on the graph at
+// Calls through interfaces and func-typed values, functions referenced as
+// values, and calls inside a panic's arguments resolve to no edge. The
+// contract walked over the graph is about code a function runs itself in
+// steady state: the simulation hot paths are written devirtualized. The determinism contract does not rest on the graph at
 // all: the file-local analyzers (nowallclock, seedflow, maporder) run over
 // every function, so a forbidden source is flagged where it is written,
 // whatever path reaches it.
 //
 // # Annotation grammar
 //
-// Contracts are declared as //sim: directives inside a function's doc
-// comment:
+// A contract is declared as a //sim: directive inside a function's doc
+// comment. There is one verb:
 //
 //	//sim:noalloc          allocfree contract: this function and its
 //	                       static callees must not allocate
-//	//sim:readonly         readonly contract: this function and its
-//	                       static callees never mutate a job slice
 //
 // A malformed directive (unknown verb, no verb) is reported under the
 // pseudo-analyzer "lint", like a malformed //lint:allow, so a typo cannot
@@ -49,9 +47,7 @@ type CGNode struct {
 	Decl *ast.FuncDecl // declaration
 	Out  []*CGNode     // static callees, deduplicated, sorted by Key
 
-	// Contract annotations parsed from the doc comment.
-	NoAlloc  bool // //sim:noalloc
-	ReadOnly bool // //sim:readonly — job-slice inputs are never mutated
+	NoAlloc bool // the doc comment carries //sim:noalloc
 }
 
 // CallGraph is the module-wide static call graph.
@@ -212,19 +208,14 @@ func parseSimDirectives(pkg *Package, fn *ast.FuncDecl, n *CGNode, diags *[]Diag
 		}
 		fields := strings.Fields(strings.TrimPrefix(c.Text, SimPrefix))
 		if len(fields) == 0 {
-			bad(c.Pos(), "malformed %s directive: need a verb (noalloc, readonly)", SimPrefix)
+			bad(c.Pos(), "malformed %s directive: need a verb (noalloc)", SimPrefix)
 			continue
 		}
-		switch fields[0] {
-		case "noalloc":
-			n.NoAlloc = true
-		case "readonly":
-			// Optional trailing fields name the read-only parameters for
-			// the reader; the analyzer checks every job slice regardless.
-			n.ReadOnly = true
-		default:
-			bad(c.Pos(), "%s%s is not a contract directive (want noalloc or readonly)", SimPrefix, fields[0])
+		if fields[0] != "noalloc" {
+			bad(c.Pos(), "%s%s is not a contract directive (want noalloc)", SimPrefix, fields[0])
+			continue
 		}
+		n.NoAlloc = true
 	}
 }
 
@@ -259,6 +250,13 @@ func collectEdges(g *CallGraph, n *CGNode) {
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+				// A panic path is not steady state: allocfree exempts the
+				// arguments, and so the calls that build them.
+				return false
+			}
 		}
 		fn := callee(ast.Unparen(call.Fun))
 		if fn == nil {

@@ -127,7 +127,10 @@ func TestSimDirectiveValidation(t *testing.T) {
 			"func B() {}\n\n" +
 			"// D has no verb at all.\n" +
 			"//sim:\n" +
-			"func D() {}\n",
+			"func D() {}\n\n" +
+			"// E carries the retired read-only verb.\n" +
+			"//sim:readonly jobs\n" +
+			"func E() {}\n",
 	}
 	for name, src := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
@@ -139,8 +142,8 @@ func TestSimDirectiveValidation(t *testing.T) {
 		t.Fatalf("loading directive module: %v", err)
 	}
 	g, diags := BuildCallGraph(pkgs)
-	if len(diags) != 2 {
-		t.Fatalf("got %d directive diagnostics, want 2: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d directive diagnostics, want 3: %v", len(diags), diags)
 	}
 	for _, d := range diags {
 		if d.Analyzer != "lint" {
@@ -151,7 +154,7 @@ func TestSimDirectiveValidation(t *testing.T) {
 	for _, d := range diags {
 		joined += d.Message + "\n"
 	}
-	for _, want := range []string{"noallocs", "need a verb"} {
+	for _, want := range []string{"noallocs", "need a verb", "sim:readonly is not a contract directive"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("directive diagnostics %q missing %q", joined, want)
 		}

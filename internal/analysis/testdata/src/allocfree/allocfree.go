@@ -38,16 +38,26 @@ func grow(r *ring) {
 }
 
 // Pop panics on contract violation: panic arguments are not steady
-// state, so the formatting allocation is exempt.
+// state, so the formatting allocation is exempt, and so is the helper
+// that builds the message.
 //
 //sim:noalloc
 func (r *ring) Pop() int {
 	if len(r.buf) == 0 {
 		panic(fmt.Sprintf("pop of empty ring %d", r.head))
 	}
+	if r.head < 0 {
+		panic(describeHead(r.head))
+	}
 	v := r.buf[len(r.buf)-1]
 	r.buf = r.buf[:len(r.buf)-1]
 	return v
+}
+
+// describeHead is called only inside a panic's arguments, so the walk
+// never reaches it and its allocations are not findings.
+func describeHead(head int) string {
+	return fmt.Sprintf("ring head %d", head)
 }
 
 // Observe boxes its operand into an interface parameter — one heap
@@ -69,6 +79,27 @@ func (r *ring) Describe(name string) (string, func() int) {
 	}
 	_ = label
 	return name, probe
+}
+
+// node is a heap-linked element, and index a map keyed by value.
+type node struct{ next *node }
+
+// Link allocates a node per call and files it in a map: taking a
+// composite literal's address escapes here, and a map store allocates
+// whenever the key is new. Panics if index has no entry for 0.
+//
+//sim:noalloc
+func (r *ring) Link(index map[int]*node, counts map[int]int) *node {
+	n := &node{}        // want `\(\*allocfree\.ring\)\.Link takes the address of a composite literal inside a //sim:noalloc region`
+	index[r.head] = n   // want `stores into a map inside a //sim:noalloc region`
+	counts[r.head]++    // want `stores into a map inside a //sim:noalloc region`
+	counts[r.head] += 2 // want `stores into a map inside a //sim:noalloc region`
+	if index[0] == nil {
+		panic(&node{}) // panic arguments stay exempt
+	}
+	//lint:allow allocfree a documented first-use path may file its entry
+	index[-1] = &node{next: n}
+	return n
 }
 
 // Reset is init-path code with no annotation and is unreachable from any

@@ -250,10 +250,10 @@ func (d *directRunner) replay(jobs []workload.Job) (interrupted bool) {
 // arrival ordinal as its ID. Once the policy's first argmin query has
 // built the view's work index, each new clock is propagated into it.
 // d.interrupt is polled before every sim.InterruptEvery-th job after the
-// first; assign reports whether a poll stopped it. Doubles as the
-// sorted-arrival check, saving a separate pass over the trace. Panics if
-// the jobs are not sorted by arrival or the policy returns an
-// out-of-range host.
+// first; assign reports whether a poll stopped it. Doubles as sim.Run's
+// feed check, saving a separate pass over the trace. Panics if a job fails
+// sim.FeedOK (unsorted, a non-finite arrival, a size not finite and > 0)
+// or the policy returns an out-of-range host.
 //
 //sim:noalloc
 func (d *directRunner) assign(jobs []workload.Job) (interrupted bool) {
@@ -270,8 +270,8 @@ func (d *directRunner) assign(jobs []workload.Job) (interrupted bool) {
 		}
 		j := jobs[i]
 		j.ID = i
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
+		if !sim.FeedOK(j, prev) {
+			panic("server: " + sim.FeedFault(i, j, prev))
 		}
 		prev = j.Arrival
 		view.now = j.Arrival

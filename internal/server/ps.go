@@ -285,12 +285,10 @@ func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 // as its ID.
 // Panics if cfg.Hosts <= 0, cfg.Policy is nil, cfg.WarmupFraction is
 // outside [0, 1), cfg.Policy is neither a WorkPolicy nor a StatePolicy,
-// the jobs are not sorted by arrival, or the policy routes a job outside
+// a job fails sim.FeedOK (as in Run), or the policy routes a job outside
 // the host range. Panics if the policy is a pull policy (Central-Queue):
 // the first time it holds a job centrally, since PS hosts have no central
 // queue.
-//
-//sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))

@@ -231,9 +231,8 @@ func observedSlowdown(rec JobRecord) float64 {
 // read-only input contract, which internal/streamcache relies on.
 // Panics if cfg.Hosts <= 0, cfg.Policy is nil, cfg.WarmupFraction is
 // outside [0, 1), cfg.Policy is neither a WorkPolicy nor a StatePolicy,
-// or the jobs are not sorted by arrival.
-//
-//sim:readonly jobs
+// or a job fails sim.FeedOK: the jobs are not sorted by arrival, or a
+// job's arrival is not finite or its size not finite and > 0.
 func Run(jobs []workload.Job, cfg Config) *Result {
 	validateConfig(cfg)
 	if DirectEligible(cfg) {
@@ -245,8 +244,6 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 // runEngine is the discrete-event path: every arrival and departure is an
 // event on a pooled sim.Engine's heap, which is what supports state
 // policies and central-queue pulls.
-//
-//sim:readonly jobs
 func runEngine(jobs []workload.Job, cfg Config) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)
@@ -264,11 +261,8 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 
 // runDirect is the direct-recurrence path (see direct.go), equivalent to
 // runEngine as Run's comment states, and honoring cfg.Interrupt as
-// Result.Interrupted describes. Panics if the jobs are not sorted by
-// arrival or the policy returns a host outside the range (Central
-// included).
-//
-//sim:readonly jobs
+// Result.Interrupted describes. Panics if a job fails sim.FeedOK or the
+// policy returns a host outside the range (Central included).
 func runDirect(jobs []workload.Job, cfg Config) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg, len(jobs), warmup)

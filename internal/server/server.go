@@ -21,10 +21,12 @@
 // and the FCFS and PS systems read job values out of the feed without
 // aliasing slice elements. This is what lets internal/streamcache hand one
 // generated stream to every policy at a load point, copy-free and from
-// many goroutines at once. The contract is enforced by the //sim:readonly
-// directive (checked by the readonly analyzer under cmd/simvet) and by
-// checksum tests in readonly_test.go; any future mutation of the input
-// must copy first.
+// many goroutines at once, TAGS (internal/tags) included. The contract is
+// checked by TestReadOnlyContract (readonly_test.go), a snapshot table
+// that CI holds at 100% statement coverage of every function that holds
+// the slice — plain, interrupted and refused runs alike — so a write on
+// any of their paths fails it. Any future mutation of the input must
+// copy first.
 package server
 
 import (

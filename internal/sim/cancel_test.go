@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -135,9 +137,9 @@ func TestRunReleasesEngine(t *testing.T) {
 		interrupted bool
 	}{
 		{"empty", nil, -1, false},
-		{"drained", make([]Job, 10), -1, false},
-		{"interrupted", make([]Job, 2*InterruptEvery), -1, true},
-		{"handler panic", make([]Job, 10), 5, false},
+		{"drained", unitJobs(10), -1, false},
+		{"interrupted", unitJobs(2 * InterruptEvery), -1, true},
+		{"handler panic", unitJobs(10), 5, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var eng *Engine
@@ -174,17 +176,38 @@ func TestRunReleasesEngine(t *testing.T) {
 	}
 }
 
-// TestRunRefusesUnsortedFeed checks the one sorted-feed check every model
-// relies on: an unsorted feed, or a negative first arrival, panics before
-// an engine is taken.
+// unitJobs is a feed of n unit-size jobs, all arriving at 0.
+func unitJobs(n int) []Job {
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i].Size = 1
+	}
+	return jobs
+}
+
+// TestRunRefusesUnsortedFeed checks the one feed check every model relies
+// on: an unsorted feed, a negative first arrival, a non-finite arrival or
+// a size that is not finite and > 0 panics naming the job before an
+// engine is taken.
 func TestRunRefusesUnsortedFeed(t *testing.T) {
-	for _, jobs := range [][]Job{{{Arrival: 2}, {Arrival: 1}}, {{Arrival: -1}}} {
+	for _, c := range []struct {
+		bad  int // the index the panic must name
+		jobs []Job
+	}{
+		{1, []Job{{Arrival: 2, Size: 1}, {Arrival: 1, Size: 1}}},
+		{0, []Job{{Arrival: -1, Size: 1}, {Arrival: 1, Size: 1}}},
+		{0, []Job{{Arrival: math.NaN(), Size: 1}, {Arrival: 1, Size: 1}}},
+		{1, []Job{{Arrival: 0, Size: 1}, {Arrival: math.Inf(1), Size: 1}}},
+		{1, []Job{{Arrival: 0, Size: 1}, {Arrival: 1, Size: 0}}},
+		{0, []Job{{Arrival: 0, Size: math.NaN()}, {Arrival: 1, Size: 1}}},
+	} {
+		jobs, bad := c.jobs, c.bad
 		before, _ := PoolStats()
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, "arrives at") {
-					t.Fatalf("feed %v: panic %q, want an unsorted-arrival panic", jobs, msg)
+				if want := fmt.Sprintf("sim: job %d ", bad); !strings.HasPrefix(msg, want) {
+					t.Fatalf("feed %v: panic %q, want the feed check's panic naming job %d", jobs, msg, bad)
 				}
 			}()
 			Run(jobs, 1, Options{}, func(*Engine) Handler { return &nopHandler{} })

@@ -271,13 +271,14 @@ type Options struct {
 // exit, a panicking handler included, without the run's probe or
 // handler. build may schedule initial events on the engine; the model it
 // returns must not use the engine after Run returns.
-// Panics if the jobs are not sorted by arrival (a negative first arrival
-// counts as unsorted).
+// Panics, before an engine is taken, if a job fails FeedOK: the jobs are
+// not sorted by arrival (a negative first arrival counts as unsorted), or
+// a job's arrival is not finite or its size not finite and > 0.
 func Run(jobs []Job, kind uint8, opts Options, build func(*Engine) Handler) (interrupted bool) {
 	prev := 0.0
 	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("sim: job %d arrives at %v before %v", i, j.Arrival, prev))
+		if !FeedOK(j, prev) {
+			panic("sim: " + FeedFault(i, j, prev))
 		}
 		prev = j.Arrival
 	}
@@ -288,6 +289,30 @@ func Run(jobs []Job, kind uint8, opts Options, build func(*Engine) Handler) (int
 	e.setHandler(build(e))
 	e.runFeed(jobs, kind)
 	return e.interrupted
+}
+
+// FeedOK reports whether job j may follow an arrival at prev in a
+// simulation feed: its arrival is finite and no earlier than prev, and its
+// size is finite and > 0. Every comparison is affirmative, so a NaN in
+// either field fails it; a NaN arrival would otherwise pass every later
+// job's ordering check, and a NaN or non-positive size would turn every
+// slowdown into NaN.
+func FeedOK(j Job, prev float64) bool {
+	return j.Arrival >= prev && j.Arrival <= math.MaxFloat64 &&
+		j.Size > 0 && j.Size <= math.MaxFloat64
+}
+
+// FeedFault describes why job i, read after an arrival at prev, fails
+// FeedOK, naming the job's index.
+func FeedFault(i int, j Job, prev float64) string {
+	switch {
+	case math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0):
+		return fmt.Sprintf("job %d has non-finite arrival %v", i, j.Arrival)
+	case j.Arrival < prev:
+		return fmt.Sprintf("job %d arrives at %v before %v", i, j.Arrival, prev)
+	default:
+		return fmt.Sprintf("job %d has size %v, want finite and > 0", i, j.Size)
+	}
 }
 
 // setCancelCheck installs the cooperative cancellation probe, polled

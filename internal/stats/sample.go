@@ -89,8 +89,9 @@ func (t *ClassTally) Stream(c int) *Stream {
 func (t *ClassTally) create(c int) *Stream {
 	s, ok := t.streams[c]
 	if !ok {
+		//lint:allow allocfree runs on a class's first observation only, once per class per run
 		s = &Stream{}
-		t.streams[c] = s
+		t.streams[c] = s //lint:allow allocfree files the stream made on the class's first observation
 	}
 	if uint(c) < uint(len(t.small)) {
 		t.small[c] = s

@@ -12,9 +12,9 @@
 // (trace content, load, hosts, poisson, seed); trace.Identity stands in for
 // the content, so a Key pins the stream bytes exactly and cache hits are
 // indistinguishable from regeneration. Second, consumers never write the
-// slice: server.Run and server.RunPS document (and //sim:readonly enforces)
-// that job slices are read-only, so one slice can feed many concurrent
-// simulations without copies.
+// slice: server.Run, server.RunPS and tags.Simulate document (and
+// server.TestReadOnlyContract checks) that job slices are read-only, so
+// one slice can feed many concurrent simulations without copies.
 //
 // A Cache holds the streams in a byte-bounded memo.Cache LRU whose
 // concurrent requests for one key collapse single-flight, so a 16-worker

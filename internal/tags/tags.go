@@ -15,7 +15,6 @@ package tags
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sita/internal/dist"
 	"sita/internal/sim"
@@ -167,17 +166,14 @@ func (t *tagsSim) done(h int, job workload.Job, now float64) {
 // cutoffs (len = hosts-1, ascending; host i kills at cutoffs[i], the last
 // host never kills). Jobs must be sorted by arrival time. warmup is the
 // fraction of jobs (by arrival order) excluded from delay statistics.
-// Panics if the cutoffs do not ascend, warmup is outside [0, 1), or the
-// jobs are unsorted.
+// Panics if a cutoff is negative or NaN or the cutoffs do not ascend,
+// warmup is outside [0, 1), or a job fails sim.FeedOK (unsorted, a
+// non-finite arrival, a size not finite and > 0).
 // The jobs slice is never written (the feed is read by value), so callers
 // may share one job list across concurrent runs — the same read-only
 // input contract as server.Run.
-//
-//sim:readonly jobs
 func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
-	if !sort.Float64sAreSorted(cutoffs) {
-		panic(fmt.Sprintf("tags: cutoffs must ascend, got %v", cutoffs))
-	}
+	checkCutoffs(cutoffs)
 	// Affirmative form so NaN is rejected too.
 	if !(warmup >= 0 && warmup < 1) {
 		panic(fmt.Sprintf("tags: warmup fraction %v outside [0, 1)", warmup))
@@ -211,15 +207,26 @@ type Analysis struct {
 	Cutoffs []float64
 }
 
+// checkCutoffs panics unless the cutoffs are non-negative and ascend. The
+// comparison is affirmative, so a NaN cutoff fails it; a negative one
+// would otherwise reach the kernel as a negative run budget.
+func checkCutoffs(cutoffs []float64) {
+	prev := 0.0
+	for _, c := range cutoffs {
+		if !(c >= prev) {
+			panic(fmt.Sprintf("tags: cutoffs must be non-negative and ascend, got %v", cutoffs))
+		}
+		prev = c
+	}
+}
+
 // NewAnalysis validates parameters. Panics if lambda <= 0, size is nil, or
-// the cutoffs do not ascend.
+// a cutoff is negative or NaN or the cutoffs do not ascend.
 func NewAnalysis(lambda float64, size dist.Distribution, cutoffs []float64) Analysis {
 	if lambda <= 0 || size == nil {
 		panic(fmt.Sprintf("tags: analysis needs lambda > 0 and a size distribution, got %v", lambda))
 	}
-	if !sort.Float64sAreSorted(cutoffs) {
-		panic(fmt.Sprintf("tags: cutoffs must ascend, got %v", cutoffs))
-	}
+	checkCutoffs(cutoffs)
 	cp := make([]float64, len(cutoffs))
 	copy(cp, cutoffs)
 	return Analysis{Lambda: lambda, Size: size, Cutoffs: cp}

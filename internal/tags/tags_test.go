@@ -261,18 +261,3 @@ func TestWasteGrowsAsCutoffShrinks(t *testing.T) {
 			lowCut.WasteFraction(), highCut.WasteFraction())
 	}
 }
-
-// TestSimulateLeavesInputIntact pins the //sim:readonly contract: the
-// TAGS simulator shares cached job streams with the FCFS and PS engines,
-// so it must never write the slice it is given.
-func TestSimulateLeavesInputIntact(t *testing.T) {
-	size := dist.NewBoundedPareto(1.2, 1, 1e4)
-	shared := mkJobs(2000, 0.7, 2, size, 5)
-	snapshot := append([]workload.Job(nil), shared...)
-	Simulate(shared, []float64{10}, 0.1)
-	for i := range shared {
-		if shared[i] != snapshot[i] {
-			t.Fatalf("job %d mutated: %+v, was %+v", i, shared[i], snapshot[i])
-		}
-	}
-}

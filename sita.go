@@ -164,12 +164,17 @@ type SimOptions struct {
 }
 
 // Simulate runs the job list through a distributed server of hosts
-// identical hosts under the policy.
+// identical hosts under the policy. The list is never written, so one list
+// may feed concurrent runs.
+// Panics if hosts < 1, or if the jobs are not sorted by arrival or a job's
+// arrival is not finite or its size not finite and > 0; the panic names
+// the job's index.
 func Simulate(p Policy, jobs []Job, hosts int) *Result {
 	return SimulateOpts(p, jobs, hosts, SimOptions{})
 }
 
-// SimulateOpts is Simulate with explicit options.
+// SimulateOpts is Simulate with explicit options. Panics as Simulate does,
+// or if opts.Warmup is outside [0, 1).
 func SimulateOpts(p Policy, jobs []Job, hosts int, opts SimOptions) *Result {
 	return server.Run(jobs, server.Config{
 		Hosts:          hosts,
@@ -201,8 +206,8 @@ func DefaultExperimentConfig() experiment.Config { return experiment.Default() }
 // run-to-completion — the paper's footnote-1 perfectly-fair reference
 // discipline (every job's expected slowdown is 1/(1-rho) on an M/G/1-PS
 // host, independent of size).
-// Panics if the policy is a pull policy (Central-Queue): PS hosts have no
-// central queue to hold a job in.
+// Panics as SimulateOpts does, or if the policy is a pull policy
+// (Central-Queue): PS hosts have no central queue to hold a job in.
 func SimulatePS(p Policy, jobs []Job, hosts int, opts SimOptions) *Result {
 	return server.RunPS(jobs, server.Config{
 		Hosts:          hosts,

@@ -18,7 +18,10 @@ type TAGSResult = tags.Result
 type TAGSAnalysis = tags.Analysis
 
 // SimulateTAGS runs jobs through a TAGS system with the given internal kill
-// cutoffs (len = hosts-1, ascending).
+// cutoffs (len = hosts-1, ascending). Panics if a cutoff is negative or
+// NaN or the cutoffs do not ascend, warmup is outside [0, 1), or the jobs
+// are not sorted by arrival or a job's arrival is not finite or its size
+// not finite and > 0; a bad job's panic names its index.
 func SimulateTAGS(jobs []Job, cutoffs []float64, warmup float64) *TAGSResult {
 	return tags.Simulate(jobs, cutoffs, warmup)
 }
