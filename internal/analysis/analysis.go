@@ -1,16 +1,14 @@
 // Package analysis is the simulator's static-analysis suite: six
 // file-local analyzers (seedflow, nowallclock, maporder, floateq,
-// panicpolicy, pairing) plus one interprocedural one (allocfree) that
-// machine-check the determinism, numeric, allocation and
+// panicpolicy, pairing) that machine-check the determinism, numeric and
 // resource-lifecycle contracts the experiment pipeline depends on, and the
-// small framework they run on — including a whole-module static call
-// graph (see callgraph.go) for allocfree. What a policy may read when it
-// dispatches needs no analyzer: server.WorkPolicy and server.StatePolicy
-// fix it in the type of Assign's view parameter. Nor does the read-only
-// input contract: the snapshot table in internal/server
+// small framework they run on. What a policy may read when it dispatches
+// needs no analyzer: server.WorkPolicy and server.StatePolicy fix it in
+// the type of Assign's view parameter. Nor do the read-only input and
+// allocation contracts: the contract table in internal/server
 // (TestReadOnlyContract), held to full statement coverage of every
-// function that holds a job slice, runs each write those functions could
-// make.
+// simulator function it enters, runs each write and each allocation those
+// functions could make.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // an Analyzer holds a Run function over a type-checked Pass, diagnostics
@@ -39,16 +37,13 @@ import (
 	"strings"
 )
 
-// An Analyzer is one named check. File-local analyzers set Run, which
-// inspects one package per pass; interprocedural analyzers set RunModule,
-// which sees every target package at once plus the module call graph.
+// An Analyzer is one named check. Run inspects one package per pass.
 // Suppression filtering and diagnostic ordering are handled by the
 // driver, not by individual analyzers.
 type Analyzer struct {
-	Name      string // short lower-case identifier, used in //lint:allow
-	Doc       string // one-paragraph description of the contract enforced
-	Run       func(pass *Pass)
-	RunModule func(pass *ModulePass)
+	Name string // short lower-case identifier, used in //lint:allow
+	Doc  string // one-paragraph description of the contract enforced
+	Run  func(pass *Pass)
 }
 
 // A Pass couples one analyzer with one loaded package.
@@ -64,26 +59,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// A ModulePass couples one interprocedural analyzer with the whole set
-// of loaded target packages and the call graph built over them.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-	Graph    *CallGraph
-
-	fset  *token.FileSet
-	diags *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -110,19 +85,20 @@ type directive struct {
 	pos      token.Pos
 }
 
+// simPrefix is the prefix of the retired //sim: contract directives.
+const simPrefix = "//sim:"
+
 // parseDirectives scans a file's comments for suppression directives.
 // Malformed directives (missing analyzer or reason, or naming an analyzer
 // that is not running) are reported as diagnostics of the pseudo-analyzer
-// "lint" so typos cannot silently disable a check.
+// "lint" so typos cannot silently disable a check. So is any //sim:
+// directive: the contracts they once declared (noalloc, readonly) are
+// checked at run time now, and a marker would promise a check that does
+// not run.
 func parseDirectives(pkg *Package, file *ast.File, known map[string]bool, diags *[]Diagnostic) []directive {
 	var out []directive
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, AllowPrefix) {
-				continue
-			}
-			rest := strings.TrimPrefix(c.Text, AllowPrefix)
-			fields := strings.Fields(rest)
 			bad := func(format string, args ...any) {
 				*diags = append(*diags, Diagnostic{
 					Analyzer: "lint",
@@ -130,6 +106,14 @@ func parseDirectives(pkg *Package, file *ast.File, known map[string]bool, diags 
 					Message:  fmt.Sprintf(format, args...),
 				})
 			}
+			if strings.HasPrefix(c.Text, simPrefix) {
+				bad("%s is not a directive: the allocation and read-only contracts are checked at run time (internal/server TestReadOnlyContract)", c.Text)
+				continue
+			}
+			if !strings.HasPrefix(c.Text, AllowPrefix) {
+				continue
+			}
+			fields := strings.Fields(strings.TrimPrefix(c.Text, AllowPrefix))
 			if len(fields) == 0 {
 				bad("malformed %s: need an analyzer name and a reason", AllowPrefix)
 				continue
@@ -161,12 +145,8 @@ func parseDirectives(pkg *Package, file *ast.File, known map[string]bool, diags 
 // allowlist cannot outlive the findings it was written for.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
-	needGraph := false
 	for _, a := range analyzers {
 		known[a.Name] = true
-		if a.RunModule != nil {
-			needGraph = true
-		}
 	}
 
 	var diags []Diagnostic
@@ -191,29 +171,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
-			a.Run(pass)
-		}
-	}
-
-	if needGraph && len(pkgs) > 0 {
-		graph, gdiags := BuildCallGraph(pkgs)
-		diags = append(diags, gdiags...)
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			pass := &ModulePass{
-				Analyzer: a,
-				Pkgs:     pkgs,
-				Graph:    graph,
-				fset:     pkgs[0].Fset,
-				diags:    &diags,
-			}
-			a.RunModule(pass)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
 		}
 	}
 
@@ -258,12 +216,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return kept
 }
 
-// Analyzers returns the full simvet suite in a fixed order: the
-// file-local checkers first, then allocfree, which walks the module call
-// graph.
+// Analyzers returns the full simvet suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy, Pairing,
-		Allocfree,
-	}
+	return []*Analyzer{Seedflow, NoWallClock, MapOrder, FloatEq, PanicPolicy, Pairing}
 }

@@ -117,9 +117,6 @@ func TestAnalyzersRegistered(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v is missing a name or doc", a)
 		}
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %q must set exactly one of Run (file-local) and RunModule (interprocedural)", a.Name)
-		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
@@ -185,6 +182,42 @@ func TestDirectiveValidation(t *testing.T) {
 			t.Fatalf("got %+v, want one seedflow directive with reason \"a b c\"", ds)
 		}
 	})
+}
+
+// TestSimDirectiveValidation checks that every //sim: directive is
+// reported: the contracts the verbs declared are checked at run time, so
+// a marker would promise a check that does not run.
+func TestSimDirectiveValidation(t *testing.T) {
+	for _, comment := range []string{"//sim:noalloc", "//sim:readonly jobs", "//sim:"} {
+		pkg, f := parseSource(t, "package p\n\n"+comment+"\nfunc F() {}\n")
+		var diags []Diagnostic
+		parseDirectives(pkg, f, nil, &diags)
+		if len(diags) != 1 || diags[0].Analyzer != "lint" ||
+			!strings.Contains(diags[0].Message, comment+" is not a directive") {
+			t.Errorf("%s: got %v, want one lint diagnostic that it is not a directive", comment, diags)
+		}
+	}
+}
+
+// TestStaleAllowReported pins the stale-suppression check: a directive
+// with nothing to suppress is itself a finding, a used one is not.
+func TestStaleAllowReported(t *testing.T) {
+	pkgs, err := Load(".", "./testdata/src/staleallow")
+	if err != nil {
+		t.Fatalf("loading staleallow fixture: %v", err)
+	}
+	diags := Run(pkgs, Analyzers())
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want exactly the stale directive: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if d.Analyzer != "lint" || !strings.Contains(d.Message, "stale") ||
+		!strings.Contains(d.Message, "nowallclock") {
+		t.Errorf("got %v, want a lint diagnostic for the stale nowallclock allow", d)
+	}
+	if !strings.HasSuffix(d.Pos.Filename, "staleallow.go") || d.Pos.Line != 21 {
+		t.Errorf("stale directive reported at %s:%d, want staleallow.go:21", d.Pos.Filename, d.Pos.Line)
+	}
 }
 
 // TestSeededViolationFailsGate builds a throwaway module around each

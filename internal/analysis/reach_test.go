@@ -40,6 +40,7 @@ var testOnlyReach = map[string]string{
 	"sita/internal/runner.CellSeed":          "runner.TestCellSeedDistinct, runner.TestSeedStability",
 	"sita/internal/experiment.ClearMemos":    "experiment.TestClearMemosSimulatesAgain and the sweep benchmarks, which time cold runs",
 	"sita/internal/simtest.*":                "the property harness; its own oracle, invariant and metamorphic tests drive it",
+	"sita/internal/alloctest.*":              "the allocation contract's checks: server.TestReadOnlyContract, sim.TestHeldEngineAllocatesNothing, catalog.TestPolicyAllocations",
 }
 
 // TestNoUnreachedLibraryCode keeps the library from regrowing code that

@@ -132,8 +132,6 @@ func (t *Tree) Key(i int) float64 { return unordered(t.node[t.base+i].key) }
 
 // Update sets host i's key and replays its matches up the tree. NaN keys
 // panic: they have no total order and would corrupt every match above.
-//
-//sim:noalloc
 func (t *Tree) Update(i int, key float64) {
 	if math.IsNaN(key) {
 		panic(fmt.Sprintf("hostindex: NaN key for host %d", i))
@@ -149,8 +147,6 @@ func (t *Tree) Update(i int, key float64) {
 // Min reports the host with the lexicographically least (key, id) and its
 // key. When every key is +Inf the lowest id wins and the key reports the
 // absence.
-//
-//sim:noalloc
 func (t *Tree) Min() (int, float64) {
 	r := t.node[1]
 	return int(r.id), unordered(r.key)
@@ -159,8 +155,6 @@ func (t *Tree) Min() (int, float64) {
 // RangeMin reports the argmin over hosts lo <= i < hi and its key.
 // Panics if the range is empty or out of bounds: the caller owns range
 // validity (policies validate their group bounds).
-//
-//sim:noalloc
 func (t *Tree) RangeMin(lo, hi int) (int, float64) {
 	t.checkRange(lo, hi)
 	best := node{key: math.MaxUint64, id: math.MaxInt32} // loses to any host
@@ -240,8 +234,6 @@ func (s *BitSet) Set(i int) { s.w[i>>6] |= 1 << (uint(i) & 63) }
 func (s *BitSet) Clear(i int) { s.w[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Min reports the lowest marked host, or -1 when the set is empty.
-//
-//sim:noalloc
 func (s *BitSet) Min() int {
 	for wi, w := range s.w {
 		if w != 0 {
@@ -270,13 +262,9 @@ type TimedMin struct {
 func (m *TimedMin) Reset(h int) { m.tree.fill(h, drained) }
 
 // SetKey gives host i a drain instant.
-//
-//sim:noalloc
 func (m *TimedMin) SetKey(i int, key float64) { m.tree.Update(i, key) }
 
 // SetZero marks host i drained: its key becomes -Inf.
-//
-//sim:noalloc
 func (m *TimedMin) SetZero(i int) { m.tree.Update(i, math.Inf(-1)) }
 
 // IsZero reports whether host i has no work left at instant now, that is
@@ -290,8 +278,6 @@ func (m *TimedMin) Key(i int) float64 { return m.tree.Key(i) }
 
 // ArgMin reports the host a lowest-index-wins linear scan over the
 // clamped keys would pick at the query instant.
-//
-//sim:noalloc
 func (m *TimedMin) ArgMin(now float64) int {
 	k := ordered(now)
 	if r := m.tree.node[1]; r.key > k {
@@ -304,8 +290,6 @@ func (m *TimedMin) ArgMin(now float64) int {
 // the range's canonical segments whose minimum is <= now holds the pick,
 // otherwise the range argmin is the pick.
 // Panics if the range is empty or out of bounds.
-//
-//sim:noalloc
 func (m *TimedMin) ArgMinRange(lo, hi int, now float64) int {
 	t := &m.tree
 	t.checkRange(lo, hi)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"sita/internal/sim"
@@ -130,6 +131,28 @@ func TestTreeNaNPanics(t *testing.T) {
 	var tree Tree
 	tree.Reset(2)
 	tree.Update(0, math.NaN())
+}
+
+// TestResetRefusesNoHosts checks that every index refuses an empty host
+// set rather than answer queries about a host that does not exist.
+func TestResetRefusesNoHosts(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		reset func()
+	}{
+		{"Tree", func() { new(Tree).Reset(0) }},
+		{"TimedMin", func() { new(TimedMin).Reset(0) }},
+		{"BitSet", func() { new(BitSet).Reset(0) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "need at least one host") {
+					t.Errorf("%s.Reset(0): panic %q, want one refusing the empty host set", c.name, msg)
+				}
+			}()
+			c.reset()
+		}()
+	}
 }
 
 func TestBitSetMinQueries(t *testing.T) {

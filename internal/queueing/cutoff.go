@@ -92,7 +92,12 @@ func FeasibleCutoffRange(lambda float64, size dist.Distribution) (cLo, cHi float
 	if total > 1 {
 		cLo = CutoffForShortLoad(lambda, size, total-1+margin)
 	}
-	cHi = CutoffForShortLoad(lambda, size, math.Min(1-margin, total-margin))
+	// The long host keeps a reserve of the work rate, so the cutoff stays
+	// below the support's top. The reserve is margin, except at a
+	// vanishing load (total < 2*margin), where margin would swallow the
+	// short host's whole share: there it is half the work rate.
+	reserve := math.Min(margin, total/2)
+	cHi = CutoffForShortLoad(lambda, size, math.Min(1-margin, total-reserve))
 	if cHi <= cLo {
 		return 0, 0, fmt.Errorf("%w: empty feasible range [%v, %v]", ErrInfeasible, cLo, cHi)
 	}

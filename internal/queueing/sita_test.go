@@ -116,6 +116,29 @@ func TestFeasibleCutoffRange(t *testing.T) {
 	}
 }
 
+// TestVanishingLoadIsFeasible checks that a per-host load far below the
+// stability margin still has a feasible cutoff range, and that both
+// cutoff searches answer inside it: a vanishing load is not an overload.
+func TestVanishingLoadIsFeasible(t *testing.T) {
+	size := c90ish()
+	for _, rho := range []float64{1e-9, 4e-7} {
+		lambda := 2 * rho / size.Moment(1)
+		cLo, cHi, err := FeasibleCutoffRange(lambda, size)
+		if err != nil || !(cLo < cHi) {
+			t.Fatalf("load %g: range [%v, %v], %v; want a non-empty range", rho, cLo, cHi, err)
+		}
+		for _, s := range []struct {
+			name   string
+			search func(float64, dist.Distribution) (float64, error)
+		}{{"opt", OptimalCutoff}, {"fair", FairCutoff}} {
+			c, err := s.search(lambda, size)
+			if err != nil || c < cLo || c > cHi {
+				t.Errorf("load %g: %s cutoff %v, %v; want one in [%v, %v]", rho, s.name, c, err, cLo, cHi)
+			}
+		}
+	}
+}
+
 func TestOptimalCutoffBeatsEqualLoad(t *testing.T) {
 	size := c90ish()
 	for _, load := range []float64{0.5, 0.7, 0.8} {

@@ -234,8 +234,6 @@ func (d *directRunner) release() {
 // and reports whether d.interrupt stopped phase 1, in which case nothing
 // is folded in. O(n log h); in practice two branch-light array passes,
 // since h is small next to n.
-//
-//sim:noalloc
 func (d *directRunner) replay(jobs []workload.Job) (interrupted bool) {
 	if d.assign(jobs) {
 		return true
@@ -254,8 +252,6 @@ func (d *directRunner) replay(jobs []workload.Job) (interrupted bool) {
 // feed check, saving a separate pass over the trace. Panics if a job fails
 // sim.FeedOK (unsorted, a non-finite arrival, a size not finite and > 0)
 // or the policy returns an out-of-range host.
-//
-//sim:noalloc
 func (d *directRunner) assign(jobs []workload.Job) (interrupted bool) {
 	sentinel := int32(len(jobs))
 	prev := 0.0
@@ -310,8 +306,6 @@ func (d *directRunner) assign(jobs []workload.Job) (interrupted bool) {
 // loser tree and fold every completion into d.res, in the engine's
 // (time, seq) emission order, via the same update sequence as
 // Result.observe.
-//
-//sim:noalloc
 func (d *directRunner) emitAll(n int) {
 	inf := math.Float64bits(math.Inf(1))
 	for i := 0; i < d.m; i++ {

@@ -1,59 +1,11 @@
 package server
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
 	"sita/internal/stats"
+	"sita/internal/workload"
 )
-
-// allocsIn runs f once and reports how many heap allocations were made on
-// f's own call stack. testing.AllocsPerRun counts every allocation in the
-// process, and the runtime allocates off f's stack now and then: the
-// background scavenger, re-arming its sleep timer, can grow a per-P timer
-// heap (runtime.bgscavenge → timers.addHeap, one object), which failed
-// this benchmark's allocation-free replay in a few runs out of a hundred.
-// Here the memory profiler, at rate 1 for the call, records every
-// allocation with its stack, and only the stacks through f are counted.
-func allocsIn(f func()) int64 {
-	name := runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	before := profiledAllocs(name)
-	f()
-	return profiledAllocs(name) - before
-}
-
-// profiledAllocs publishes the memory profile, which takes two GC cycles,
-// and sums the allocations whose stack passes through the named function.
-func profiledAllocs(fn string) int64 {
-	runtime.GC()
-	runtime.GC()
-	var recs []runtime.MemProfileRecord
-	for {
-		n, ok := runtime.MemProfile(recs, true)
-		if ok {
-			recs = recs[:n]
-			break
-		}
-		recs = make([]runtime.MemProfileRecord, n+64)
-	}
-	var total int64
-	for _, r := range recs {
-		for frames := runtime.CallersFrames(r.Stack()); ; {
-			fr, more := frames.Next()
-			if fr.Function == fn {
-				total += r.AllocObjects
-				break
-			}
-			if !more {
-				break
-			}
-		}
-	}
-	return total
-}
 
 // sitaClass labels a size the way a SITA design's Classify does: the
 // index of the first cutoff it does not exceed.
@@ -66,49 +18,65 @@ func sitaClass(size float64) int {
 	return 3
 }
 
-// BenchmarkDirectReplayCore isolates the direct path's steady-state inner
-// loop — pooled scratch, assignment pass, tournament-merge emission — from
-// the per-run Result construction, for a state-blind policy (a scripted
-// round-robin, which never builds the work index), one that reads host
-// work (Least-Work-Left through the view's index), and the scripted
+// A heldDirectCase is one policy the direct runner's held core replays
+// on 32 hosts, with or without a size classifier.
+type heldDirectCase struct {
+	name      string
+	pol       WorkPolicy
+	sizeClass func(float64) int
+}
+
+// heldDirectCases are a state-blind policy (a scripted round-robin, which
+// never builds the work index), one that reads host work
+// (Least-Work-Left through the view's index), and the scripted
 // round-robin with a size classifier, whose class tally the emission loop
-// feeds inline. It pins the //sim:noalloc contract empirically: after the
-// first replay grows the scratch arrays (and creates the class streams),
-// a replay must not allocate — the benchmark fails if one does (counted by
-// allocsIn, on the replay's own stack), so even a one-iteration smoke run
-// holds every case to 0 allocs/op.
-func BenchmarkDirectReplayCore(b *testing.B) {
-	const hosts = 32
-	jobs := goldenJobs(48, 100000)
-	script := make([]int, len(jobs))
+// feeds inline, each for a feed of n jobs.
+func heldDirectCases(n int) []heldDirectCase {
+	script := make([]int, n)
 	for i := range script {
-		script[i] = i % hosts
+		script[i] = i % heldHosts
 	}
-	for _, c := range []struct {
-		name      string
-		pol       WorkPolicy
-		sizeClass func(float64) int
-	}{
+	return []heldDirectCase{
 		{"oblivious", &scripted{hosts: script}, nil},
 		{"work-only", indexedLWL{}, nil},
 		{"classes", &scripted{hosts: script}, sitaClass},
-	} {
+	}
+}
+
+const heldHosts = 32
+
+// heldDirect takes a runner from the pool and returns a replay of jobs on
+// it, the Result every replay folds into, and the release that returns
+// the runner. The replay is the direct path's steady-state core — pooled
+// scratch, assignment pass, tournament-merge emission — without the
+// per-run Result construction.
+func heldDirect(jobs []workload.Job, c heldDirectCase) (replay func(), res *Result, release func()) {
+	res = &Result{
+		PerHostJobs: make([]int64, heldHosts),
+		PerHostWork: make([]float64, heldHosts),
+	}
+	if c.sizeClass != nil {
+		res.Classes = stats.NewClassTally()
+	}
+	d := directPool.Get().(*directRunner)
+	d.res = res
+	d.sizeClass = c.sizeClass
+	replay = func() {
+		d.setup(len(jobs), heldHosts, c.pol)
+		d.replay(jobs)
+	}
+	return replay, res, d.release
+}
+
+// BenchmarkDirectReplayCore times the direct path's held core on a
+// 100k-job feed (see heldDirect). TestReadOnlyContract holds the same
+// core to zero allocations per replay.
+func BenchmarkDirectReplayCore(b *testing.B) {
+	jobs := goldenJobs(48, 100000)
+	for _, c := range heldDirectCases(len(jobs)) {
 		b.Run(c.name, func(b *testing.B) {
-			res := &Result{
-				PerHostJobs: make([]int64, hosts),
-				PerHostWork: make([]float64, hosts),
-			}
-			if c.sizeClass != nil {
-				res.Classes = stats.NewClassTally()
-			}
-			d := directPool.Get().(*directRunner)
-			defer d.release()
-			d.res = res
-			d.sizeClass = c.sizeClass
-			replay := func() {
-				d.setup(len(jobs), hosts, c.pol)
-				d.replay(jobs)
-			}
+			replay, res, release := heldDirect(jobs, c)
+			defer release()
 			replay()
 
 			b.ReportAllocs()
@@ -123,9 +91,6 @@ func BenchmarkDirectReplayCore(b *testing.B) {
 			}
 			if c.sizeClass != nil && len(res.Classes.Classes()) < 2 {
 				b.Fatalf("class tally holds %v, want several classes", res.Classes.Classes())
-			}
-			if allocs := allocsIn(replay); allocs != 0 {
-				b.Fatalf("steady-state replay allocated %v times", allocs)
 			}
 		})
 	}

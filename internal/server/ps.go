@@ -34,8 +34,6 @@ type psHost struct {
 }
 
 // advance charges elapsed processing time to every resident job.
-//
-//sim:noalloc
 func (h *psHost) advance(now float64) {
 	if len(h.jobs) > 0 {
 		each := (now - h.lastUpdate) / float64(len(h.jobs))
@@ -49,8 +47,6 @@ func (h *psHost) advance(now float64) {
 // reschedule cancels any pending completion and schedules the next one as
 // a typed event — canceling and rescheduling recycles the engine's slot
 // arena, so the churn of PS arrivals never allocates.
-//
-//sim:noalloc
 func (h *psHost) reschedule(now float64) {
 	h.pending.Cancel()
 	if len(h.jobs) == 0 {
@@ -77,12 +73,13 @@ func (h *psHost) reschedule(now float64) {
 // remaining sliver is smaller than the clock's ulp and virtual time can no
 // longer advance.
 //
-//sim:noalloc
+// The host holds at least one job here: reschedule schedules a completion
+// only for a non-empty host, and every change to the resident set (add,
+// or complete itself) goes through reschedule, which cancels the pending
+// completion first; WorkLeft's advance changes remaining work, not the
+// set.
 func (h *psHost) complete(now float64) {
 	h.advance(now)
-	if len(h.jobs) == 0 {
-		return
-	}
 	minRemaining := h.jobs[0].remaining
 	for _, pj := range h.jobs[1:] {
 		if pj.remaining < minRemaining {
@@ -107,7 +104,7 @@ func (h *psHost) complete(now float64) {
 				h.onDone(rec)
 			}
 		} else {
-			kept = append(kept, pj) //lint:allow allocfree kept reuses jobs' backing array (kept := h.jobs[:0]); never grows
+			kept = append(kept, pj) // kept reuses jobs' backing array (kept := h.jobs[:0]); never grows
 		}
 	}
 	h.jobs = kept
@@ -115,11 +112,9 @@ func (h *psHost) complete(now float64) {
 }
 
 // add admits a job at the current instant.
-//
-//sim:noalloc
 func (h *psHost) add(job workload.Job, now float64) {
 	h.advance(now)
-	h.jobs = append(h.jobs, psJob{job: job, remaining: job.Size}) //lint:allow allocfree backing array grows to the high-water job count, then recycles
+	h.jobs = append(h.jobs, psJob{job: job, remaining: job.Size}) // backing array grows to the high-water job count, then recycles
 	h.reschedule(now)
 }
 
@@ -201,7 +196,6 @@ func (s *PSSystem) MinWorkHostIn(lo, hi int) int {
 	return s.minWorkIn(lo, hi)
 }
 
-//sim:noalloc
 func (s *PSSystem) minWorkIn(lo, hi int) int {
 	best, bestW := lo, s.WorkLeft(lo)
 	for i := lo + 1; i < hi; i++ {
@@ -214,8 +208,8 @@ func (s *PSSystem) minWorkIn(lo, hi int) int {
 
 // MinJobsHost reports the host with the fewest resident jobs, ties to the
 // lowest index, from a lazily built incremental index. The first call
-// allocates the index (so no //sim:noalloc here); steady state is
-// allocation-free through the annotated Tree.Update path.
+// allocates the index; from then on Tree.Update keeps it current without
+// allocating.
 func (s *PSSystem) MinJobsHost() int {
 	if !s.jobsOn {
 		s.jobsIdx.Reset(len(s.hosts))
@@ -244,8 +238,6 @@ func (s *PSSystem) noteJobs(i int) {
 // HandleEvent dispatches the engine's typed events.
 // Panics if the policy holds a job centrally or routes it outside the host
 // range.
-//
-//sim:noalloc
 func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evPSArrival:

@@ -8,34 +8,82 @@ import (
 	"testing"
 	"time"
 
+	"sita/internal/alloctest"
 	"sita/internal/sim"
 	"sita/internal/tags"
 	"sita/internal/workload"
 )
 
-// TestReadOnlyContract is the full check of the read-only input contract
-// (see the package doc): internal/streamcache hands one generated job
-// slice to every policy at a load point, so Run, RunPS and tags.Simulate
-// must never write the slice they are given. Nine functions hold the
-// slice: Run, runEngine, runDirect, RunPS, directRunner.replay and
-// .assign, sim.Run, Engine.runFeed and tags.Simulate. CI runs this test
-// with -coverpkg and fails unless it executes every statement of all
-// nine, so a write on any of their paths — a plain run, an interrupted
-// one, a refused feed or a refused configuration — changes the snapshot
-// and fails it.
+// TestReadOnlyContract is the runtime check of the simulator's two
+// contracts, one row per way a job slice enters it.
+//
+// Read-only input (see the package doc): internal/streamcache hands one
+// generated job slice to every policy at a load point, so Run, RunPS and
+// tags.Simulate must never write the slice they are given. Every row's
+// plain, interrupted, empty and refused runs, and the refused
+// configurations, snapshot-compare the slice afterwards.
+//
+// Allocation: a run's allocation count does not grow with its jobs or
+// events. Its allocation column runs each row on the shared feed and on
+// the feed doubled, and the doubled run may allocate no more objects;
+// the held-core rows hold the direct runner across replays, as the pool
+// does for a sweep's cells, and a replay must allocate nothing. (The
+// engine's held-core row is sim's TestHeldEngineAllocatesNothing.)
+// Once-per-run allocations of per-run state (the Result, a System) are
+// outside the contract.
+//
+// Both checks see only the statements a run executes, so CI runs this
+// test under scripts/contract-coverage.sh, which fails unless every
+// function in server, sim, tags, hostindex and stats that the table
+// enters runs every one of its statements.
 
-// contractJobs is the shared feed: longer than one interrupt poll, with
-// arrival ties, and with IDs that are not arrival ordinals, so a path that
-// stamped its ordinal on the slice instead of on its own copy would show.
+// contractLen is the shared feed's length: longer than one interrupt
+// poll, and a multiple of the rows' three hosts, so a policy cycling by
+// arrival ordinal starts the doubled feed's second copy in phase.
+const contractLen = sim.InterruptEvery + 1004
+
+// contractJobs is the shared feed. Every seventh job is its
+// predecessor's twin (same arrival, same size), so arrivals, departures
+// and SJF candidates tie exactly, and IDs are not arrival ordinals, so a
+// path that stamped its ordinal on the slice instead of on its own copy
+// would show. Four jobs lead the generated ones: job 1 arrives exactly as
+// job 0, alone on its host, completes — 0.1+0.2 rounds up, so a PS host's
+// charge for the elapsed time overshoots job 0's remaining work by an
+// ulp — and jobs 2 and 3, on two hosts, finish together at 3.5 after
+// starting apart.
 func contractJobs() []workload.Job {
-	jobs := goldenJobs(43, sim.InterruptEvery+1000)
+	jobs := goldenJobs(43, contractLen)
+	for i := range jobs {
+		jobs[i].Arrival += 4
+	}
+	a, s := 0.1, 0.2
+	jobs[0] = workload.Job{Arrival: a, Size: s}
+	jobs[1] = workload.Job{Arrival: a + s, Size: 1}
+	jobs[2] = workload.Job{Arrival: 1.5, Size: 2}
+	jobs[3] = workload.Job{Arrival: 2.5, Size: 1}
 	for i := range jobs {
 		if i%7 == 6 {
-			jobs[i].Arrival = jobs[i-1].Arrival
+			jobs[i] = jobs[i-1]
 		}
 		jobs[i].ID = 1000 + i
 	}
 	return jobs
+}
+
+// doubled returns jobs followed by a copy shifted past a full drain: the
+// shift exceeds the last arrival plus three times the total work (TAGS
+// may run a job on each of its three hosts), so no host holds work from
+// the first copy when the second begins.
+func doubled(jobs []workload.Job) []workload.Job {
+	shift := jobs[len(jobs)-1].Arrival
+	for _, j := range jobs {
+		shift += 3 * j.Size
+	}
+	out := append(append([]workload.Job(nil), jobs...), jobs...)
+	for i := len(jobs); i < len(out); i++ {
+		out[i].Arrival += shift
+	}
+	return out
 }
 
 // unchanged fails unless jobs matches snapshot bit for bit (NaN fields
@@ -105,32 +153,85 @@ type byOrdinal struct{}
 func (byOrdinal) Name() string                          { return "by-ordinal" }
 func (byOrdinal) Assign(j workload.Job, v WorkView) int { return j.ID % v.Hosts() }
 
+// rangeLWL is grouped SITA+LWL in miniature: jobs up to size 5 (about a
+// third of the shared feed's work) go to host 0, the rest to the least
+// loaded of the others, both through MinWorkHostIn.
+type rangeLWL struct{}
+
+func (rangeLWL) Name() string { return "range-lwl" }
+func (rangeLWL) Assign(j workload.Job, v WorkView) int {
+	if j.Size <= 5 {
+		return v.MinWorkHostIn(0, 1)
+	}
+	return v.MinWorkHostIn(1, v.Hosts())
+}
+
+// shortestOrHold is Shortest-Queue that holds a job centrally while every
+// host has two or more.
+type shortestOrHold struct{}
+
+func (shortestOrHold) Name() string { return "shortest-or-hold" }
+func (shortestOrHold) Assign(_ workload.Job, v View) int {
+	if i := v.MinJobsHost(); v.NumJobs(i) < 2 {
+		return i
+	}
+	return Central
+}
+
+// shortestQueue is Shortest-Queue, for PS hosts, which hold nothing
+// centrally.
+type shortestQueue struct{}
+
+func (shortestQueue) Name() string                      { return "shortest-queue" }
+func (shortestQueue) Assign(_ workload.Job, v View) int { return v.MinJobsHost() }
+
 // A contractPath is one way a job slice enters the simulator. run
-// simulates jobs on a fresh policy with the given interrupt probe and
-// returns a bit-exact rendering of the result, the IDs the policy's Assign
-// saw and the kept records. TAGS has no policy, keeps no records and takes
-// no probe: its run ignores interrupt and returns only the rendering.
+// simulates jobs on a fresh policy with the given interrupt probe. TAGS
+// has no policy and takes no probe: its run ignores interrupt.
 type contractPath struct {
 	name   string
 	server bool // a Run or RunPS path, not TAGS
-	run    func(jobs []workload.Job, interrupt func() bool) (out string, seen []int, recs []JobRecord)
+	run    func(jobs []workload.Job, interrupt func() bool) contractRun
+}
+
+// contractRun is one run's outcome: a Run or RunPS Result, with every
+// record kept, and the IDs the policy's Assign saw, or a TAGS result.
+type contractRun struct {
+	res  *Result
+	seen []int
+	tags *tags.Result
+}
+
+// String renders the run bit-exactly: the kept records, or the whole
+// TAGS result.
+func (r contractRun) String() string {
+	if r.tags != nil {
+		return fmt.Sprintf("%+v", *r.tags)
+	}
+	return formatRecords(r.res.Records)
 }
 
 func contractPaths() []contractPath {
 	path := func(name string, run func([]workload.Job, Config) *Result, cfg Config, policy func() (Policy, *idRecorder)) contractPath {
-		return contractPath{name, true, func(jobs []workload.Job, interrupt func() bool) (string, []int, []JobRecord) {
+		return contractPath{name, true, func(jobs []workload.Job, interrupt func() bool) contractRun {
 			p, rec := policy()
+			// Room for every ID up front: the recorder allocates once per
+			// run, like the Result.
+			rec.seen = make([]int, 0, len(jobs))
 			c := cfg
 			c.Policy, c.Interrupt, c.KeepRecords = p, interrupt, true
 			res := run(jobs, c)
-			return formatRecords(res.Records), rec.seen, res.Records
+			return contractRun{res: res, seen: rec.seen}
 		}}
 	}
-	work := func(p WorkPolicy) func() (Policy, *idRecorder) {
+	fresh := func(p func() WorkPolicy) func() (Policy, *idRecorder) {
 		return func() (Policy, *idRecorder) {
-			r := &workIDRecorder{WorkPolicy: p}
+			r := &workIDRecorder{WorkPolicy: p()}
 			return r, &r.idRecorder
 		}
+	}
+	work := func(p WorkPolicy) func() (Policy, *idRecorder) {
+		return fresh(func() WorkPolicy { return p })
 	}
 	state := func(p func() StatePolicy) func() (Policy, *idRecorder) {
 		return func() (Policy, *idRecorder) {
@@ -138,17 +239,25 @@ func contractPaths() []contractPath {
 			return r, &r.idRecorder
 		}
 	}
+	// Both hooks arm the cold paths: runDirect's, and observe's.
+	hooks := Config{Hosts: 3, SizeClass: wideClass, OnRecord: func(JobRecord) {}}
+	engineHooks := hooks
+	engineHooks.OrderCheck = true
 	return []contractPath{
 		path("direct-blind", Run, Config{Hosts: 3}, work(byOrdinal{})),
 		path("direct-work", Run, Config{Hosts: 3}, work(indexedLWL{})),
-		// SizeClass and OnRecord arm runDirect's cold path.
-		path("direct-classes", Run, Config{Hosts: 3, SizeClass: wideClass, OnRecord: func(JobRecord) {}}, work(goldenLWL{})),
-		path("engine-push", Run, Config{Hosts: 3, OrderCheck: true}, work(goldenLWL{})),
-		path("central-fcfs", Run, Config{Hosts: 3, CentralOrder: CentralFCFS}, state(func() StatePolicy { return toCentral{} })),
-		path("central-sjf", Run, Config{Hosts: 3, CentralOrder: CentralSJF}, state(func() StatePolicy { return &alternating{} })),
-		path("ps", RunPS, Config{Hosts: 3}, work(goldenLWL{})),
-		{"tags", false, func(jobs []workload.Job, _ func() bool) (string, []int, []JobRecord) {
-			return fmt.Sprintf("%+v", *tags.Simulate(jobs, []float64{10, 100}, 0.1)), nil, nil
+		path("direct-range", Run, Config{Hosts: 3}, work(rangeLWL{})),
+		path("direct-one-host", Run, Config{Hosts: 1}, work(byOrdinal{})),
+		path("direct-classes", Run, hooks, work(idleFirst{})),
+		// lateLWL builds the work index mid-run, from busy hosts.
+		path("engine-push", Run, engineHooks, fresh(func() WorkPolicy { return &lateLWL{k: 100} })),
+		path("engine-range", Run, Config{Hosts: 3, OrderCheck: true}, work(rangeLWL{})),
+		path("central-fcfs", Run, Config{Hosts: 3, CentralOrder: CentralFCFS}, state(func() StatePolicy { return &alternating{} })),
+		path("central-sjf", Run, Config{Hosts: 3, CentralOrder: CentralSJF}, state(func() StatePolicy { return shortestOrHold{} })),
+		path("ps", RunPS, Config{Hosts: 3}, work(rangeLWL{})),
+		path("ps-state", RunPS, Config{Hosts: 3}, state(func() StatePolicy { return shortestQueue{} })),
+		{"tags", false, func(jobs []workload.Job, _ func() bool) contractRun {
+			return contractRun{tags: tags.Simulate(jobs, []float64{10, 100}, 0.1)}
 		}},
 	}
 }
@@ -170,6 +279,29 @@ var badFeeds = []struct {
 	{"zero-size", 100, func(j *workload.Job) { j.Size = 0 }},
 }
 
+// badRange asks for a host range past the last host.
+type badRange struct{}
+
+func (badRange) Name() string                          { return "bad-range" }
+func (badRange) Assign(_ workload.Job, v WorkView) int { return v.MinWorkHostIn(0, v.Hosts()+1) }
+
+// allocsNoMore fails unless running run on the doubled feed allocates no
+// more objects than on the feed itself.
+func allocsNoMore(t *testing.T, feed []workload.Job, run func(jobs []workload.Job)) {
+	t.Helper()
+	twice := doubled(feed)
+	once := alloctest.AllocsIn(func() { run(feed) })
+	more := alloctest.AllocsIn(func() { run(twice) })
+	t.Logf("%d objects on %d jobs, %d on %d", once, len(feed), more, len(twice))
+	if more > once {
+		t.Errorf("allocated %d objects on %d jobs and %d on %d: the count grows with the run",
+			once, len(feed), more, len(twice))
+	}
+}
+
+// raceSkip is why the allocation checks skip under the race detector.
+const raceSkip = "allocation counts are not comparable under the race detector"
+
 func TestReadOnlyContract(t *testing.T) {
 	shared := contractJobs()
 	snapshot := append([]workload.Job(nil), shared...)
@@ -179,18 +311,18 @@ func TestReadOnlyContract(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			// A plain run leaves the input intact, and its policy and
 			// records see arrival ordinals, not the input's IDs.
-			_, seen, recs := p.run(shared, nil)
+			r := p.run(shared, nil)
 			unchanged(t, "plain", shared, snapshot)
 			if p.server {
-				if len(seen) != len(shared) || len(recs) != len(shared) {
-					t.Fatalf("Assign saw %d jobs and %d records were kept, want %d of each", len(seen), len(recs), len(shared))
+				if len(r.seen) != len(shared) || len(r.res.Records) != len(shared) {
+					t.Fatalf("Assign saw %d jobs and %d records were kept, want %d of each", len(r.seen), len(r.res.Records), len(shared))
 				}
-				for i, id := range seen {
+				for i, id := range r.seen {
 					if id != i {
 						t.Fatalf("Assign call %d saw ID %d, want the arrival ordinal", i, id)
 					}
 				}
-				for _, rec := range recs {
+				for _, rec := range r.res.Records {
 					if rec.ID < 0 || rec.ID >= len(shared) || rec.Arrival != shared[rec.ID].Arrival || rec.Size != shared[rec.ID].Size {
 						t.Fatalf("record %+v does not carry its job's arrival ordinal", rec)
 					}
@@ -199,6 +331,11 @@ func TestReadOnlyContract(t *testing.T) {
 				// Interrupted at the first poll: the early exits.
 				p.run(shared, func() bool { return true })
 				unchanged(t, "interrupted", shared, snapshot)
+			}
+
+			// An empty feed completes nothing.
+			if r := p.run(nil, nil); r.res != nil && len(r.res.Records) != 0 {
+				t.Errorf("an empty feed kept %d records", len(r.res.Records))
 			}
 
 			for _, bf := range badFeeds {
@@ -211,6 +348,10 @@ func TestReadOnlyContract(t *testing.T) {
 				}
 				unchanged(t, bf.name, jobs, spoiled)
 			}
+
+			if !alloctest.Race {
+				allocsNoMore(t, shared, func(jobs []workload.Job) { p.run(jobs, nil) })
+			}
 		})
 	}
 
@@ -219,8 +360,41 @@ func TestReadOnlyContract(t *testing.T) {
 		name, want string
 		run        func(jobs []workload.Job)
 	}{
+		{"no-hosts", "config needs hosts > 0", func(jobs []workload.Job) {
+			Run(jobs, Config{Policy: byOrdinal{}})
+		}},
+		{"nil-policy", "nil policy", func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2})
+		}},
+		{"nan-warmup", "warmup fraction NaN", func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2, Policy: byOrdinal{}, WarmupFraction: math.NaN()})
+		}},
+		{"neither-kind", `"name-only" is neither`, func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2, Policy: nameOnly{}})
+		}},
+		{"ps-neither-kind", `"name-only" is neither`, func(jobs []workload.Job) {
+			RunPS(jobs, Config{Hosts: 2, Policy: nameOnly{}})
+		}},
 		{"direct-host-out-of-range", `"central-liar" returned host -1`, func(jobs []workload.Job) {
 			Run(jobs, Config{Hosts: 2, Policy: centralLiar{}})
+		}},
+		{"engine-host-out-of-range", `"central-liar" returned host -1`, func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2, Policy: centralLiar{}, OrderCheck: true})
+		}},
+		{"ps-host-out-of-range", `"central-liar" returned host -1`, func(jobs []workload.Job) {
+			RunPS(jobs, Config{Hosts: 2, Policy: centralLiar{}})
+		}},
+		{"ps-pull-policy", "is a pull policy", func(jobs []workload.Job) {
+			RunPS(jobs, Config{Hosts: 2, Policy: toCentral{}})
+		}},
+		{"direct-bad-range", "range [0, 3) invalid for 2 hosts", func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2, Policy: badRange{}})
+		}},
+		{"engine-bad-range", "range [0, 3) invalid for 2 hosts", func(jobs []workload.Job) {
+			Run(jobs, Config{Hosts: 2, Policy: badRange{}, OrderCheck: true})
+		}},
+		{"ps-bad-range", "range [0, 3) invalid for 2 hosts", func(jobs []workload.Job) {
+			RunPS(jobs, Config{Hosts: 2, Policy: badRange{}})
 		}},
 		{"tags-nan-cutoff", "cutoffs must be non-negative and ascend", func(jobs []workload.Job) {
 			tags.Simulate(jobs, []float64{math.NaN()}, 0)
@@ -241,13 +415,35 @@ func TestReadOnlyContract(t *testing.T) {
 		unchanged(t, c.name, shared, snapshot)
 	}
 
+	// Held cores: the direct runner, held across replays as the pool hands
+	// it to a sweep's cells, allocates nothing once its scratch has grown,
+	// for a state-blind policy, one that reads host work through the
+	// view's index, and one with a size classifier, whose class streams
+	// the first replay creates.
+	for _, c := range heldDirectCases(len(shared)) {
+		t.Run("held-direct-"+c.name, func(t *testing.T) {
+			if alloctest.Race {
+				t.Skip(raceSkip)
+			}
+			replay, res, release := heldDirect(shared, c)
+			defer release()
+			replay()
+			if n := alloctest.AllocsIn(replay); n != 0 {
+				t.Fatalf("a held runner's replay allocated %d objects, want 0", n)
+			}
+			if res.Slowdown.Count() == 0 {
+				t.Fatal("no jobs observed")
+			}
+		})
+	}
+
 	// End to end: every path runs concurrently off the one shared slice,
 	// repeatedly, and must reproduce its solo run on a private copy bit
 	// for bit. A write by any run would make a sibling, or a later round,
 	// replay a different feed.
 	golden := make([]string, len(paths))
 	for i, p := range paths {
-		golden[i], _, _ = p.run(append([]workload.Job(nil), shared...), nil)
+		golden[i] = p.run(append([]workload.Job(nil), shared...), nil).String()
 	}
 	const rounds = 3
 	got := make([][rounds]string, len(paths))
@@ -257,7 +453,7 @@ func TestReadOnlyContract(t *testing.T) {
 			wg.Add(1)
 			go func(i, r int, p contractPath) {
 				defer wg.Done()
-				got[i][r], _, _ = p.run(shared, nil)
+				got[i][r] = p.run(shared, nil).String()
 			}(i, r, p)
 		}
 	}

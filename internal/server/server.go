@@ -189,14 +189,10 @@ type host struct {
 func (h *host) queued() int { return len(h.queue) - h.head }
 
 // enqueue appends a waiting job.
-//
-//sim:noalloc
-func (h *host) enqueue(j workload.Job) { h.queue = append(h.queue, j) } //lint:allow allocfree queue grows to the high-water depth, then dequeue recycles it
+func (h *host) enqueue(j workload.Job) { h.queue = append(h.queue, j) } // queue grows to the high-water depth, then dequeue recycles it
 
 // dequeue removes and returns the oldest waiting job, recycling the
 // backing array once drained.
-//
-//sim:noalloc
 func (h *host) dequeue() workload.Job {
 	j := h.queue[h.head]
 	h.head++
@@ -236,14 +232,12 @@ func (q *centralQueue) Len() int {
 }
 
 // Push holds one job.
-//
-//sim:noalloc
 func (q *centralQueue) Push(j workload.Job) {
 	if q.order != CentralSJF {
-		q.fifo = append(q.fifo, j) //lint:allow allocfree fifo grows to the high-water depth, then Pop recycles it
+		q.fifo = append(q.fifo, j) // fifo grows to the high-water depth, then Pop recycles it
 		return
 	}
-	q.heap = append(q.heap, centralItem{job: j, seq: q.seq}) //lint:allow allocfree heap grows to the high-water depth, then shrinks in place
+	q.heap = append(q.heap, centralItem{job: j, seq: q.seq}) // heap grows to the high-water depth, then shrinks in place
 	q.seq++
 	i := len(q.heap) - 1
 	for i > 0 {
@@ -257,8 +251,6 @@ func (q *centralQueue) Push(j workload.Job) {
 }
 
 // Pop releases the next job under the queue's discipline.
-//
-//sim:noalloc
 func (q *centralQueue) Pop() workload.Job {
 	if q.order != CentralSJF {
 		j := q.fifo[q.head]
@@ -429,8 +421,6 @@ func (s *System) buildWorkIndex() {
 }
 
 // HandleEvent dispatches the engine's typed events.
-//
-//sim:noalloc
 func (s *System) HandleEvent(now float64, ev sim.Ev) {
 	s.now = now
 	switch ev.Kind {
@@ -451,8 +441,6 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 // Panics if the policy returns a host outside the valid range — Central
 // included, for a work policy — which is a contract violation by the
 // Policy implementation.
-//
-//sim:noalloc
 func (s *System) arrive(job workload.Job, now float64) {
 	job.ID = s.arrived
 	s.arrived++
@@ -503,15 +491,12 @@ func (s *System) arrive(job workload.Job, now float64) {
 // host's readyAt backlog. The departure event carries the job and the
 // service-start instant, from which the JobRecord is rebuilt bit-exactly
 // at completion.
-//
-//sim:noalloc
 func (s *System) start(idx int, job workload.Job, now float64) {
 	h := &s.hosts[idx]
 	h.running = true
 	s.engine.Schedule(now+job.Size, sim.Ev{Kind: evDepart, Host: int32(idx), T0: now, Job: job})
 }
 
-//sim:noalloc
 func (s *System) depart(idx int, rec JobRecord, now float64) {
 	h := &s.hosts[idx]
 	h.running = false
@@ -539,7 +524,6 @@ func (s *System) depart(idx int, rec JobRecord, now float64) {
 	}
 }
 
-//sim:noalloc
 func (s *System) startNextCentral(idx int, now float64) {
 	job := s.central.Pop()
 	s.accrueQueue(now)

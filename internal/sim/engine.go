@@ -189,7 +189,7 @@ func (e *Engine) allocSlot() int32 {
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.slots = append(e.slots, slot{}) //lint:allow allocfree arena grows to the high-water event count, then the freelist recycles
+	e.slots = append(e.slots, slot{}) // arena grows to the high-water event count, then the freelist recycles
 	return int32(len(e.slots) - 1)
 }
 
@@ -200,13 +200,11 @@ func (e *Engine) freeSlot(id int32) {
 	s.gen++
 	s.canceled = false
 	s.ev = Ev{}
-	e.free = append(e.free, id) //lint:allow allocfree freelist capacity tracks the arena; append never outgrows it in steady state
+	e.free = append(e.free, id) // freelist capacity tracks the arena; append never outgrows it in steady state
 }
 
 // push schedules one event value.
 // Panics if t is before the current virtual time: it is always a model bug.
-//
-//sim:noalloc
 func (e *Engine) push(t float64, seq uint64, ev Ev) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
@@ -214,7 +212,7 @@ func (e *Engine) push(t float64, seq uint64, ev Ev) Handle {
 	id := e.allocSlot()
 	s := &e.slots[id]
 	s.ev = ev
-	e.events = append(e.events, entry{at: t, seq: seq, id: id}) //lint:allow allocfree heap grows to the high-water event count, then reuses capacity
+	e.events = append(e.events, entry{at: t, seq: seq, id: id}) // heap grows to the high-water event count, then reuses capacity
 	e.siftUp(len(e.events) - 1)
 	return Handle{e: e, id: id, gen: s.gen}
 }
@@ -341,8 +339,6 @@ func (e *Engine) setOrderCheck(on bool) {
 // heap are both drained, or when the probe fires, which drops the rest
 // of the feed. The probe counts each step of the loop, an arrival or a
 // popped entry, canceled or not. runFeed(nil, 0) drains the heap alone.
-//
-//sim:noalloc
 func (e *Engine) runFeed(jobs []Job, kind uint8) {
 	e.interrupted = false
 	base := e.seq
@@ -369,8 +365,6 @@ func (e *Engine) runFeed(jobs []Job, kind uint8) {
 
 // pop removes the heap minimum and frees its slot — before dispatch, so
 // the handler can reuse it — returning the entry and whether it was live.
-//
-//sim:noalloc
 func (e *Engine) pop() (at float64, seq uint64, ev Ev, live bool) {
 	top := e.events[0]
 	n := len(e.events) - 1

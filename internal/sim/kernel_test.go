@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand/v2"
 	"testing"
+
+	"sita/internal/alloctest"
 )
 
 // recorder collects typed events in dispatch order.
@@ -242,5 +244,53 @@ func BenchmarkEngineFreshPerRun(b *testing.B) {
 			e.Schedule(at, Ev{Kind: 1})
 		}
 		e.runFeed(nil, 0)
+	}
+}
+
+// churnHandler drives a held engine the way the models do: each arrival
+// schedules its departure after its size, and cancels and reschedules the
+// previous arrival's departure (the PS hosts' pattern), so a run fires,
+// cancels and recycles slots.
+type churnHandler struct {
+	e    *Engine
+	last Handle
+}
+
+func (h *churnHandler) HandleEvent(now float64, ev Ev) {
+	if ev.Kind != 1 {
+		return
+	}
+	h.last.Cancel()
+	h.e.ScheduleAfter(ev.Job.Size/2, Ev{Kind: 2, Job: ev.Job})
+	h.last = h.e.ScheduleAfter(ev.Job.Size, Ev{Kind: 2, Job: ev.Job})
+}
+
+// TestHeldEngineAllocatesNothing is the kernel's row of the allocation
+// contract (internal/server's TestReadOnlyContract holds the rest): an
+// engine reused across runs, as the pool hands one to a sweep's cells,
+// allocates nothing once its heap, slot arena and freelist have grown to
+// the run's high water. The engine is held outside the measured run:
+// alloctest.AllocsIn empties the pool first.
+func TestHeldEngineAllocatesNothing(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	jobs := make([]Job, 3000)
+	for i := range jobs {
+		jobs[i] = Job{ID: i, Arrival: float64(i / 2), Size: float64(1 + i%7)}
+	}
+	e := acquire()
+	defer release(e)
+	h := &churnHandler{e: e}
+	run := func() {
+		e.reset()
+		e.setCancelCheck(func() bool { return false })
+		e.setOrderCheck(true)
+		e.setHandler(h)
+		e.runFeed(jobs, 1)
+	}
+	run()
+	if n := alloctest.AllocsIn(run); n != 0 {
+		t.Fatalf("a held engine's second run allocated %d objects, want 0", n)
 	}
 }

@@ -89,9 +89,10 @@ func (t *ClassTally) Stream(c int) *Stream {
 func (t *ClassTally) create(c int) *Stream {
 	s, ok := t.streams[c]
 	if !ok {
-		//lint:allow allocfree runs on a class's first observation only, once per class per run
+		// A class's first observation allocates its stream and files it:
+		// once per class per run.
 		s = &Stream{}
-		t.streams[c] = s //lint:allow allocfree files the stream made on the class's first observation
+		t.streams[c] = s
 	}
 	if uint(c) < uint(len(t.small)) {
 		t.small[c] = s

@@ -4,7 +4,9 @@
 # Runs the experiment-level benchmarks the perf PRs track (Table 1, the
 # h-sweep Figure 6, the analytic Figure 9), the per-policy simulator
 # throughput benchmark, and the kernel micro-benchmarks in internal/sim,
-# all with -benchmem so allocs/op regressions are visible.
+# all with -benchmem so allocs/op regressions are visible. The steady-state
+# allocation contract itself is tier-1: TestReadOnlyContract's allocation
+# column (internal/server) and sim's TestHeldEngineAllocatesNothing.
 #
 # Usage:
 #   scripts/bench.sh [outfile]        # default /tmp/bench.txt
@@ -32,10 +34,10 @@ count="${BENCH_COUNT:-5}"
   go test -run '^$' -bench 'BenchmarkManyHosts' -benchmem -benchtime 1x -count "$count" .
   # Kernel micro-benchmarks: event scheduling, typed events, cancel, reuse.
   go test -run '^$' -bench . -benchmem -count "$count" ./internal/sim/
-  # Host-selection index micro-benchmarks (must stay 0 allocs/op).
+  # Host-selection index micro-benchmarks (0 allocs/op).
   go test -run '^$' -bench . -benchmem -count "$count" ./internal/hostindex/
   # Stream-cache: cached vs bypassed multi-policy sweep in the same binary,
-  # and the per-acquisition hit/generate costs (hit must stay 0 allocs/op).
+  # and the per-acquisition hit/generate costs (a hit reads 0 allocs/op).
   go test -run '^$' -bench 'BenchmarkSweepStreamCache' -benchmem -benchtime 1x \
     -count "$count" ./internal/experiment/
   go test -run '^$' -bench 'BenchmarkJobsAtLoad' -benchmem -count "$count" \
@@ -43,7 +45,7 @@ count="${BENCH_COUNT:-5}"
   # Direct-recurrence fast path vs the event-heap engine on the same
   # 100k-job stream (<policy>/hN direct-to-engine ns/op ratio is the
   # speedup; output bytes are identical, proven by the differential tests),
-  # and the pooled replay core (must stay 0 allocs/op).
+  # and the pooled replay core (0 allocs/op; the contract table holds it).
   go test -run '^$' -bench 'BenchmarkDirectVsEngine' -benchmem -benchtime 1s \
     -count "$count" .
   go test -run '^$' -bench 'BenchmarkDirectReplayCore' -benchmem \
